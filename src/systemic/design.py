@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,6 @@ from .graphs import WeightedGraph, is_connected
 from .measures import (MeasureDescriptor, evaluate, evaluate_eigenvalues,
                        get_spectral_function)
 from .spectral import Spectrum, graph_spectrum, laplacian_spectrum
-from .utils import max_workers
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +365,7 @@ def rewire_bruteforce(n: int, m: int, alpha: float, measure: MeasureDescriptor,
             refined = weight_refine(graph, measure)
         return RankingEntry(edges=pairs, value=value, refined=refined)
 
-    ordered_classes = sorted(classes)
-    workers = max_workers()
-    if workers > 1 and len(ordered_classes) > 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(score, ordered_classes))
-    else:
-        entries = [score(pairs) for pairs in ordered_classes]
+    entries = [score(pairs) for pairs in sorted(classes)]
     ranking = tuple(sorted(entries, key=lambda e: (e.value, e.edges)))
     best_entry = ranking[0]
     best_graph = WeightedGraph.from_edges(

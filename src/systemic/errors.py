@@ -28,13 +28,7 @@ class ConnectivityError(SystemicError):
 
 
 class NumericalError(SystemicError):
-    """An iterative numerical procedure failed to reach its tolerance."""
-
-    def __init__(self, message: str, iterations: int | None = None):
-        self.iterations = iterations
-        if iterations is not None:
-            message = f"{message} (after {iterations} iterations)"
-        super().__init__(message)
+    """A numerical procedure failed or missed its accuracy bounds."""
 
 
 class GenerationError(SystemicError):

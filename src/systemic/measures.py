@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .errors import ConnectivityError, DomainError, NumericalError
 from .graphs import WeightedGraph, is_connected, laplacian, spanning_tree_count
-from .spectral import Spectrum, graph_spectrum
+from .spectral import graph_spectrum
 
 MEASURE_IDS = (
     "zeta_measure", "hp_norm", "h2", "hinf", "energy1", "energy2",
@@ -216,7 +216,13 @@ def _nonzero_eigenvalues(graph: WeightedGraph) -> np.ndarray:
 
 
 def zeta(graph: WeightedGraph, p: float) -> float:
-    """Spectral zeta function: sum of nonzero Laplacian eigenvalues to the -p."""
+    """Spectral zeta function: sum of nonzero Laplacian eigenvalues to the -p.
+
+    Only p > 0 gives a systemic measure: p = 0 counts the n - 1 nonzero modes
+    and p < 0 sums positive powers, and neither decreases as edges are added.
+    """
+    if not (p > 0):
+        raise DomainError(f"zeta exponent p must be positive, got {p}")
     lam = _nonzero_eigenvalues(graph)
     return float(np.sum(lam ** (-float(p))))
 
@@ -387,13 +393,6 @@ def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
         return evaluate_eigenvalues(
             _nonzero_eigenvalues(graph), measure, degrees=laplacian(graph).degrees)
     return evaluate_eigenvalues(_nonzero_eigenvalues(graph), measure)
-
-
-def evaluate_spectrum(spectrum: Spectrum, measure: MeasureDescriptor) -> float:
-    """Evaluate a spectral measure from an already-computed spectrum."""
-    if not is_spectral(measure):
-        raise DomainError(f"{measure.id} is not a spectral measure")
-    return evaluate_eigenvalues(spectrum.nonzero, measure)
 
 
 def spectral_form(measure: MeasureDescriptor) -> Callable[[np.ndarray], float]:

@@ -1,14 +1,15 @@
 """Symmetric eigensolver, Laplacian pseudo-inverse, and the PSD partial order.
 
-The eigensolver is a classic two-stage dense method: Householder reduction to
-tridiagonal form followed by implicit-shift QL iteration, with eigenvectors
-accumulated through both stages.  It is deterministic for identical input
-bits, which the property-check machinery relies on for replayable trials.
+eig_sym wraps LAPACK's symmetric eigensolver (syevd, via np.linalg.eigh) in a
+contract: square, finite, symmetric input; ascending eigenvalues; orthonormal
+eigenvectors with a fixed sign convention; and residual and orthonormality
+gates that turn an inaccurate result into NumericalError.  Identical input
+bits give identical output bits on the same machine and BLAS build, which the
+property-check machinery relies on for replayable trials.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import ConnectivityError, DimensionError, DomainError, NumericalError
 from .graphs import Laplacian, WeightedGraph, laplacian
 
-MAX_QL_SWEEPS = 50
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 ZERO_TOL_SCALE = 1e-8
@@ -46,125 +46,45 @@ class Spectrum:
         return self.eigenvalues[1:]
 
 
-def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce symmetric a to tridiagonal (d, e) with accumulated transform v."""
-    n = a.shape[0]
-    v = np.eye(n)
-    e = np.zeros(n)
-    for k in range(n - 2):
-        x = a[k + 1:, k].copy()
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue
-        alpha = -math.copysign(norm_x, x[0]) if x[0] != 0.0 else -norm_x
-        u = x
-        u[0] -= alpha
-        unorm2 = float(u @ u)
-        e[k] = alpha
-        if unorm2 == 0.0:
-            continue
-        beta = 2.0 / unorm2
-        block = a[k + 1:, k + 1:]
-        p = beta * (block @ u)
-        q = p - (0.5 * beta * float(u @ p)) * u
-        block -= np.outer(q, u) + np.outer(u, q)
-        a[k + 1:, k] = 0.0
-        a[k, k + 1:] = 0.0
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        v[:, k + 1:] -= np.outer(v[:, k + 1:] @ u, beta * u)
-    if n >= 2:
-        e[n - 2] = a[n - 1, n - 2]
-    return np.diag(a).copy(), e, v
-
-
-def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, v: np.ndarray,
-                       max_sweeps: int = MAX_QL_SWEEPS) -> None:
-    """Diagonalize the tridiagonal (d, e) in place, rotating v's columns along."""
-    n = d.shape[0]
-    eps = np.finfo(float).eps
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                scale = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * scale:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise NumericalError(
-                    f"QL iteration stalled on eigenvalue {l}", iterations=sweeps - 1)
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            clean = True
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    clean = False
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                upper = v[:, i + 1].copy()
-                v[:, i + 1] = s * v[:, i] + c * upper
-                v[:, i] = c * v[:, i] - s * upper
-            if clean:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-
-
 def _fix_signs(v: np.ndarray) -> None:
     """Make the first nonzero component of each eigenvector positive."""
-    for j in range(v.shape[1]):
-        column = v[:, j]
-        nonzero = np.nonzero(column)[0]
-        if nonzero.size and column[nonzero[0]] < 0:
-            v[:, j] = -column
+    if v.size == 0:
+        return
+    leading = v[np.argmax(v != 0.0, axis=0), np.arange(v.shape[1])]
+    v[:, leading < 0] *= -1.0
 
 
-def eig_sym(matrix: np.ndarray, max_sweeps: int = MAX_QL_SWEEPS) -> Spectrum:
+def eig_sym(matrix: np.ndarray) -> Spectrum:
     """Full spectrum of a symmetric matrix, eigenvalues ascending.
 
-    Raises DomainError for non-symmetric input and NumericalError if the QL
-    iteration fails to converge or the result misses its accuracy bounds.
+    LAPACK syevd (np.linalg.eigh) on the symmetrized matrix; each
+    eigenvector's first nonzero component is made positive.  Identical input
+    bits give identical output bits on the same machine and BLAS build.
+
+    Raises DimensionError for non-square input, DomainError for non-finite or
+    non-symmetric input, and NumericalError if LAPACK fails or the residual or
+    orthonormality error misses its bound.
     """
     m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     asym = float(np.abs(m - m.T).max(initial=0.0))
-    if asym > SYMMETRY_TOL * scale:
+    if not asym <= SYMMETRY_TOL * scale:
         raise DomainError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    work = 0.5 * (m + m.T)
-    d, e, v = _householder_tridiagonalize(work)
-    _ql_implicit_shift(d, e, v, max_sweeps=max_sweeps)
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    v = v[:, order]
+    try:
+        d, v = np.linalg.eigh(0.5 * (m + m.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK eigensolver failed: {exc}") from exc
     _fix_signs(v)
     residual = float(np.abs(m @ v - v * d).max(initial=0.0))
     gram_error = float(np.abs(v.T @ v - np.eye(d.shape[0])).max(initial=0.0))
     value_scale = max(1.0, float(np.abs(d).max(initial=0.0)))
-    if gram_error > ORTHONORMALITY_TOL:
+    if not gram_error <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvectors lost orthonormality ({gram_error:.3e})")
-    if residual > RESIDUAL_TOL * value_scale:
+    if not residual <= RESIDUAL_TOL * value_scale:
         raise NumericalError(f"eigen residual too large ({residual:.3e})")
     return Spectrum(eigenvalues=d, eigenvectors=v, residual=residual)
 

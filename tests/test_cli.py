@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import systemic
 from systemic import cli, serialize_graph, generate
 
 SCHEMA = json.loads(files("systemic").joinpath("report.schema.json").read_text())
@@ -68,6 +73,14 @@ class TestZetaAndHp:
                                            "--p", "1"])
         assert code == 0
         assert report["results"]["value"] == pytest.approx(4.0 / 3.0)
+
+    def test_zeta_nonpositive_exponent_exits_two(self, capsys, graph_files):
+        for p in ("0", "-1"):
+            code, report, err = run_cli(capsys, ["zeta", "--graph", graph_files["p3"],
+                                                 "--p", p])
+            assert code == 2
+            assert report is None
+            assert "positive" in err
 
     def test_hpnorm_closed(self, capsys, graph_files):
         code, report, _ = run_cli(capsys, ["hpnorm", "--graph", graph_files["k3"],
@@ -241,6 +254,23 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         assert json.loads(first)["timing"] == 0.0
+
+    def test_results_independent_of_blas_threads(self):
+        # replay must not depend on how many threads the BLAS library uses
+        src = str(Path(systemic.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "systemic.cli", "props", "--measure", "entropy",
+                "--property", "homogeneity", "--trials", "40", "--seed", "77"]
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 1, done.stderr
+            outputs.append(json.dumps(json.loads(done.stdout)["results"]))
+        assert outputs[0] == outputs[1]
 
     def test_rewire_deterministic_bytes(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_clock", lambda: 0.0)

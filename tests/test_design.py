@@ -152,25 +152,6 @@ class TestRewire:
         with pytest.raises(DomainError):
             rewire_bruteforce(4, 2, 1.0, ENERGY)
 
-    def test_thread_env_deterministic(self, monkeypatch):
-        baseline = rewire_bruteforce(5, 6, 6.0, ENERGY)
-        monkeypatch.setenv("SYSTEMIC_THREADS", "3")
-        threaded = rewire_bruteforce(5, 6, 6.0, ENERGY)
-        assert [e.value for e in baseline.ranking] == [e.value for e in threaded.ranking]
-        assert [e.edges for e in baseline.ranking] == [e.edges for e in threaded.ranking]
-
-    def test_thread_env_validated(self, monkeypatch):
-        from systemic import ConfigError
-        from systemic.utils import max_workers
-        monkeypatch.setenv("SYSTEMIC_THREADS", "many")
-        with pytest.raises(ConfigError):
-            max_workers()
-        monkeypatch.setenv("SYSTEMIC_THREADS", "-1")
-        with pytest.raises(ConfigError):
-            max_workers()
-        monkeypatch.setenv("SYSTEMIC_THREADS", "0")
-        assert max_workers() >= 1
-
     def test_weight_refine_hook(self):
         calls = []
 

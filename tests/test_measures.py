@@ -30,6 +30,16 @@ class TestZeta:
         with pytest.raises(ConnectivityError):
             zeta(graph, 1.0)
 
+    def test_negative_exponent_rejected(self, p3):
+        # p = -1 would give the trace-like sum 1 + 3 = 4, which grows with edges
+        with pytest.raises(DomainError, match="positive"):
+            zeta(p3, -1.0)
+
+    def test_zero_exponent_rejected(self, p3):
+        # p = 0 would count the n - 1 nonzero modes, blind to the weights
+        with pytest.raises(DomainError, match="positive"):
+            zeta(p3, 0.0)
+
 
 class TestZetaMeasure:
     def test_k3_infinite_exponent(self, k3):

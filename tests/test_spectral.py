@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from systemic import (ConnectivityError, DimensionError, DomainError,
-                      WeightedGraph, centering_matrix, eig_sym, generate,
-                      graph_add, laplacian, laplacian_spectrum, pseudo_inverse,
-                      psd_order, scalar_mul, zero_tolerance)
+                      NumericalError, WeightedGraph, centering_matrix, eig_sym,
+                      generate, graph_add, laplacian, laplacian_spectrum,
+                      pseudo_inverse, psd_order, scalar_mul, zero_tolerance)
 
 from helpers import random_connected
 
@@ -41,6 +41,11 @@ class TestEigSym:
         assert np.array_equal(spectrum.eigenvalues, np.zeros(4))
         assert np.array_equal(spectrum.eigenvectors, np.eye(4))
 
+    def test_empty_matrix(self):
+        spectrum = eig_sym(np.zeros((0, 0)))
+        assert spectrum.eigenvalues.shape == (0,)
+        assert spectrum.eigenvectors.shape == (0, 0)
+
     def test_ascending_and_orthonormal(self):
         matrix = _random_symmetric(7, 16)
         spectrum = eig_sym(matrix)
@@ -73,12 +78,6 @@ class TestEigSym:
         with pytest.raises(DomainError, match="symmetric"):
             eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-    def test_sweep_budget_exhaustion_reports_iterations(self):
-        from systemic import NumericalError
-        matrix = _random_symmetric(2, 6)
-        with pytest.raises(NumericalError, match="iterations"):
-            eig_sym(matrix, max_sweeps=0)
-
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             eig_sym(np.zeros((2, 3)))
@@ -91,6 +90,64 @@ class TestEigSym:
         spectrum = eig_sym(matrix)
         scale = max(1.0, float(np.abs(spectrum.eigenvalues).max()))
         assert spectrum.residual < 1e-9 * scale
+
+
+class TestEigSymContract:
+    """The gates around LAPACK: each bad result must become NumericalError."""
+
+    @staticmethod
+    def _patch_eigh(monkeypatch, corrupt):
+        real = np.linalg.eigh
+
+        def fake(a):
+            values, vectors = real(a)
+            return corrupt(values.copy(), vectors.copy())
+
+        monkeypatch.setattr(np.linalg, "eigh", fake)
+
+    def test_non_orthonormal_vectors_rejected(self, monkeypatch):
+        def skew(values, vectors):
+            vectors[:, 0] *= 1.0 + 1e-6
+            return values, vectors
+        self._patch_eigh(monkeypatch, skew)
+        with pytest.raises(NumericalError, match="orthonormality"):
+            eig_sym(_random_symmetric(3, 6))
+
+    def test_perturbed_eigenvalues_rejected(self, monkeypatch):
+        def shift(values, vectors):
+            values[-1] += 1e-6
+            return values, vectors
+        self._patch_eigh(monkeypatch, shift)
+        with pytest.raises(NumericalError, match="residual"):
+            eig_sym(_random_symmetric(4, 6))
+
+    @pytest.mark.parametrize("target", ["values", "vectors"])
+    def test_nan_result_rejected(self, monkeypatch, target):
+        def poison(values, vectors):
+            if target == "values":
+                values[2] = np.nan
+            else:
+                vectors[1, 1] = np.nan
+            return values, vectors
+        self._patch_eigh(monkeypatch, poison)
+        with pytest.raises(NumericalError):
+            eig_sym(_random_symmetric(5, 6))
+
+    def test_lapack_failure_becomes_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(_random_symmetric(6, 4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            eig_sym(np.array([[1.0, bad], [bad, 1.0]]))
+        diagonal = np.eye(3)
+        diagonal[1, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            eig_sym(diagonal)
 
 
 class TestLaplacianSpectrum:
