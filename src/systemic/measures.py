@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConnectivityError, DomainError, NumericalError
 from .graphs import WeightedGraph, is_connected, laplacian, spanning_tree_count
@@ -259,6 +258,19 @@ def _hp_coefficient(p: float) -> float:
     return math.exp(log_b) / (2.0 * math.pi)
 
 
+def _hp_root(lam: np.ndarray, p: float) -> float:
+    """(coefficient(p) * sum lam^(1-p))^(1/p), in log-space when the sum overflows."""
+    coefficient = _hp_coefficient(p)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(lam ** (1.0 - p)))
+    if math.isfinite(total):
+        return (coefficient * total) ** (1.0 / p)
+    logs = (1.0 - p) * np.log(lam)
+    peak = float(logs.max())
+    log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
+    return math.exp((math.log(coefficient) + log_total) / p)
+
+
 def hp_norm(graph: WeightedGraph, p: float) -> float:
     """Closed-form H_p norm of the disturbance-to-disagreement transfer function.
 
@@ -271,15 +283,7 @@ def hp_norm(graph: WeightedGraph, p: float) -> float:
         return 1.0 / float(lam.min())
     if not (p > 1.0):
         raise DomainError(f"hp_norm needs p > 1, got {p}")
-    coefficient = _hp_coefficient(float(p))
-    with np.errstate(over="ignore"):
-        total = float(np.sum(lam ** (1.0 - p)))
-    if math.isfinite(total):
-        return (coefficient * total) ** (1.0 / p)
-    logs = (1.0 - p) * np.log(lam)
-    peak = float(logs.max())
-    log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
-    return math.exp((math.log(coefficient) + log_total) / p)
+    return _hp_root(lam, float(p))
 
 
 @dataclass(frozen=True)
@@ -319,7 +323,11 @@ def hp_norm_numeric(graph: WeightedGraph, p: float,
     adaptive Gauss-Kronrod quadrature (with endpoint extrapolation) then
     handles the integrable endpoint behaviour for 1 < p < 2.  This route never
     touches the beta/zeta closed form, so it is an independent oracle for it.
+    SciPy is imported here, not at module level, so that only this oracle
+    pays for loading it.
     """
+    from scipy.integrate import quad
+
     if not (1.0 < p < math.inf):
         raise DomainError(f"numeric hp norm needs finite p > 1, got {p}")
     settings = quad_settings or QuadratureSettings()
@@ -365,8 +373,7 @@ def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor,
     if mid == "hp_norm":
         if measure.p == math.inf:
             return 1.0 / float(lam.min())
-        return (_hp_coefficient(float(measure.p))
-                * float(np.sum(lam ** (1.0 - measure.p)))) ** (1.0 / measure.p)
+        return _hp_root(lam, float(measure.p))
     if mid == "h2":
         return float(math.sqrt(np.sum(0.5 / lam)))
     if mid in ("hinf", "convergence_time"):

@@ -90,9 +90,13 @@ def eig_sym(matrix: np.ndarray) -> Spectrum:
 
 
 def zero_tolerance(eigenvalues: np.ndarray) -> float:
-    """Threshold separating the structural zero eigenvalue from the rest."""
+    """Threshold separating the structural zero eigenvalue from the rest.
+
+    Relative to the largest eigenvalue, so scaling every weight scales the
+    threshold with it; an all-zero spectrum gets threshold 0.
+    """
     top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    return ZERO_TOL_SCALE * max(1.0, top)
+    return ZERO_TOL_SCALE * top
 
 
 def _as_matrix(operand: WeightedGraph | Laplacian | np.ndarray) -> np.ndarray:
@@ -116,7 +120,7 @@ def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray) -> Spect
     spec = eig_sym(matrix)
     tol = zero_tolerance(spec.eigenvalues)
     lam = spec.eigenvalues
-    if abs(lam[0]) >= tol:
+    if abs(lam[0]) > tol:
         raise DomainError(
             f"smallest eigenvalue {lam[0]:.3e} is not a structural zero (tol {tol:.3e})")
     if lam[1] <= tol:

@@ -281,3 +281,28 @@ class TestDeterminism:
         cli.main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+def _fresh_python(args: list[str]) -> subprocess.CompletedProcess:
+    src = str(Path(systemic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestStartup:
+    # Fresh interpreters: the in-process tests above have SciPy loaded already.
+    def test_import_loads_no_scipy(self):
+        done = _fresh_python(["-c", (
+            "import sys, systemic, systemic.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_hpnorm_numeric_cold(self, graph_files):
+        done = _fresh_python(["-m", "systemic.cli", "hpnorm", "--graph", graph_files["k3"],
+                              "--p", "3", "--numeric"])
+        assert done.returncode == 0, done.stderr
+        results = json.loads(done.stdout)["results"]
+        assert abs(results["numeric"] - results["closed_form"]) <= 1e-8

@@ -195,6 +195,35 @@ class TestEvaluate:
                 assert scaled == pytest.approx(
                     evaluate(graph, descriptor) / kappa, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1e9])
+    def test_homogeneous_measures_survive_extreme_scaling(self, k3, alpha):
+        # the zero tolerance is relative to the spectrum, so tiny weights on a
+        # connected graph are not mistaken for a disconnected one
+        descriptors = [
+            MeasureDescriptor("zeta_measure", p=2.0, k=0.7),
+            MeasureDescriptor("zeta_measure", p=math.inf, k=1.0),
+            MeasureDescriptor("hp_norm", p=math.inf),
+            MeasureDescriptor("hinf"),
+            MeasureDescriptor("convergence_time"),
+            MeasureDescriptor("energy1"),
+            MeasureDescriptor("local_error"),
+        ]
+        scaled_graph = scalar_mul(alpha, k3)
+        for descriptor in descriptors:
+            assert is_homogeneous(descriptor)
+            assert evaluate(scaled_graph, descriptor) == pytest.approx(
+                evaluate(k3, descriptor) / alpha, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weight, p", [(1.0, 3.0), (1e-6, 60.0)])
+    def test_hp_norm_matches_closed_form_function(self, weight, p):
+        # with weights 1e-6 and p = 60 the plain power sum overflows; evaluate
+        # must take the same log-space route as hp_norm instead of returning inf
+        graph = WeightedGraph.from_edges(5, [(i, i + 1, weight) for i in range(4)])
+        value = evaluate(graph, MeasureDescriptor("hp_norm", p=p))
+        assert math.isfinite(value)
+        assert value == hp_norm(graph, p)
+
     def test_spectral_form_permutation_invariant(self):
         fn = spectral_form(MeasureDescriptor("energy1"))
         x = np.array([0.5, 2.0, 7.0])

@@ -166,6 +166,11 @@ class TestLaplacianSpectrum:
         with pytest.raises(ConnectivityError):
             laplacian_spectrum(graph)
 
+    def test_edgeless_graph_is_disconnected(self):
+        # all eigenvalues are zero, so the relative zero tolerance is zero too
+        with pytest.raises(ConnectivityError):
+            laplacian_spectrum(WeightedGraph.from_edges(3, []))
+
 
 class TestPseudoInverse:
     def test_k3_closed_form(self, k3):
