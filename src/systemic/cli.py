@@ -198,6 +198,8 @@ def _run_hpnorm(args) -> tuple[dict, int]:
 def _run_trees(args) -> tuple[dict, int]:
     graph = _load_graph(args.graph)
     tau = spanning_tree_count(graph)
+    if not math.isfinite(tau):
+        raise NumericalError(f"spanning-tree count overflowed to {tau} on {graph.n} nodes")
     spectral_entropy = measures.evaluate(graph, MeasureDescriptor("entropy"))
     matrix_tree_entropy = measures.entropy_via_trees(graph)
     results = {

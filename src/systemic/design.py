@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (ConnectivityError, DomainError, InputError, ScaleError,
                      SolverError)
 from .graphs import WeightedGraph, is_connected
-from .measures import (MeasureDescriptor, evaluate, evaluate_eigenvalues,
-                       get_spectral_function)
+from .measures import (_MEASURES, MeasureDescriptor, evaluate,
+                       evaluate_eigenvalues, get_spectral_function)
 from .spectral import Spectrum, graph_spectrum, laplacian_spectrum
 
 
@@ -101,38 +101,8 @@ class WeightAllocationResult:
         self.weights.setflags(write=False)
 
 
-def _eigen_derivative(measure: MeasureDescriptor, lam: np.ndarray) -> np.ndarray:
-    """d(measure)/d(lambda_i) over the nonzero eigenvalues."""
-    mid = measure.id
-    if mid == "energy1":
-        return -0.5 / lam**2
-    if mid == "energy2":
-        return -1.0 / lam**3
-    if mid == "entropy":
-        return -1.0 / lam
-    if mid == "h2":
-        total = float(np.sum(0.5 / lam))
-        return (-0.5 / lam**2) * (0.5 / math.sqrt(total))
-    if mid == "zeta_measure":
-        p = float(measure.p)
-        total = float(np.sum(lam ** (-p)))
-        return -measure.k * total ** (1.0 / p - 1.0) * lam ** (-p - 1.0)
-    if mid == "hp_norm":
-        p = float(measure.p)
-        q = p - 1.0
-        from .measures import _hp_coefficient
-        coefficient = _hp_coefficient(p)
-        total = coefficient * float(np.sum(lam ** (-q)))
-        return (1.0 / p) * total ** (1.0 / p - 1.0) * coefficient * (-q) * lam ** (-q - 1.0)
-    if mid == "schur_sum":
-        return np.asarray(get_spectral_function(measure.f_id).derivative(lam), dtype=float)
-    raise DomainError(f"no smooth gradient for measure {mid!r}")
-
-
 def _is_nonsmooth(measure: MeasureDescriptor) -> bool:
-    if measure.id in ("hinf", "convergence_time"):
-        return True
-    return measure.id in ("zeta_measure", "hp_norm") and measure.p == math.inf
+    return _MEASURES[measure.id].nonsmooth(measure)
 
 
 def _edge_mode_squares(topology: Topology, spectrum: Spectrum) -> np.ndarray:
@@ -147,36 +117,28 @@ class _Objective:
     def __init__(self, topology: Topology, measure: MeasureDescriptor):
         self.topology = topology
         self.measure = measure
+        self.entry = _MEASURES[measure.id]
 
-    def spectrum(self, weights: np.ndarray) -> Spectrum:
-        return laplacian_spectrum(self.topology.laplacian_of(weights))
+    def _evaluate(self, weights: np.ndarray) -> tuple[Spectrum, np.ndarray, float]:
+        matrix = self.topology.laplacian_of(weights)
+        spectrum = laplacian_spectrum(matrix)
+        degrees = np.diag(matrix)
+        value = evaluate_eigenvalues(spectrum.nonzero, self.measure, degrees=degrees)
+        return spectrum, degrees, value
 
     def value(self, weights: np.ndarray) -> float:
-        spectrum = self.spectrum(weights)
-        if self.measure.id == "local_error":
-            degrees = np.diag(self.topology.laplacian_of(weights))
-            return evaluate_eigenvalues(spectrum.nonzero, self.measure, degrees=degrees)
-        return evaluate_eigenvalues(spectrum.nonzero, self.measure)
+        return self._evaluate(weights)[2]
 
     def value_and_gradient(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
-        spectrum = self.spectrum(weights)
-        if self.measure.id == "local_error":
-            degrees = np.diag(self.topology.laplacian_of(weights))
-            value = evaluate_eigenvalues(spectrum.nonzero, self.measure, degrees=degrees)
-            us = np.fromiter((u for u, _ in self.topology.edges), dtype=int)
-            vs = np.fromiter((v for _, v in self.topology.edges), dtype=int)
-            gradient = -0.5 * (1.0 / degrees[us] ** 2 + 1.0 / degrees[vs] ** 2)
-            return value, gradient
-        value = evaluate_eigenvalues(spectrum.nonzero, self.measure)
-        if _is_nonsmooth(self.measure):
-            # subgradient from a unit eigenvector of the algebraic connectivity
-            lam2 = spectrum.nonzero[0]
-            squares = _edge_mode_squares(self.topology, spectrum)[:, 0]
-            scale = self.measure.k if self.measure.id == "zeta_measure" else 1.0
-            return value, -scale * squares / lam2**2
-        derivative = _eigen_derivative(self.measure, spectrum.nonzero)
-        gradient = _edge_mode_squares(self.topology, spectrum) @ derivative
-        return value, gradient
+        # chain rule: d lambda_i / d w_e is the squared difference of mode i
+        # across edge e, and w_e adds to the degrees of both its endpoints
+        spectrum, degrees, value = self._evaluate(weights)
+        if self.entry.spectral:
+            grad = self.entry.grad(spectrum.nonzero, self.measure, value)
+            return value, _edge_mode_squares(self.topology, spectrum) @ grad
+        grad = self.entry.grad(degrees, self.measure, value)
+        us, vs = np.array(self.topology.edges).T
+        return value, grad[us] + grad[vs]
 
 
 def _stationarity_residual(weights: np.ndarray, gradient: np.ndarray,

@@ -10,19 +10,14 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ConnectivityError, DomainError, NumericalError
 from .graphs import WeightedGraph, is_connected, laplacian, spanning_tree_count
 from .spectral import graph_spectrum
-
-MEASURE_IDS = (
-    "zeta_measure", "hp_norm", "h2", "hinf", "energy1", "energy2",
-    "convergence_time", "local_error", "entropy", "schur_sum",
-)
 
 ENTROPY_FORM_WARNING = (
     "the closed form log(n/tau) sometimes quoted for the entropy measure disagrees "
@@ -124,6 +119,127 @@ register_spectral_function("exp_decay", _build_exp_decay)
 
 
 # ---------------------------------------------------------------------------
+# the measure table: every per-measure fact in one entry
+
+class _Param(NamedTuple):
+    """A descriptor field a measure accepts.  ok(value) is falsy outside the
+    field's domain (or raises DomainError itself), error is the message for
+    such a value, and a missing value takes the default or is rejected."""
+
+    ok: Callable[[object], object]
+    error: str = ""
+    default: float | None = None
+
+
+class _Measure(NamedTuple):
+    """A catalog measure.
+
+    value(x, m) and grad(x, m, value) = d value / d x_i take x, the nonzero
+    spectrum, or the node degree vector when spectral is False.
+    homogeneous(m): the value scales as 1/kappa when all weights scale by
+    kappa.  nonsmooth(m): the value is a multiple of 1/lambda_2, so grad is
+    only a subgradient where lambda_2 is repeated.
+    """
+
+    value: Callable[[np.ndarray, "MeasureDescriptor"], float]
+    grad: Callable[[np.ndarray, "MeasureDescriptor", float], np.ndarray]
+    params: Mapping[str, _Param] = {}
+    homogeneous: Callable[["MeasureDescriptor"], bool] = lambda m: False
+    nonsmooth: Callable[["MeasureDescriptor"], bool] = lambda m: False
+    spectral: bool = True
+
+
+def _hp_coefficient(p: float) -> float:
+    # 1/(2*pi) * B((p-1)/2, 1/2), the positive rewriting of the frequency
+    # integral's constant; evaluated through log-gamma at positive arguments
+    # only, so there is no cancellation from gamma at negative arguments.
+    log_b = math.lgamma((p - 1.0) / 2.0) + math.lgamma(0.5) - math.lgamma(p / 2.0)
+    return math.exp(log_b) / (2.0 * math.pi)
+
+
+def _power_root(lam: np.ndarray, scale: float, s: float, p: float,
+                coefficient: float = 1.0) -> float:
+    """scale * (coefficient * sum lam^-s)^(1/p), in log-space when the sum is
+    not a normal double; at p = inf, scale / lambda_2 (coefficient unused)."""
+    if p == math.inf:
+        return scale / float(lam.min())
+    with np.errstate(over="ignore"):
+        total = float(np.sum(lam ** (-s)))
+    if 2.0 ** -1022 <= total < math.inf:
+        return scale * (coefficient * total) ** (1.0 / p)
+    logs = -s * np.log(lam)
+    peak = float(logs.max())
+    log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
+    return scale * math.exp((math.log(coefficient) + log_total) / p)
+
+
+def _power_root_grad(lam: np.ndarray, s: float, p: float, value: float) -> np.ndarray:
+    """Gradient of value = _power_root(lam, scale, s, p, coefficient), as
+    -(s/p) * value * w_i / lam_i with w_i = (lam_min/lam_i)^s / sum_j
+    (lam_min/lam_j)^s: each ratio is at most 1, so nothing overflows where
+    the value is finite.  At p = inf, w is one-hot at lambda_2."""
+    if p == math.inf:
+        one_hot = np.arange(lam.size) == np.argmin(lam)
+        return np.where(one_hot, -value / lam, 0.0)
+    ratios = (float(lam.min()) / lam) ** s
+    return -(s / p) * value * (ratios / float(np.sum(ratios))) / lam
+
+
+# 1 / lambda_2 is the p = inf member of the power-root family
+_RECIPROCAL_LAMBDA2 = _Measure(
+    value=lambda lam, m: _power_root(lam, 1.0, math.inf, math.inf),
+    grad=lambda lam, m, value: _power_root_grad(lam, math.inf, math.inf, value),
+    homogeneous=lambda m: True, nonsmooth=lambda m: True)
+
+_MEASURES: dict[str, _Measure] = {
+    "zeta_measure": _Measure(
+        value=lambda lam, m: _power_root(lam, m.k, m.p, m.p),
+        grad=lambda lam, m, value: _power_root_grad(lam, m.p, m.p, value),
+        params={"p": _Param(lambda p: 1.0 <= p, "zeta_measure needs 1 <= p <= inf, got {}"),
+                "k": _Param(lambda k: k > 0, "zeta_measure needs k > 0, got {}", 1.0)},
+        homogeneous=lambda m: True, nonsmooth=lambda m: m.p == math.inf),
+    "hp_norm": _Measure(
+        value=lambda lam, m: _power_root(lam, 1.0, m.p - 1.0, m.p, _hp_coefficient(m.p)),
+        grad=lambda lam, m, value: _power_root_grad(lam, m.p - 1.0, m.p, value),
+        params={"p": _Param(lambda p: p > 1.0, "hp_norm needs p > 1 (the defining "
+                                               "integral diverges at p = 1), got {}")},
+        homogeneous=lambda m: m.p == math.inf, nonsmooth=lambda m: m.p == math.inf),
+    "h2": _Measure(
+        value=lambda lam, m: float(math.sqrt(np.sum(0.5 / lam))),
+        grad=lambda lam, m, value: (-0.5 / lam**2) * (0.5 / value)),
+    "hinf": _RECIPROCAL_LAMBDA2,
+    "energy1": _Measure(
+        value=lambda lam, m: float(np.sum(0.5 / lam)),
+        grad=lambda lam, m, value: -0.5 / lam**2,
+        homogeneous=lambda m: True),
+    "energy2": _Measure(
+        value=lambda lam, m: float(np.sum(0.5 / lam**2)),
+        grad=lambda lam, m, value: -1.0 / lam**3),
+    "convergence_time": _RECIPROCAL_LAMBDA2,
+    "local_error": _Measure(
+        value=lambda degrees, m: float(0.5 * np.sum(1.0 / degrees)),
+        grad=lambda degrees, m, value: -0.5 / degrees**2,
+        homogeneous=lambda m: True, spectral=False),
+    "entropy": _Measure(
+        value=lambda lam, m: -float(np.sum(np.log(lam))),
+        grad=lambda lam, m, value: -1.0 / lam),
+    # get_spectral_function is looked up on every call, not bound here, so
+    # that a wrapper installed on the module attribute sees each call
+    "schur_sum": _Measure(
+        value=lambda lam, m: float(np.sum(get_spectral_function(m.f_id).fn(lam))),
+        grad=lambda lam, m, value: np.asarray(
+            get_spectral_function(m.f_id).derivative(lam), dtype=float),
+        params={"f_id": _Param(lambda f_id: get_spectral_function(f_id))}),
+}
+
+MEASURE_IDS = tuple(_MEASURES)
+
+# descriptor field -> (article, noun) for the error messages
+_FIELDS = {"p": ("an", "exponent p"), "k": ("a", "scale k"),
+           "f_id": ("a", "spectral function id f_id")}
+
+
+# ---------------------------------------------------------------------------
 # measure descriptors
 
 @dataclass(frozen=True)
@@ -139,32 +255,23 @@ class MeasureDescriptor:
     f_id: str | None = None
 
     def __post_init__(self):
-        if self.id not in MEASURE_IDS:
+        if self.id not in _MEASURES:
             raise DomainError(f"unknown measure id {self.id!r}")
-        if self.id == "zeta_measure":
-            if self.p is None:
-                raise DomainError("zeta_measure needs an exponent p")
-            if not (1.0 <= self.p):
-                raise DomainError(f"zeta_measure needs 1 <= p <= inf, got {self.p}")
-            if self.k is None:
-                object.__setattr__(self, "k", 1.0)
-            if not (self.k > 0):
-                raise DomainError(f"zeta_measure needs k > 0, got {self.k}")
-        elif self.id == "hp_norm":
-            if self.p is None:
-                raise DomainError("hp_norm needs an exponent p")
-            if not (self.p > 1.0):
-                raise DomainError(
-                    f"hp_norm needs p > 1 (the defining integral diverges at p = 1), got {self.p}")
-            if self.k is not None:
-                raise DomainError("hp_norm takes no scale k")
-        elif self.id == "schur_sum":
-            if self.f_id is None:
-                raise DomainError("schur_sum needs a spectral function id f_id")
-            get_spectral_function(self.f_id)  # validates
-        else:
-            if self.p is not None or self.k is not None or self.f_id is not None:
-                raise DomainError(f"measure {self.id!r} takes no parameters")
+        params = _MEASURES[self.id].params
+        for name, (article, noun) in _FIELDS.items():
+            value, param = getattr(self, name), params.get(name)
+            if param is None and value is not None:
+                raise DomainError(f"{self.id} takes no {noun}" if params
+                                  else f"measure {self.id!r} takes no parameters")
+            if param is None:
+                continue
+            if value is None:
+                if param.default is None:
+                    raise DomainError(f"{self.id} needs {article} {noun}")
+                value = param.default
+                object.__setattr__(self, name, value)
+            if not param.ok(value):
+                raise DomainError(param.error.format(value))
 
     def label(self) -> str:
         parts = [self.id]
@@ -179,14 +286,12 @@ class MeasureDescriptor:
 
 def is_homogeneous(measure: MeasureDescriptor) -> bool:
     """True for measures scaling as 1/kappa under weight scaling by kappa."""
-    if measure.id in ("convergence_time", "energy1", "local_error", "zeta_measure", "hinf"):
-        return True
-    return measure.id == "hp_norm" and measure.p == math.inf
+    return _MEASURES[measure.id].homogeneous(measure)
 
 
 def is_spectral(measure: MeasureDescriptor) -> bool:
     """True when the measure depends on the Laplacian only through eigenvalues."""
-    return measure.id != "local_error"
+    return _MEASURES[measure.id].spectral
 
 
 def applicable_properties(measure: MeasureDescriptor) -> frozenset[str]:
@@ -210,10 +315,6 @@ def applicable_properties(measure: MeasureDescriptor) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # core evaluations
 
-def _nonzero_eigenvalues(graph: WeightedGraph) -> np.ndarray:
-    return graph_spectrum(graph).nonzero
-
-
 def zeta(graph: WeightedGraph, p: float) -> float:
     """Spectral zeta function: sum of nonzero Laplacian eigenvalues to the -p.
 
@@ -222,53 +323,13 @@ def zeta(graph: WeightedGraph, p: float) -> float:
     """
     if not (p > 0):
         raise DomainError(f"zeta exponent p must be positive, got {p}")
-    lam = _nonzero_eigenvalues(graph)
+    lam = graph_spectrum(graph).nonzero
     return float(np.sum(lam ** (-float(p))))
-
-
-def _zeta_root(lam: np.ndarray, p: float) -> float:
-    """(sum lam^-p)^(1/p), falling back to log-space when the sum overflows."""
-    with np.errstate(over="ignore"):
-        total = float(np.sum(lam ** (-p)))
-    if math.isfinite(total):
-        return total ** (1.0 / p)
-    logs = -p * np.log(lam)
-    peak = float(logs.max())
-    log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
-    return math.exp(log_total / p)
 
 
 def zeta_measure(graph: WeightedGraph, p: float, k: float) -> float:
     """k * zeta(p)^(1/p); the p = inf limit is k over the algebraic connectivity."""
-    if not (k > 0):
-        raise DomainError(f"scale k must be positive, got {k}")
-    if not (p >= 1.0):
-        raise DomainError(f"exponent p must satisfy 1 <= p <= inf, got {p}")
-    lam = _nonzero_eigenvalues(graph)
-    if p == math.inf:
-        return k / float(lam.min())
-    return k * _zeta_root(lam, float(p))
-
-
-def _hp_coefficient(p: float) -> float:
-    # 1/(2*pi) * B((p-1)/2, 1/2), the positive rewriting of the frequency
-    # integral's constant; evaluated through log-gamma at positive arguments
-    # only, so there is no cancellation from gamma at negative arguments.
-    log_b = math.lgamma((p - 1.0) / 2.0) + math.lgamma(0.5) - math.lgamma(p / 2.0)
-    return math.exp(log_b) / (2.0 * math.pi)
-
-
-def _hp_root(lam: np.ndarray, p: float) -> float:
-    """(coefficient(p) * sum lam^(1-p))^(1/p), in log-space when the sum overflows."""
-    coefficient = _hp_coefficient(p)
-    with np.errstate(over="ignore"):
-        total = float(np.sum(lam ** (1.0 - p)))
-    if math.isfinite(total):
-        return (coefficient * total) ** (1.0 / p)
-    logs = (1.0 - p) * np.log(lam)
-    peak = float(logs.max())
-    log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
-    return math.exp((math.log(coefficient) + log_total) / p)
+    return evaluate(graph, MeasureDescriptor("zeta_measure", p=p, k=k))
 
 
 def hp_norm(graph: WeightedGraph, p: float) -> float:
@@ -278,12 +339,7 @@ def hp_norm(graph: WeightedGraph, p: float) -> float:
     reciprocal algebraic connectivity at p = inf.  p <= 1 is rejected: the
     defining frequency integral diverges there.
     """
-    lam = _nonzero_eigenvalues(graph)
-    if p == math.inf:
-        return 1.0 / float(lam.min())
-    if not (p > 1.0):
-        raise DomainError(f"hp_norm needs p > 1, got {p}")
-    return _hp_root(lam, float(p))
+    return evaluate(graph, MeasureDescriptor("hp_norm", p=p))
 
 
 @dataclass(frozen=True)
@@ -365,41 +421,20 @@ def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor,
     lam = np.asarray(lam, dtype=float)
     if lam.size == 0 or np.any(lam <= 0):
         raise DomainError("expected a nonempty strictly positive eigenvalue vector")
-    mid = measure.id
-    if mid == "zeta_measure":
-        if measure.p == math.inf:
-            return measure.k / float(lam.min())
-        return measure.k * _zeta_root(lam, float(measure.p))
-    if mid == "hp_norm":
-        if measure.p == math.inf:
-            return 1.0 / float(lam.min())
-        return _hp_root(lam, float(measure.p))
-    if mid == "h2":
-        return float(math.sqrt(np.sum(0.5 / lam)))
-    if mid in ("hinf", "convergence_time"):
-        return 1.0 / float(lam.min())
-    if mid == "energy1":
-        return float(np.sum(0.5 / lam))
-    if mid == "energy2":
-        return float(np.sum(0.5 / lam**2))
-    if mid == "entropy":
-        return -float(np.sum(np.log(lam)))
-    if mid == "schur_sum":
-        fn = get_spectral_function(measure.f_id)
-        return float(np.sum(fn.fn(lam)))
-    if mid == "local_error":
-        if degrees is None:
-            raise DomainError("local_error is degree-based; eigenvalues alone cannot express it")
-        return float(0.5 * np.sum(1.0 / degrees))
-    raise DomainError(f"unknown measure id {mid!r}")
+    entry = _MEASURES[measure.id]
+    if entry.spectral:
+        return entry.value(lam, measure)
+    if degrees is None:
+        raise DomainError(
+            f"{measure.id} is degree-based; eigenvalues alone cannot express it")
+    return entry.value(degrees, measure)
 
 
 def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
     """Evaluate a catalog measure on a connected weighted graph."""
-    if measure.id == "local_error":
-        return evaluate_eigenvalues(
-            _nonzero_eigenvalues(graph), measure, degrees=laplacian(graph).degrees)
-    return evaluate_eigenvalues(_nonzero_eigenvalues(graph), measure)
+    lam = graph_spectrum(graph).nonzero
+    degrees = None if _MEASURES[measure.id].spectral else laplacian(graph).degrees
+    return evaluate_eigenvalues(lam, measure, degrees=degrees)
 
 
 def spectral_form(measure: MeasureDescriptor) -> Callable[[np.ndarray], float]:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from systemic import Topology, WeightedGraph, generate
+from systemic import MeasureDescriptor, Topology, WeightedGraph, generate
 
 
 def brute_force_tree_weight(graph: WeightedGraph) -> float:
@@ -122,3 +122,26 @@ def grid_min_energy1(topology: Topology, resolution: float = 1e-3,
             best_value = float(values[local])
             best_weights = block[local]
     return best_value, best_weights
+
+
+# At least one descriptor per catalog id, plus the parameter values where
+# closed forms change regime: p = inf (1/lambda_2) and p = 2000 (the power
+# sum leaves the floating-point range).
+MEASURE_CASES = [
+    MeasureDescriptor("zeta_measure", p=2.0, k=0.7),
+    MeasureDescriptor("zeta_measure", p=math.inf),
+    MeasureDescriptor("zeta_measure", p=2000.0),
+    MeasureDescriptor("hp_norm", p=3.0),
+    MeasureDescriptor("hp_norm", p=1.5),
+    MeasureDescriptor("hp_norm", p=math.inf),
+    MeasureDescriptor("hp_norm", p=2000.0),
+    MeasureDescriptor("h2"),
+    MeasureDescriptor("hinf"),
+    MeasureDescriptor("energy1"),
+    MeasureDescriptor("energy2"),
+    MeasureDescriptor("convergence_time"),
+    MeasureDescriptor("local_error"),
+    MeasureDescriptor("entropy"),
+    MeasureDescriptor("schur_sum", f_id="inverse_pow:2"),
+    MeasureDescriptor("schur_sum", f_id="exp_decay:0.5"),
+]

@@ -124,6 +124,15 @@ class TestTrees:
         assert any("log(n/tau)" in w and "log(3/3) = 0" in w
                    for w in report["warnings"])
 
+    def test_tree_count_overflow_exits_three(self, capsys, tmp_path):
+        # tau(K200) = 200^198 is beyond the largest double
+        target = tmp_path / "k200.txt"
+        target.write_text(serialize_graph(generate("complete", 200)))
+        code, report, err = run_cli(capsys, ["trees", "--graph", str(target)])
+        assert code == 3
+        assert report is None
+        assert "overflow" in err
+
 
 class TestProps:
     def test_clean_measure_exits_zero(self, capsys):

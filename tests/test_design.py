@@ -11,9 +11,10 @@ from systemic import (ConnectivityError, DomainError, InputError,
                       greedy_augment, laplacian_spectrum, optimize_weights,
                       project_simplex, register_spectral_function,
                       rewire_bruteforce)
-from systemic.design import canonical_edges
+from systemic.design import _Objective, canonical_edges
+from systemic.measures import MEASURE_IDS
 
-from helpers import grid_min_energy1, random_connected
+from helpers import MEASURE_CASES, grid_min_energy1, random_connected
 
 ENERGY = MeasureDescriptor("energy1")
 
@@ -110,6 +111,18 @@ class TestOptimizeWeights:
                                       SolverOptions(max_iters=300))
             assert math.isfinite(result.objective)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("descriptor", [MeasureDescriptor("zeta_measure", p=2000.0),
+                                            MeasureDescriptor("hp_norm", p=2000.0)])
+    def test_large_exponent_gradient_does_not_overflow(self, descriptor):
+        # lambda^-2000 overflows at these weights; the gradient must take the
+        # same overflow-free route as the value.  Near p = inf the optimum is
+        # that of 1/lambda_2, weights (0.3, 0.4, 0.3) on P4.
+        result = optimize_weights(P4_TOPOLOGY, descriptor)
+        assert result.iterations > 0
+        assert math.isfinite(result.stationarity_residual)
+        assert np.abs(result.weights - np.array([0.3, 0.4, 0.3])).max() < 1e-3
+
     def test_disconnected_topology_rejected(self):
         with pytest.raises(ConnectivityError):
             Topology(n=4, edges=((0, 1), (2, 3)))
@@ -117,6 +130,23 @@ class TestOptimizeWeights:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(DomainError):
             Topology(n=3, edges=((0, 1), (1, 0), (1, 2)))
+
+
+class TestGradients:
+    def test_cases_cover_every_measure(self):
+        assert {descriptor.id for descriptor in MEASURE_CASES} == set(MEASURE_IDS)
+
+    @pytest.mark.parametrize("descriptor", MEASURE_CASES, ids=lambda d: d.label())
+    def test_gradient_matches_central_differences(self, descriptor):
+        topology = Topology.from_graph(generate("erdos_renyi", 7, seed=5, p=0.6))
+        rng = np.random.Generator(np.random.PCG64(11))
+        weights = 0.5 / topology.m + 0.5 * rng.dirichlet(np.ones(topology.m))
+        objective = _Objective(topology, descriptor)
+        _, gradient = objective.value_and_gradient(weights)
+        h = 1e-6
+        fd = np.array([(objective.value(weights + step) - objective.value(weights - step))
+                       / (2 * h) for step in h * np.eye(topology.m)])
+        assert np.abs(fd - gradient).max() <= 1e-6 * np.abs(fd).max()
 
 
 class TestRewire:

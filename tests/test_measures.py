@@ -12,7 +12,7 @@ from systemic import (ConnectivityError, DomainError, MeasureDescriptor,
                       register_spectral_function, scalar_mul, spectral_form,
                       zeta, zeta_measure)
 
-from helpers import random_connected
+from helpers import MEASURE_CASES, random_connected
 
 
 class TestZeta:
@@ -54,6 +54,13 @@ class TestZetaMeasure:
         base = zeta_measure(graph, p, k)
         assert zeta_measure(scalar_mul(2.0, graph), p, k) == pytest.approx(
             base / 2.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_exponent_does_not_underflow(self):
+        # K10 has nine eigenvalues 10, and 10^-400 is below the double range
+        expected = 9.0 ** (1.0 / 400.0) / 10.0
+        assert zeta_measure(generate("complete", 10), 400.0, 1.0) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_rejects_small_p(self, k3):
         with pytest.raises(DomainError):
@@ -295,6 +302,35 @@ class TestDescriptors:
             spectral)
         assert applicable_properties(MeasureDescriptor("local_error")) == frozenset(
             {"monotonicity", "convexity"} | scaled)
+        assert applicable_properties(MeasureDescriptor("h2")) == frozenset(spectral)
+        assert applicable_properties(MeasureDescriptor("hinf")) == frozenset(
+            spectral | scaled)
+        assert applicable_properties(MeasureDescriptor("convergence_time")) == frozenset(
+            spectral | scaled)
+        assert applicable_properties(MeasureDescriptor("zeta_measure", p=2.0)) == frozenset(
+            spectral | scaled)
+        assert applicable_properties(
+            MeasureDescriptor("schur_sum", f_id="exp_decay:0.5")) == frozenset(spectral)
+
+    @pytest.mark.parametrize("descriptor", MEASURE_CASES, ids=lambda d: d.label())
+    def test_homogeneity_flag_matches_scaling(self, descriptor):
+        graph = random_connected(41)
+        scaled = evaluate(scalar_mul(3.0, graph), descriptor)
+        expected = evaluate(graph, descriptor) / 3.0
+        assert is_homogeneous(descriptor) == (scaled == pytest.approx(expected, rel=1e-12))
+
+    @pytest.mark.parametrize("measure_id, params, message", [
+        ("schur_sum", {"f_id": "inverse", "p": 2.0}, "schur_sum takes no exponent p"),
+        ("hp_norm", {"p": 2.0, "f_id": "inverse"},
+         "hp_norm takes no spectral function id f_id"),
+        ("zeta_measure", {"p": 2.0, "f_id": "inverse"},
+         "zeta_measure takes no spectral function id f_id"),
+        ("hp_norm", {"p": 2.0, "k": 1.0}, "hp_norm takes no scale k"),
+    ])
+    def test_unused_parameters_rejected(self, measure_id, params, message):
+        # an ignored parameter would still appear in the report's label
+        with pytest.raises(DomainError, match=message):
+            MeasureDescriptor(measure_id, **params)
 
 
 class TestFunctionRegistry:
