@@ -43,6 +43,13 @@ class Topology:
         probe = WeightedGraph.from_edges(self.n, [(u, v, 1.0) for u, v in normalized])
         if not is_connected(probe):
             raise ConnectivityError("topology is disconnected under positive weights")
+        # (m, 2) endpoint array; raveled it interleaves u0, v0, u1, v1, ...
+        pairs = np.array(normalized, dtype=np.intp).reshape(-1, 2)
+        pairs.setflags(write=False)
+        object.__setattr__(self, "_pairs", pairs)
+
+    def __reduce__(self):
+        return type(self), (self.n, self.edges)
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "Topology":
@@ -53,12 +60,15 @@ class Topology:
         return len(self.edges)
 
     def laplacian_of(self, weights: np.ndarray) -> np.ndarray:
-        matrix = np.zeros((self.n, self.n))
-        for (u, v), w in zip(self.edges, weights):
-            matrix[u, u] += w
-            matrix[v, v] += w
-            matrix[u, v] -= w
-            matrix[v, u] -= w
+        # bincount sums each degree in edge order, as accumulating edge by
+        # edge would; 0.0 - w keeps a zero weight's off-diagonal at +0.0
+        weights = np.asarray(weights, dtype=float)
+        us, vs = self._pairs.T
+        matrix = np.diag(np.bincount(self._pairs.ravel(), weights=np.repeat(weights, 2),
+                                     minlength=self.n))
+        off_diagonal = 0.0 - weights
+        matrix[us, vs] = off_diagonal
+        matrix[vs, us] = off_diagonal
         return matrix
 
     def graph_of(self, weights: np.ndarray) -> WeightedGraph:
@@ -108,8 +118,7 @@ def _is_nonsmooth(measure: MeasureDescriptor) -> bool:
 def _edge_mode_squares(topology: Topology, spectrum: Spectrum) -> np.ndarray:
     """(m, n-1) array of (v_i[u] - v_i[v])^2 over edges and nonzero modes."""
     vectors = spectrum.eigenvectors[:, 1:]
-    us = np.fromiter((u for u, _ in topology.edges), dtype=int)
-    vs = np.fromiter((v for _, v in topology.edges), dtype=int)
+    us, vs = topology._pairs.T
     return (vectors[us, :] - vectors[vs, :]) ** 2
 
 
@@ -137,7 +146,7 @@ class _Objective:
             grad = self.entry.grad(spectrum.nonzero, self.measure, value)
             return value, _edge_mode_squares(self.topology, spectrum) @ grad
         grad = self.entry.grad(degrees, self.measure, value)
-        us, vs = np.array(self.topology.edges).T
+        us, vs = self.topology._pairs.T
         return value, grad[us] + grad[vs]
 
 

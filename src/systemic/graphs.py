@@ -2,12 +2,16 @@
 
 Graphs are finite, simple, undirected and positively weighted.  Edges are
 stored canonically as (u, v, w) tuples with u < v, sorted by (u, v), which
-makes equality, hashing and serialization deterministic.
+makes equality, hashing and serialization deterministic.  A graph is immutable:
+its hash and read-only endpoint and weight arrays are computed once, at
+construction, and the Laplacian is assembled from those arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,12 +39,29 @@ class WeightedGraph:
                 raise GraphFormatError(f"self-loop at node {u}")
             if not (0 <= u < v < self.n):
                 raise GraphFormatError(f"edge ({u}, {v}) needs 0 <= u < v < {self.n}")
-            if not (w > 0.0 and np.isfinite(w)):
+            if not (w > 0.0 and math.isfinite(w)):
                 raise DomainError(f"edge ({u}, {v}) has non-positive weight {w}")
             if (u, v) in seen:
                 raise GraphFormatError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        edges = tuple(sorted(self.edges))
+        object.__setattr__(self, "edges", edges)
+        # the value the generated dataclass hash would recompute on every call
+        object.__setattr__(self, "_hash", hash((self.n, edges)))
+        m = len(edges)
+        for name, column, dtype in (("_us", 0, np.intp), ("_vs", 1, np.intp),
+                                    ("_ws", 2, float)):
+            array = np.fromiter(map(itemgetter(column), edges), dtype=dtype, count=m)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__, so copies and unpickled graphs recompute
+        # the stored hash and arrays instead of carrying them over
+        return type(self), (self.n, self.edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
@@ -80,9 +101,8 @@ def laplacian(graph: WeightedGraph) -> Laplacian:
     """Assemble the Laplacian as degree matrix minus adjacency matrix."""
     n = graph.n
     adjacency = np.zeros((n, n))
-    for u, v, w in graph.edges:
-        adjacency[u, v] = w
-        adjacency[v, u] = w
+    adjacency[graph._us, graph._vs] = graph._ws
+    adjacency[graph._vs, graph._us] = graph._ws
     degrees = adjacency.sum(axis=1)
     matrix = np.diag(degrees) - adjacency
     return Laplacian(matrix=matrix, degrees=degrees)
@@ -179,7 +199,7 @@ def parse_graph(text: str) -> WeightedGraph:
             u, v = v, u
         if not (0 <= u and v < n):
             raise GraphFormatError(f"edge ({u}, {v}) references a node >= n={n}", line=lineno)
-        if w <= 0 or not np.isfinite(w):
+        if w <= 0 or not math.isfinite(w):
             raise DomainError(f"line {lineno}: weight must be positive, got {w}")
         if (u, v) in seen:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", line=lineno)

@@ -88,6 +88,29 @@ def simplex_grid(m: int, resolution: float) -> np.ndarray:
     raise ValueError("grid oracle supports m in {2, 3}")
 
 
+def loop_laplacian(graph: WeightedGraph) -> np.ndarray:
+    """Laplacian assembled edge by edge, the way `graphs.laplacian` once did."""
+    n = graph.n
+    adjacency = np.zeros((n, n))
+    for u, v, w in graph.edges:
+        adjacency[u, v] = w
+        adjacency[v, u] = w
+    degrees = adjacency.sum(axis=1)
+    return np.diag(degrees) - adjacency
+
+
+def loop_topology_laplacian(topology: Topology, weights: np.ndarray) -> np.ndarray:
+    """Weighted topology Laplacian accumulated edge by edge, the way
+    `Topology.laplacian_of` once did."""
+    matrix = np.zeros((topology.n, topology.n))
+    for (u, v), w in zip(topology.edges, weights):
+        matrix[u, u] += w
+        matrix[v, v] += w
+        matrix[u, v] -= w
+        matrix[v, u] -= w
+    return matrix
+
+
 def batched_laplacians(topology: Topology, weights: np.ndarray) -> np.ndarray:
     batch = weights.shape[0]
     matrices = np.zeros((batch, topology.n, topology.n))

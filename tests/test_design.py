@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from systemic import (ConnectivityError, DomainError, InputError,
 from systemic.design import _Objective, canonical_edges
 from systemic.measures import MEASURE_IDS
 
-from helpers import MEASURE_CASES, grid_min_energy1, random_connected
+from helpers import (MEASURE_CASES, grid_min_energy1, loop_topology_laplacian,
+                     random_connected)
 
 ENERGY = MeasureDescriptor("energy1")
 
@@ -130,6 +133,39 @@ class TestOptimizeWeights:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(DomainError):
             Topology(n=3, edges=((0, 1), (1, 0), (1, 2)))
+
+
+class TestTopologyLaplacian:
+    """laplacian_of is bit-identical to accumulating edge by edge; tobytes()
+    equality also tells -0.0 from +0.0."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop_on_scaled_random_weights(self, seed):
+        topology = Topology.from_graph(random_connected(seed, n_high=20))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        scale = 10.0 ** rng.uniform(-9.0, 9.0)
+        weights = scale * rng.dirichlet(np.ones(topology.m))
+        assert (topology.laplacian_of(weights).tobytes()
+                == loop_topology_laplacian(topology, weights).tobytes())
+
+    def test_exact_zero_weights(self):
+        topology = Topology.from_graph(random_connected(3))
+        weights = np.linspace(0.0, 1.0, topology.m)
+        weights[::3] = 0.0
+        matrix = topology.laplacian_of(weights)
+        assert matrix.tobytes() == loop_topology_laplacian(topology, weights).tobytes()
+        assert not np.signbit(matrix[matrix == 0.0]).any()
+
+    def test_all_zero_weights_give_positive_zero_matrix(self):
+        matrix = P4_TOPOLOGY.laplacian_of(np.zeros(P4_TOPOLOGY.m))
+        assert matrix.tobytes() == np.zeros((4, 4)).tobytes()
+
+    def test_copies_keep_endpoints(self):
+        weights = np.array([0.2, 0.3, 0.5])
+        for other in (pickle.loads(pickle.dumps(P4_TOPOLOGY)), copy.deepcopy(P4_TOPOLOGY)):
+            assert other == P4_TOPOLOGY
+            assert (other.laplacian_of(weights).tobytes()
+                    == P4_TOPOLOGY.laplacian_of(weights).tobytes())
 
 
 class TestGradients:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +12,19 @@ from systemic import (DimensionError, DomainError, GenerationError,
                       is_connected, laplacian, laplacian_spectrum, parse_graph,
                       scalar_mul, serialize_graph, spanning_tree_count)
 
-from helpers import analytic_spectrum, brute_force_tree_weight, random_connected
+from helpers import (analytic_spectrum, brute_force_tree_weight, loop_laplacian,
+                     random_connected)
+
+FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
+NON_FINITE = (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf"))
+
+
+def family_graph(family: str, n: int, weight_range=None) -> WeightedGraph:
+    return generate(family, n, seed=n, p=min(1.0, 8.0 / n), weight_range=weight_range)
+
+
+def stored_arrays(graph: WeightedGraph) -> list[np.ndarray]:
+    return [value for value in vars(graph).values() if isinstance(value, np.ndarray)]
 
 
 class TestParse:
@@ -74,6 +89,117 @@ class TestLaplacian:
         graph = random_connected(99)
         sums = laplacian(graph).matrix.sum(axis=1)
         assert np.abs(sums).max() < 1e-12
+
+
+class TestLaplacianMatchesLoop:
+    """The array assembly is bit-identical to the edge-by-edge loop;
+    tobytes() equality also tells -0.0 from +0.0."""
+
+    @staticmethod
+    def assert_matches(graph):
+        result = laplacian(graph)
+        expected = loop_laplacian(graph)
+        assert result.matrix.tobytes() == expected.tobytes()
+        assert result.degrees.tobytes() == np.diag(expected).tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_families(self, family, n):
+        self.assert_matches(family_graph(family, n))
+
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_weighted_erdos_renyi(self, n):
+        self.assert_matches(family_graph("erdos_renyi", n, weight_range=(1e-3, 1e3)))
+
+    def test_weighted_random(self):
+        for seed in range(20):
+            self.assert_matches(random_connected(seed))
+
+    def test_tiny_bridge(self):
+        self.assert_matches(WeightedGraph.from_edges(
+            4, [(0, 1, 1.0), (1, 2, 1e-9), (2, 3, 1.0)]))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_edgeless(self, n):
+        graph = WeightedGraph(n=n, edges=())
+        self.assert_matches(graph)
+        assert not laplacian(graph).matrix.any()
+
+
+class TestGraphContract:
+    def test_hash_is_field_tuple_hash(self):
+        for graph in (family_graph("complete", 10), random_connected(3),
+                      WeightedGraph(n=3, edges=())):
+            assert hash(graph) == hash((graph.n, graph.edges))
+
+    def test_permuted_and_flipped_edges(self):
+        graph = random_connected(5)
+        rng = np.random.Generator(np.random.PCG64(5))
+        order = rng.permutation(graph.m)
+        flipped = [(v, u, w) for u, v, w in (graph.edges[i] for i in order)]
+        permuted = tuple(graph.edges[i] for i in order)
+        for other in (WeightedGraph.from_edges(graph.n, flipped),
+                      WeightedGraph(n=graph.n, edges=permuted)):
+            assert other == graph
+            assert hash(other) == hash(graph)
+            assert laplacian(other).matrix.tobytes() == laplacian(graph).matrix.tobytes()
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy])
+    def test_copies_keep_contract(self, round_trip):
+        graph = random_connected(7)
+        other = round_trip(graph)
+        assert other == graph
+        assert hash(other) == hash(graph) == hash((other.n, other.edges))
+        assert laplacian(other).matrix.tobytes() == laplacian(graph).matrix.tobytes()
+        assert all(not array.flags.writeable for array in stored_arrays(other))
+
+    def test_stored_arrays_read_only(self):
+        graph = random_connected(11)
+        arrays = stored_arrays(graph)
+        assert arrays
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_stored_arrays_cost_at_most_24_bytes_per_edge(self):
+        graph = family_graph("complete", 50)
+        assert sum(array.nbytes for array in stored_arrays(graph)) <= 24 * graph.m
+
+    def test_frozen(self, k3):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k3.n = 4
+
+    def test_replace_recomputes(self, k3):
+        edges = ((1, 2, 4.0), (0, 1, 0.5))
+        other = dataclasses.replace(k3, edges=edges)
+        fresh = WeightedGraph(n=3, edges=edges)
+        assert other == fresh and other != k3
+        assert hash(other) == hash(fresh) == hash((3, other.edges))
+        assert laplacian(other).matrix.tobytes() == loop_laplacian(fresh).tobytes()
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_constructor_rejects(self, bad):
+        with pytest.raises(DomainError, match="non-positive weight"):
+            WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, bad)))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_from_edges_rejects(self, bad):
+        with pytest.raises(DomainError, match="non-positive weight"):
+            WeightedGraph.from_edges(3, [(0, 1, 1.0), (2, 1, bad)])
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_parse_rejects_with_line_number(self, token):
+        with pytest.raises(DomainError, match="line 3: weight must be positive"):
+            parse_graph(f"n 3\n0 1 1\n1 2 {token}\n")
+
+    def test_numpy_and_int_weights_accepted(self):
+        graph = WeightedGraph(n=3, edges=((0, 1, np.float64(2.5)), (1, 2, 3)))
+        assert graph == WeightedGraph(n=3, edges=((0, 1, 2.5), (1, 2, 3.0)))
+        assert laplacian(graph).matrix.tobytes() == loop_laplacian(graph).tobytes()
+        assert np.array_equal(laplacian(graph).degrees, [2.5, 5.5, 3.0])
 
 
 class TestAlgebra:
