@@ -48,9 +48,6 @@ class Topology:
         pairs.setflags(write=False)
         object.__setattr__(self, "_pairs", pairs)
 
-    def __reduce__(self):
-        return type(self), (self.n, self.edges)
-
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "Topology":
         return cls(n=graph.n, edges=tuple((u, v) for u, v, _ in graph.edges))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,9 +49,14 @@ class WeightedGraph:
         # the value the generated dataclass hash would recompute on every call
         object.__setattr__(self, "_hash", hash((self.n, edges)))
         m = len(edges)
-        for name, column, dtype in (("_us", 0, np.intp), ("_vs", 1, np.intp),
-                                    ("_ws", 2, float)):
-            array = np.fromiter(map(itemgetter(column), edges), dtype=dtype, count=m)
+        try:
+            # index() refuses floats, which an intp array would truncate
+            us, vs = (np.fromiter(map(index, map(itemgetter(column), edges)),
+                                  dtype=np.intp, count=m) for column in (0, 1))
+        except TypeError as exc:
+            raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
+        ws = np.fromiter(map(itemgetter(2), edges), dtype=float, count=m)
+        for name, array in (("_us", us), ("_vs", vs), ("_ws", ws)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 

@@ -170,6 +170,18 @@ class TestGraphContract:
         with pytest.raises(dataclasses.FrozenInstanceError):
             k3.n = 4
 
+    @pytest.mark.parametrize("edge", [(0.0, 1.0, 1.0), (0.5, 1.5, 1.0),
+                                      (0, np.float64(2.0), 1.0)])
+    def test_non_integer_endpoints_rejected(self, edge):
+        with pytest.raises(GraphFormatError, match="endpoints must be integers"):
+            WeightedGraph(n=3, edges=(edge,))
+
+    def test_integer_like_endpoints_accepted(self):
+        graph = WeightedGraph(n=3, edges=((np.int64(0), np.intp(2), 1.5), (False, True, 2.0)))
+        assert graph == WeightedGraph(n=3, edges=((0, 1, 2.0), (0, 2, 1.5)))
+        assert laplacian(graph).matrix.tobytes() == laplacian(
+            WeightedGraph(n=3, edges=((0, 1, 2.0), (0, 2, 1.5)))).matrix.tobytes()
+
     def test_replace_recomputes(self, k3):
         edges = ((1, 2, 4.0), (0, 1, 0.5))
         other = dataclasses.replace(k3, edges=edges)
