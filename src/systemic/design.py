@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
-from .errors import (ConnectivityError, DomainError, InputError, ScaleError,
-                     SolverError)
+from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
+                     ScaleError, SolverError)
 from .graphs import WeightedGraph, is_connected
 from .measures import (_MEASURES, MeasureDescriptor, evaluate,
                        evaluate_eigenvalues, get_spectral_function)
@@ -40,13 +41,18 @@ class Topology:
         if len(set(normalized)) != len(normalized):
             raise DomainError("topology has duplicate edges")
         object.__setattr__(self, "edges", normalized)
+        try:
+            # (m, 2) endpoint array; raveled it interleaves u0, v0, u1, v1, ...
+            # index() refuses floats, which an intp array would truncate
+            pairs = np.fromiter(map(index, itertools.chain.from_iterable(normalized)),
+                                dtype=np.intp, count=2 * len(normalized)).reshape(-1, 2)
+        except TypeError as exc:
+            raise GraphFormatError(f"topology endpoints must be integers: {exc}") from None
+        pairs.setflags(write=False)
+        object.__setattr__(self, "_pairs", pairs)
         probe = WeightedGraph.from_edges(self.n, [(u, v, 1.0) for u, v in normalized])
         if not is_connected(probe):
             raise ConnectivityError("topology is disconnected under positive weights")
-        # (m, 2) endpoint array; raveled it interleaves u0, v0, u1, v1, ...
-        pairs = np.array(normalized, dtype=np.intp).reshape(-1, 2)
-        pairs.setflags(write=False)
-        object.__setattr__(self, "_pairs", pairs)
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "Topology":

@@ -89,7 +89,7 @@ def simplex_grid(m: int, resolution: float) -> np.ndarray:
 
 
 def loop_laplacian(graph: WeightedGraph) -> np.ndarray:
-    """Laplacian assembled edge by edge, the way `graphs.laplacian` once did."""
+    """Loop reference for `graphs.laplacian`: the adjacency filled edge by edge."""
     n = graph.n
     adjacency = np.zeros((n, n))
     for u, v, w in graph.edges:
@@ -100,8 +100,8 @@ def loop_laplacian(graph: WeightedGraph) -> np.ndarray:
 
 
 def loop_topology_laplacian(topology: Topology, weights: np.ndarray) -> np.ndarray:
-    """Weighted topology Laplacian accumulated edge by edge, the way
-    `Topology.laplacian_of` once did."""
+    """Loop reference for `Topology.laplacian_of`: every entry accumulated
+    edge by edge, in edge order."""
     matrix = np.zeros((topology.n, topology.n))
     for (u, v), w in zip(topology.edges, weights):
         matrix[u, u] += w

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from systemic import (ConnectivityError, DomainError, InputError,
+from systemic import (ConnectivityError, DomainError, GraphFormatError, InputError,
                       MeasureDescriptor, ScaleError, SolverOptions,
                       SpectralFunction, Topology, WeightedGraph, evaluate,
                       fundamental_limit, generate, graph_spectrum,
@@ -159,6 +159,10 @@ class TestTopologyLaplacian:
     def test_all_zero_weights_give_positive_zero_matrix(self):
         matrix = P4_TOPOLOGY.laplacian_of(np.zeros(P4_TOPOLOGY.m))
         assert matrix.tobytes() == np.zeros((4, 4)).tobytes()
+
+    def test_non_integer_endpoints_rejected(self):
+        with pytest.raises(GraphFormatError, match="endpoints must be integers"):
+            Topology(n=3, edges=((0.5, 1.5), (1, 2)))
 
     def test_copies_keep_endpoints(self):
         weights = np.array([0.2, 0.3, 0.5])
