@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
                      ScaleError, SolverError)
-from .graphs import WeightedGraph, is_connected
+from .graphs import WeightedGraph, _check_edges, _check_node_count, _connected
 from .measures import (_MEASURES, MeasureDescriptor, evaluate,
                        evaluate_eigenvalues, get_spectral_function)
 from .spectral import Spectrum, graph_spectrum, laplacian_spectrum
@@ -50,8 +50,12 @@ class Topology:
             raise GraphFormatError(f"topology endpoints must be integers: {exc}") from None
         pairs.setflags(write=False)
         object.__setattr__(self, "_pairs", pairs)
-        probe = WeightedGraph.from_edges(self.n, [(u, v, 1.0) for u, v in normalized])
-        if not is_connected(probe):
+        # a graph's node count and endpoint checks, on unit weights
+        us, vs = pairs.T
+        _check_node_count(self.n)
+        _check_edges(self.n, us, vs, np.ones(len(normalized)),
+                     lambda i: (*normalized[i], 1.0))
+        if not _connected(self.n, us, vs):
             raise ConnectivityError("topology is disconnected under positive weights")
 
     @classmethod

@@ -1,18 +1,19 @@
 """Weighted undirected graphs: parsing, generators, Laplacians, graph algebra.
 
 Graphs are finite, simple, undirected and positively weighted.  Edges are
-stored canonically as (u, v, w) tuples with u < v, sorted by (u, v), which
-makes equality, hashing and serialization deterministic.  A graph is immutable:
-its hash and read-only endpoint and weight arrays are computed once, at
-construction, and the Laplacian is assembled from those arrays.
+stored canonically as (int, int, float) tuples with u < v, sorted by (u, v),
+which makes equality, hashing and serialization deterministic.  A graph is
+immutable and built from endpoint and weight arrays: one constructor checks
+them with vectorized masks and stores the edge tuple, its hash and the
+read-only arrays once.  Laplacians and connectivity read those arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import index, itemgetter
-from typing import Iterable, Sequence
+from operator import index, itemgetter, pos
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +24,87 @@ Edge = tuple[int, int, float]
 GENERATOR_BITS = np.random.PCG64  # named, seedable 64-bit PRNG used everywhere
 
 
+def _check_node_count(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"node count must be positive, got {n}")
+
+
+def _check_arity(edges: Sequence) -> None:
+    arity = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+    if np.any(arity != 3):
+        u, v, w = edges[int(np.argmax(arity != 3))]  # raises the unpacking error
+
+
+def _integer_columns(edges: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint columns as intp arrays; index() refuses floats, which an
+    intp array would truncate."""
+    try:
+        return tuple(np.fromiter(map(index, map(itemgetter(column), edges)),
+                                 dtype=np.intp, count=len(edges)) for column in (0, 1))
+    except TypeError as exc:
+        raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
+
+
+def _check_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                 label: Callable[[int], tuple]) -> np.ndarray | None:
+    """Raise for the first defective edge in input order, naming it by
+    label(i), with the checks in per-edge order: self-loop, range, weight,
+    duplicate.  Return the permutation that sorts the edges by (u, v), or
+    None when they already are."""
+    loops = us == vs
+    outside = ~((0 <= us) & (us < vs) & (vs < n))
+    weak = ~((ws > 0.0) & np.isfinite(ws))
+    bad = loops | outside | weak
+    order = None
+    ascending = (us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] > vs[:-1]))
+    if not ascending.all():
+        # a stable sort keeps equal pairs in input order: all but the first repeat
+        order = np.lexsort((vs, us))
+        su, sv = us[order], vs[order]
+        bad[order[1:]] |= (su[1:] == su[:-1]) & (sv[1:] == sv[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v, w = label(i)
+        if loops[i]:
+            raise GraphFormatError(f"self-loop at node {u}")
+        if outside[i]:
+            raise GraphFormatError(f"edge ({u}, {v}) needs 0 <= u < v < {n}")
+        if weak[i]:
+            raise DomainError(f"edge ({u}, {v}) has non-positive weight {w}")
+        raise GraphFormatError(f"duplicate edge ({u}, {v})")
+    return order
+
+
+def _connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
+    """Whether the edges (us, vs) connect all n nodes.
+
+    Every node points at a smaller or equal one, so each tree's root is its
+    smallest node.  Each round hooks roots onto the smallest root they share
+    an edge with and jumps pointers until every node points at its root; the
+    graph is connected once every node points at node 0, and disconnected
+    when no edge joins two roots.  The first round hooks the endpoints
+    themselves, since every node starts as a root.
+    """
+    if us.size < n - 1:
+        return False
+    parent = np.arange(n)
+    high, low = vs, us
+    while True:
+        np.minimum.at(parent, high, low)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        if not parent.any():
+            return True
+        ru, rv = parent[us], parent[vs]
+        joins = ru != rv
+        if not joins.any():
+            return False
+        high, low = np.maximum(ru, rv)[joins], np.minimum(ru, rv)[joins]
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Simple undirected graph with strictly positive edge weights."""
@@ -31,31 +113,52 @@ class WeightedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"node count must be positive, got {self.n}")
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
-            if u == v:
-                raise GraphFormatError(f"self-loop at node {u}")
-            if not (0 <= u < v < self.n):
-                raise GraphFormatError(f"edge ({u}, {v}) needs 0 <= u < v < {self.n}")
-            if not (w > 0.0 and math.isfinite(w)):
-                raise DomainError(f"edge ({u}, {v}) has non-positive weight {w}")
-            if (u, v) in seen:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        edges = tuple(sorted(self.edges))
+        _check_node_count(self.n)
+        edges = self.edges
+        _check_arity(edges)
+        try:
+            us, vs = _integer_columns(edges)
+            integral = True
+        except GraphFormatError as exc:
+            # check the edges as floats first: a defect anywhere is reported
+            # before a non-integer endpoint, as the per-edge loop did
+            try:
+                us, vs = (np.fromiter(map(itemgetter(column), edges), dtype=float,
+                                      count=len(edges)) for column in (0, 1))
+            except (TypeError, ValueError):
+                raise exc from None
+            integral = False
+        # unary plus refuses str and None, which fromiter would parse or read as nan
+        ws = np.fromiter(map(pos, map(itemgetter(2), edges)), dtype=float, count=len(edges))
+        order = _check_edges(self.n, us, vs, ws, edges.__getitem__)
+        if not integral:
+            # raises, for the first non-integer endpoint in sorted order
+            _integer_columns(sorted(edges))
+        self._store(us, vs, ws, order)
+
+    @classmethod
+    def _from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray,
+                     ws: np.ndarray) -> "WeightedGraph":
+        """Build a graph from integer endpoint and float weight arrays, which
+        it takes over and makes read-only."""
+        _check_node_count(n)
+        order = _check_edges(n, us, vs, ws,
+                             lambda i: (int(us[i]), int(vs[i]), float(ws[i])))
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        graph._store(us, vs, ws, order)
+        return graph
+
+    def _store(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+               order: np.ndarray | None) -> None:
+        if order is not None:
+            us, vs, ws = us[order], vs[order], ws[order]
+        us, vs, ws = (np.ascontiguousarray(array, dtype=dtype) for array, dtype in
+                      ((us, np.intp), (vs, np.intp), (ws, float)))
+        edges = tuple(zip(us.tolist(), vs.tolist(), ws.tolist()))
         object.__setattr__(self, "edges", edges)
         # the value the generated dataclass hash would recompute on every call
         object.__setattr__(self, "_hash", hash((self.n, edges)))
-        m = len(edges)
-        try:
-            # index() refuses floats, which an intp array would truncate
-            us, vs = (np.fromiter(map(index, map(itemgetter(column), edges)),
-                                  dtype=np.intp, count=m) for column in (0, 1))
-        except TypeError as exc:
-            raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
-        ws = np.fromiter(map(itemgetter(2), edges), dtype=float, count=m)
         for name, array in (("_us", us), ("_vs", vs), ("_ws", ws)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -70,13 +173,16 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
-        """Build a graph, normalizing each pair to u < v."""
-        normalized = []
-        for u, v, w in edges:
-            if u > v:
-                u, v = v, u
-            normalized.append((int(u), int(v), float(w)))
-        return cls(n=n, edges=tuple(normalized))
+        """Build a graph, normalizing each pair to u < v.
+
+        Endpoints must be integers (GraphFormatError otherwise); weights go
+        through float().
+        """
+        edges = tuple(edges)
+        _check_arity(edges)
+        us, vs = _integer_columns(edges)
+        ws = np.fromiter(map(float, map(itemgetter(2), edges)), dtype=float, count=len(edges))
+        return cls._from_arrays(n, np.minimum(us, vs), np.maximum(us, vs), ws)
 
     @property
     def m(self) -> int:
@@ -137,21 +243,7 @@ def scalar_mul(alpha: float, graph: WeightedGraph) -> WeightedGraph:
 
 def is_connected(graph: WeightedGraph) -> bool:
     """True iff the graph has a single connected component (weights ignored)."""
-    if graph.n == 1:
-        return True
-    neighbors: list[list[int]] = [[] for _ in range(graph.n)]
-    for u, v, _ in graph.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for other in neighbors[node]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == graph.n
+    return _connected(graph.n, graph._us, graph._vs)
 
 
 def spanning_tree_count(graph: WeightedGraph, drop_index: int = 0) -> float:
@@ -244,31 +336,31 @@ def generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
         raise DomainError(f"generators need n >= 2, got {n}")
     rng = np.random.Generator(GENERATOR_BITS(seed))
     if family == "complete":
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        us, vs = np.triu_indices(n, 1)
     elif family == "cycle":
         if n < 3:
             raise DomainError("cycle needs n >= 3")
-        pairs = [(i, (i + 1) % n) for i in range(n)]
-        pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+        nodes = np.arange(n)
+        successors = np.roll(nodes, -1)
+        us, vs = np.minimum(nodes, successors), np.maximum(nodes, successors)
     elif family == "path":
-        pairs = [(i, i + 1) for i in range(n - 1)]
+        us = np.arange(n - 1)
+        vs = us + 1
     elif family == "star":
-        pairs = [(0, i) for i in range(1, n)]
+        us, vs = np.zeros(n - 1, dtype=np.intp), np.arange(1, n)
     elif family == "erdos_renyi":
         if not (0 < p <= 1):
             raise DomainError(f"edge probability must be in (0, 1], got {p}")
-        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        all_us, all_vs = np.triu_indices(n, 1)
         for _ in range(max_retries):
-            mask = rng.random(len(all_pairs)) < p
-            pairs = [pair for pair, hit in zip(all_pairs, mask) if hit]
-            weights = _edge_weights(rng, len(pairs), weight_range)
-            graph = WeightedGraph.from_edges(
-                n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+            mask = rng.random(all_us.size) < p
+            weights = _edge_weights(rng, int(np.count_nonzero(mask)), weight_range)
+            graph = WeightedGraph._from_arrays(n, all_us[mask], all_vs[mask], weights)
             if is_connected(graph):
                 return graph
         raise GenerationError(
             f"no connected draw in {max_retries} tries (n={n}, p={p})")
     else:
         raise DomainError(f"unknown family {family!r}")
-    weights = _edge_weights(rng, len(pairs), weight_range)
-    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+    weights = _edge_weights(rng, us.size, weight_range)
+    return WeightedGraph._from_arrays(n, us, vs, weights)

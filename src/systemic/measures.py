@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -63,10 +64,19 @@ def register_spectral_function(name: str,
                                builder: Callable[[float | None], SpectralFunction]) -> None:
     """Register a builder; the built function is sampled for decreasing convexity."""
     _FUNCTION_BUILDERS[name] = builder
+    _built_function.cache_clear()
 
 
 def get_spectral_function(f_id: str) -> SpectralFunction:
-    """Resolve identifiers like 'inverse', 'inverse_pow:2.5' or 'exp_decay(0.3)'."""
+    """Resolve identifiers like 'inverse', 'inverse_pow:2.5' or 'exp_decay(0.3)'.
+
+    Each identifier is built and checked once, until the next registration.
+    """
+    return _built_function(f_id)
+
+
+@lru_cache(maxsize=256)
+def _built_function(f_id: str) -> SpectralFunction:
     name, param = f_id, None
     for sep, close in ((":", ""), ("(", ")")):
         if sep in f_id:
