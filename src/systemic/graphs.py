@@ -30,9 +30,9 @@ def _check_node_count(n: int) -> None:
 
 
 def _check_arity(edges: Sequence) -> None:
-    arity = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
-    if np.any(arity != 3):
-        u, v, w = edges[int(np.argmax(arity != 3))]  # raises the unpacking error
+    wrong = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges)) != 3
+    if wrong.any():
+        u, v, w = edges[int(np.argmax(wrong))]  # raises the unpacking error
 
 
 def _integer_columns(edges: Sequence) -> tuple[np.ndarray, np.ndarray]:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
-from systemic import MeasureDescriptor, Topology, WeightedGraph, generate
+from systemic import (DomainError, GenerationError, GraphFormatError, MeasureDescriptor,
+                      Topology, WeightedGraph, generate)
 
 
 def brute_force_tree_weight(graph: WeightedGraph) -> float:
@@ -97,6 +99,106 @@ def loop_laplacian(graph: WeightedGraph) -> np.ndarray:
         adjacency[v, u] = w
     degrees = adjacency.sum(axis=1)
     return np.diag(degrees) - adjacency
+
+
+def loop_validate(n: int, edges) -> tuple:
+    """Loop reference for the `WeightedGraph` checks: edge by edge in input
+    order (self-loop, range, weight, duplicate), then the sorted endpoints
+    converted with index(); returns the sorted edge tuple."""
+    if n < 1:
+        raise DomainError(f"node count must be positive, got {n}")
+    seen = set()
+    for u, v, w in edges:
+        if u == v:
+            raise GraphFormatError(f"self-loop at node {u}")
+        if not (0 <= u < v < n):
+            raise GraphFormatError(f"edge ({u}, {v}) needs 0 <= u < v < {n}")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise DomainError(f"edge ({u}, {v}) has non-positive weight {w}")
+        if (u, v) in seen:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+    edges = tuple(sorted(edges))
+    try:
+        for column in (0, 1):
+            [operator.index(edge[column]) for edge in edges]
+    except TypeError as exc:
+        raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
+    return edges
+
+
+def loop_from_edges(n: int, edges) -> tuple:
+    """Loop reference for `WeightedGraph.from_edges` on integer endpoints:
+    each pair normalized to u < v, then `loop_validate`."""
+    normalized = []
+    for u, v, w in edges:
+        if u > v:
+            u, v = v, u
+        normalized.append((int(u), int(v), float(w)))
+    return loop_validate(n, normalized)
+
+
+def loop_is_connected(n: int, edges) -> bool:
+    """Loop reference for `is_connected`: depth-first search over an
+    adjacency list built edge by edge."""
+    if n == 1:
+        return True
+    neighbors = [[] for _ in range(n)]
+    for u, v, *_ in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for other in neighbors[node]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return len(seen) == n
+
+
+def loop_generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
+                  weight_range: tuple[float, float] | None = None,
+                  max_retries: int = 100) -> tuple:
+    """Loop reference for `generate`: the sorted edge tuple built pair by
+    pair, drawing from the generator in the same order."""
+    if n < 2:
+        raise DomainError(f"generators need n >= 2, got {n}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def weighted(pairs):
+        if weight_range is None:
+            weights = np.ones(len(pairs))
+        else:
+            lo, hi = weight_range
+            if not (0 < lo <= hi):
+                raise DomainError(
+                    f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+            weights = rng.uniform(lo, hi, size=len(pairs))
+        return loop_from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+    if family == "complete":
+        return weighted([(u, v) for u in range(n) for v in range(u + 1, n)])
+    if family == "cycle":
+        if n < 3:
+            raise DomainError("cycle needs n >= 3")
+        return weighted([(i, (i + 1) % n) for i in range(n)])
+    if family == "path":
+        return weighted([(i, i + 1) for i in range(n - 1)])
+    if family == "star":
+        return weighted([(0, i) for i in range(1, n)])
+    if family != "erdos_renyi":
+        raise DomainError(f"unknown family {family!r}")
+    if not (0 < p <= 1):
+        raise DomainError(f"edge probability must be in (0, 1], got {p}")
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(max_retries):
+        mask = rng.random(len(all_pairs)) < p
+        edges = weighted([pair for pair, hit in zip(all_pairs, mask) if hit])
+        if loop_is_connected(n, edges):
+            return edges
+    raise GenerationError(f"no connected draw in {max_retries} tries (n={n}, p={p})")
 
 
 def loop_topology_laplacian(topology: Topology, weights: np.ndarray) -> np.ndarray:

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from systemic import (DimensionError, DomainError, GenerationError,
-                      GraphFormatError, WeightedGraph, generate, graph_add,
+from systemic import (ConnectivityError, DimensionError, DomainError, GenerationError,
+                      GraphFormatError, Topology, WeightedGraph, generate, graph_add,
                       is_connected, laplacian, laplacian_spectrum, parse_graph,
                       scalar_mul, serialize_graph, spanning_tree_count)
 
-from helpers import (analytic_spectrum, brute_force_tree_weight, loop_laplacian,
+from helpers import (analytic_spectrum, brute_force_tree_weight, loop_from_edges,
+                     loop_generate, loop_is_connected, loop_laplacian, loop_validate,
                      random_connected)
 
 FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
@@ -25,6 +26,27 @@ def family_graph(family: str, n: int, weight_range=None) -> WeightedGraph:
 
 def stored_arrays(graph: WeightedGraph) -> list[np.ndarray]:
     return [value for value in vars(graph).values() if isinstance(value, np.ndarray)]
+
+
+def assert_graph_is(graph: WeightedGraph, n: int, edges: tuple) -> None:
+    """graph holds exactly these canonical edges: values, element types, hash
+    and the bytes of its stored arrays."""
+    assert graph.n == n
+    assert graph.edges == edges
+    assert all(tuple(map(type, edge)) == (int, int, float) for edge in graph.edges)
+    assert hash(graph) == hash((n, edges))
+    columns = list(zip(*edges)) or [(), (), ()]
+    for array, column, dtype in ((graph._us, columns[0], np.intp),
+                                 (graph._vs, columns[1], np.intp),
+                                 (graph._ws, columns[2], np.float64)):
+        assert array.dtype == dtype
+        assert array.tobytes() == np.array(column, dtype=dtype).tobytes()
+
+
+def raised(build) -> tuple[type, str]:
+    with pytest.raises(Exception) as excinfo:
+        build()
+    return type(excinfo.value), str(excinfo.value)
 
 
 class TestParse:
@@ -399,3 +421,240 @@ class TestSerialization:
         weight = 1.0 / 3.0 * 1e3
         graph = WeightedGraph.from_edges(2, [(0, 1, weight)])
         assert parse_graph(serialize_graph(graph)).edges[0][2] == weight
+
+
+class TestGenerateMatchesLoop:
+    """The array generators give the loop generator's graphs bit for bit,
+    drawing from the seeded generator in the same order."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 200])
+    @pytest.mark.parametrize("weight_range", [None, (0.5, 2.0), (1e-3, 1e3)])
+    def test_families(self, family, n, weight_range):
+        for seed in (0, 1, 801):
+            kwargs = dict(seed=seed, p=min(1.0, 8.0 / n), weight_range=weight_range)
+            if family == "cycle" and n == 2:
+                assert raised(lambda: generate(family, n, **kwargs)) == raised(
+                    lambda: loop_generate(family, n, **kwargs))
+                continue
+            assert_graph_is(generate(family, n, **kwargs), n,
+                            loop_generate(family, n, **kwargs))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_erdos_renyi_after_retries(self, seed):
+        # near the connectivity threshold the first draw is often
+        # disconnected; the graphs must agree after the retries too
+        kwargs = dict(seed=seed, p=0.07, weight_range=(0.2, 5.0))
+        assert_graph_is(generate("erdos_renyi", 50, **kwargs), 50,
+                        loop_generate("erdos_renyi", 50, **kwargs))
+
+    def test_some_draws_are_retried(self):
+        retried = 0
+        for seed in range(6):
+            try:
+                loop_generate("erdos_renyi", 50, seed=seed, p=0.07,
+                              weight_range=(0.2, 5.0), max_retries=1)
+            except GenerationError:
+                retried += 1
+        assert retried >= 2
+
+    @pytest.mark.parametrize("n, p, retries", [(40, 0.01, 3), (10, 0.05, 5), (200, 0.005, 2)])
+    def test_exhausted_retries(self, n, p, retries):
+        kwargs = dict(seed=3, p=p, max_retries=retries, weight_range=(1.0, 2.0))
+        failure = raised(lambda: generate("erdos_renyi", n, **kwargs))
+        assert failure[0] is GenerationError
+        assert failure == raised(lambda: loop_generate("erdos_renyi", n, **kwargs))
+
+    @pytest.mark.parametrize("call", [
+        lambda g: g("erdos_renyi", 10, p=0.0), lambda g: g("complete", 5, weight_range=(2.0, 1.0)),
+        lambda g: g("erdos_renyi", 10, weight_range=(0.0, 1.0)), lambda g: g("torus", 4),
+        lambda g: g("path", 1)])
+    def test_same_argument_errors(self, call):
+        assert raised(lambda: call(generate)) == raised(lambda: call(loop_generate))
+
+
+class TestConnectivityMatchesLoop:
+    @staticmethod
+    def assert_matches(graph):
+        assert is_connected(graph) is loop_is_connected(graph.n, graph.edges)
+
+    def test_random_graphs(self):
+        rng = np.random.Generator(np.random.PCG64(17))
+        outcomes = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.4)
+            graph = WeightedGraph.from_edges(
+                n, [(u, v, 1.0) for (u, v), hit in zip(pairs, keep) if hit])
+            self.assert_matches(graph)
+            outcomes.add(is_connected(graph))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_edgeless(self, n):
+        self.assert_matches(WeightedGraph(n=n, edges=()))
+        assert is_connected(WeightedGraph(n=n, edges=())) is (n == 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 50])
+    def test_last_node_isolated(self, n):
+        graph = WeightedGraph.from_edges(
+            n, [(u, v, 1.0) for u in range(n - 1) for v in range(u + 1, n - 1)])
+        self.assert_matches(graph)
+        assert not is_connected(graph)
+        assert is_connected(graph_add(graph, WeightedGraph.from_edges(n, [(0, n - 1, 1.0)])))
+
+    def test_two_cliques_with_spare_edges(self):
+        # more than n - 1 edges, still two components
+        cliques = [(u, v, 1.0) for block in (range(0, 5), range(5, 10))
+                   for u in block for v in block if u < v]
+        self.assert_matches(WeightedGraph.from_edges(10, cliques))
+        assert not is_connected(WeightedGraph.from_edges(10, cliques))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [2, 10, 200])
+    def test_families(self, family, n):
+        if family == "cycle" and n == 2:
+            return
+        self.assert_matches(family_graph(family, n))
+
+    def test_descending_chain(self):
+        # every edge joins the highest remaining node, so each round of
+        # hooking merges one node at a time into the tree of node 0
+        n = 30
+        graph = WeightedGraph.from_edges(n, [(n - 1 - i, n - 2 - i, 1.0) for i in range(n - 1)])
+        self.assert_matches(graph)
+        assert is_connected(graph)
+
+    def test_topology_connectivity(self):
+        rng = np.random.Generator(np.random.PCG64(23))
+        for _ in range(100):
+            n = int(rng.integers(2, 12))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            chosen = tuple(pair for pair in pairs if rng.random() < 0.3)
+            if loop_is_connected(n, chosen):
+                assert Topology(n=n, edges=chosen).m == len(chosen)
+            else:
+                with pytest.raises(ConnectivityError):
+                    Topology(n=n, edges=chosen)
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, ((0, 1), (2, 2), (1, 2)), "self-loop at node 2"),
+        (3, ((0, 1), (1, 3)), "edge (1, 3) needs 0 <= u < v < 3"),
+        (3, ((-1, 1), (1, 2), (0, 0)), "edge (-1, 1) needs 0 <= u < v < 3"),
+    ])
+    def test_topology_endpoint_errors(self, n, edges, message):
+        # the errors a unit-weight graph on the sorted pairs would raise
+        with pytest.raises(GraphFormatError) as excinfo:
+            Topology(n=n, edges=edges)
+        assert str(excinfo.value) == message
+        with pytest.raises(DomainError, match="node count must be positive"):
+            Topology(n=0, edges=())
+
+
+# Edge lists with several defects each: the error names the first defect in
+# input order, checked per edge as self-loop, range, weight, duplicate, and a
+# non-integer endpoint only once every edge passed those checks.
+MALFORMED = [
+    (4, ((0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0), (1, 0, -1.0)),
+     GraphFormatError, "self-loop at node 2"),
+    (4, ((0, 1, 1.0), (0, 5, 1.0), (2, 2, 1.0)),
+     GraphFormatError, "edge (0, 5) needs 0 <= u < v < 4"),
+    (4, ((0, 1, 1.0), (2, 1, 1.0), (3, 3, 0.0)),
+     GraphFormatError, "edge (2, 1) needs 0 <= u < v < 4"),
+    (4, ((0, 1, 1.0), (-1, 2, 1.0), (1, 1, 1.0)),
+     GraphFormatError, "edge (-1, 2) needs 0 <= u < v < 4"),
+    (4, ((0, 1, 1.0), (1, 2, 0.0), (0, 1, 2.0), (3, 3, 1.0)),
+     DomainError, "edge (1, 2) has non-positive weight 0.0"),
+    (4, ((0, 1, math.nan), (-1, 2, 1.0)),
+     DomainError, "edge (0, 1) has non-positive weight nan"),
+    (4, ((0, 1, 1), (1, 2, -2), (1, 2, 1.0)),
+     DomainError, "edge (1, 2) has non-positive weight -2"),
+    (4, ((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (3, 3, 1.0), (1, 2, math.inf)),
+     GraphFormatError, "duplicate edge (0, 1)"),
+    (4, ((2, 3, 1.0), (0, 1, 1.0), (2, 3, 1.0), (0, 1, 1.0)),
+     GraphFormatError, "duplicate edge (2, 3)"),
+    (4, ((2, 3, 1.0), (0, 1, 1.0), (0, 2, 1.0), (0, 1, 3.0), (2, 3, -1.0)),
+     GraphFormatError, "duplicate edge (0, 1)"),
+    (4, ((np.int64(0), np.int64(1), 1.0), (np.int64(1), np.int64(1), 1.0)),
+     GraphFormatError, "self-loop at node 1"),
+    (4, ((False, True, 1.0), (True, False, 1.0)),
+     GraphFormatError, "edge (True, False) needs 0 <= u < v < 4"),
+    (4, ((0.5, 1.5, 1.0), (2, 2, 1.0)), GraphFormatError, "self-loop at node 2"),
+    (4, ((0.5, 1.5, 1.0), (1, 2, np.float64(-1.0))),
+     DomainError, "edge (1, 2) has non-positive weight -1.0"),
+    (4, ((1, 2, 1.0), (0.0, 1.0, 1.0)), GraphFormatError,
+     "edge endpoints must be integers: 'float' object cannot be interpreted as an integer"),
+    # converted in sorted order, so the float in (0.0, 1) is named, not the
+    # numpy float that comes first in input order
+    (4, ((2, 3, 1.0), (np.float64(1.0), 2, 1.0), (0.0, 1, 1.0)), GraphFormatError,
+     "edge endpoints must be integers: 'float' object cannot be interpreted as an integer"),
+    (0, ((0, 0, -1.0),), DomainError, "node count must be positive, got 0"),
+]
+
+
+class TestMalformedEdges:
+    @pytest.mark.parametrize("n, edges, kind, message", MALFORMED)
+    def test_first_defect_named(self, n, edges, kind, message):
+        assert raised(lambda: loop_validate(n, edges)) == (kind, message)
+        assert raised(lambda: WeightedGraph(n=n, edges=edges)) == (kind, message)
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (4, [(1, 0, 1.0), (3, 3, 1.0), (0, 9, 1.0)], "self-loop at node 3"),
+        (4, [(1, 0, 1.0), (0, 1, 1.0)], "duplicate edge (0, 1)"),
+        (4, [(2, 3, 1.0), (5, 0, 1.0), (1, 1, 1.0)], "edge (0, 5) needs 0 <= u < v < 4"),
+        (3, [(0, 1, 1.0), (2, 1, math.nan), (1, 2, 1.0)],
+         "edge (1, 2) has non-positive weight nan"),
+        (3, [(np.intp(2), np.int64(1), np.float64(-0.5))],
+         "edge (1, 2) has non-positive weight -0.5"),
+    ])
+    def test_from_edges_first_defect_named(self, n, edges, message):
+        expected = raised(lambda: loop_from_edges(n, edges))
+        assert expected[1] == message
+        assert raised(lambda: WeightedGraph.from_edges(n, edges)) == expected
+
+    @pytest.mark.parametrize("edge", [(0, 1), (0, 1, 1.0, 2.0)])
+    def test_wrong_arity(self, edge):
+        expected = raised(lambda: loop_validate(3, ((0, 2, 1.0), edge)))
+        assert expected[0] is ValueError
+        assert raised(lambda: WeightedGraph(n=3, edges=((0, 2, 1.0), edge))) == expected
+        assert raised(lambda: WeightedGraph.from_edges(3, [(0, 2, 1.0), edge])) == expected
+
+    @pytest.mark.parametrize("weight", ["1.0", None])
+    def test_non_numeric_weight(self, weight):
+        with pytest.raises(TypeError):
+            WeightedGraph(n=2, edges=((0, 1, weight),))
+
+    def test_valid_lists_match_loop(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        for _ in range(50):
+            n = int(rng.integers(1, 15))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            order = rng.permutation(len(pairs))[:int(rng.integers(0, len(pairs) + 1))]
+            edges = tuple((pairs[i][0], pairs[i][1], float(rng.uniform(0.1, 9.0)))
+                          for i in order)
+            assert_graph_is(WeightedGraph(n=n, edges=edges), n, loop_validate(n, edges))
+            flipped = [(v, u, w) for u, v, w in edges]
+            assert_graph_is(WeightedGraph.from_edges(n, flipped), n,
+                            loop_from_edges(n, flipped))
+
+
+class TestCanonicalEdges:
+    def test_from_edges_rejects_float_endpoints(self):
+        # int() used to truncate these into the path 0-1-2
+        with pytest.raises(GraphFormatError, match="endpoints must be integers"):
+            WeightedGraph.from_edges(3, [(0.5, 1, 1.0), (1, 2.9, 1.0)])
+
+    @pytest.mark.parametrize("edges", [
+        ((False, True, 2.0),),
+        ((np.int64(0), np.int64(2), np.float64(1.5)), (np.int64(1), np.int64(2), 2)),
+        ((np.intp(1), np.intp(0), np.float64(0.25)),),
+        ((0, 1, 3), (1, 2, np.float64(1e-300))),
+        ((True, 2, np.float32(0.1)), (0, True, 7)),
+    ])
+    def test_stored_as_int_int_float(self, edges):
+        ordered = tuple((min(u, v), max(u, v), w) for u, v, w in edges)
+        for graph in (WeightedGraph(n=3, edges=ordered), WeightedGraph.from_edges(3, edges)):
+            assert all(tuple(map(type, edge)) == (int, int, float) for edge in graph.edges)
+            assert parse_graph(serialize_graph(graph)) == graph
+            assert hash(graph) == hash((3, loop_validate(3, ordered)))

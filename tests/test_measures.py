@@ -12,6 +12,8 @@ from systemic import (ConnectivityError, DomainError, MeasureDescriptor,
                       register_spectral_function, scalar_mul, spectral_form,
                       zeta, zeta_measure)
 
+from systemic import measures
+
 from helpers import MEASURE_CASES, random_connected
 
 
@@ -366,3 +368,55 @@ class TestFunctionRegistry:
                                            lambda x: -2.0 * x, False))
         with pytest.raises(DomainError, match="convex|decreasing"):
             get_spectral_function("bad_concave")
+
+
+class TestFunctionMemo:
+    """Each identifier is built and sampled once, until the next
+    registration; evaluate still resolves it on every call."""
+
+    @staticmethod
+    def unit_inverse(name):
+        return SpectralFunction(name, lambda x: 1.0 / x, lambda x: -1.0 / x**2, True)
+
+    def test_built_and_checked_once_per_identifier(self, monkeypatch):
+        builds, checks = [], []
+        check = measures._check_decreasing_convex
+        monkeypatch.setattr(measures, "_check_decreasing_convex",
+                            lambda fn, name: (checks.append(name), check(fn, name))[1])
+        register_spectral_function(
+            "memo_probe", lambda param: (builds.append(param), self.unit_inverse("memo_probe"))[1])
+        first = get_spectral_function("memo_probe:2")
+        assert get_spectral_function("memo_probe:2") is first
+        assert get_spectral_function("memo_probe(3)") is not first
+        assert builds == [2.0, 3.0]
+        assert checks == ["memo_probe", "memo_probe"]
+
+    def test_registration_clears_memo(self):
+        register_spectral_function("memo_swap", lambda param: self.unit_inverse("first"))
+        assert get_spectral_function("memo_swap").name == "first"
+        register_spectral_function("memo_swap", lambda param: self.unit_inverse("second"))
+        assert get_spectral_function("memo_swap").name == "second"
+
+    def test_failures_are_not_memoized(self):
+        register_spectral_function(
+            "memo_flaky", lambda param: SpectralFunction("memo_flaky", lambda x: x,
+                                                         lambda x: np.ones_like(x), False))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="decreasing"):
+                get_spectral_function("memo_flaky")
+
+    @pytest.mark.parametrize("f_id", ["inverse_pow:2", "exp_decay:0.5", "inverse"])
+    def test_evaluate_resolves_every_call(self, monkeypatch, f_id):
+        descriptor = MeasureDescriptor("schur_sum", f_id=f_id)
+        graph = generate("erdos_renyi", 12, seed=4, p=0.4, weight_range=(0.5, 2.0))
+        lam = graph_spectrum(graph).nonzero
+        name, _, param = f_id.partition(":")
+        fresh = measures._FUNCTION_BUILDERS[name](float(param) if param else None)
+        expected = float(np.sum(fresh.fn(lam)))
+        calls = []
+        resolve = measures.get_spectral_function
+        monkeypatch.setattr(measures, "get_spectral_function",
+                            lambda f_id: (calls.append(f_id), resolve(f_id))[1])
+        values = [evaluate(graph, descriptor) for _ in range(3)]
+        assert calls == [f_id] * 3
+        assert [value.hex() for value in values] == [expected.hex()] * 3
