@@ -120,8 +120,8 @@ class WeightedGraph:
             us, vs = _integer_columns(edges)
             integral = True
         except GraphFormatError as exc:
-            # check the edges as floats first: a defect anywhere is reported
-            # before a non-integer endpoint, as the per-edge loop did
+            # check the edges as floats first, so that any other defect is
+            # reported before a non-integer endpoint
             try:
                 us, vs = (np.fromiter(map(itemgetter(column), edges), dtype=float,
                                       count=len(edges)) for column in (0, 1))

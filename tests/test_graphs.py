@@ -548,7 +548,9 @@ class TestConnectivityMatchesLoop:
         with pytest.raises(GraphFormatError) as excinfo:
             Topology(n=n, edges=edges)
         assert str(excinfo.value) == message
-        with pytest.raises(DomainError, match="node count must be positive"):
+
+    def test_topology_node_count(self):
+        with pytest.raises(DomainError, match="node count must be positive, got 0"):
             Topology(n=0, edges=())
 
 
@@ -641,7 +643,7 @@ class TestMalformedEdges:
 
 class TestCanonicalEdges:
     def test_from_edges_rejects_float_endpoints(self):
-        # int() used to truncate these into the path 0-1-2
+        # int() would truncate these into the path 0-1-2
         with pytest.raises(GraphFormatError, match="endpoints must be integers"):
             WeightedGraph.from_edges(3, [(0.5, 1, 1.0), (1, 2.9, 1.0)])
 
