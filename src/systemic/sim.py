@@ -5,11 +5,18 @@ time-averages its squared norm; the stationary value of that average is the
 squared H_2 measure, so the simulation cross-checks the spectral formulas
 without touching them.  Noise streams are counter-based (Philox) keyed by
 (seed, trial), which makes trials reproducible and order-independent.
+
+`estimate_h2` draws the noise one chunk of steps ahead of the recursion, in
+two tasks that each fill half of the trials on a worker thread (NumPy releases
+the interpreter lock while it fills).  Every trial reads only its own stream,
+so the result is bit-identical to drawing the trials one after another, and
+independent of thread and BLAS scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -38,15 +45,26 @@ class SimConfig:
     x0: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("dt", "horizon", "burn_in"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.horizon > self.burn_in >= 0):
             raise ConfigError(
                 f"need horizon > burn_in >= 0, got {self.horizon}, {self.burn_in}")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.x0 is not None:
-            object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+            x0 = tuple(float(v) for v in self.x0)
+            if not all(math.isfinite(v) for v in x0):
+                raise ConfigError(f"x0 entries must be finite, got {x0}")
+            object.__setattr__(self, "x0", x0)
 
 
 def _center(state: np.ndarray) -> np.ndarray:
@@ -74,10 +92,20 @@ def _validate(graph: WeightedGraph, cfg: SimConfig) -> tuple[np.ndarray, np.ndar
     return matrix, initial
 
 
-def _trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
-    mask = (1 << 64) - 1
-    return [np.random.Generator(np.random.Philox(key=np.array(
-        [seed & mask, trial], dtype=np.uint64))) for trial in range(trials)]
+def _trial_generator(seed: int, trial: int) -> np.random.Generator:
+    """The noise stream of one trial: Philox keyed by (seed mod 2**64, trial)."""
+    key = np.array([seed & ((1 << 64) - 1), trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _fill_noise(generators: list[np.random.Generator], block: np.ndarray,
+                sqrt_dt: float) -> None:
+    """Draw each trial's next steps into its row of `block` (trials, steps, n),
+    then center every step across nodes and scale it by sqrt(dt), in place."""
+    for generator, rows in zip(generators, block):
+        generator.standard_normal(out=rows)
+    block -= block.mean(axis=2, keepdims=True)
+    block *= sqrt_dt
 
 
 def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
@@ -85,8 +113,12 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
 
     All trials advance in lockstep (vectorized across the trial axis); the
     per-trial time averages are combined by numpy's pairwise-summation mean,
-    so results are deterministic for a fixed seed.
+    so results are deterministic for a fixed seed.  While the recursion runs
+    over one chunk of steps, two worker threads draw the next chunk's noise
+    into the other of two buffers, each for half of the trials.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     matrix, initial = _validate(graph, cfg)
     n = graph.n
     total_steps = int(round(cfg.horizon / cfg.dt))
@@ -95,26 +127,39 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
         raise ConfigError("horizon leaves no steps after burn-in")
     sqrt_dt = math.sqrt(cfg.dt)
     step_matrix = np.eye(n) - cfg.dt * matrix
+    generators = [_trial_generator(cfg.seed, trial) for trial in range(cfg.trials)]
+    half = (cfg.trials + 1) // 2
+    halves = [(lo, hi) for lo, hi in ((0, half), (half, cfg.trials)) if lo < hi]
+    chunks = [(step, min(NOISE_CHUNK_STEPS, total_steps - step))
+              for step in range(0, total_steps, NOISE_CHUNK_STEPS)]
+    noise = np.empty((2, cfg.trials, NOISE_CHUNK_STEPS, n))
+    states = np.empty((NOISE_CHUNK_STEPS, cfg.trials, n))
     state = np.tile(_center(initial), (cfg.trials, 1))
-    generators = _trial_generators(cfg.seed, cfg.trials)
     sums = np.zeros(cfg.trials)
     kept = 0
-    step = 0
-    states = np.empty((NOISE_CHUNK_STEPS, cfg.trials, n))
-    while step < total_steps:
-        chunk = min(NOISE_CHUNK_STEPS, total_steps - step)
-        noise = np.stack([g.standard_normal((chunk, n)) for g in generators], axis=1)
-        noise -= noise.mean(axis=2, keepdims=True)
-        noise *= sqrt_dt
-        for local in range(chunk):
-            state = state @ step_matrix + noise[local]
-            states[local] = state
-        first_kept = max(burn_steps - step, 0)
-        if first_kept < chunk:
-            sums += np.einsum("sij,sij->i", states[first_kept:chunk],
-                              states[first_kept:chunk])
-            kept += chunk - first_kept
-        step += chunk
+    with ThreadPoolExecutor(max_workers=2) as pool:
+
+        def draw(index: int) -> list:
+            block = noise[index % 2, :, :chunks[index][1]]
+            return [pool.submit(_fill_noise, generators[lo:hi], block[lo:hi], sqrt_dt)
+                    for lo, hi in halves]
+
+        pending = draw(0)
+        for index, (step, chunk) in enumerate(chunks):
+            for future in pending:
+                future.result()
+            pending = draw(index + 1) if index + 1 < len(chunks) else []
+            increments = noise[index % 2, :, :chunk].swapaxes(0, 1)
+            # `state` may view the last row of `states`, which is written last
+            for out, increment in zip(states[:chunk], increments):
+                np.matmul(state, step_matrix, out=out)
+                out += increment
+                state = out
+            first_kept = max(burn_steps - step, 0)
+            if first_kept < chunk:
+                sums += np.einsum("sij,sij->i", states[first_kept:chunk],
+                                  states[first_kept:chunk])
+                kept += chunk - first_kept
     per_trial = sums / kept
     estimate = float(np.mean(per_trial))
     if cfg.trials == 1:
@@ -133,9 +178,7 @@ def simulate_output(graph: WeightedGraph, cfg: SimConfig, trial: int = 0) -> np.
     total_steps = int(round(cfg.horizon / cfg.dt))
     sqrt_dt = math.sqrt(cfg.dt)
     step_matrix = np.eye(graph.n) - cfg.dt * matrix
-    mask = (1 << 64) - 1
-    generator = np.random.Generator(np.random.Philox(key=np.array(
-        [cfg.seed & mask, trial], dtype=np.uint64)))
+    generator = _trial_generator(cfg.seed, trial)
     state = _center(initial)
     path = np.empty((total_steps + 1, graph.n))
     path[0] = state

@@ -15,7 +15,7 @@ import operator
 import numpy as np
 
 from systemic import (DomainError, GenerationError, GraphFormatError, MeasureDescriptor,
-                      Topology, WeightedGraph, generate)
+                      SimConfig, Topology, WeightedGraph, generate, laplacian)
 
 
 def brute_force_tree_weight(graph: WeightedGraph) -> float:
@@ -199,6 +199,46 @@ def loop_generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
         if loop_is_connected(n, edges):
             return edges
     raise GenerationError(f"no connected draw in {max_retries} tries (n={n}, p={p})")
+
+
+def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig,
+                     chunk_steps: int = 1024) -> tuple[float, float]:
+    """Serial reference for `sim.estimate_h2` on a valid configuration: the
+    trials' noise drawn one trial after another for each chunk of steps,
+    stacked, and only then stepped through, with a fresh state per step."""
+    n = graph.n
+    total_steps = int(round(cfg.horizon / cfg.dt))
+    burn_steps = int(round(cfg.burn_in / cfg.dt))
+    sqrt_dt = math.sqrt(cfg.dt)
+    step_matrix = np.eye(n) - cfg.dt * laplacian(graph).matrix
+    initial = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
+    state = np.tile(initial - initial.mean(), (cfg.trials, 1))
+    generators = [np.random.Generator(np.random.Philox(key=np.array(
+        [cfg.seed & ((1 << 64) - 1), trial], dtype=np.uint64)))
+        for trial in range(cfg.trials)]
+    sums = np.zeros(cfg.trials)
+    kept = 0
+    step = 0
+    states = np.empty((chunk_steps, cfg.trials, n))
+    while step < total_steps:
+        chunk = min(chunk_steps, total_steps - step)
+        noise = np.stack([g.standard_normal((chunk, n)) for g in generators], axis=1)
+        noise -= noise.mean(axis=2, keepdims=True)
+        noise *= sqrt_dt
+        for local in range(chunk):
+            state = state @ step_matrix + noise[local]
+            states[local] = state
+        first_kept = max(burn_steps - step, 0)
+        if first_kept < chunk:
+            sums += np.einsum("sij,sij->i", states[first_kept:chunk],
+                              states[first_kept:chunk])
+            kept += chunk - first_kept
+        step += chunk
+    per_trial = sums / kept
+    estimate = float(np.mean(per_trial))
+    if cfg.trials == 1:
+        return estimate, math.nan
+    return estimate, float(np.std(per_trial, ddof=1) / math.sqrt(cfg.trials))
 
 
 def loop_topology_laplacian(topology: Topology, weights: np.ndarray) -> np.ndarray:

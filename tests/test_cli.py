@@ -211,6 +211,15 @@ class TestSimulate:
         assert code == 0
         assert any("burn_in" in w for w in report["warnings"])
 
+    def test_infinite_horizon_exit_two(self, capsys, graph_files):
+        # used to die with an OverflowError traceback and exit 1
+        code, report, err = run_cli(capsys, [
+            "simulate-h2", "--graph", graph_files["p3"], "--dt", "0.01",
+            "--horizon", "inf", "--trials", "2", "--seed", "1", "--burn-in", "1"])
+        assert code == 2
+        assert report is None
+        assert err.startswith("error:") and "horizon must be finite" in err
+
 
 class TestValidate:
     def test_good_graph(self, capsys, graph_files):
@@ -264,11 +273,20 @@ class TestDeterminism:
         assert first == second
         assert json.loads(first)["timing"] == 0.0
 
-    def test_results_independent_of_blas_threads(self):
+    @pytest.mark.parametrize("command, expected_code", [
+        (["props", "--measure", "entropy", "--property", "homogeneity",
+          "--trials", "40", "--seed", "77"], 1),
+        # 20 nodes, 1500 steps: more than one noise chunk, drawn on worker threads
+        (["simulate-h2", "--graph", "cycle20", "--dt", "0.02", "--horizon", "30",
+          "--trials", "5", "--seed", "8"], 0),
+    ], ids=["props", "simulate-h2"])
+    def test_results_independent_of_blas_threads(self, tmp_path, command, expected_code):
         # replay must not depend on how many threads the BLAS library uses
         src = str(Path(systemic.__file__).resolve().parents[1])
-        argv = [sys.executable, "-m", "systemic.cli", "props", "--measure", "entropy",
-                "--property", "homogeneity", "--trials", "40", "--seed", "77"]
+        graph_file = tmp_path / "cycle20.txt"
+        graph_file.write_text(serialize_graph(generate("cycle", 20)))
+        command = [str(graph_file) if arg == "cycle20" else arg for arg in command]
+        argv = [sys.executable, "-m", "systemic.cli", *command]
         outputs = []
         for threads in ("1", None):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -277,7 +295,7 @@ class TestDeterminism:
                 env["OPENBLAS_NUM_THREADS"] = threads
             done = subprocess.run(argv, env=env, capture_output=True, text=True,
                                   timeout=120)
-            assert done.returncode == 1, done.stderr
+            assert done.returncode == expected_code, done.stderr
             outputs.append(json.dumps(json.loads(done.stdout)["results"]))
         assert outputs[0] == outputs[1]
 
@@ -303,9 +321,11 @@ def _fresh_python(args: list[str]) -> subprocess.CompletedProcess:
 class TestStartup:
     # Fresh interpreters: the in-process tests above have SciPy loaded already.
     def test_import_loads_no_scipy(self):
+        # SciPy and concurrent.futures (which imports logging) load on first use
         done = _fresh_python(["-c", (
             "import sys, systemic, systemic.cli\n"
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")])
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "       or m.startswith('concurrent.futures')])")])
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 

@@ -1,9 +1,12 @@
+import itertools
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from helpers import loop_estimate_h2
 from systemic import (ConfigError, DomainError, MeasureDescriptor, SimConfig,
                       decay_rate, estimate_h2, evaluate, generate,
                       graph_spectrum, simulate_output)
@@ -39,6 +42,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match="x0"):
             estimate_h2(k3, cfg)
 
+    @pytest.mark.parametrize("field", ["dt", "horizon", "burn_in"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_times_finite(self, field, value):
+        # horizon = inf used to pass and overflow in int(round(horizon / dt))
+        kwargs = dict(dt=0.01, horizon=10.0, burn_in=1.0, trials=2, seed=1)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("x0", [(math.inf, 0.0, 0.0), (0.0, math.nan, 1.0),
+                                    (0.0, 1.0, -math.inf)])
+    def test_x0_finite(self, x0):
+        # (inf, 0, 0) used to make estimate_h2 return (nan, nan) silently
+        with pytest.raises(ConfigError, match="x0"):
+            SimConfig(dt=0.01, horizon=10.0, burn_in=1.0, trials=2, seed=1, x0=x0)
+
+    @pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True),
+                                              ("trials", 2.0), ("trials", "2"),
+                                              ("seed", 1.5), ("seed", False),
+                                              ("seed", None)])
+    def test_counts_integer(self, field, value):
+        kwargs = dict(dt=0.01, horizon=10.0, burn_in=1.0, trials=2, seed=1)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self, p3):
+        # an np.int64 seed used to overflow when masked to 64 bits
+        cfg = SimConfig(dt=0.01, horizon=3.0, burn_in=1.0, trials=np.int64(2),
+                        seed=np.int64(-3))
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+        plain = SimConfig(dt=0.01, horizon=3.0, burn_in=1.0, trials=2, seed=-3)
+        assert _quiet_estimate(p3, cfg) == _quiet_estimate(p3, plain)
+
     def test_mixing_warning(self, p3):
         cfg = SimConfig(dt=0.01, horizon=20.0, burn_in=1.0, trials=2, seed=0)
         with pytest.warns(UserWarning, match="burn_in"):
@@ -73,6 +110,44 @@ class TestEstimate:
         assert biases[0] > biases[1] > biases[2]
 
 
+FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
+TRIAL_COUNTS = (1, 2, 3, 5, 32)
+STEP_COUNTS = (5, 1023, 1024, 1025, 2049)  # around the 1024-step noise chunk
+
+
+class TestPipelinedNoise:
+    # The noise is drawn on worker threads one chunk ahead of the recursion;
+    # the serial reference draws it trial by trial, so any change in the
+    # streams, their centering or the step order shows up bit for bit.
+    @pytest.mark.parametrize("n", [3, 7, 20, 50])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_identical_to_serial_loop(self, family, n):
+        graph = generate(family, n, seed=n) if family == "erdos_renyi" \
+            else generate(family, n)
+        dt = 1.0 / n  # lambda_max <= n on these unit-weight graphs
+        cases = itertools.product(enumerate(TRIAL_COUNTS), enumerate(STEP_COUNTS))
+        for (i, trials), (j, steps) in cases:
+            variant = (i + j) % 4
+            if variant % 2:  # burn-in ends on a chunk boundary
+                burn_steps = 1024 if steps > 1024 else 0
+            else:  # burn-in ends inside a chunk
+                burn_steps = steps * 3 // 4
+            x0 = tuple(np.linspace(-1.0, 2.0, n) ** 2) if variant >= 2 else None
+            cfg = SimConfig(dt=dt, horizon=steps * dt, burn_in=burn_steps * dt,
+                            trials=trials, seed=100 * n + trials, x0=x0)
+            assert int(round(cfg.horizon / dt)) == steps
+            assert int(round(cfg.burn_in / dt)) == burn_steps
+            got = np.array(_quiet_estimate(graph, cfg))
+            want = np.array(loop_estimate_h2(graph, cfg))
+            assert got.tobytes() == want.tobytes(), (trials, steps, burn_steps, x0)
+
+    def test_threads_do_not_outlive_call(self, k3):
+        cfg = SimConfig(dt=1e-2, horizon=30.0, burn_in=2.0, trials=5, seed=4)
+        before = threading.active_count()
+        estimate_h2(k3, cfg)
+        assert threading.active_count() == before
+
+
 class TestOutputPath:
     def test_shifted_x0_bit_identical(self, c4):
         # n = 4 and dyadic values make the centering arithmetic error-free
@@ -86,14 +161,18 @@ class TestOutputPath:
         assert np.array_equal(path_a, path_b)
 
     def test_path_matches_trial_of_estimate(self, k3):
-        cfg = SimConfig(dt=1e-2, horizon=8.0, burn_in=2.0, trials=1, seed=21)
+        # horizon 12 at dt 1e-2 is 1200 steps, so the paths cross a noise chunk
+        cfg = SimConfig(dt=1e-2, horizon=12.0, burn_in=2.0, trials=3, seed=21)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            estimate, _ = estimate_h2(k3, cfg)
-            path = simulate_output(k3, cfg, trial=0)
+            estimate, stderr = estimate_h2(k3, cfg)
+            paths = [simulate_output(k3, cfg, trial=t) for t in range(cfg.trials)]
         burn = int(round(cfg.burn_in / cfg.dt))
-        average = float(np.mean(np.sum(path[burn + 1:] ** 2, axis=1)))
-        assert average == pytest.approx(estimate, rel=1e-12)
+        averages = [float(np.mean(np.sum(path[burn + 1:] ** 2, axis=1)))
+                    for path in paths]
+        assert np.mean(averages) == pytest.approx(estimate, rel=1e-12)
+        expected_stderr = np.std(averages, ddof=1) / math.sqrt(cfg.trials)
+        assert expected_stderr == pytest.approx(stderr, rel=1e-12)
 
 
 class TestDecay:
