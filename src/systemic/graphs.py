@@ -21,8 +21,6 @@ from .errors import DimensionError, DomainError, GenerationError, GraphFormatErr
 
 Edge = tuple[int, int, float]
 
-GENERATOR_BITS = np.random.PCG64  # named, seedable 64-bit PRNG used everywhere
-
 
 def _check_node_count(n: int) -> None:
     if n < 1:
@@ -334,7 +332,7 @@ def generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
     """
     if n < 2:
         raise DomainError(f"generators need n >= 2, got {n}")
-    rng = np.random.Generator(GENERATOR_BITS(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     if family == "complete":
         us, vs = np.triu_indices(n, 1)
     elif family == "cycle":

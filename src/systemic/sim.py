@@ -29,6 +29,13 @@ from .spectral import graph_spectrum
 NOISE_CHUNK_STEPS = 1024
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; a bool or a non-integral number is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration settings; x0 is the initial state (defaults to zero).
@@ -54,10 +61,7 @@ class SimConfig:
             raise ConfigError(
                 f"need horizon > burn_in >= 0, got {self.horizon}, {self.burn_in}")
         for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.x0 is not None:
@@ -173,7 +177,11 @@ def simulate_output(graph: WeightedGraph, cfg: SimConfig, trial: int = 0) -> np.
 
     The path depends on x0 only through its centered part, so shifting every
     node's initial value by the same constant leaves the output untouched.
+    `trial` selects the noise stream and must be an integer in [0, 2**64).
     """
+    trial = _integer("trial", trial)
+    if not 0 <= trial < 1 << 64:
+        raise ConfigError(f"trial must be in [0, 2**64), got {trial}")
     matrix, initial = _validate(graph, cfg)
     total_steps = int(round(cfg.horizon / cfg.dt))
     sqrt_dt = math.sqrt(cfg.dt)

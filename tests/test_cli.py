@@ -318,6 +318,24 @@ def _fresh_python(args: list[str]) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
+# modules the subcommands that only read and evaluate a graph never load
+_OPTIONAL_LAYERS = ("systemic.design", "systemic.properties", "systemic.sim", "numpy.random")
+# layers the design subcommands (which load systemic.design) never load
+_DESIGN_ONLY = ("systemic.properties", "systemic.sim")
+# subcommand -> (arguments, with graph_files keys for paths; modules it must not load)
+_STARTUP_CASES = {
+    "measure": (["--graph", "p3", "--measure", "energy1"], _OPTIONAL_LAYERS),
+    "zeta": (["--graph", "p3", "--p", "2"], _OPTIONAL_LAYERS),
+    "trees": (["--graph", "p3"], _OPTIONAL_LAYERS),
+    "validate": (["--graph", "p3"], _OPTIONAL_LAYERS),
+    "rewire": (["--n", "4", "--m", "4", "--alpha", "4", "--measure", "energy1"],
+               _DESIGN_ONLY),
+    "augment": (["--graph", "p3", "--k", "1", "--candidates", "candidates",
+                 "--f", "inverse"], _DESIGN_ONLY),
+    "optimize-weights": (["--topology", "p3", "--measure", "energy1"], _DESIGN_ONLY),
+}
+
+
 class TestStartup:
     # Fresh interpreters: the in-process tests above have SciPy loaded already.
     def test_import_loads_no_scipy(self):
@@ -335,3 +353,117 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         results = json.loads(done.stdout)["results"]
         assert abs(results["numeric"] - results["closed_form"]) <= 1e-8
+
+    # A subcommand loads only the layers it calls; numpy.random loads only
+    # for the subcommands that draw random numbers.
+    @pytest.mark.parametrize("command", list(_STARTUP_CASES))
+    def test_subcommand_loads_only_its_layers(self, graph_files, command):
+        args, absent = _STARTUP_CASES[command]
+        argv = [command] + [graph_files.get(arg, arg) for arg in args]
+        done = _fresh_python(["-c", (
+            "import json, sys\n"
+            "from systemic import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+            "sys.exit(code)"), *argv])
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stderr.splitlines()[-1]))
+        assert "systemic.measures" in loaded
+        assert loaded.isdisjoint(absent), sorted(loaded.intersection(absent))
+
+    def test_package_import_loads_no_layer(self):
+        done = _fresh_python(["-c", (
+            "import sys, systemic\n"
+            "print([m for m in sys.modules if m.startswith('systemic.')])")])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
+# The package namespace as it was when every layer was imported eagerly.
+PACKAGE_NAMES = [
+    "AugmentationReport", "ConfigError", "ConnectivityError", "DimensionError",
+    "DomainError", "ENTROPY_FORM_WARNING", "GenerationError", "GraphFormatError",
+    "InputError", "Laplacian", "MeasureDescriptor", "NumericalError", "PropertyReport",
+    "QuadratureSettings", "RankingEntry", "RewireResult", "ScaleError", "SimConfig",
+    "SolverError", "SolverOptions", "SpectralFunction", "Spectrum", "SystemicError",
+    "Topology", "TransferModel", "Violation", "WeightAllocationResult", "WeightedGraph",
+    "applicable_properties", "centering_matrix", "check_convexity", "check_homogeneity",
+    "check_monotonicity", "check_orthogonal_invariance", "check_schur_convexity",
+    "check_subadditivity", "decay_rate", "design", "eig_sym", "entropy_via_trees",
+    "errors", "estimate_h2", "evaluate", "evaluate_eigenvalues", "fundamental_limit",
+    "generate", "get_spectral_function", "graph_add", "graph_spectrum", "graphs",
+    "greedy_augment", "hp_norm", "hp_norm_numeric", "is_connected", "is_homogeneous",
+    "is_spectral", "laplacian", "laplacian_spectrum", "measures", "optimize_weights",
+    "parse_graph", "project_simplex", "properties", "psd_order", "pseudo_inverse",
+    "register_spectral_function", "replay_trial", "rewire_bruteforce", "run_check",
+    "scalar_mul", "serialize_graph", "sim", "simulate_output", "spanning_tree_count",
+    "spectral", "spectral_form", "zero_tolerance", "zeta", "zeta_measure",
+]
+LAYER_MODULES = ["design", "errors", "graphs", "measures", "properties", "sim", "spectral"]
+
+
+def _fresh_output(code: str) -> str:
+    done = _fresh_python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestPackageSurface:
+    # Fresh interpreters, so that every name is resolved through the lazy
+    # package namespace rather than found already imported.
+    def test_all_unchanged(self):
+        output = _fresh_output("import json, systemic\nprint(json.dumps(systemic.__all__))")
+        assert json.loads(output) == PACKAGE_NAMES
+
+    def test_names_resolve_to_their_defining_objects(self):
+        # each name read through the package first, then from its home module
+        output = _fresh_output(
+            "import importlib, json, systemic\n"
+            f"layers = {LAYER_MODULES!r}\n"
+            "values = {name: getattr(systemic, name) for name in systemic.__all__}\n"
+            "modules = {name: importlib.import_module('systemic.' + name) for name in layers}\n"
+            "wrong = []\n"
+            "for name, value in values.items():\n"
+            "    if name in layers:\n"
+            "        ok = value is modules[name]\n"
+            "    else:\n"
+            "        home = ('measures' if name == 'ENTROPY_FORM_WARNING'\n"
+            "                else value.__module__.removeprefix('systemic.'))\n"
+            "        ok = (home in modules and value is getattr(modules[home], name)\n"
+            "              and value is getattr(systemic, name))\n"
+            "    if not ok:\n"
+            "        wrong.append(name)\n"
+            "print(json.dumps(wrong))")
+        assert json.loads(output) == []
+
+    def test_star_import_binds_every_name(self):
+        output = _fresh_output(
+            "import json\n"
+            "from systemic import *\n"
+            "import systemic\n"
+            "print(json.dumps([name for name in systemic.__all__\n"
+            "                  if globals().get(name) is not getattr(systemic, name)]))")
+        assert json.loads(output) == []
+
+    def test_dir_lists_every_name(self):
+        output = _fresh_output("import json, systemic\nprint(json.dumps(dir(systemic)))")
+        assert set(PACKAGE_NAMES) <= set(json.loads(output))
+
+    def test_unknown_attribute_raises(self):
+        output = _fresh_output(
+            "import systemic\n"
+            "try:\n"
+            "    systemic.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+            "print(hasattr(systemic, 'GENERATOR_BITS'))")
+        assert output.splitlines() == [
+            "module 'systemic' has no attribute 'no_such_name'", "False"]
+
+    def test_graph_pickles_after_package_import(self):
+        output = _fresh_output(
+            "import pickle, systemic\n"
+            "graph = systemic.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.5)])\n"
+            "copy = pickle.loads(pickle.dumps(graph))\n"
+            "print(copy == graph, type(copy) is systemic.WeightedGraph, copy.edges)")
+        assert output.strip() == "True True ((0, 1, 1.0), (1, 2, 2.5))"

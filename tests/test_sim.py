@@ -174,6 +174,27 @@ class TestOutputPath:
         expected_stderr = np.std(averages, ddof=1) / math.sqrt(cfg.trials)
         assert expected_stderr == pytest.approx(stderr, rel=1e-12)
 
+    # -1 used to raise NumPy's OverflowError from the Philox key, 2.5 ran as
+    # trial 2 and True as trial 1
+    @pytest.mark.parametrize("trial, message", [
+        (2.5, "trial must be an integer"), (True, "trial must be an integer"),
+        (2.0, "trial must be an integer"), ("1", "trial must be an integer"),
+        (None, "trial must be an integer"), (-1, "trial must be in"),
+        (np.int64(-1), "trial must be in"), (1 << 64, "trial must be in")])
+    def test_bad_trial_rejected(self, p3, trial, message):
+        cfg = SimConfig(dt=0.01, horizon=1.0, burn_in=0.0, trials=1, seed=0)
+        with pytest.raises(ConfigError, match=message):
+            simulate_output(p3, cfg, trial=trial)
+
+    def test_numpy_integer_trial(self, p3):
+        cfg = SimConfig(dt=0.01, horizon=1.0, burn_in=0.0, trials=1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plain = simulate_output(p3, cfg, trial=2)
+            assert np.array_equal(simulate_output(p3, cfg, trial=np.uint8(2)), plain)
+            assert np.array_equal(simulate_output(p3, cfg, trial=(1 << 64) - 1),
+                                  simulate_output(p3, cfg, trial=np.uint64((1 << 64) - 1)))
+
 
 class TestDecay:
     def test_rate_matches_connectivity(self, p3):
