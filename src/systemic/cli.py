@@ -28,7 +28,7 @@ from .errors import NumericalError, SolverError, SystemicError
 from .graphs import (WeightedGraph, is_connected, laplacian, parse_graph,
                      serialize_graph, spanning_tree_count)
 from .measures import ENTROPY_FORM_WARNING, MeasureDescriptor
-from .spectral import graph_spectrum, zero_tolerance
+from .spectral import graph_spectrum, laplacian_spectrum, zero_tolerance
 
 SCHEMA_VERSION = "1.0.0"
 BOUND_BREACH_TOL = 1e-9
@@ -341,7 +341,7 @@ def _run_validate(args) -> tuple[dict, int]:
         "round_trip_ok": parse_graph(serialize_graph(graph)) == graph,
     }
     if connected and graph.n >= 2:
-        spectrum = graph_spectrum(graph)
+        spectrum = laplacian_spectrum(graph)  # the full mode: it has a residual
         tol = zero_tolerance(spectrum.eigenvalues)
         results["zero_eigenvalue_count"] = int(
             np.sum(np.abs(spectrum.eigenvalues) <= tol))

@@ -441,10 +441,19 @@ def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor,
 
 
 def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
-    """Evaluate a catalog measure on a connected weighted graph."""
-    lam = graph_spectrum(graph).nonzero
-    degrees = None if _MEASURES[measure.id].spectral else laplacian(graph).degrees
-    return evaluate_eigenvalues(lam, measure, degrees=degrees)
+    """Evaluate a catalog measure on a connected weighted graph.
+
+    A degree-based measure needs no eigensolve: connectivity is decided by
+    is_connected, so a weak but present bridge does not count as a cut.
+    """
+    entry = _MEASURES[measure.id]
+    if entry.spectral:
+        return evaluate_eigenvalues(graph_spectrum(graph).nonzero, measure)
+    if graph.n < 2:
+        raise DomainError("consensus measures need at least 2 nodes")
+    if not is_connected(graph):
+        raise ConnectivityError(f"{measure.id} needs a connected graph")
+    return entry.value(laplacian(graph).degrees, measure)
 
 
 def spectral_form(measure: MeasureDescriptor) -> Callable[[np.ndarray], float]:

@@ -6,9 +6,9 @@ squared H_2 measure, so the simulation cross-checks the spectral formulas
 without touching them.  Noise streams are counter-based (Philox) keyed by
 (seed, trial), which makes trials reproducible and order-independent.
 
-`estimate_h2` draws the noise one chunk of steps ahead of the recursion, in
-two tasks that each fill half of the trials on a worker thread (NumPy releases
-the interpreter lock while it fills).  Every trial reads only its own stream,
+`estimate_h2` draws the noise one chunk of steps ahead of the recursion on two
+worker threads, each filling half of the trials (NumPy releases the
+interpreter lock while it fills).  Every trial reads only its own stream,
 so the result is bit-identical to drawing the trials one after another, and
 independent of thread and BLAS scheduling.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -82,7 +83,9 @@ def _validate(graph: WeightedGraph, cfg: SimConfig) -> tuple[np.ndarray, np.ndar
     if cfg.dt * lam_max >= 2.0:
         raise ConfigError(
             f"explicit scheme unstable: dt * lambda_max = {cfg.dt * lam_max:.3f} >= 2")
-    if cfg.burn_in < 5.0 / lam_2:
+    # lambda_2 carries rounding error (P3's comes out as 1 - 2**-52), so a
+    # burn-in that meets the heuristic to a relative 1e-9 is not warned about
+    if cfg.burn_in < 5.0 / lam_2 * (1.0 - 1e-9):
         warnings.warn(
             f"burn_in {cfg.burn_in:g} is below the mixing heuristic 5/lambda_2 = "
             f"{5.0 / lam_2:g}; the estimate may be biased", stacklevel=3)
@@ -112,6 +115,22 @@ def _fill_noise(generators: list[np.random.Generator], block: np.ndarray,
     block *= sqrt_dt
 
 
+def _fill_ahead(generators: list[np.random.Generator], blocks: list[np.ndarray],
+                sqrt_dt: float, barrier: threading.Barrier, errors: list) -> None:
+    """Worker: fill each block in turn, meeting the caller at `barrier` after
+    each one. An exception is stored in `errors` and breaks the barrier; a
+    broken barrier (the caller gave up) ends the worker."""
+    try:
+        for block in blocks:
+            _fill_noise(generators, block, sqrt_dt)
+            barrier.wait()
+    except threading.BrokenBarrierError:
+        pass
+    except BaseException as exc:
+        errors.append(exc)
+        barrier.abort()
+
+
 def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
     """Monte-Carlo estimate of the squared H_2 measure with its standard error.
 
@@ -119,10 +138,9 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
     per-trial time averages are combined by numpy's pairwise-summation mean,
     so results are deterministic for a fixed seed.  While the recursion runs
     over one chunk of steps, two worker threads draw the next chunk's noise
-    into the other of two buffers, each for half of the trials.
+    into the other of two buffers, each for half of the trials.  Both are
+    joined before this returns, and an exception in either is raised here.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     matrix, initial = _validate(graph, cfg)
     n = graph.n
     total_steps = int(round(cfg.horizon / cfg.dt))
@@ -141,18 +159,23 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
     state = np.tile(_center(initial), (cfg.trials, 1))
     sums = np.zeros(cfg.trials)
     kept = 0
-    with ThreadPoolExecutor(max_workers=2) as pool:
-
-        def draw(index: int) -> list:
-            block = noise[index % 2, :, :chunks[index][1]]
-            return [pool.submit(_fill_noise, generators[lo:hi], block[lo:hi], sqrt_dt)
-                    for lo, hi in halves]
-
-        pending = draw(0)
+    # the caller and the workers meet once per chunk: the chunk's noise is
+    # drawn, and the buffer the workers fill next has been consumed
+    barrier = threading.Barrier(len(halves) + 1)
+    errors: list[BaseException] = []
+    workers = [threading.Thread(
+        target=_fill_ahead,
+        args=(generators[lo:hi], [noise[index % 2, lo:hi, :chunk]
+                                  for index, (_, chunk) in enumerate(chunks)],
+              sqrt_dt, barrier, errors)) for lo, hi in halves]
+    try:
+        for worker in workers:
+            worker.start()
         for index, (step, chunk) in enumerate(chunks):
-            for future in pending:
-                future.result()
-            pending = draw(index + 1) if index + 1 < len(chunks) else []
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                raise errors[0] from None
             increments = noise[index % 2, :, :chunk].swapaxes(0, 1)
             # `state` may view the last row of `states`, which is written last
             for out, increment in zip(states[:chunk], increments):
@@ -164,6 +187,11 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
                 sums += np.einsum("sij,sij->i", states[first_kept:chunk],
                                   states[first_kept:chunk])
                 kept += chunk - first_kept
+    finally:
+        barrier.abort()
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
     per_trial = sums / kept
     estimate = float(np.mean(per_trial))
     if cfg.trials == 1:

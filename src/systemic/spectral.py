@@ -1,15 +1,28 @@
 """Symmetric eigensolver, Laplacian pseudo-inverse, and the PSD partial order.
 
-eig_sym wraps LAPACK's symmetric eigensolver (syevd, via np.linalg.eigh) in a
-contract: square, finite, symmetric input; ascending eigenvalues; orthonormal
-eigenvectors with a fixed sign convention; and residual and orthonormality
-gates that turn an inaccurate result into NumericalError.  Identical input
-bits give identical output bits on the same machine and BLAS build, which the
-property-check machinery relies on for replayable trials.
+eig_sym wraps LAPACK's symmetric eigensolver (syevd) in a contract: square,
+finite, symmetric input; ascending eigenvalues; a LAPACK failure becomes
+NumericalError. It has two modes, split as numpy splits eigh and eigvalsh:
+
+* full (the default, np.linalg.eigh): orthonormal eigenvectors with a fixed
+  sign convention, and residual and orthonormality gates that turn an
+  inaccurate result into NumericalError;
+* values only (vectors=False, np.linalg.eigvalsh): no eigenvectors and no
+  O(n^3) gate products. A moment gate checks that the eigenvalues are finite
+  and ascending and that their sum and the sum of their squares match the
+  trace and the squared Frobenius norm of the input.
+
+The systemic measures are functions of the nonzero Laplacian eigenvalues
+alone, so graph_spectrum caches values-only spectra, about n floats per
+graph; pseudo_inverse and the weight-allocation gradient use the full mode.
+Identical input bits give identical output bits on the same machine and BLAS
+build in either mode, which the property-check machinery relies on for
+replayable trials.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,19 +35,26 @@ ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 ZERO_TOL_SCALE = 1e-8
 SYMMETRY_TOL = 1e-12
+# safety factor on the n * eps * ||A||_F backward-error bound of syevd
+BACKWARD_ERROR_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues, with orthonormal eigenvector columns in the full mode.
+
+    A values-only spectrum (eig_sym(..., vectors=False)) has eigenvectors and
+    residual None; its eigenvalues passed the moment gate instead.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual: float
+    eigenvectors: np.ndarray | None = None
+    residual: float | None = None
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        if self.eigenvectors is not None:
+            self.eigenvectors.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -54,16 +74,51 @@ def _fix_signs(v: np.ndarray) -> None:
     v[:, leading < 0] *= -1.0
 
 
-def eig_sym(matrix: np.ndarray) -> Spectrum:
-    """Full spectrum of a symmetric matrix, eigenvalues ascending.
+def _check_moments(matrix: np.ndarray, d: np.ndarray) -> None:
+    """The values-only gate: raise NumericalError unless the eigenvalues d of
+    the symmetric `matrix` are finite, ascending, and match its first two
+    moments, trace(A) = sum(d) and ||A||_F^2 = sum(d^2).
 
-    LAPACK syevd (np.linalg.eigh) on the symmetrized matrix; each
-    eigenvector's first nonzero component is made positive.  Identical input
-    bits give identical output bits on the same machine and BLAS build.
+    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta, taken
+    here as BACKWARD_ERROR_FACTOR * n * eps * ||A||_F. By Hoffman-Wielandt the
+    eigenvalue errors e have ||e||_2 <= delta, so the sum is off by at most
+    sqrt(n) * delta and the sum of squares by at most delta * (2 ||A||_F +
+    delta); these bounds also cover the rounding of the sums themselves.
+    The gate catches a shifted, lost or non-finite eigenvalue, a misordered
+    result, and a compensating pair that keeps the trace but not the squares.
+    It cannot catch a corruption that keeps the order and both moments, such
+    as three eigenvalues moved by shifts e_i with sum(e) = 0 and
+    sum(2 d_i e_i + e_i^2) = 0.
+    """
+    if not np.isfinite(d).all():
+        raise NumericalError("eigenvalues are not finite")
+    if np.any(d[1:] < d[:-1]):
+        raise NumericalError("eigenvalues are not ascending")
+    n = d.shape[0]
+    squares = float(np.sum(np.square(matrix)))  # pairwise: rounding O(log n)
+    norm = math.sqrt(squares)
+    delta = BACKWARD_ERROR_FACTOR * n * np.finfo(float).eps * norm
+    trace_error = abs(float(np.sum(d)) - float(np.trace(matrix)))
+    if not trace_error <= math.sqrt(n) * delta:
+        raise NumericalError(f"eigenvalue sum misses the trace by {trace_error:.3e}")
+    square_error = abs(float(np.dot(d, d)) - squares)
+    if not square_error <= delta * (2.0 * norm + delta):
+        raise NumericalError(
+            f"eigenvalue squares miss the Frobenius norm by {square_error:.3e}")
+
+
+def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
+    """Spectrum of a symmetric matrix, eigenvalues ascending.
+
+    LAPACK syevd on the symmetrized matrix: np.linalg.eigh in the full mode,
+    np.linalg.eigvalsh with vectors=False. In the full mode each eigenvector's
+    first nonzero component is made positive, and the residual and
+    orthonormality gates apply; the values-only mode returns eigenvectors
+    None and applies the moment gate (_check_moments). Identical input bits
+    give identical output bits on the same machine and BLAS build.
 
     Raises DimensionError for non-square input, DomainError for non-finite or
-    non-symmetric input, and NumericalError if LAPACK fails or the residual or
-    orthonormality error misses its bound.
+    non-symmetric input, and NumericalError if LAPACK fails or a gate fails.
     """
     m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -74,10 +129,17 @@ def eig_sym(matrix: np.ndarray) -> Spectrum:
     asym = float(np.abs(m - m.T).max(initial=0.0))
     if not asym <= SYMMETRY_TOL * scale:
         raise DomainError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    symmetric = 0.5 * (m + m.T)
     try:
-        d, v = np.linalg.eigh(0.5 * (m + m.T))
+        if not vectors:
+            d = np.linalg.eigvalsh(symmetric)
+        else:
+            d, v = np.linalg.eigh(symmetric)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK eigensolver failed: {exc}") from exc
+    if not vectors:
+        _check_moments(symmetric, d)
+        return Spectrum(eigenvalues=d)
     _fix_signs(v)
     residual = float(np.abs(m @ v - v * d).max(initial=0.0))
     gram_error = float(np.abs(v.T @ v - np.eye(d.shape[0])).max(initial=0.0))
@@ -107,17 +169,19 @@ def _as_matrix(operand: WeightedGraph | Laplacian | np.ndarray) -> np.ndarray:
     return np.asarray(operand, dtype=float)
 
 
-def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray) -> Spectrum:
+def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray, *,
+                       vectors: bool = True) -> Spectrum:
     """Spectrum of a connected-graph Laplacian (or any matrix similar to one).
 
-    The smallest eigenvalue must sit below the zero tolerance; it is snapped
-    to exactly 0.  A second eigenvalue below the tolerance means the graph is
-    disconnected and raises ConnectivityError.
+    eig_sym in the full mode, or values only with vectors=False.  In both
+    modes the smallest eigenvalue must sit below the zero tolerance; it is
+    snapped to exactly 0.  A second eigenvalue below the tolerance means the
+    graph is disconnected and raises ConnectivityError.
     """
     matrix = _as_matrix(operand)
     if matrix.shape[0] < 2:
         raise DomainError("consensus spectra need at least 2 nodes")
-    spec = eig_sym(matrix)
+    spec = eig_sym(matrix, vectors=vectors)
     tol = zero_tolerance(spec.eigenvalues)
     lam = spec.eigenvalues
     if abs(lam[0]) > tol:
@@ -134,8 +198,8 @@ def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray) -> Spect
 
 @lru_cache(maxsize=512)
 def graph_spectrum(graph: WeightedGraph) -> Spectrum:
-    """Cached laplacian_spectrum keyed by the (immutable) graph."""
-    return laplacian_spectrum(graph)
+    """Cached values-only laplacian_spectrum keyed by the (immutable) graph."""
+    return laplacian_spectrum(graph, vectors=False)
 
 
 def pseudo_inverse(operand: WeightedGraph | Laplacian | np.ndarray) -> np.ndarray:
@@ -156,5 +220,5 @@ def psd_order(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    gap = eig_sym(b - a)
+    gap = eig_sym(b - a, vectors=False)
     return bool(gap.eigenvalues[0] >= -tol)

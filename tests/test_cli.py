@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from importlib.resources import files
@@ -47,9 +48,15 @@ class TestMeasure:
         assert report["results"]["value"] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_value_serialized_shortest_roundtrip(self, capsys, graph_files):
+        # the report carries the shortest repr of the in-process value, and
+        # that text parses back to the same bits
+        value = systemic.evaluate(systemic.parse_graph(P3_TEXT),
+                                  systemic.MeasureDescriptor("energy1"))
         cli.main(["measure", "--graph", graph_files["p3"], "--measure", "energy1"])
         out = capsys.readouterr().out
-        assert '"value": 0.6666666666666666' in out
+        assert f'"value": {value!r}\n' in out
+        parsed = json.loads(out)["results"]["value"]
+        assert struct.pack("<d", parsed) == struct.pack("<d", value)
 
     def test_descriptor_params(self, capsys, graph_files):
         code, report, _ = run_cli(capsys, [
@@ -346,6 +353,22 @@ class TestStartup:
             "       or m.startswith('concurrent.futures')])")])
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_simulation_loads_no_executor_or_logging(self, graph_files):
+        # the noise workers run on plain threads: concurrent.futures would
+        # also import logging
+        done = _fresh_python(["-c", (
+            "import json, sys\n"
+            "from systemic import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+            "sys.exit(code)"), "simulate-h2", "--graph", graph_files["p3"],
+            "--dt", "0.01", "--horizon", "20", "--trials", "4", "--seed", "3",
+            "--burn-in", "5"])
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stderr.splitlines()[-1]))
+        assert "systemic.sim" in loaded
+        assert not [m for m in loaded if m.startswith(("concurrent", "logging"))]
 
     def test_hpnorm_numeric_cold(self, graph_files):
         done = _fresh_python(["-m", "systemic.cli", "hpnorm", "--graph", graph_files["k3"],

@@ -238,6 +238,26 @@ class TestEvaluate:
         x = np.array([0.5, 2.0, 7.0])
         assert fn(x) == pytest.approx(fn(x[::-1]), rel=1e-15)
 
+    def test_local_error_on_weak_bridge(self):
+        # a 1e-9 bridge keeps the path connected; local_error reads degrees
+        # only and no eigenvalue threshold can call the bridge a cut
+        graph = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1e-9), (2, 3, 1.0)])
+        value = evaluate(graph, MeasureDescriptor("local_error"))
+        assert value == pytest.approx(0.5 * (2.0 + 2.0 / (1.0 + 1e-9)), rel=1e-15)
+
+    def test_local_error_domain(self):
+        descriptor = MeasureDescriptor("local_error")
+        with pytest.raises(DomainError, match="at least 2 nodes"):
+            evaluate(WeightedGraph(n=1, edges=()), descriptor)
+        with pytest.raises(ConnectivityError):
+            evaluate(WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]), descriptor)
+
+    def test_local_error_runs_no_eigensolve(self, monkeypatch):
+        def fail(graph):
+            raise AssertionError("local_error looked up a spectrum")
+        monkeypatch.setattr(measures, "graph_spectrum", fail)
+        assert evaluate(generate("path", 3), MeasureDescriptor("local_error")) == 1.25
+
     def test_local_error_needs_degrees(self):
         with pytest.raises(DomainError):
             evaluate_eigenvalues(np.array([1.0, 2.0]),

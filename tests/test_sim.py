@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import loop_estimate_h2
+from systemic import sim
 from systemic import (ConfigError, DomainError, MeasureDescriptor, SimConfig,
                       decay_rate, estimate_h2, evaluate, generate,
                       graph_spectrum, simulate_output)
@@ -81,6 +82,13 @@ class TestConfig:
         with pytest.warns(UserWarning, match="burn_in"):
             estimate_h2(p3, cfg)
 
+    def test_no_mixing_warning_at_the_heuristic(self, p3):
+        # lambda_2(P3) = 1, so burn_in = 5 meets 5 / lambda_2 exactly
+        cfg = SimConfig(dt=0.01, horizon=20.0, burn_in=5.0, trials=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_h2(p3, cfg)
+
 
 class TestEstimate:
     def test_k3_within_three_sigma(self, k3):
@@ -145,6 +153,25 @@ class TestPipelinedNoise:
         cfg = SimConfig(dt=1e-2, horizon=30.0, burn_in=2.0, trials=5, seed=4)
         before = threading.active_count()
         estimate_h2(k3, cfg)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing_call", [1, 2, 5])
+    def test_worker_exception_raised_in_caller(self, monkeypatch, k3, failing_call):
+        # calls 1 and 2 fill the first chunk, later calls fill chunks ahead
+        real = sim._fill_noise
+        calls = []
+
+        def flaky(generators, block, sqrt_dt):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise FloatingPointError("noise fill failed")
+            real(generators, block, sqrt_dt)
+
+        monkeypatch.setattr(sim, "_fill_noise", flaky)
+        cfg = SimConfig(dt=1e-2, horizon=40.0, burn_in=2.0, trials=5, seed=4)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="noise fill failed"):
+            estimate_h2(k3, cfg)
         assert threading.active_count() == before
 
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from systemic import (ConnectivityError, DimensionError, DomainError,
                       NumericalError, WeightedGraph, centering_matrix, eig_sym,
-                      generate, graph_add, laplacian, laplacian_spectrum,
-                      pseudo_inverse, psd_order, scalar_mul, zero_tolerance)
+                      generate, graph_add, graph_spectrum, laplacian,
+                      laplacian_spectrum, pseudo_inverse, psd_order, scalar_mul,
+                      zero_tolerance)
 
 from helpers import random_connected
 
@@ -242,3 +243,114 @@ class TestInterlacing:
         new = laplacian_spectrum(bigger).eigenvalues
         assert np.all(new >= old - 1e-9)
         assert np.all(new[:-1] <= old[1:] + 1e-9)
+
+
+CATALOG_FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
+
+
+def _family_graph(family: str, n: int) -> WeightedGraph:
+    if family == "erdos_renyi":
+        return generate(family, n, seed=n, p=min(1.0, 8.0 / n), weight_range=(0.5, 2.0))
+    return generate(family, n)
+
+
+class TestValuesOnlyContract:
+    """eig_sym(..., vectors=False): the moment gate around np.linalg.eigvalsh."""
+
+    @staticmethod
+    def _patch_eigvalsh(monkeypatch, corrupt):
+        real = np.linalg.eigvalsh
+
+        def fake(a):
+            return corrupt(real(a).copy())
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+
+    def _corrupt_raises(self, monkeypatch, corrupt, match):
+        self._patch_eigvalsh(monkeypatch, corrupt)
+        matrix = laplacian(generate("erdos_renyi", 8, seed=3, p=0.5)).matrix
+        with pytest.raises(NumericalError, match=match):
+            eig_sym(matrix, vectors=False)
+        with pytest.raises(NumericalError, match=match):
+            laplacian_spectrum(matrix, vectors=False)
+
+    def test_shifted_top_value_rejected(self, monkeypatch):
+        def shift(values):
+            values[-1] += 1e-6
+            return values
+        self._corrupt_raises(monkeypatch, shift, "trace")
+
+    def test_compensating_pair_rejected(self, monkeypatch):
+        # the trace holds; the sum of squares moves by about 2e-6 (lam_max - lam_2)
+        def pair(values):
+            values[-1] += 1e-6
+            values[1] -= 1e-6
+            return values
+        self._corrupt_raises(monkeypatch, pair, "Frobenius")
+
+    def test_nan_rejected(self, monkeypatch):
+        def poison(values):
+            values[3] = np.nan
+            return values
+        self._corrupt_raises(monkeypatch, poison, "finite")
+
+    def test_unsorted_rejected(self, monkeypatch):
+        self._corrupt_raises(monkeypatch, lambda values: values[::-1].copy(), "ascending")
+
+    def test_lapack_failure_becomes_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(_random_symmetric(6, 4), vectors=False)
+
+    def test_same_input_contract(self):
+        with pytest.raises(DimensionError):
+            eig_sym(np.zeros((2, 3)), vectors=False)
+        with pytest.raises(DomainError, match="non-finite"):
+            eig_sym(np.array([[1.0, np.nan], [np.nan, 1.0]]), vectors=False)
+        with pytest.raises(DomainError, match="symmetric"):
+            eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]), vectors=False)
+
+    def test_no_vectors_and_no_residual(self):
+        spectrum = eig_sym(_random_symmetric(2, 5), vectors=False)
+        assert spectrum.eigenvectors is None and spectrum.residual is None
+        assert not spectrum.eigenvalues.flags.writeable
+
+    def test_zero_and_empty_matrices(self):
+        assert np.array_equal(eig_sym(np.zeros((4, 4)), vectors=False).eigenvalues,
+                              np.zeros(4))
+        assert eig_sym(np.zeros((0, 0)), vectors=False).eigenvalues.shape == (0,)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_no_false_alarm_on_k1000(self, scale):
+        matrix = scale * laplacian(generate("complete", 1000)).matrix
+        values = laplacian_spectrum(matrix, vectors=False).eigenvalues
+        assert np.abs(values[1:] - 1000.0 * scale).max() <= 1e-12 * 1000.0 * scale
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    @pytest.mark.parametrize("family", CATALOG_FAMILIES)
+    def test_no_false_alarm_on_scaled_weights(self, family, scale):
+        graph = scalar_mul(scale, _family_graph(family, 200))
+        laplacian_spectrum(graph, vectors=False)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200, 400])
+    def test_no_false_alarm_on_random_symmetric(self, n):
+        for seed in range(3):
+            eig_sym(_random_symmetric(5000 + 10 * n + seed, n), vectors=False)
+
+    @pytest.mark.parametrize("n", [3, 10, 200])
+    @pytest.mark.parametrize("family", CATALOG_FAMILIES)
+    def test_agrees_with_full_mode(self, family, n):
+        graph = _family_graph(family, n)
+        full = laplacian_spectrum(graph).eigenvalues
+        values = laplacian_spectrum(graph, vectors=False).eigenvalues
+        assert values[0] == 0.0
+        assert np.abs(values - full).max() <= 1e-12 * full[-1]
+
+    def test_graph_spectrum_holds_no_vectors(self):
+        graph = random_connected(12)
+        spectrum = graph_spectrum(graph)
+        assert spectrum.eigenvectors is None
+        assert np.array_equal(spectrum.eigenvalues,
+                              laplacian_spectrum(graph, vectors=False).eigenvalues)
