@@ -28,7 +28,7 @@ from .errors import NumericalError, SolverError, SystemicError
 from .graphs import (WeightedGraph, is_connected, laplacian, parse_graph,
                      serialize_graph, spanning_tree_count)
 from .measures import ENTROPY_FORM_WARNING, MeasureDescriptor
-from .spectral import graph_spectrum, laplacian_spectrum, zero_tolerance
+from .spectral import eigenvalue_error_bound, graph_spectrum, laplacian_spectrum
 
 SCHEMA_VERSION = "1.0.0"
 BOUND_BREACH_TOL = 1e-9
@@ -342,7 +342,7 @@ def _run_validate(args) -> tuple[dict, int]:
     }
     if connected and graph.n >= 2:
         spectrum = laplacian_spectrum(graph)  # the full mode: it has a residual
-        tol = zero_tolerance(spectrum.eigenvalues)
+        tol = eigenvalue_error_bound(lap.matrix)
         results["zero_eigenvalue_count"] = int(
             np.sum(np.abs(spectrum.eigenvalues) <= tol))
         results["algebraic_connectivity"] = float(spectrum.nonzero[0])

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
                      ScaleError, SolverError)
-from .graphs import WeightedGraph, _check_edges, _check_node_count, _connected
+from .graphs import (WeightedGraph, _check_edges, _check_node_count, _connected,
+                     _degree_vector, _edge_error, _laplacian_matrix)
 from .measures import (_MEASURES, MeasureDescriptor, evaluate,
                        evaluate_eigenvalues, get_spectral_function)
 from .spectral import Spectrum, graph_spectrum, laplacian_spectrum
@@ -37,50 +38,51 @@ class Topology:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
-        if len(set(normalized)) != len(normalized):
-            raise DomainError("topology has duplicate edges")
-        object.__setattr__(self, "edges", normalized)
+        edges = tuple(self.edges)
         try:
             # (m, 2) endpoint array; raveled it interleaves u0, v0, u1, v1, ...
             # index() refuses floats, which an intp array would truncate
-            pairs = np.fromiter(map(index, itertools.chain.from_iterable(normalized)),
-                                dtype=np.intp, count=2 * len(normalized)).reshape(-1, 2)
+            pairs = np.fromiter(map(index, itertools.chain.from_iterable(edges)),
+                                dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
         except TypeError as exc:
             raise GraphFormatError(f"topology endpoints must be integers: {exc}") from None
+        pairs.sort(axis=1)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        if (pairs[1:] == pairs[:-1]).all(axis=1).any():
+            raise DomainError("topology has duplicate edges")
         pairs.setflags(write=False)
-        object.__setattr__(self, "_pairs", pairs)
         # a graph's node count and endpoint checks, on unit weights
         us, vs = pairs.T
         _check_node_count(self.n)
-        _check_edges(self.n, us, vs, np.ones(len(normalized)),
-                     lambda i: (*normalized[i], 1.0))
+        _check_edges(self.n, us, vs, np.ones(len(pairs)), lambda i, defect: _edge_error(
+            defect, self.n, int(us[i]), int(vs[i]), 1.0))
         if not _connected(self.n, us, vs):
             raise ConnectivityError("topology is disconnected under positive weights")
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "edges", tuple(zip(us.tolist(), vs.tolist())))
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "Topology":
-        return cls(n=graph.n, edges=tuple((u, v) for u, v, _ in graph.edges))
+        return cls(n=graph.n, edges=tuple(zip(graph._us.tolist(), graph._vs.tolist())))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._pairs)
+
+    def degrees_of(self, weights: np.ndarray) -> np.ndarray:
+        # in edge order, as a graph with these weights sums its degrees
+        return _degree_vector(self.n, self._pairs.ravel(), np.asarray(weights, dtype=float))
 
     def laplacian_of(self, weights: np.ndarray) -> np.ndarray:
-        # bincount sums each degree in edge order, as accumulating edge by
-        # edge would; 0.0 - w keeps a zero weight's off-diagonal at +0.0
         weights = np.asarray(weights, dtype=float)
         us, vs = self._pairs.T
-        matrix = np.diag(np.bincount(self._pairs.ravel(), weights=np.repeat(weights, 2),
-                                     minlength=self.n))
-        off_diagonal = 0.0 - weights
-        matrix[us, vs] = off_diagonal
-        matrix[vs, us] = off_diagonal
-        return matrix
+        return _laplacian_matrix(us, vs, weights, self.degrees_of(weights))
 
     def graph_of(self, weights: np.ndarray) -> WeightedGraph:
-        return WeightedGraph.from_edges(
-            self.n, [(u, v, w) for (u, v), w in zip(self.edges, weights) if w > 0.0])
+        weights = np.asarray(weights, dtype=float)
+        support = weights > 0.0
+        us, vs = self._pairs.T
+        return WeightedGraph._from_arrays(self.n, us[support], vs[support], weights[support])
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -135,7 +137,17 @@ class _Objective:
         self.measure = measure
         self.entry = _MEASURES[measure.id]
 
-    def _evaluate(self, weights: np.ndarray) -> tuple[Spectrum, np.ndarray, float]:
+    def _evaluate(self, weights: np.ndarray) -> tuple[Spectrum | None, np.ndarray, float]:
+        """The spectrum (None for a degree-based measure, which needs no
+        eigensolve), the degree vector and the value; ConnectivityError when
+        the weights disconnect the graph."""
+        if not self.entry.spectral:
+            weights = np.asarray(weights, dtype=float)
+            us, vs = self.topology._pairs[weights > 0.0].T
+            if not _connected(self.topology.n, us, vs):
+                raise ConnectivityError("the weights disconnect the topology")
+            degrees = self.topology.degrees_of(weights)
+            return None, degrees, self.entry.value(degrees, self.measure)
         matrix = self.topology.laplacian_of(weights)
         spectrum = laplacian_spectrum(matrix)
         degrees = np.diag(matrix)
@@ -385,10 +397,6 @@ def _sum_measure(graph: WeightedGraph, fn) -> float:
     return float(np.sum(fn.fn(graph_spectrum(graph).nonzero)))
 
 
-def _with_edge(graph: WeightedGraph, edge: tuple[int, int, float]) -> WeightedGraph:
-    return WeightedGraph(n=graph.n, edges=graph.edges + (edge,))
-
-
 def greedy_augment(graph: WeightedGraph, k: int,
                    candidates: list[tuple[int, int, float]], f_id: str,
                    mode: str = "greedy") -> AugmentationReport:
@@ -423,10 +431,10 @@ def greedy_augment(graph: WeightedGraph, k: int,
             if not usable:
                 break
             scored = sorted(
-                ((_sum_measure(_with_edge(current, c), fn), c) for c in usable),
+                ((_sum_measure(current._with_edges((c,)), fn), c) for c in usable),
                 key=lambda pair: (pair[0], pair[1]))
             best_value, best_edge = scored[0]
-            current = _with_edge(current, best_edge)
+            current = current._with_edges((best_edge,))
             added.append(best_edge)
             pool.remove(best_edge)
         achieved = _sum_measure(current, fn)
@@ -441,8 +449,7 @@ def greedy_augment(graph: WeightedGraph, k: int,
                 pairs = [(u, v) for u, v, _ in subset]
                 if len(set(pairs)) != len(pairs) or any(p in existing for p in pairs):
                     continue
-                candidate_graph = WeightedGraph(n=graph.n, edges=graph.edges + subset)
-                value = _sum_measure(candidate_graph, fn)
+                value = _sum_measure(graph._with_edges(subset), fn)
                 if best is None or (value, subset) < best:
                     best = (value, subset)
         achieved, chosen = best

@@ -1,23 +1,30 @@
 """Weighted undirected graphs: parsing, generators, Laplacians, graph algebra.
 
-Graphs are finite, simple, undirected and positively weighted.  Edges are
-stored canonically as (int, int, float) tuples with u < v, sorted by (u, v),
-which makes equality, hashing and serialization deterministic.  A graph is
-immutable and built from endpoint and weight arrays: one constructor checks
-them with vectorized masks and stores the edge tuple, its hash and the
-read-only arrays once.  Laplacians and connectivity read those arrays.
+Graphs are finite, simple, undirected and positively weighted.  A graph is
+immutable, and three read-only arrays are its one representation: the
+endpoints u < v (intp), sorted by (u, v), and the weights (float64), all
+strictly positive and finite.  Equal graphs therefore have equal array bytes,
+so equality compares the arrays and the hash, stored at construction, comes
+from n and those bytes.  Every route in (the constructor, from_edges,
+parse_graph, generate and the graph algebra) checks the arrays once, through
+_check_edges, and stores the connectivity flag beside them.  The Laplacian,
+the degrees and connectivity read the arrays; the (int, int, float) edge tuple
+is built only when `edges` is first read.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index, itemgetter, pos
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, GenerationError, GraphFormatError
+from .errors import (DimensionError, DomainError, GenerationError, GraphFormatError,
+                     SystemicError)
 
 Edge = tuple[int, int, float]
 
@@ -44,11 +51,14 @@ def _integer_columns(edges: Sequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-                 label: Callable[[int], tuple]) -> np.ndarray | None:
-    """Raise for the first defective edge in input order, naming it by
-    label(i), with the checks in per-edge order: self-loop, range, weight,
-    duplicate.  Return the permutation that sorts the edges by (u, v), or
-    None when they already are."""
+                 error: Callable[[int, str], SystemicError]) -> np.ndarray | None:
+    """Raise error(i, defect) for the first defective edge i in input order.
+
+    Each edge is checked for, in this order, a "self-loop", an endpoint out of
+    "range" (0 <= u < v < n), a "weight" that is not positive and finite, and
+    a "duplicate" of an earlier pair.  Return the permutation that sorts the
+    edges by (u, v), or None when they already are.
+    """
     loops = us == vs
     outside = ~((0 <= us) & (us < vs) & (vs < n))
     weak = ~((ws > 0.0) & np.isfinite(ws))
@@ -62,15 +72,21 @@ def _check_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
         bad[order[1:]] |= (su[1:] == su[:-1]) & (sv[1:] == sv[:-1])
     if bad.any():
         i = int(np.argmax(bad))
-        u, v, w = label(i)
-        if loops[i]:
-            raise GraphFormatError(f"self-loop at node {u}")
-        if outside[i]:
-            raise GraphFormatError(f"edge ({u}, {v}) needs 0 <= u < v < {n}")
-        if weak[i]:
-            raise DomainError(f"edge ({u}, {v}) has non-positive weight {w}")
-        raise GraphFormatError(f"duplicate edge ({u}, {v})")
+        defect = ("self-loop" if loops[i] else "range" if outside[i]
+                  else "weight" if weak[i] else "duplicate")
+        raise error(i, defect)
     return order
+
+
+def _edge_error(defect: str, n: int, u, v, w) -> SystemicError:
+    """The graph constructors' error for a defective edge (u, v, w)."""
+    if defect == "self-loop":
+        return GraphFormatError(f"self-loop at node {u}")
+    if defect == "range":
+        return GraphFormatError(f"edge ({u}, {v}) needs 0 <= u < v < {n}")
+    if defect == "weight":
+        return DomainError(f"edge ({u}, {v}) has non-positive weight {w}")
+    return GraphFormatError(f"duplicate edge ({u}, {v})")
 
 
 def _connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
@@ -103,16 +119,37 @@ def _connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
         high, low = np.maximum(ru, rv)[joins], np.minimum(ru, rv)[joins]
 
 
-@dataclass(frozen=True)
+def _degree_vector(n: int, endpoints: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Weighted degrees.  endpoints interleaves u0, v0, u1, v1, ..., so bincount
+    adds each weight to both ends of its edge in edge order, as a loop would."""
+    return np.bincount(endpoints, weights=np.repeat(ws, 2), minlength=n)
+
+
+def _laplacian_matrix(us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                      degrees: np.ndarray) -> np.ndarray:
+    """Dense Laplacian: the degrees on the diagonal, each edge's 0.0 - w off
+    it (so a zero weight leaves +0.0, as an untouched entry does)."""
+    matrix = np.diag(degrees)
+    off_diagonal = 0.0 - ws
+    matrix[us, vs] = off_diagonal
+    matrix[vs, us] = off_diagonal
+    return matrix
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class WeightedGraph:
-    """Simple undirected graph with strictly positive edge weights."""
+    """Simple undirected graph with strictly positive edge weights.
+
+    WeightedGraph(n, edges) takes (u, v, w) triples with integer endpoints,
+    u < v, in any order.  Graphs are equal when they have the same n and the
+    same weighted edges.
+    """
 
     n: int
-    edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        _check_node_count(self.n)
-        edges = self.edges
+    def __init__(self, n: int, edges: Sequence[Edge]):
+        _check_node_count(n)
+        edges = tuple(edges)
         _check_arity(edges)
         try:
             us, vs = _integer_columns(edges)
@@ -128,46 +165,66 @@ class WeightedGraph:
             integral = False
         # unary plus refuses str and None, which fromiter would parse or read as nan
         ws = np.fromiter(map(pos, map(itemgetter(2), edges)), dtype=float, count=len(edges))
-        order = _check_edges(self.n, us, vs, ws, edges.__getitem__)
+        order = _check_edges(n, us, vs, ws,
+                             lambda i, defect: _edge_error(defect, n, *edges[i]))
         if not integral:
             # raises, for the first non-integer endpoint in sorted order
             _integer_columns(sorted(edges))
-        self._store(us, vs, ws, order)
+        object.__setattr__(self, "n", n)
+        self._store(us, vs, ws, order, None)
 
     @classmethod
-    def _from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray,
-                     ws: np.ndarray) -> "WeightedGraph":
+    def _from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                     connected: bool | None = None,
+                     error: Callable[[int, str], SystemicError] | None = None
+                     ) -> "WeightedGraph":
         """Build a graph from integer endpoint and float weight arrays, which
-        it takes over and makes read-only."""
+        it takes over and makes read-only.  connected, when given, is the
+        caller's verdict on the edges (us, vs); error names a defective edge
+        (by default, as the constructor does)."""
         _check_node_count(n)
-        order = _check_edges(n, us, vs, ws,
-                             lambda i: (int(us[i]), int(vs[i]), float(ws[i])))
+        if error is None:
+            def error(i, defect):
+                return _edge_error(defect, n, int(us[i]), int(vs[i]), float(ws[i]))
+        order = _check_edges(n, us, vs, ws, error)
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
-        graph._store(us, vs, ws, order)
+        graph._store(us, vs, ws, order, connected)
         return graph
 
     def _store(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-               order: np.ndarray | None) -> None:
+               order: np.ndarray | None, connected: bool | None) -> None:
         if order is not None:
             us, vs, ws = us[order], vs[order], ws[order]
         us, vs, ws = (np.ascontiguousarray(array, dtype=dtype) for array, dtype in
                       ((us, np.intp), (vs, np.intp), (ws, float)))
-        edges = tuple(zip(us.tolist(), vs.tolist(), ws.tolist()))
-        object.__setattr__(self, "edges", edges)
-        # the value the generated dataclass hash would recompute on every call
-        object.__setattr__(self, "_hash", hash((self.n, edges)))
         for name, array in (("_us", us), ("_vs", vs), ("_ws", ws)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "_hash",
+                           hash((self.n, us.tobytes(), vs.tobytes(), ws.tobytes())))
+        if connected is None:
+            connected = _connected(self.n, us, vs)
+        object.__setattr__(self, "_is_connected", connected)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.n == other.n
+                and np.array_equal(self._us, other._us)
+                and np.array_equal(self._vs, other._vs)
+                and np.array_equal(self._ws, other._ws))
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, edges={self.edges!r})"
+
     def __reduce__(self):
-        # rebuild through __init__, so copies and unpickled graphs recompute
-        # the stored hash and arrays instead of carrying them over
-        return type(self), (self.n, self.edges)
+        # rebuild from the arrays, so copies and unpickled graphs are checked
+        # and recompute the stored hash and flag instead of carrying them over
+        return type(self)._from_arrays, (self.n, self._us, self._vs, self._ws)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
@@ -182,12 +239,36 @@ class WeightedGraph:
         ws = np.fromiter(map(float, map(itemgetter(2), edges)), dtype=float, count=len(edges))
         return cls._from_arrays(n, np.minimum(us, vs), np.maximum(us, vs), ws)
 
+    def _with_edges(self, edges: Sequence[Edge]) -> "WeightedGraph":
+        """This graph plus the (u, v, w) edges, u < v, checked as the
+        constructor checks them; a connected graph stays connected."""
+        if not edges:
+            return self
+        us, vs, ws = zip(*edges)
+        return type(self)._from_arrays(
+            self.n, np.concatenate((self._us, np.array(us, dtype=np.intp))),
+            np.concatenate((self._vs, np.array(vs, dtype=np.intp))),
+            np.concatenate((self._ws, np.array(ws, dtype=float))),
+            connected=self._is_connected or None)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The (u, v, w) triples, u < v, sorted by (u, v); built on first read."""
+        return tuple(zip(self._us.tolist(), self._vs.tolist(), self._ws.tolist()))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Weighted degree vector (read-only), summed on first read, so that
+        a graph holds 24 bytes per edge until a Laplacian or a degree-based
+        measure needs it."""
+        degrees = _degree_vector(self.n, np.column_stack((self._us, self._vs)).ravel(),
+                                 self._ws)
+        degrees.setflags(write=False)
+        return degrees
+
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def weight_map(self) -> dict[tuple[int, int], float]:
-        return {(u, v): w for u, v, w in self.edges}
+        return self._us.size
 
 
 @dataclass(frozen=True)
@@ -207,14 +288,10 @@ class Laplacian:
 
 
 def laplacian(graph: WeightedGraph) -> Laplacian:
-    """Assemble the Laplacian as degree matrix minus adjacency matrix."""
-    n = graph.n
-    adjacency = np.zeros((n, n))
-    adjacency[graph._us, graph._vs] = graph._ws
-    adjacency[graph._vs, graph._us] = graph._ws
-    degrees = adjacency.sum(axis=1)
-    matrix = np.diag(degrees) - adjacency
-    return Laplacian(matrix=matrix, degrees=degrees)
+    """Assemble the Laplacian from the graph's degree vector and edge weights."""
+    degrees = graph.degrees
+    return Laplacian(matrix=_laplacian_matrix(graph._us, graph._vs, graph._ws, degrees),
+                     degrees=degrees)
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -226,22 +303,28 @@ def graph_add(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     """Edge union; weights of shared edges add, so Laplacians add exactly."""
     if g1.n != g2.n:
         raise DimensionError(f"node counts differ: {g1.n} vs {g2.n}")
-    weights = g1.weight_map()
-    for (u, v), w in g2.weight_map().items():
-        weights[(u, v)] = weights.get((u, v), 0.0) + w
-    return WeightedGraph(n=g1.n, edges=tuple((u, v, w) for (u, v), w in weights.items()))
+    us = np.concatenate((g1._us, g2._us))
+    vs = np.concatenate((g1._vs, g2._vs))
+    keys, first, pair = np.unique(us * g1.n + vs, return_index=True, return_inverse=True)
+    # bincount adds from 0.0, so a shared edge gets w1 + w2 and any other its own w
+    weights = np.bincount(pair, weights=np.concatenate((g1._ws, g2._ws)), minlength=keys.size)
+    return WeightedGraph._from_arrays(g1.n, us[first], vs[first], weights,
+                                      connected=(g1._is_connected or g2._is_connected) or None)
 
 
 def scalar_mul(alpha: float, graph: WeightedGraph) -> WeightedGraph:
     """Scale every edge weight by alpha > 0."""
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise DomainError(f"scale factor must be positive, got {alpha}")
-    return WeightedGraph(n=graph.n, edges=tuple((u, v, alpha * w) for u, v, w in graph.edges))
+    with np.errstate(over="ignore"):  # an overflow to inf is named by the check
+        weights = alpha * graph._ws
+    return WeightedGraph._from_arrays(graph.n, graph._us, graph._vs, weights,
+                                      connected=graph._is_connected)
 
 
 def is_connected(graph: WeightedGraph) -> bool:
     """True iff the graph has a single connected component (weights ignored)."""
-    return _connected(graph.n, graph._us, graph._vs)
+    return graph._is_connected
 
 
 def spanning_tree_count(graph: WeightedGraph, drop_index: int = 0) -> float:
@@ -261,54 +344,102 @@ def spanning_tree_count(graph: WeightedGraph, drop_index: int = 0) -> float:
     return float(np.linalg.det(reduced))
 
 
+def _line_error(defect: str, n: int, u: int, v: int, w: float, line: int) -> SystemicError:
+    """parse_graph's error for a defective edge (u, v, w), u <= v, on a line."""
+    if defect == "self-loop":
+        return GraphFormatError(f"self-loop at node {u}", line=line)
+    if defect == "range":
+        return GraphFormatError(f"edge ({u}, {v}) references a node >= n={n}", line=line)
+    if defect == "weight":
+        return DomainError(f"line {line}: weight must be positive, got {w}")
+    return GraphFormatError(f"duplicate edge ({u}, {v})", line=line)
+
+
+def _edge_columns(flat: list[str]) -> tuple[np.ndarray, ...] | None:
+    """The u, v and w columns of `u v w` rows given as one flat token list,
+    or None when int() or float() rejects a token or an endpoint does not
+    fit in intp."""
+    try:
+        return (*(np.fromiter(map(int, flat[column::3]), dtype=np.intp,
+                              count=len(flat) // 3) for column in (0, 1)),
+                np.fromiter(map(float, flat[2::3]), dtype=float, count=len(flat) // 3))
+    except (ValueError, OverflowError):
+        return None
+
+
+# The header and single-space `u v w` lines only, as serialize_graph writes
+# them: no line is blank or a comment, so one split of the body yields the
+# tokens of every edge line.
+_PLAIN = re.compile(r"n (\S+)\n((?:[^\s#]\S* \S+ \S+\n)*)")
+
+
 def parse_graph(text: str) -> WeightedGraph:
-    """Parse the edge-list format: comments (#), an `n <count>` header, then `u v w` lines."""
-    n: int | None = None
-    edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 2 or tokens[0] != "n":
-                raise GraphFormatError("expected header `n <count>`", line=lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise GraphFormatError(f"bad node count {tokens[1]!r}", line=lineno)
-            if n < 1:
-                raise GraphFormatError(f"node count must be positive, got {n}", line=lineno)
-            continue
-        if len(tokens) != 3:
-            raise GraphFormatError("expected `u v w`", line=lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-            w = float(tokens[2])
-        except ValueError:
-            raise GraphFormatError(f"cannot parse edge line {line!r}", line=lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at node {u}", line=lineno)
-        if u > v:
-            u, v = v, u
-        if not (0 <= u and v < n):
-            raise GraphFormatError(f"edge ({u}, {v}) references a node >= n={n}", line=lineno)
-        if w <= 0 or not math.isfinite(w):
-            raise DomainError(f"line {lineno}: weight must be positive, got {w}")
-        if (u, v) in seen:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})", line=lineno)
-        seen.add((u, v))
-        edges.append((u, v, w))
-    if n is None:
-        raise GraphFormatError("empty input: missing `n <count>` header")
-    return WeightedGraph(n=n, edges=tuple(edges))
+    """Parse the edge-list format: comments (#), an `n <count>` header, then `u v w` lines.
+
+    The edge lines are read into arrays and checked once, by _check_edges;
+    an error names the first defective line.
+    """
+    plain = _PLAIN.fullmatch(text)
+    if plain is not None:
+        count, header_line = plain[1], 1
+        flat = plain[2].split()
+        rows = None
+        numbers = range(2, 2 + len(flat) // 3)
+    else:
+        rows, numbers = [], []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split()
+            if tokens and not tokens[0].startswith("#"):
+                rows.append(tokens)
+                numbers.append(lineno)
+        if not rows:
+            raise GraphFormatError("empty input: missing `n <count>` header")
+        header, header_line = rows.pop(0), numbers.pop(0)
+        if len(header) != 2 or header[0] != "n":
+            raise GraphFormatError("expected header `n <count>`", line=header_line)
+        count = header[1]
+        flat = list(itertools.chain.from_iterable(rows)) if set(map(len, rows)) <= {3} \
+            else None
+    try:
+        n = int(count)
+    except ValueError:
+        raise GraphFormatError(f"bad node count {count!r}", line=header_line)
+    if n < 1:
+        raise GraphFormatError(f"node count must be positive, got {n}", line=header_line)
+
+    def check(us, vs, ws) -> WeightedGraph:
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        return WeightedGraph._from_arrays(
+            n, lo, hi, ws, error=lambda i, defect: _line_error(
+                defect, n, int(lo[i]), int(hi[i]), float(ws[i]), numbers[i]))
+
+    columns = None if flat is None else _edge_columns(flat)
+    if columns is not None:
+        return check(*columns)
+    # a row that does not convert: the rows before it are checked first
+    if rows is None:
+        rows = [flat[i:i + 3] for i in range(0, len(flat), 3)]
+    first = next(i for i, row in enumerate(rows)
+                 if len(row) != 3 or _edge_columns(row) is None)
+    check(*_edge_columns(list(itertools.chain.from_iterable(rows[:first]))))
+    tokens, lineno = rows[first], numbers[first]
+    if len(tokens) != 3:
+        raise GraphFormatError("expected `u v w`", line=lineno)
+    try:
+        u, v, w = int(tokens[0]), int(tokens[1]), float(tokens[2])
+    except ValueError:
+        line = text.splitlines()[lineno - 1].strip()
+        raise GraphFormatError(f"cannot parse edge line {line!r}", line=lineno)
+    # an endpoint beyond intp: a self-loop, or out of range for any usable n
+    u, v = min(u, v), max(u, v)
+    raise _line_error("self-loop" if u == v else "range", n, u, v, w, lineno)
 
 
 def serialize_graph(graph: WeightedGraph) -> str:
     """Inverse of parse_graph; weights printed with 17 significant digits."""
     lines = [f"n {graph.n}"]
-    lines.extend(f"{u} {v} {w:.17g}" for u, v, w in graph.edges)
+    lines.extend(f"{u} {v} {w:.17g}" for u, v, w in
+                 zip(graph._us.tolist(), graph._vs.tolist(), graph._ws.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -353,12 +484,13 @@ def generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
         for _ in range(max_retries):
             mask = rng.random(all_us.size) < p
             weights = _edge_weights(rng, int(np.count_nonzero(mask)), weight_range)
-            graph = WeightedGraph._from_arrays(n, all_us[mask], all_vs[mask], weights)
-            if is_connected(graph):
-                return graph
+            us, vs = all_us[mask], all_vs[mask]
+            if _connected(n, us, vs):
+                return WeightedGraph._from_arrays(n, us, vs, weights, connected=True)
         raise GenerationError(
             f"no connected draw in {max_retries} tries (n={n}, p={p})")
     else:
         raise DomainError(f"unknown family {family!r}")
     weights = _edge_weights(rng, us.size, weight_range)
-    return WeightedGraph._from_arrays(n, us, vs, weights)
+    # the four fixed families are connected for every n they accept
+    return WeightedGraph._from_arrays(n, us, vs, weights, connected=True)

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConnectivityError, DomainError, NumericalError
-from .graphs import WeightedGraph, is_connected, laplacian, spanning_tree_count
+from .graphs import WeightedGraph, is_connected, spanning_tree_count
 from .spectral import graph_spectrum
 
 ENTROPY_FORM_WARNING = (
@@ -443,8 +443,9 @@ def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor,
 def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
     """Evaluate a catalog measure on a connected weighted graph.
 
-    A degree-based measure needs no eigensolve: connectivity is decided by
-    is_connected, so a weak but present bridge does not count as a cut.
+    A degree-based measure needs no eigensolve: it reads the graph's degree
+    vector and its connectivity flag, so a weak but present bridge does not
+    count as a cut.
     """
     entry = _MEASURES[measure.id]
     if entry.spectral:
@@ -453,7 +454,7 @@ def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
         raise DomainError("consensus measures need at least 2 nodes")
     if not is_connected(graph):
         raise ConnectivityError(f"{measure.id} needs a connected graph")
-    return entry.value(laplacian(graph).degrees, measure)
+    return entry.value(graph.degrees, measure)
 
 
 def spectral_form(measure: MeasureDescriptor) -> Callable[[np.ndarray], float]:

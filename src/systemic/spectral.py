@@ -18,6 +18,12 @@ graph; pseudo_inverse and the weight-allocation gradient use the full mode.
 Identical input bits give identical output bits on the same machine and BLAS
 build in either mode, which the property-check machinery relies on for
 replayable trials.
+
+laplacian_spectrum takes a graph's connectivity from the graph itself, an
+exact combinatorial fact, so a weak but present bridge is not called a cut;
+it only checks that the solve resolves the zero and the second eigenvalue
+within eigenvalue_error_bound. Raw matrices carry no such fact and keep the
+relative zero tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConnectivityError, DimensionError, DomainError, NumericalError
-from .graphs import Laplacian, WeightedGraph, laplacian
+from .graphs import Laplacian, WeightedGraph, is_connected, laplacian
 
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -169,27 +175,56 @@ def _as_matrix(operand: WeightedGraph | Laplacian | np.ndarray) -> np.ndarray:
     return np.asarray(operand, dtype=float)
 
 
+def eigenvalue_error_bound(matrix: np.ndarray) -> float:
+    """delta = BACKWARD_ERROR_FACTOR * n * eps * ||A||_F for a symmetric matrix A.
+
+    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta, so by
+    Weyl each computed eigenvalue is within delta of the exact one; an
+    eigenvalue within delta of zero cannot be told from zero.
+    """
+    norm = math.sqrt(float(np.sum(np.square(matrix))))
+    return BACKWARD_ERROR_FACTOR * matrix.shape[0] * np.finfo(float).eps * norm
+
+
 def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray, *,
                        vectors: bool = True) -> Spectrum:
     """Spectrum of a connected-graph Laplacian (or any matrix similar to one).
 
-    eig_sym in the full mode, or values only with vectors=False.  In both
-    modes the smallest eigenvalue must sit below the zero tolerance; it is
-    snapped to exactly 0.  A second eigenvalue below the tolerance means the
-    graph is disconnected and raises ConnectivityError.
+    eig_sym in the full mode, or values only with vectors=False; the smallest
+    eigenvalue is snapped to exactly 0.
+
+    A WeightedGraph brings its exact connectivity flag: a disconnected graph
+    raises ConnectivityError before any eigensolve, and the zero eigenvalue
+    and the second one are judged against eigenvalue_error_bound.  A smallest
+    eigenvalue beyond the bound, or a second one not above it, means the solve
+    cannot resolve the spectrum of this connected graph: NumericalError.
+
+    Any other operand is judged by the relative zero tolerance: the smallest
+    eigenvalue must sit below it (DomainError otherwise), and a second
+    eigenvalue below it means the matrix is disconnected (ConnectivityError).
     """
+    is_graph = isinstance(operand, WeightedGraph)
+    if is_graph and operand.n >= 2 and not is_connected(operand):
+        raise ConnectivityError("graph is disconnected")
     matrix = _as_matrix(operand)
     if matrix.shape[0] < 2:
         raise DomainError("consensus spectra need at least 2 nodes")
     spec = eig_sym(matrix, vectors=vectors)
-    tol = zero_tolerance(spec.eigenvalues)
     lam = spec.eigenvalues
-    if abs(lam[0]) > tol:
-        raise DomainError(
-            f"smallest eigenvalue {lam[0]:.3e} is not a structural zero (tol {tol:.3e})")
-    if lam[1] <= tol:
-        raise ConnectivityError(
-            f"second eigenvalue {lam[1]:.3e} below tolerance {tol:.3e}: graph is disconnected")
+    if is_graph:
+        delta = eigenvalue_error_bound(matrix)
+        if not (abs(lam[0]) <= delta and lam[1] > delta):
+            raise NumericalError(
+                f"eigenvalues {lam[0]:.3e}, {lam[1]:.3e} of a connected graph are not "
+                f"resolved by the solve's error bound {delta:.3e}")
+    else:
+        tol = zero_tolerance(lam)
+        if abs(lam[0]) > tol:
+            raise DomainError(
+                f"smallest eigenvalue {lam[0]:.3e} is not a structural zero (tol {tol:.3e})")
+        if lam[1] <= tol:
+            raise ConnectivityError(f"second eigenvalue {lam[1]:.3e} below tolerance "
+                                    f"{tol:.3e}: graph is disconnected")
     snapped = lam.copy()
     snapped[0] = 0.0
     return Spectrum(eigenvalues=snapped, eigenvectors=spec.eigenvectors,

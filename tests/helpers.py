@@ -91,13 +91,16 @@ def simplex_grid(m: int, resolution: float) -> np.ndarray:
 
 
 def loop_laplacian(graph: WeightedGraph) -> np.ndarray:
-    """Loop reference for `graphs.laplacian`: the adjacency filled edge by edge."""
+    """Loop reference for `graphs.laplacian`: the adjacency filled and the
+    degrees summed edge by edge, in edge order."""
     n = graph.n
     adjacency = np.zeros((n, n))
+    degrees = np.zeros(n)
     for u, v, w in graph.edges:
         adjacency[u, v] = w
         adjacency[v, u] = w
-    degrees = adjacency.sum(axis=1)
+        degrees[u] += w
+        degrees[v] += w
     return np.diag(degrees) - adjacency
 
 
@@ -136,6 +139,15 @@ def loop_from_edges(n: int, edges) -> tuple:
             u, v = v, u
         normalized.append((int(u), int(v), float(w)))
     return loop_validate(n, normalized)
+
+
+def loop_graph_add(g1: WeightedGraph, g2: WeightedGraph) -> tuple:
+    """Loop reference for `graph_add`: the sorted edge tuple of the union,
+    the weights of shared edges summed in a dict."""
+    weights = {(u, v): w for u, v, w in g1.edges}
+    for u, v, w in g2.edges:
+        weights[(u, v)] = weights.get((u, v), 0.0) + w
+    return tuple(sorted((u, v, w) for (u, v), w in weights.items()))
 
 
 def loop_is_connected(n: int, edges) -> bool:

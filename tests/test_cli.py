@@ -237,6 +237,27 @@ class TestValidate:
         assert results["zero_eigenvalue_count"] == 1
         assert results["round_trip_ok"] is True
 
+    def test_weak_bridge_has_one_zero_eigenvalue(self, capsys, tmp_path):
+        # connectivity comes from the graph, and only the zero eigenvalue
+        # lies within the solve's error bound
+        path = tmp_path / "bridge.txt"
+        path.write_text("n 4\n0 1 1\n1 2 1e-9\n2 3 1\n")
+        code, report, _ = run_cli(capsys, ["validate", "--graph", str(path)])
+        assert code == 0
+        results = report["results"]
+        assert results["connected"] is True
+        assert results["zero_eigenvalue_count"] == 1
+        assert results["algebraic_connectivity"] == pytest.approx(1e-9, rel=1e-6)
+
+    def test_unresolved_bridge_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "bridge.txt"
+        path.write_text("n 4\n0 1 1\n1 2 1e-20\n2 3 1\n")
+        code, report, err = run_cli(capsys, ["measure", "--graph", str(path),
+                                             "--measure", "energy1"])
+        assert code == 3
+        assert report is None
+        assert "not resolved" in err
+
     def test_duplicate_edge_exit_two(self, capsys, graph_files):
         code, report, err = run_cli(capsys, ["validate", "--graph", graph_files["bad"]])
         assert code == 2

@@ -10,7 +10,8 @@ from systemic import (ConnectivityError, DomainError, GraphFormatError, InputErr
                       MeasureDescriptor, ScaleError, SolverOptions,
                       SpectralFunction, Topology, WeightedGraph, evaluate,
                       fundamental_limit, generate, graph_spectrum,
-                      greedy_augment, laplacian_spectrum, optimize_weights,
+                      greedy_augment, is_connected, laplacian, laplacian_spectrum,
+                      optimize_weights,
                       project_simplex, register_spectral_function,
                       rewire_bruteforce)
 from systemic.design import _Objective, canonical_edges
@@ -170,6 +171,56 @@ class TestTopologyLaplacian:
             assert other == P4_TOPOLOGY
             assert (other.laplacian_of(weights).tobytes()
                     == P4_TOPOLOGY.laplacian_of(weights).tobytes())
+
+
+class TestTopologyArrays:
+    """Topologies build graphs and Laplacians from their endpoint array, the
+    way graphs build theirs."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_graph_of_has_the_same_laplacian(self, seed):
+        topology = Topology.from_graph(random_connected(seed, n_high=20))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        weights = 10.0 ** rng.uniform(-3.0, 3.0, size=topology.m)
+        assert (laplacian(topology.graph_of(weights)).matrix.tobytes()
+                == topology.laplacian_of(weights).tobytes())
+
+    def test_graph_of_drops_zero_weights(self):
+        graph = P4_TOPOLOGY.graph_of(np.array([0.25, 0.0, 0.75]))
+        assert graph.edges == ((0, 1, 0.25), (2, 3, 0.75))
+        assert not is_connected(graph)
+
+    def test_from_graph_reads_the_arrays(self):
+        graph = generate("erdos_renyi", 15, seed=2, p=0.3, weight_range=(0.5, 2.0))
+        topology = Topology.from_graph(graph)
+        assert "edges" not in vars(graph)
+        assert topology.edges == tuple((u, v) for u, v, _ in graph.edges)
+        assert topology == Topology(n=15, edges=tuple((v, u) for u, v in topology.edges[::-1]))
+
+
+class TestDegreeObjective:
+    """A degree-based measure's objective reads the degree vector: no
+    eigensolve, and connectivity decided on the positive-weight support."""
+
+    def test_local_error_allocation_runs_no_eigensolve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigensolve for a degree-based measure")
+        monkeypatch.setattr("systemic.design.laplacian_spectrum", fail)
+        topology = Topology.from_graph(generate("erdos_renyi", 30, seed=4, p=0.2))
+        result = optimize_weights(topology, MeasureDescriptor("local_error"))
+        # what the objective gave when it ran an eigensolve per call
+        assert result.iterations == 565
+        assert result.objective == pytest.approx(float.fromhex("0x1.c1ffffffffffbp+7"),
+                                                 rel=1e-12)
+
+    def test_support_decides_connectivity(self):
+        objective = _Objective(P4_TOPOLOGY, MeasureDescriptor("local_error"))
+        with pytest.raises(ConnectivityError):
+            objective.value(np.array([0.5, 0.0, 0.5]))
+        # a tiny positive bridge keeps the path connected: every degree is 0.5
+        value, gradient = objective.value_and_gradient(np.array([0.5, 1e-300, 0.5]))
+        assert value == 4.0
+        assert np.array_equal(gradient, [-4.0, -4.0, -4.0])
 
 
 class TestGradients:

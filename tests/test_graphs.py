@@ -2,19 +2,23 @@ import copy
 import dataclasses
 import math
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from systemic import (ConnectivityError, DimensionError, DomainError, GenerationError,
-                      GraphFormatError, Topology, WeightedGraph, generate, graph_add,
-                      is_connected, laplacian, laplacian_spectrum, parse_graph,
-                      scalar_mul, serialize_graph, spanning_tree_count)
+                      GraphFormatError, MeasureDescriptor, SimConfig, Topology,
+                      WeightedGraph, entropy_via_trees, estimate_h2, evaluate, generate,
+                      graph_add, graph_spectrum, hp_norm_numeric, is_connected, laplacian,
+                      laplacian_spectrum, parse_graph, scalar_mul, serialize_graph,
+                      spanning_tree_count)
 
 from helpers import (analytic_spectrum, brute_force_tree_weight, loop_from_edges,
-                     loop_generate, loop_is_connected, loop_laplacian, loop_validate,
-                     random_connected)
+                     loop_generate, loop_graph_add, loop_is_connected, loop_laplacian,
+                     loop_validate, random_connected)
 
 FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
 NON_FINITE = (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf"))
@@ -28,13 +32,21 @@ def stored_arrays(graph: WeightedGraph) -> list[np.ndarray]:
     return [value for value in vars(graph).values() if isinstance(value, np.ndarray)]
 
 
+def canonical_hash(n: int, edges: tuple) -> int:
+    """The graph hash's formula: n and the bytes of the canonical endpoint
+    (intp) and weight (float64) columns of the sorted edge tuple."""
+    columns = list(zip(*edges)) or [(), (), ()]
+    return hash((n, *(np.array(column, dtype=dtype).tobytes() for column, dtype
+                      in zip(columns, (np.intp, np.intp, np.float64)))))
+
+
 def assert_graph_is(graph: WeightedGraph, n: int, edges: tuple) -> None:
     """graph holds exactly these canonical edges: values, element types, hash
     and the bytes of its stored arrays."""
     assert graph.n == n
     assert graph.edges == edges
     assert all(tuple(map(type, edge)) == (int, int, float) for edge in graph.edges)
-    assert hash(graph) == hash((n, edges))
+    assert hash(graph) == canonical_hash(n, edges)
     columns = list(zip(*edges)) or [(), (), ()]
     for array, column, dtype in ((graph._us, columns[0], np.intp),
                                  (graph._vs, columns[1], np.intp),
@@ -150,9 +162,10 @@ class TestLaplacianMatchesLoop:
 
 class TestGraphContract:
     def test_hash_is_field_tuple_hash(self):
+        # the fields are n and the canonical arrays, hashed as bytes
         for graph in (family_graph("complete", 10), random_connected(3),
                       WeightedGraph(n=3, edges=())):
-            assert hash(graph) == hash((graph.n, graph.edges))
+            assert hash(graph) == canonical_hash(graph.n, graph.edges)
 
     def test_permuted_and_flipped_edges(self):
         graph = random_connected(5)
@@ -172,7 +185,7 @@ class TestGraphContract:
         graph = random_connected(7)
         other = round_trip(graph)
         assert other == graph
-        assert hash(other) == hash(graph) == hash((other.n, other.edges))
+        assert hash(other) == hash(graph) == canonical_hash(other.n, other.edges)
         assert laplacian(other).matrix.tobytes() == laplacian(graph).matrix.tobytes()
         assert all(not array.flags.writeable for array in stored_arrays(other))
 
@@ -209,7 +222,7 @@ class TestGraphContract:
         other = dataclasses.replace(k3, edges=edges)
         fresh = WeightedGraph(n=3, edges=edges)
         assert other == fresh and other != k3
-        assert hash(other) == hash(fresh) == hash((3, other.edges))
+        assert hash(other) == hash(fresh) == canonical_hash(3, other.edges)
         assert laplacian(other).matrix.tobytes() == loop_laplacian(fresh).tobytes()
 
 
@@ -659,4 +672,214 @@ class TestCanonicalEdges:
         for graph in (WeightedGraph(n=3, edges=ordered), WeightedGraph.from_edges(3, edges)):
             assert all(tuple(map(type, edge)) == (int, int, float) for edge in graph.edges)
             assert parse_graph(serialize_graph(graph)) == graph
-            assert hash(graph) == hash((3, loop_validate(3, ordered)))
+            assert hash(graph) == canonical_hash(3, loop_validate(3, ordered))
+
+
+def array_bytes(graph: WeightedGraph) -> list[bytes]:
+    return [array.tobytes() for array in (graph._us, graph._vs, graph._ws)]
+
+
+# the twelve measure descriptors of the benchmark's catalog workload
+CATALOG_DESCRIPTORS = [
+    MeasureDescriptor("energy1"), MeasureDescriptor("energy2"), MeasureDescriptor("h2"),
+    MeasureDescriptor("hinf"), MeasureDescriptor("convergence_time"),
+    MeasureDescriptor("entropy"), MeasureDescriptor("local_error"),
+    MeasureDescriptor("zeta_measure", p=2.0), MeasureDescriptor("zeta_measure", p=math.inf),
+    MeasureDescriptor("hp_norm", p=3.0), MeasureDescriptor("schur_sum", f_id="inverse_pow:2"),
+    MeasureDescriptor("schur_sum", f_id="exp_decay:0.5"),
+]
+
+
+class TestArrayContract:
+    """The endpoint and weight arrays are the graph: every route in gives
+    equal graphs with equal hashes, and the edge tuple is built only when
+    `edges` is read."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate("erdos_renyi", 30, seed=12, p=0.3, weight_range=(0.1, 10.0)),
+        lambda: generate("complete", 12), lambda: WeightedGraph(n=5, edges=())])
+    def test_every_route_equal_and_hash_equal(self, build):
+        graph = build()
+        rng = np.random.Generator(np.random.PCG64(9))
+        edges = graph.edges
+        shuffled = [edges[i] for i in rng.permutation(len(edges))]
+        text = serialize_graph(graph)
+        routes = {
+            "constructor, shuffled": WeightedGraph(n=graph.n, edges=shuffled),
+            "from_edges, swapped": WeightedGraph.from_edges(
+                graph.n, [(v, u, w) for u, v, w in shuffled]),
+            "parse(serialize)": parse_graph(text),
+            "parse with a comment": parse_graph("# a comment\n" + text),
+            "graph_add edgeless": graph_add(graph, WeightedGraph(n=graph.n, edges=())),
+            "graph_add edgeless first": graph_add(WeightedGraph(n=graph.n, edges=()), graph),
+            "scalar_mul 1": scalar_mul(1.0, graph),
+            "copy": copy.copy(graph),
+            "deepcopy": copy.deepcopy(graph),
+            "pickle": pickle.loads(pickle.dumps(graph)),
+            "built again": build(),
+        }
+        for name, other in routes.items():
+            assert other == graph and graph == other and not other != graph, name
+            assert hash(other) == hash(graph), name
+            assert array_bytes(other) == array_bytes(graph), name
+            assert is_connected(other) is is_connected(graph), name
+
+    def test_one_ulp_weight_change_is_unequal(self):
+        graph = generate("erdos_renyi", 30, seed=12, p=0.3, weight_range=(0.1, 10.0))
+        edges = list(graph.edges)
+        for index in (0, len(edges) // 2, len(edges) - 1):
+            u, v, w = edges[index]
+            for nudged in (math.nextafter(w, math.inf), math.nextafter(w, 0.0)):
+                changed = edges[:index] + [(u, v, nudged)] + edges[index + 1:]
+                other = WeightedGraph(n=graph.n, edges=changed)
+                assert other != graph and not other == graph
+                # equality does not rest on the hash: the arrays tell them apart
+                object.__setattr__(other, "_hash", hash(graph))
+                assert other != graph
+        assert WeightedGraph(n=graph.n + 1, edges=edges) != graph
+        assert graph != graph.edges
+
+    def test_measures_never_build_the_edge_tuple(self):
+        pytest.importorskip("scipy")
+        graphs = [generate(family, 10) for family in ("complete", "cycle", "path", "star")]
+        graphs.append(generate("erdos_renyi", 30, seed=5, p=0.3, weight_range=(0.5, 2.0)))
+        for graph in graphs:
+            for descriptor in CATALOG_DESCRIPTORS:
+                assert math.isfinite(evaluate(graph, descriptor))
+            hp_norm_numeric(graph, 3.0)
+            entropy_via_trees(graph)
+            lam = graph_spectrum(graph).nonzero
+            dt = 0.5 / float(lam[-1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a short burn-in is fine here
+                estimate_h2(graph, SimConfig(dt=dt, horizon=300 * dt, burn_in=100 * dt,
+                                             trials=2, seed=1))
+        assert all("edges" not in vars(graph) for graph in graphs)
+        graphs[0].edges
+        assert "edges" in vars(graphs[0])  # the check above can see a built tuple
+
+    def test_complete_1000_holds_24_bytes_per_edge(self):
+        generate("complete", 10)  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = generate("complete", 1000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert "edges" not in vars(graph) and "degrees" not in vars(graph)
+        # the three arrays, plus a fixed allowance for the object and array headers
+        assert held <= 24 * graph.m + 4096
+
+    @pytest.mark.parametrize("graph", [generate("star", 6),
+                                       random_connected(4, weight_range=(1e-3, 1e3))])
+    def test_degrees_are_the_laplacian_diagonal(self, graph):
+        degrees = graph.degrees
+        assert not degrees.flags.writeable
+        assert laplacian(graph).degrees is degrees
+        assert degrees.tobytes() == np.diag(loop_laplacian(graph)).tobytes()
+
+    def test_graph_plus_edges(self):
+        graph = generate("erdos_renyi", 8, seed=3, p=0.4, weight_range=(0.5, 2.0))
+        present = {(u, v) for u, v, _ in graph.edges}
+        missing = [(u, v, 0.5 + u + v) for u in range(graph.n)
+                   for v in range(u + 1, graph.n) if (u, v) not in present][:3]
+        for extra in ([], missing[:1], missing):
+            other = graph._with_edges(extra)
+            expected = WeightedGraph(n=graph.n, edges=graph.edges + tuple(extra))
+            assert_graph_is(other, graph.n, expected.edges)
+            assert is_connected(other)
+        apart = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        assert is_connected(apart._with_edges([(1, 2, 1.0)]))
+        u, v, w = graph.edges[0]
+        for bad in [(u, v, 2.0), (0, graph.n, 1.0), (1, 1, 1.0), (0, graph.n - 1, -1.0)]:
+            assert raised(lambda: graph._with_edges([bad])) == raised(
+                lambda: WeightedGraph(n=graph.n, edges=graph.edges + (bad,)))
+
+
+class TestAlgebraMatchesLoop:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_graph_add(self, seed):
+        g1 = random_connected(seed, n_low=2, n_high=9)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        pairs = [(u, v) for u in range(g1.n) for v in range(u + 1, g1.n)]
+        g2 = WeightedGraph.from_edges(g1.n, [(u, v, float(rng.uniform(0.1, 3.0)))
+                                             for u, v in pairs if rng.random() < 0.4])
+        assert_graph_is(graph_add(g1, g2), g1.n, loop_graph_add(g1, g2))
+        assert_graph_is(graph_add(g2, g1), g1.n, loop_graph_add(g2, g1))
+
+    def test_graph_add_overflow_named(self):
+        huge = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e308)])
+        assert raised(lambda: graph_add(huge, huge)) == (
+            DomainError, "edge (1, 2) has non-positive weight inf")
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1.0 / 3.0, 7, 1e308])
+    def test_scalar_mul(self, alpha):
+        graph = random_connected(21, weight_range=(0.5, 2.0))
+        expected = tuple((u, v, alpha * w) for u, v, w in graph.edges)
+        if all(0.0 < w < math.inf for _, _, w in expected):
+            assert_graph_is(scalar_mul(alpha, graph), graph.n, expected)
+        else:
+            assert raised(lambda: scalar_mul(alpha, graph)) == raised(
+                lambda: WeightedGraph(n=graph.n, edges=expected))
+
+
+# Malformed files: each keeps the message and line number of the per-line
+# parser that checked every edge itself.
+MALFORMED_FILES = [
+    ("", GraphFormatError, "empty input: missing `n <count>` header", None),
+    ("# only a comment\n\n", GraphFormatError, "empty input: missing `n <count>` header", None),
+    ("0 1 1\n", GraphFormatError, "line 1: expected header `n <count>`", 1),
+    ("m 3\n0 1 1\n", GraphFormatError, "line 1: expected header `n <count>`", 1),
+    ("n 3 4\n", GraphFormatError, "line 1: expected header `n <count>`", 1),
+    ("n x\n", GraphFormatError, "line 1: bad node count 'x'", 1),
+    ("n 2.5\n", GraphFormatError, "line 1: bad node count '2.5'", 1),
+    ("n 0\n", GraphFormatError, "line 1: node count must be positive, got 0", 1),
+    ("n -2\n", GraphFormatError, "line 1: node count must be positive, got -2", 1),
+    ("n 3\n0 1\n", GraphFormatError, "line 2: expected `u v w`", 2),
+    ("n 3\n0 1 1 1\n", GraphFormatError, "line 2: expected `u v w`", 2),
+    ("n 3\n0 1 1\n1 2\n", GraphFormatError, "line 3: expected `u v w`", 3),
+    ("n 3\n0.5 1 1\n", GraphFormatError, "line 2: cannot parse edge line '0.5 1 1'", 2),
+    ("n 3\n0 1 1\na 2 1\n", GraphFormatError, "line 3: cannot parse edge line 'a 2 1'", 3),
+    ("n 3\n0 1 w\n", GraphFormatError, "line 2: cannot parse edge line '0 1 w'", 2),
+    ("n 3\n0 1 1\n2 2 1\n", GraphFormatError, "line 3: self-loop at node 2", 3),
+    ("n 3\n0 3 1\n", GraphFormatError, "line 2: edge (0, 3) references a node >= n=3", 2),
+    ("n 3\n-1 2 1\n", GraphFormatError, "line 2: edge (-1, 2) references a node >= n=3", 2),
+    ("n 3\n3 0 1\n", GraphFormatError, "line 2: edge (0, 3) references a node >= n=3", 2),
+    ("n 3\n0 99999999999999999999 1\n", GraphFormatError,
+     "line 2: edge (0, 99999999999999999999) references a node >= n=3", 2),
+    ("n 3\n99999999999999999999 99999999999999999999 1\n", GraphFormatError,
+     "line 2: self-loop at node 99999999999999999999", 2),
+    ("n 3\n0 1 0\n", DomainError, "line 2: weight must be positive, got 0.0", None),
+    ("n 3\n0 1 -1.5\n", DomainError, "line 2: weight must be positive, got -1.5", None),
+    ("n 3\n0 1 nan\n", DomainError, "line 2: weight must be positive, got nan", None),
+    ("n 3\n0 1 inf\n", DomainError, "line 2: weight must be positive, got inf", None),
+    ("n 3\n0 1 -inf\n", DomainError, "line 2: weight must be positive, got -inf", None),
+    ("n 3\n0 1 1\n1 2 1\n0 1 2\n", GraphFormatError, "line 4: duplicate edge (0, 1)", 4),
+    ("n 3\n0 1 1\n1 2 1\n1 0 2\n", GraphFormatError, "line 4: duplicate edge (0, 1)", 4),
+    # comments, blank lines, tabs, CRLF and padded lines
+    ("# comment\nn 4\n\n0 1 1\n# another\n  2 3 1  \n3 2 5\n", GraphFormatError,
+     "line 7: duplicate edge (2, 3)", 7),
+    ("n 3\n# a b\n0 1 1\n1 1 1\n", GraphFormatError, "line 4: self-loop at node 1", 4),
+    ("n 3\r\n0 1 1\r\n1 1 1\r\n", GraphFormatError, "line 3: self-loop at node 1", 3),
+    ("n 3\n0\t1\t1\n1 1 1\n", GraphFormatError, "line 3: self-loop at node 1", 3),
+    # the first defective line wins, whatever its kind
+    ("n 4\n0 1 1\n2 2 1\n0 1\n", GraphFormatError, "line 3: self-loop at node 2", 3),
+    ("n 4\n0 1\n2 2 1\n", GraphFormatError, "line 2: expected `u v w`", 2),
+    ("n 4\n0 9 1\n1 x 1\n", GraphFormatError,
+     "line 2: edge (0, 9) references a node >= n=4", 2),
+    ("n 4\n1 x 1\n0 9 1\n", GraphFormatError, "line 2: cannot parse edge line '1 x 1'", 2),
+    ("n 4\n0 1 -1\n2 2 1\n", DomainError, "line 2: weight must be positive, got -1.0", None),
+    ("n 4\n2 2 -1\n0 1 -1\n", GraphFormatError, "line 2: self-loop at node 2", 2),
+    ("n 4\n0 1 1\n0 1 1\n9 9 1\n", GraphFormatError, "line 3: duplicate edge (0, 1)", 3),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, kind, message, line", MALFORMED_FILES)
+    def test_message_and_line_kept(self, text, kind, message, line):
+        with pytest.raises(kind) as excinfo:
+            parse_graph(text)
+        assert type(excinfo.value) is kind
+        assert str(excinfo.value) == message
+        assert getattr(excinfo.value, "line", None) == line

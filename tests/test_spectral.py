@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from systemic import (ConnectivityError, DimensionError, DomainError,
-                      NumericalError, WeightedGraph, centering_matrix, eig_sym,
-                      generate, graph_add, graph_spectrum, laplacian,
-                      laplacian_spectrum, pseudo_inverse, psd_order, scalar_mul,
-                      zero_tolerance)
+from systemic import (ConnectivityError, DimensionError, DomainError, MeasureDescriptor,
+                      NumericalError, WeightedGraph, centering_matrix, eig_sym, evaluate,
+                      evaluate_eigenvalues, generate, graph_add, graph_spectrum,
+                      is_connected, is_spectral, laplacian, laplacian_spectrum,
+                      pseudo_inverse, psd_order, scalar_mul, spectral, zero_tolerance)
 
-from helpers import random_connected
+from helpers import MEASURE_CASES, random_connected
+
+
+def bridged_path(bridge: float) -> WeightedGraph:
+    return WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, bridge), (2, 3, 1.0)])
 
 
 def _random_symmetric(seed: int, n: int) -> np.ndarray:
@@ -171,6 +175,62 @@ class TestLaplacianSpectrum:
         # all eigenvalues are zero, so the relative zero tolerance is zero too
         with pytest.raises(ConnectivityError):
             laplacian_spectrum(WeightedGraph.from_edges(3, []))
+
+
+class TestGraphConnectivity:
+    """A graph's connectivity is its stored flag; the eigensolve only has to
+    resolve the zero and second eigenvalues."""
+
+    def test_weak_bridge_every_measure_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        weights = (1.0, 1e-9, 1.0)
+        graph = bridged_path(weights[1])
+        with mpmath.workdps(60):
+            exact = mpmath.zeros(4, 4)
+            for u, w in enumerate(map(mpmath.mpf, weights)):
+                exact[u, u] += w
+                exact[u + 1, u + 1] += w
+                exact[u, u + 1] -= w
+                exact[u + 1, u] -= w
+            reference = np.array([float(x) for x in
+                                  sorted(mpmath.eigsy(exact, eigvals_only=True))[1:]])
+        assert graph_spectrum(graph).nonzero == pytest.approx(reference, rel=1e-6)
+        for descriptor in MEASURE_CASES:
+            if is_spectral(descriptor):
+                assert evaluate(graph, descriptor) == pytest.approx(
+                    evaluate_eigenvalues(reference, descriptor), rel=1e-6), descriptor
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_unresolved_bridge_is_a_numerical_error(self, vectors):
+        # lambda_2 is about 5e-21, far below the solve's error bound
+        graph = bridged_path(1e-20)
+        assert is_connected(graph)
+        with pytest.raises(NumericalError, match="not resolved"):
+            laplacian_spectrum(graph, vectors=vectors)
+        with pytest.raises(NumericalError):
+            evaluate(graph, MeasureDescriptor("energy1"))
+
+    def test_raw_matrix_keeps_the_zero_tolerance(self):
+        matrix = laplacian(bridged_path(1e-9)).matrix
+        with pytest.raises(ConnectivityError, match="below tolerance"):
+            laplacian_spectrum(matrix)
+
+    def test_disconnected_graph_runs_no_eigensolve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigensolve on a disconnected graph")
+        monkeypatch.setattr(spectral, "eig_sym", fail)
+        with pytest.raises(ConnectivityError, match="disconnected"):
+            laplacian_spectrum(WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_bound_holds_on_families(self, scale):
+        # no false alarm: every family's zero sits within the bound and its
+        # second eigenvalue far above it, at extreme weight scales too
+        for family in ("complete", "cycle", "path", "star", "erdos_renyi"):
+            graph = scalar_mul(scale, generate(family, 200, seed=3, p=0.05))
+            lam = laplacian_spectrum(graph, vectors=False).eigenvalues
+            delta = spectral.eigenvalue_error_bound(laplacian(graph).matrix)
+            assert lam[0] == 0.0 and lam[1] > 100 * delta
 
 
 class TestPseudoInverse:
