@@ -40,6 +40,12 @@ class Topology:
     def __post_init__(self):
         edges = tuple(self.edges)
         try:
+            arity = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+        except TypeError:
+            arity = None
+        if arity is None or (arity != 2).any():
+            raise GraphFormatError("topology edges must be (u, v) pairs")
+        try:
             # (m, 2) endpoint array; raveled it interleaves u0, v0, u1, v1, ...
             # index() refuses floats, which an intp array would truncate
             pairs = np.fromiter(map(index, itertools.chain.from_iterable(edges)),

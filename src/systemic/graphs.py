@@ -14,8 +14,6 @@ is built only when `edges` is first read.
 
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, itemgetter, pos
@@ -180,8 +178,9 @@ class WeightedGraph:
                      ) -> "WeightedGraph":
         """Build a graph from integer endpoint and float weight arrays, which
         it takes over and makes read-only.  connected, when given, is the
-        caller's verdict on the edges (us, vs); error names a defective edge
-        (by default, as the constructor does)."""
+        verdict of a caller that already ran _connected on the edges (us,
+        vs); error names a defective edge (by default, as the constructor
+        does)."""
         _check_node_count(n)
         if error is None:
             def error(i, defect):
@@ -241,15 +240,14 @@ class WeightedGraph:
 
     def _with_edges(self, edges: Sequence[Edge]) -> "WeightedGraph":
         """This graph plus the (u, v, w) edges, u < v, checked as the
-        constructor checks them; a connected graph stays connected."""
+        constructor checks them."""
         if not edges:
             return self
         us, vs, ws = zip(*edges)
         return type(self)._from_arrays(
             self.n, np.concatenate((self._us, np.array(us, dtype=np.intp))),
             np.concatenate((self._vs, np.array(vs, dtype=np.intp))),
-            np.concatenate((self._ws, np.array(ws, dtype=float))),
-            connected=self._is_connected or None)
+            np.concatenate((self._ws, np.array(ws, dtype=float))))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -308,8 +306,7 @@ def graph_add(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     keys, first, pair = np.unique(us * g1.n + vs, return_index=True, return_inverse=True)
     # bincount adds from 0.0, so a shared edge gets w1 + w2 and any other its own w
     weights = np.bincount(pair, weights=np.concatenate((g1._ws, g2._ws)), minlength=keys.size)
-    return WeightedGraph._from_arrays(g1.n, us[first], vs[first], weights,
-                                      connected=(g1._is_connected or g2._is_connected) or None)
+    return WeightedGraph._from_arrays(g1.n, us[first], vs[first], weights)
 
 
 def scalar_mul(alpha: float, graph: WeightedGraph) -> WeightedGraph:
@@ -318,8 +315,7 @@ def scalar_mul(alpha: float, graph: WeightedGraph) -> WeightedGraph:
         raise DomainError(f"scale factor must be positive, got {alpha}")
     with np.errstate(over="ignore"):  # an overflow to inf is named by the check
         weights = alpha * graph._ws
-    return WeightedGraph._from_arrays(graph.n, graph._us, graph._vs, weights,
-                                      connected=graph._is_connected)
+    return WeightedGraph._from_arrays(graph.n, graph._us, graph._vs, weights)
 
 
 def is_connected(graph: WeightedGraph) -> bool:
@@ -355,22 +351,15 @@ def _line_error(defect: str, n: int, u: int, v: int, w: float, line: int) -> Sys
     return GraphFormatError(f"duplicate edge ({u}, {v})", line=line)
 
 
-def _edge_columns(flat: list[str]) -> tuple[np.ndarray, ...] | None:
-    """The u, v and w columns of `u v w` rows given as one flat token list,
-    or None when int() or float() rejects a token or an endpoint does not
-    fit in intp."""
+def _edge_columns(rows: list[list[str]]) -> tuple[np.ndarray, ...] | None:
+    """The u, v and w columns of `u v w` token rows, or None when int() or
+    float() rejects a token or an endpoint does not fit in intp."""
     try:
-        return (*(np.fromiter(map(int, flat[column::3]), dtype=np.intp,
-                              count=len(flat) // 3) for column in (0, 1)),
-                np.fromiter(map(float, flat[2::3]), dtype=float, count=len(flat) // 3))
+        return (*(np.fromiter(map(int, map(itemgetter(column), rows)), dtype=np.intp,
+                              count=len(rows)) for column in (0, 1)),
+                np.fromiter(map(float, map(itemgetter(2), rows)), dtype=float, count=len(rows)))
     except (ValueError, OverflowError):
         return None
-
-
-# The header and single-space `u v w` lines only, as serialize_graph writes
-# them: no line is blank or a comment, so one split of the body yields the
-# tokens of every edge line.
-_PLAIN = re.compile(r"n (\S+)\n((?:[^\s#]\S* \S+ \S+\n)*)")
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -379,31 +368,20 @@ def parse_graph(text: str) -> WeightedGraph:
     The edge lines are read into arrays and checked once, by _check_edges;
     an error names the first defective line.
     """
-    plain = _PLAIN.fullmatch(text)
-    if plain is not None:
-        count, header_line = plain[1], 1
-        flat = plain[2].split()
-        rows = None
-        numbers = range(2, 2 + len(flat) // 3)
-    else:
-        rows, numbers = [], []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.split()
-            if tokens and not tokens[0].startswith("#"):
-                rows.append(tokens)
-                numbers.append(lineno)
-        if not rows:
-            raise GraphFormatError("empty input: missing `n <count>` header")
-        header, header_line = rows.pop(0), numbers.pop(0)
-        if len(header) != 2 or header[0] != "n":
-            raise GraphFormatError("expected header `n <count>`", line=header_line)
-        count = header[1]
-        flat = list(itertools.chain.from_iterable(rows)) if set(map(len, rows)) <= {3} \
-            else None
+    lines = [raw.split() for raw in text.splitlines()]
+    # the line numbers and tokens of every line that is not blank or a comment
+    numbers = [lineno for lineno, tokens in enumerate(lines, start=1)
+               if tokens and not tokens[0].startswith("#")]
+    rows = [lines[lineno - 1] for lineno in numbers]
+    if not rows:
+        raise GraphFormatError("empty input: missing `n <count>` header")
+    header, header_line = rows.pop(0), numbers.pop(0)
+    if len(header) != 2 or header[0] != "n":
+        raise GraphFormatError("expected header `n <count>`", line=header_line)
     try:
-        n = int(count)
+        n = int(header[1])
     except ValueError:
-        raise GraphFormatError(f"bad node count {count!r}", line=header_line)
+        raise GraphFormatError(f"bad node count {header[1]!r}", line=header_line)
     if n < 1:
         raise GraphFormatError(f"node count must be positive, got {n}", line=header_line)
 
@@ -413,15 +391,13 @@ def parse_graph(text: str) -> WeightedGraph:
             n, lo, hi, ws, error=lambda i, defect: _line_error(
                 defect, n, int(lo[i]), int(hi[i]), float(ws[i]), numbers[i]))
 
-    columns = None if flat is None else _edge_columns(flat)
+    columns = _edge_columns(rows) if set(map(len, rows)) <= {3} else None
     if columns is not None:
         return check(*columns)
     # a row that does not convert: the rows before it are checked first
-    if rows is None:
-        rows = [flat[i:i + 3] for i in range(0, len(flat), 3)]
     first = next(i for i, row in enumerate(rows)
-                 if len(row) != 3 or _edge_columns(row) is None)
-    check(*_edge_columns(list(itertools.chain.from_iterable(rows[:first]))))
+                 if len(row) != 3 or _edge_columns([row]) is None)
+    check(*_edge_columns(rows[:first]))
     tokens, lineno = rows[first], numbers[first]
     if len(tokens) != 3:
         raise GraphFormatError("expected `u v w`", line=lineno)
@@ -492,5 +468,4 @@ def generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
     else:
         raise DomainError(f"unknown family {family!r}")
     weights = _edge_weights(rng, us.size, weight_range)
-    # the four fixed families are connected for every n they accept
-    return WeightedGraph._from_arrays(n, us, vs, weights, connected=True)
+    return WeightedGraph._from_arrays(n, us, vs, weights)

@@ -135,6 +135,14 @@ class TestOptimizeWeights:
         with pytest.raises(DomainError):
             Topology(n=3, edges=((0, 1), (1, 0), (1, 2)))
 
+    @pytest.mark.parametrize("edges", [((0, 1), (1, 2), (2, 3, 7)),
+                                       ((0, 1, 2), (3,)),
+                                       ((0, 1), 2)])
+    def test_edges_that_are_not_pairs_rejected(self, edges):
+        # reading the first 2m flattened endpoints would drop the 7 and pair up (0, 1, 2), (3,)
+        with pytest.raises(GraphFormatError, match=r"\(u, v\) pairs"):
+            Topology(n=4, edges=edges)
+
 
 class TestTopologyLaplacian:
     """laplacian_of is bit-identical to accumulating edge by edge; tobytes()
