@@ -91,6 +91,17 @@ def emit_report(command: str, inputs: dict, results: dict,
     print(json.dumps(report, indent=2, allow_nan=False))
 
 
+# `props --property` name -> property id of the properties table
+_PROPERTY_NAMES = {
+    "homogeneity": "homogeneity",
+    "monotonicity": "monotonicity",
+    "convexity": "convexity",
+    "orthogonal": "orthogonal_invariance",
+    "schur": "schur_convexity",
+    "subadditivity": "subadditivity",
+}
+
+
 def _measure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure", required=True, choices=measures.MEASURE_IDS)
     parser.add_argument("--p", type=_parse_exponent, default=None,
@@ -129,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", help="run one axiom check as a falsification search")
     _measure_args(p)
-    p.add_argument("--property", required=True,
-                   choices=["homogeneity", "monotonicity", "convexity",
-                            "orthogonal", "schur", "subadditivity"])
+    p.add_argument("--property", required=True, choices=list(_PROPERTY_NAMES))
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
@@ -214,16 +223,6 @@ def _run_trees(args) -> tuple[dict, int]:
         "entropy_literal_form": math.log(graph.n / tau),
     }
     return results, 0
-
-
-_PROPERTY_NAMES = {
-    "homogeneity": "homogeneity",
-    "monotonicity": "monotonicity",
-    "convexity": "convexity",
-    "orthogonal": "orthogonal_invariance",
-    "schur": "schur_convexity",
-    "subadditivity": "subadditivity",
-}
 
 
 def _run_props(args) -> tuple[dict, int]:

@@ -285,7 +285,6 @@ MAX_REWIRE_NODES = 8
 class RankingEntry:
     edges: tuple[tuple[int, int], ...]
     value: float
-    refined: tuple[tuple[float, ...], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -293,24 +292,6 @@ class RewireResult:
     best: WeightedGraph
     value: float
     ranking: tuple[RankingEntry, ...]
-
-
-def _connected_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    components = n
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return components == 1
 
 
 def canonical_edges(n: int, pairs: tuple[tuple[int, int], ...]
@@ -328,15 +309,13 @@ def canonical_edges(n: int, pairs: tuple[tuple[int, int], ...]
     return best
 
 
-def rewire_bruteforce(n: int, m: int, alpha: float, measure: MeasureDescriptor,
-                      weight_refine=None) -> RewireResult:
+def rewire_bruteforce(n: int, m: int, alpha: float,
+                      measure: MeasureDescriptor) -> RewireResult:
     """Rank all connected n-node m-edge graphs (equal weights alpha/m) by a measure.
 
     Isomorphic labelings are merged through canonical forms, so the ranking is
     one entry per isomorphism class, ascending by value with lexicographic
-    tie-breaking.  weight_refine, if given, is called per class with the
-    equal-weight graph and may attach a refined (weights, value) pair; nothing
-    is asserted about it.
+    tie-breaking.
     """
     if n > MAX_REWIRE_NODES:
         raise ScaleError(f"exhaustive rewiring supports n <= {MAX_REWIRE_NODES}, got {n}")
@@ -344,22 +323,21 @@ def rewire_bruteforce(n: int, m: int, alpha: float, measure: MeasureDescriptor,
         raise DomainError("need at least 2 nodes")
     if not (alpha > 0):
         raise DomainError(f"total weight alpha must be positive, got {alpha}")
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    all_us, all_vs = np.triu_indices(n, 1)
+    all_pairs = list(zip(all_us.tolist(), all_vs.tolist()))
     if not (n - 1 <= m <= len(all_pairs)):
         raise DomainError(f"edge count m={m} infeasible for connected n={n}")
     weight = alpha / m
     classes: set[tuple[tuple[int, int], ...]] = set()
-    for combo in itertools.combinations(all_pairs, m):
-        if _connected_pairs(n, combo):
-            classes.add(canonical_edges(n, combo))
+    for combo in itertools.combinations(range(len(all_pairs)), m):
+        chosen = np.array(combo)
+        if _connected(n, all_us[chosen], all_vs[chosen]):
+            classes.add(canonical_edges(n, tuple(all_pairs[i] for i in combo)))
 
     def score(pairs: tuple[tuple[int, int], ...]) -> RankingEntry:
         graph = WeightedGraph.from_edges(n, [(u, v, weight) for u, v in pairs])
         value = evaluate(graph, measure)
-        refined = None
-        if weight_refine is not None:
-            refined = weight_refine(graph, measure)
-        return RankingEntry(edges=pairs, value=value, refined=refined)
+        return RankingEntry(edges=pairs, value=value)
 
     entries = [score(pairs) for pairs in sorted(classes)]
     ranking = tuple(sorted(entries, key=lambda e: (e.value, e.edges)))

@@ -1,9 +1,9 @@
 """Empirical axiom checks: homogeneity, monotonicity, convexity, subadditivity,
 orthogonal invariance and Schur-convexity, run as seeded falsification searches.
 
-Every trial draws all of its randomness from a stream derived from
-(seed, trial index), so any recorded violation can be replayed bit-for-bit
-with replay_trial.
+Each property is one entry (salt, trial) of _PROPERTIES.  A trial draws all
+of its randomness from a stream derived from (seed, trial index, salt), so any
+recorded violation can be replayed bit-for-bit with replay_trial.
 """
 
 from __future__ import annotations
@@ -23,16 +23,6 @@ from .spectral import laplacian_spectrum, pseudo_inverse, psd_order
 DEFAULT_TOL = 1e-8
 DEFAULT_ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_NODE_RANGE = (3, 20)
-
-# salts decorrelate the random streams of the different properties
-_SALTS = {
-    "homogeneity": 1,
-    "monotonicity": 2,
-    "convexity": 3,
-    "subadditivity": 4,
-    "orthogonal_invariance": 5,
-    "schur_convexity": 6,
-}
 
 # (lhs, rhs, allowance, description); a violation is lhs > rhs + allowance
 Assertion = tuple[float, float, float, str]
@@ -61,11 +51,6 @@ class PropertyReport:
         return not self.violations
 
 
-def _trial_rng(seed: int, trial: int, salt: int) -> np.random.Generator:
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(salt, trial))
-    return np.random.Generator(np.random.PCG64(sequence))
-
-
 def _random_connected(rng: np.random.Generator,
                       node_range: tuple[int, int]) -> WeightedGraph:
     n = int(rng.integers(node_range[0], node_range[1] + 1))
@@ -75,14 +60,20 @@ def _random_connected(rng: np.random.Generator,
                     weight_range=(0.2, 5.0), max_retries=200)
 
 
+def _second_graph(rng: np.random.Generator, n: int) -> WeightedGraph:
+    """A second Erdős–Rényi graph on n nodes; its seed is drawn before its p."""
+    graph_seed = int(rng.integers(0, 2**63 - 1))
+    return generate("erdos_renyi", n, seed=graph_seed, p=float(rng.uniform(0.35, 0.9)),
+                    weight_range=(0.2, 5.0), max_retries=200)
+
+
 def _random_positive(rng: np.random.Generator, n: int) -> WeightedGraph:
     """A sparse positively weighted graph on n nodes (connectivity not required)."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    us, vs = np.triu_indices(n, 1)
     count = int(rng.integers(1, max(2, n)))
-    chosen = rng.choice(len(pairs), size=min(count, len(pairs)), replace=False)
+    chosen = rng.choice(us.size, size=min(count, us.size), replace=False)
     weights = rng.uniform(0.2, 5.0, size=chosen.size)
-    return WeightedGraph.from_edges(
-        n, [(pairs[i][0], pairs[i][1], w) for i, w in zip(chosen, weights)])
+    return WeightedGraph.from_edges(n, list(zip(us[chosen], vs[chosen], weights)))
 
 
 def _allowance(tol: float, *values: float) -> float:
@@ -90,9 +81,8 @@ def _allowance(tol: float, *values: float) -> float:
     return tol + tol * scale
 
 
-def _homogeneity_trial(measure: MeasureDescriptor, seed: int, trial: int, tol: float,
-                       node_range: tuple[int, int]) -> list[Assertion]:
-    rng = _trial_rng(seed, trial, _SALTS["homogeneity"])
+def _homogeneity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
+                       node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
     graph = _random_connected(rng, node_range)
     kappa = float(rng.uniform(0.1, 10.0))
     base = evaluate(graph, measure)
@@ -102,9 +92,8 @@ def _homogeneity_trial(measure: MeasureDescriptor, seed: int, trial: int, tol: f
     return [(abs(scaled - expected), 0.0, tol * abs(base), description)]
 
 
-def _monotonicity_trial(measure: MeasureDescriptor, seed: int, trial: int, tol: float,
-                        node_range: tuple[int, int]) -> list[Assertion]:
-    rng = _trial_rng(seed, trial, _SALTS["monotonicity"])
+def _monotonicity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
+                        node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
     sparser = _random_connected(rng, node_range)
     denser = graph_add(sparser, _random_positive(rng, sparser.n))
     description = f"n={sparser.n} m={sparser.m}->{denser.m}"
@@ -127,15 +116,11 @@ def _mix(g1: WeightedGraph, g2: WeightedGraph, alpha: float) -> WeightedGraph:
     return graph_add(scalar_mul(alpha, g1), scalar_mul(1.0 - alpha, g2))
 
 
-def _convexity_trial(measure: MeasureDescriptor, seed: int, trial: int, tol: float,
+def _convexity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
                      node_range: tuple[int, int],
                      alpha_grid: Sequence[float]) -> list[Assertion]:
-    rng = _trial_rng(seed, trial, _SALTS["convexity"])
     first = _random_connected(rng, node_range)
-    second_seed = int(rng.integers(0, 2**63 - 1))
-    second = generate("erdos_renyi", first.n, seed=second_seed,
-                      p=float(rng.uniform(0.35, 0.9)), weight_range=(0.2, 5.0),
-                      max_retries=200)
+    second = _second_graph(rng, first.n)
     value_first = evaluate(first, measure)
     value_second = evaluate(second, measure)
     assertions = []
@@ -147,30 +132,21 @@ def _convexity_trial(measure: MeasureDescriptor, seed: int, trial: int, tol: flo
     return assertions
 
 
-def _subadditivity_trial(measure: MeasureDescriptor, seed: int, trial: int, tol: float,
-                         node_range: tuple[int, int]) -> list[Assertion]:
-    rng = _trial_rng(seed, trial, _SALTS["subadditivity"])
+def _subadditivity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
+                         node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
     first = _random_connected(rng, node_range)
-    second_seed = int(rng.integers(0, 2**63 - 1))
-    second = generate("erdos_renyi", first.n, seed=second_seed,
-                      p=float(rng.uniform(0.35, 0.9)), weight_range=(0.2, 5.0),
-                      max_retries=200)
+    second = _second_graph(rng, first.n)
     lhs = evaluate(graph_add(first, second), measure)
     rhs = evaluate(first, measure) + evaluate(second, measure)
     description = f"n={first.n} m1={first.m} m2={second.m}"
     return [(lhs, rhs, _allowance(tol, lhs, rhs), description)]
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def _orthogonal_trial(measure: MeasureDescriptor, seed: int, trial: int, tol: float,
-                      node_range: tuple[int, int]) -> list[Assertion]:
-    rng = _trial_rng(seed, trial, _SALTS["orthogonal_invariance"])
+def _orthogonal_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
+                      node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
     graph = _random_connected(rng, node_range)
-    u = _random_orthogonal(rng, graph.n)
+    q, r = np.linalg.qr(rng.normal(size=(graph.n, graph.n)))
+    u = q * np.sign(np.diag(r))  # Haar-distributed
     rotated = u @ laplacian(graph).matrix @ u.T
     rotated = 0.5 * (rotated + rotated.T)
     base = evaluate(graph, measure)
@@ -180,9 +156,8 @@ def _orthogonal_trial(measure: MeasureDescriptor, seed: int, trial: int, tol: fl
     return [(abs(conjugated - base), 0.0, _allowance(tol, base), description)]
 
 
-def _schur_trial(f_vec: Callable[[np.ndarray], float], seed: int, trial: int,
-                 tol: float, node_range: tuple[int, int]) -> list[Assertion]:
-    rng = _trial_rng(seed, trial, _SALTS["schur_convexity"])
+def _schur_trial(f_vec: Callable[[np.ndarray], float], rng: np.random.Generator,
+                 tol: float, node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
     dim = int(rng.integers(max(2, node_range[0] - 1), node_range[1]))
     x = rng.uniform(0.1, 10.0, size=dim)
     terms = int(rng.integers(2, 6))
@@ -196,26 +171,57 @@ def _schur_trial(f_vec: Callable[[np.ndarray], float], seed: int, trial: int,
     return [(lhs, rhs, _allowance(tol, lhs, rhs), description)]
 
 
-def _collect(property_id: str, measure_label: str, trials: int, seed: int, tol: float,
-             trial_fn: Callable[[int], list[Assertion]]) -> PropertyReport:
+# the salts decorrelate the properties' streams and stay fixed so violations replay
+_PROPERTIES = {
+    "homogeneity": (1, _homogeneity_trial),
+    "monotonicity": (2, _monotonicity_trial),
+    "convexity": (3, _convexity_trial),
+    "subadditivity": (4, _subadditivity_trial),
+    "orthogonal_invariance": (5, _orthogonal_trial),
+    "schur_convexity": (6, _schur_trial),
+}
+
+
+def _trial(property_id: str, subject, seed: int, trial: int, tol: float,
+           node_range: tuple[int, int], alpha_grid: Sequence[float]) -> list[Assertion]:
+    """One trial of a property, drawn from the stream of (seed, trial, salt)."""
+    if property_id not in _PROPERTIES:
+        raise DomainError(f"unknown property {property_id!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    salt, trial_fn = _PROPERTIES[property_id]
+    if trial_fn is _orthogonal_trial and not is_spectral(subject):
+        raise DomainError(f"{subject.id} is not eigenvalue-based")
+    if trial_fn is _schur_trial and isinstance(subject, MeasureDescriptor):
+        subject = spectral_form(subject)
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(salt, trial))
+    rng = np.random.Generator(np.random.PCG64(sequence))
+    return trial_fn(subject, rng, tol, node_range, alpha_grid)
+
+
+def _run(property_id: str, subject, trials: int, seed: int, tol: float,
+         node_range: tuple[int, int], alpha_grid=DEFAULT_ALPHA_GRID) -> PropertyReport:
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
     violations = []
     for trial in range(trials):
-        for lhs, rhs, allowance, description in trial_fn(trial):
+        for lhs, rhs, allowance, description in _trial(property_id, subject, seed, trial,
+                                                        tol, node_range, alpha_grid):
             margin = lhs - rhs - allowance
             if margin > 0.0:
                 violations.append(Violation(trial=trial, description=description,
                                             lhs=lhs, rhs=rhs, margin=margin))
-    return PropertyReport(property_id=property_id, measure=measure_label,
-                          trials=trials, violations=tuple(violations),
-                          seed=seed, tol=tol)
+    label = (subject.label() if isinstance(subject, MeasureDescriptor)
+             else getattr(subject, "__name__", "f_vec"))
+    return PropertyReport(property_id=property_id, measure=label, trials=trials,
+                          violations=tuple(violations), seed=seed, tol=tol)
 
 
 def check_homogeneity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0,
                       tol: float = DEFAULT_TOL,
                       node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
     """Scaling weights by kappa must divide the measure by kappa."""
-    return _collect("homogeneity", measure.label(), trials, seed, tol,
-                    lambda t: _homogeneity_trial(measure, seed, t, tol, node_range))
+    return _run("homogeneity", measure, trials, seed, tol, node_range)
 
 
 def check_monotonicity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0,
@@ -226,8 +232,7 @@ def check_monotonicity(measure: MeasureDescriptor, trials: int = 200, seed: int 
     Ordered pairs are constructed by edge addition, then the pseudo-inverse
     ordering is verified explicitly before the measure comparison.
     """
-    return _collect("monotonicity", measure.label(), trials, seed, tol,
-                    lambda t: _monotonicity_trial(measure, seed, t, tol, node_range))
+    return _run("monotonicity", measure, trials, seed, tol, node_range)
 
 
 def check_convexity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0,
@@ -235,17 +240,14 @@ def check_convexity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0
                     tol: float = DEFAULT_TOL,
                     node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
     """Measure of a Laplacian convex combination is below the value combination."""
-    return _collect("convexity", measure.label(), trials, seed, tol,
-                    lambda t: _convexity_trial(measure, seed, t, tol, node_range,
-                                               tuple(alpha_grid)))
+    return _run("convexity", measure, trials, seed, tol, node_range, tuple(alpha_grid))
 
 
 def check_subadditivity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0,
                         tol: float = DEFAULT_TOL,
                         node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
     """Measure of an edge union is at most the sum of the measures."""
-    return _collect("subadditivity", measure.label(), trials, seed, tol,
-                    lambda t: _subadditivity_trial(measure, seed, t, tol, node_range))
+    return _run("subadditivity", measure, trials, seed, tol, node_range)
 
 
 def check_orthogonal_invariance(measure: MeasureDescriptor, trials: int = 200,
@@ -255,10 +257,7 @@ def check_orthogonal_invariance(measure: MeasureDescriptor, trials: int = 200,
     """Conjugating the Laplacian by a random orthogonal matrix must not move
     any eigenvalue-based measure; evaluation works on the rotated matrix
     directly since it is generally not a Laplacian."""
-    if not is_spectral(measure):
-        raise DomainError(f"{measure.id} is not eigenvalue-based")
-    return _collect("orthogonal_invariance", measure.label(), trials, seed, tol,
-                    lambda t: _orthogonal_trial(measure, seed, t, tol, node_range))
+    return _run("orthogonal_invariance", measure, trials, seed, tol, node_range)
 
 
 def check_schur_convexity(f_vec: Callable[[np.ndarray], float] | MeasureDescriptor,
@@ -267,36 +266,14 @@ def check_schur_convexity(f_vec: Callable[[np.ndarray], float] | MeasureDescript
                           ) -> PropertyReport:
     """Applying a random doubly stochastic matrix (Birkhoff combination of
     permutations) to a positive vector must not increase the measure."""
-    if isinstance(f_vec, MeasureDescriptor):
-        label = f_vec.label()
-        f_vec = spectral_form(f_vec)
-    else:
-        label = getattr(f_vec, "__name__", "f_vec")
-    return _collect("schur_convexity", label, trials, seed, tol,
-                    lambda t: _schur_trial(f_vec, seed, t, tol, node_range))
-
-
-_CHECKS = {
-    "homogeneity": check_homogeneity,
-    "monotonicity": check_monotonicity,
-    "convexity": check_convexity,
-    "subadditivity": check_subadditivity,
-    "orthogonal_invariance": check_orthogonal_invariance,
-    "schur_convexity": check_schur_convexity,
-}
+    return _run("schur_convexity", f_vec, trials, seed, tol, node_range)
 
 
 def run_check(property_id: str, measure: MeasureDescriptor, trials: int = 200,
               seed: int = 0, tol: float = DEFAULT_TOL,
               node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
     """Dispatch a property check by name."""
-    if property_id not in _CHECKS:
-        raise DomainError(f"unknown property {property_id!r}")
-    if property_id == "schur_convexity":
-        return check_schur_convexity(measure, trials=trials, seed=seed, tol=tol,
-                                     node_range=node_range)
-    return _CHECKS[property_id](measure, trials=trials, seed=seed, tol=tol,
-                                node_range=node_range)
+    return _run(property_id, measure, trials, seed, tol, node_range)
 
 
 def replay_trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
@@ -304,16 +281,4 @@ def replay_trial(property_id: str, measure: MeasureDescriptor, seed: int, trial:
                  node_range: tuple[int, int] = DEFAULT_NODE_RANGE,
                  alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID) -> list[Assertion]:
     """Re-run one trial of a property check; identical inputs give identical bits."""
-    if property_id == "homogeneity":
-        return _homogeneity_trial(measure, seed, trial, tol, node_range)
-    if property_id == "monotonicity":
-        return _monotonicity_trial(measure, seed, trial, tol, node_range)
-    if property_id == "convexity":
-        return _convexity_trial(measure, seed, trial, tol, node_range, tuple(alpha_grid))
-    if property_id == "subadditivity":
-        return _subadditivity_trial(measure, seed, trial, tol, node_range)
-    if property_id == "orthogonal_invariance":
-        return _orthogonal_trial(measure, seed, trial, tol, node_range)
-    if property_id == "schur_convexity":
-        return _schur_trial(spectral_form(measure), seed, trial, tol, node_range)
-    raise DomainError(f"unknown property {property_id!r}")
+    return _trial(property_id, measure, seed, trial, tol, node_range, tuple(alpha_grid))

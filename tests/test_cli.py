@@ -165,6 +165,30 @@ class TestProps:
                 "--trials", "5", "--seed", "1"])
             assert code == 0
 
+    # a meaningless tol or trial count used to pass silently (a NaN tol
+    # hid every violation, -5 trials ran none) instead of exiting 2
+    @pytest.mark.parametrize("option", [
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"],
+        ["--trials", "-5"], ["--trials", "0"]])
+    def test_invalid_tol_or_trials_exit_two(self, capsys, option):
+        code, report, err = run_cli(capsys, [
+            "props", "--measure", "entropy", "--property", "homogeneity",
+            "--trials", "20", "--seed", "1"] + option)
+        assert code == 2
+        assert report is None
+        assert "error:" in err
+
+    def test_property_names_map_onto_the_table(self):
+        from systemic import applicable_properties, measures, properties
+        ids = list(cli._PROPERTY_NAMES.values())
+        assert len(set(ids)) == len(ids)
+        assert set(ids) == set(properties._PROPERTIES)
+        params = {"zeta_measure": {"p": 2.0}, "hp_norm": {"p": 3.0},
+                  "schur_sum": {"f_id": "inverse"}}
+        for measure_id in measures.MEASURE_IDS:
+            descriptor = measures.MeasureDescriptor(measure_id, **params.get(measure_id, {}))
+            assert applicable_properties(descriptor) <= set(properties._PROPERTIES)
+
 
 class TestDesignCommands:
     def test_optimize_weights(self, capsys, graph_files):

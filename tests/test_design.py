@@ -281,17 +281,6 @@ class TestRewire:
         with pytest.raises(DomainError):
             rewire_bruteforce(4, 2, 1.0, ENERGY)
 
-    def test_weight_refine_hook(self):
-        calls = []
-
-        def refine(graph, measure):
-            calls.append(graph)
-            return ((1.0,) * graph.m, evaluate(graph, measure))
-
-        outcome = rewire_bruteforce(4, 4, 4.0, ENERGY, weight_refine=refine)
-        assert len(calls) == len(outcome.ranking)
-        assert outcome.ranking[0].refined is not None
-
 
 class TestFundamentalLimit:
     def test_p3_budget_zero_is_value(self, p3):

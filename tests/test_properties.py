@@ -7,7 +7,7 @@ from systemic import (DomainError, MeasureDescriptor, WeightedGraph,
                       check_convexity, check_homogeneity, check_monotonicity,
                       check_orthogonal_invariance, check_schur_convexity,
                       check_subadditivity, evaluate, generate, graph_add,
-                      replay_trial, run_check, scalar_mul, spectral_form)
+                      properties, replay_trial, run_check, scalar_mul, spectral_form)
 
 ENERGY = MeasureDescriptor("energy1")
 ENTROPY = MeasureDescriptor("entropy")
@@ -167,3 +167,99 @@ class TestReplay:
         assert report.property_id == "schur_convexity"
         with pytest.raises(DomainError):
             run_check("associativity", ENERGY)
+
+
+def _schur_concave(x):
+    # the sum of logs grows as a vector is averaged: Schur-concave
+    return float(np.sum(np.log(x)))
+
+
+_CHECKS = {
+    "homogeneity": check_homogeneity,
+    "monotonicity": check_monotonicity,
+    "convexity": check_convexity,
+    "subadditivity": check_subadditivity,
+    "orthogonal_invariance": check_orthogonal_invariance,
+    "schur_convexity": check_schur_convexity,
+}
+
+# per property: (subject, tol, negate the measure) that makes its check fail
+_VIOLATING = {
+    "homogeneity": (ENTROPY, 1e-8, False),
+    "monotonicity": (ENERGY, 1e-8, True),
+    "convexity": (ENERGY, 1e-8, True),
+    "subadditivity": (ENTROPY, 1e-8, False),
+    "orthogonal_invariance": (ENERGY, 0.0, False),
+    "schur_convexity": (_schur_concave, 1e-8, False),
+}
+
+
+def _negate_measures(monkeypatch):
+    """Make every graph measure the trials evaluate anti-monotone and concave."""
+    original = properties.evaluate
+    monkeypatch.setattr(properties, "evaluate",
+                        lambda graph, measure: -original(graph, measure))
+
+
+def _assert_replays(report, property_id, subject, **options):
+    for violation in report.violations:
+        assertions = replay_trial(property_id, subject, seed=report.seed,
+                                  trial=violation.trial, tol=report.tol, **options)
+        matching = [a for a in assertions if a[3] == violation.description]
+        assert len(matching) == 1
+        lhs, rhs, allowance, _ = matching[0]
+        assert (lhs, rhs, lhs - rhs - allowance) == (
+            violation.lhs, violation.rhs, violation.margin)
+
+
+class TestReplayEveryProperty:
+    def test_checks_cover_the_table(self):
+        assert set(_CHECKS) == set(_VIOLATING) == set(properties._PROPERTIES)
+
+    @pytest.mark.parametrize("property_id", sorted(properties._PROPERTIES))
+    def test_every_violation_replays(self, monkeypatch, property_id):
+        subject, tol, negate = _VIOLATING[property_id]
+        if negate:
+            _negate_measures(monkeypatch)
+        report = _CHECKS[property_id](subject, trials=12, seed=31, tol=tol)
+        assert report.property_id == property_id
+        assert report.violations
+        _assert_replays(report, property_id, subject)
+
+    def test_custom_alpha_grid_replays(self, monkeypatch):
+        _negate_measures(monkeypatch)
+        grid = (0.2, 0.7)
+        report = check_convexity(ENERGY, trials=8, seed=12, alpha_grid=grid,
+                                 node_range=(4, 9))
+        assert report.violations
+        assert {v.description.split("alpha=")[1] for v in report.violations} <= {
+            repr(alpha) for alpha in grid}
+        _assert_replays(report, "convexity", ENERGY, node_range=(4, 9), alpha_grid=grid)
+        for trial in range(report.trials):
+            assert len(replay_trial("convexity", ENERGY, seed=12, trial=trial,
+                                    node_range=(4, 9), alpha_grid=grid)) == len(grid)
+
+
+class TestInvalidInputs:
+    # a NaN tol hid every violation and a trial count below 1 passed vacuously
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("property_id", sorted(properties._PROPERTIES))
+    def test_tol_rejected(self, property_id, tol):
+        with pytest.raises(DomainError, match="tol"):
+            run_check(property_id, ENERGY, trials=3, tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            _CHECKS[property_id](ENERGY, trials=3, tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            replay_trial(property_id, ENERGY, seed=0, trial=0, tol=tol)
+
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, "3", None])
+    @pytest.mark.parametrize("property_id", sorted(properties._PROPERTIES))
+    def test_trials_rejected(self, property_id, trials):
+        with pytest.raises(DomainError, match="trials"):
+            run_check(property_id, ENERGY, trials=trials)
+        with pytest.raises(DomainError, match="trials"):
+            _CHECKS[property_id](ENERGY, trials=trials)
+
+    def test_zero_tol_and_numpy_trial_count_accepted(self):
+        report = run_check("homogeneity", ENERGY, trials=np.int64(2), tol=0.0)
+        assert report.trials == 2
