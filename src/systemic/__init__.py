@@ -33,7 +33,7 @@ _EXPORTS = {
                    "run_check"),
     "sim": ("SimConfig", "decay_rate", "estimate_h2", "simulate_output"),
     "spectral": ("Spectrum", "eig_sym", "graph_spectrum", "laplacian_spectrum",
-                 "pseudo_inverse", "psd_order", "zero_tolerance"),
+                 "pseudo_inverse", "psd_order"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

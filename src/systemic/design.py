@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
                      ScaleError, SolverError)
-from .graphs import (WeightedGraph, _check_edges, _check_node_count, _connected,
-                     _degree_vector, _edge_error, _laplacian_matrix)
+from .graphs import (WeightedGraph, _connected, _degree_vector, _laplacian_matrix,
+                     is_connected)
 from .measures import (_MEASURES, MeasureDescriptor, evaluate,
                        evaluate_eigenvalues, get_spectral_function)
 from .spectral import Spectrum, graph_spectrum, laplacian_spectrum
@@ -46,30 +46,35 @@ class Topology:
         if arity is None or (arity != 2).any():
             raise GraphFormatError("topology edges must be (u, v) pairs")
         try:
-            # (m, 2) endpoint array; raveled it interleaves u0, v0, u1, v1, ...
             # index() refuses floats, which an intp array would truncate
             pairs = np.fromiter(map(index, itertools.chain.from_iterable(edges)),
                                 dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
         except TypeError as exc:
             raise GraphFormatError(f"topology endpoints must be integers: {exc}") from None
         pairs.sort(axis=1)
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        if (pairs[1:] == pairs[:-1]).all(axis=1).any():
-            raise DomainError("topology has duplicate edges")
-        pairs.setflags(write=False)
-        # a graph's node count and endpoint checks, on unit weights
-        us, vs = pairs.T
-        _check_node_count(self.n)
-        _check_edges(self.n, us, vs, np.ones(len(pairs)), lambda i, defect: _edge_error(
-            defect, self.n, int(us[i]), int(vs[i]), 1.0))
-        if not _connected(self.n, us, vs):
-            raise ConnectivityError("topology is disconnected under positive weights")
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "edges", tuple(zip(us.tolist(), vs.tolist())))
+        # a unit-weight graph's checks name the first defective pair in input
+        # order, sort the pairs and decide connectivity
+        self._adopt(WeightedGraph._from_arrays(
+            self.n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)),
+            error=lambda i, defect: (DomainError("topology has duplicate edges")
+                                     if defect == "duplicate" else None)))
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "Topology":
-        return cls(n=graph.n, edges=tuple(zip(graph._us.tolist(), graph._vs.tolist())))
+        topology = object.__new__(cls)
+        object.__setattr__(topology, "n", graph.n)
+        topology._adopt(graph)
+        return topology
+
+    def _adopt(self, graph: WeightedGraph) -> None:
+        """Take the checked, sorted endpoint arrays of a graph on n nodes."""
+        if not is_connected(graph):
+            raise ConnectivityError("topology is disconnected under positive weights")
+        # (m, 2) endpoint array; raveled it interleaves u0, v0, u1, v1, ...
+        pairs = np.column_stack((graph._us, graph._vs))
+        pairs.setflags(write=False)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "edges", tuple(zip(graph._us.tolist(), graph._vs.tolist())))
 
     @property
     def m(self) -> int:
@@ -103,14 +108,23 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + shift, 0.0)
 
 
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+STEP_INIT = 1.0
+MAX_BACKTRACKS = 60  # step halvings per line search
+SUPPORT_TOL = 1e-12  # an edge whose weight is at most this is off the support
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8
     max_iters: int = 2000
-    armijo: float = 1e-4
-    step_init: float = 1.0
-    max_backtracks: int = 60
-    support_tol: float = 1e-12
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise DomainError(f"tol must be finite and >= 0, got {self.tol!r}")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise DomainError(f"max_iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass(frozen=True)
@@ -175,9 +189,9 @@ class _Objective:
         return value, grad[us] + grad[vs]
 
 
-def _stationarity_residual(weights: np.ndarray, gradient: np.ndarray,
-                           support_tol: float) -> tuple[float, np.ndarray]:
-    support = weights > support_tol
+def _stationarity_residual(weights: np.ndarray,
+                           gradient: np.ndarray) -> tuple[float, np.ndarray]:
+    support = weights > SUPPORT_TOL
     supported = gradient[support]
     return float(np.abs(supported - supported.mean()).max()), support
 
@@ -200,13 +214,13 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
 
     value, gradient = objective.value_and_gradient(weights)
     history = [value]
-    step = options.step_init
+    step = STEP_INIT
     iterations = 0
-    residual, support = _stationarity_residual(weights, gradient, options.support_tol)
+    residual, support = _stationarity_residual(weights, gradient)
     while residual > options.tol and iterations < options.max_iters:
         accepted = False
         t = step
-        for _ in range(options.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             candidate = project_simplex(weights - t * gradient)
             move = candidate - weights
             move_norm2 = float(move @ move)
@@ -217,14 +231,13 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
             except ConnectivityError:
                 t *= 0.5
                 continue
-            if candidate_value <= value - (options.armijo / t) * move_norm2:
+            if candidate_value <= value - (ARMIJO / t) * move_norm2:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             # no descent step exists at this scale; re-check stationarity
-            residual, support = _stationarity_residual(weights, gradient,
-                                                       options.support_tol)
+            residual, support = _stationarity_residual(weights, gradient)
             if residual <= math.sqrt(options.tol):
                 break
             raise SolverError(
@@ -234,7 +247,7 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
         iterations += 1
         history.append(value)
         value, gradient = objective.value_and_gradient(weights)
-        residual, support = _stationarity_residual(weights, gradient, options.support_tol)
+        residual, support = _stationarity_residual(weights, gradient)
     active = tuple(int(i) for i in np.nonzero(~support)[0])
     return WeightAllocationResult(weights=weights, objective=value,
                                   iterations=iterations,
@@ -252,7 +265,7 @@ def _optimize_subgradient(objective: _Objective, weights: np.ndarray,
         norm = float(np.linalg.norm(gradient))
         if norm == 0.0:
             break
-        t = options.step_init / ((1.0 + iteration) * norm)
+        t = STEP_INIT / ((1.0 + iteration) * norm)
         candidate = project_simplex(weights - t * gradient)
         try:
             candidate_value, candidate_gradient = objective.value_and_gradient(candidate)
@@ -266,8 +279,7 @@ def _optimize_subgradient(objective: _Objective, weights: np.ndarray,
         if value < best_value:
             best_value, best_weights = value, weights
     _, best_gradient = objective.value_and_gradient(best_weights)
-    residual, support = _stationarity_residual(best_weights, best_gradient,
-                                               options.support_tol)
+    residual, support = _stationarity_residual(best_weights, best_gradient)
     active = tuple(int(i) for i in np.nonzero(~support)[0])
     return WeightAllocationResult(weights=best_weights, objective=best_value,
                                   iterations=iterations,

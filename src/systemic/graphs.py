@@ -179,13 +179,14 @@ class WeightedGraph:
         """Build a graph from integer endpoint and float weight arrays, which
         it takes over and makes read-only.  connected, when given, is the
         verdict of a caller that already ran _connected on the edges (us,
-        vs); error names a defective edge (by default, as the constructor
-        does)."""
+        vs); error names a defective edge, and where it is not given or
+        returns None the error is the constructor's."""
         _check_node_count(n)
-        if error is None:
-            def error(i, defect):
-                return _edge_error(defect, n, int(us[i]), int(vs[i]), float(ws[i]))
-        order = _check_edges(n, us, vs, ws, error)
+
+        def named(i, defect):
+            return ((error and error(i, defect))
+                    or _edge_error(defect, n, int(us[i]), int(vs[i]), float(ws[i])))
+        order = _check_edges(n, us, vs, ws, named)
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         graph._store(us, vs, ws, order, connected)

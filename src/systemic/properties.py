@@ -182,6 +182,11 @@ _PROPERTIES = {
 }
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _trial(property_id: str, subject, seed: int, trial: int, tol: float,
            node_range: tuple[int, int], alpha_grid: Sequence[float]) -> list[Assertion]:
     """One trial of a property, drawn from the stream of (seed, trial, salt)."""
@@ -189,6 +194,8 @@ def _trial(property_id: str, subject, seed: int, trial: int, tol: float,
         raise DomainError(f"unknown property {property_id!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_integer("seed", seed, 0)
+    _check_integer("trial", trial, 0)
     salt, trial_fn = _PROPERTIES[property_id]
     if trial_fn is _orthogonal_trial and not is_spectral(subject):
         raise DomainError(f"{subject.id} is not eigenvalue-based")
@@ -201,8 +208,7 @@ def _trial(property_id: str, subject, seed: int, trial: int, tol: float,
 
 def _run(property_id: str, subject, trials: int, seed: int, tol: float,
          node_range: tuple[int, int], alpha_grid=DEFAULT_ALPHA_GRID) -> PropertyReport:
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_integer("trials", trials, 1)
     violations = []
     for trial in range(trials):
         for lhs, rhs, allowance, description in _trial(property_id, subject, seed, trial,

@@ -19,11 +19,10 @@ Identical input bits give identical output bits on the same machine and BLAS
 build in either mode, which the property-check machinery relies on for
 replayable trials.
 
-laplacian_spectrum takes a graph's connectivity from the graph itself, an
-exact combinatorial fact, so a weak but present bridge is not called a cut;
-it only checks that the solve resolves the zero and the second eigenvalue
-within eigenvalue_error_bound. Raw matrices carry no such fact and keep the
-relative zero tolerance.
+laplacian_spectrum judges the zero mode of every operand (a graph, a
+Laplacian or a raw matrix) against one bound, eigenvalue_error_bound. A graph
+also brings its connectivity, an exact combinatorial fact, so a weak but
+present bridge is not called a cut.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ from .graphs import Laplacian, WeightedGraph, is_connected, laplacian
 
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
-ZERO_TOL_SCALE = 1e-8
 SYMMETRY_TOL = 1e-12
 # safety factor on the n * eps * ||A||_F backward-error bound of syevd
 BACKWARD_ERROR_FACTOR = 8.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -80,30 +79,40 @@ def _fix_signs(v: np.ndarray) -> None:
     v[:, leading < 0] *= -1.0
 
 
+def eigenvalue_error_bound(matrix: np.ndarray) -> float:
+    """delta = BACKWARD_ERROR_FACTOR * n * eps * ||A||_F for a symmetric matrix A.
+
+    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta, so by
+    Weyl each computed eigenvalue is within delta of the exact one; an
+    eigenvalue within delta of zero cannot be told from zero.
+    """
+    norm = math.sqrt(float(np.square(matrix).sum()))  # pairwise: rounding O(log n)
+    return BACKWARD_ERROR_FACTOR * matrix.shape[0] * _EPS * norm
+
+
 def _check_moments(matrix: np.ndarray, d: np.ndarray) -> None:
     """The values-only gate: raise NumericalError unless the eigenvalues d of
     the symmetric `matrix` are finite, ascending, and match its first two
     moments, trace(A) = sum(d) and ||A||_F^2 = sum(d^2).
 
-    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta, taken
-    here as BACKWARD_ERROR_FACTOR * n * eps * ||A||_F. By Hoffman-Wielandt the
-    eigenvalue errors e have ||e||_2 <= delta, so the sum is off by at most
-    sqrt(n) * delta and the sum of squares by at most delta * (2 ||A||_F +
-    delta); these bounds also cover the rounding of the sums themselves.
-    The gate catches a shifted, lost or non-finite eigenvalue, a misordered
-    result, and a compensating pair that keeps the trace but not the squares.
-    It cannot catch a corruption that keeps the order and both moments, such
-    as three eigenvalues moved by shifts e_i with sum(e) = 0 and
-    sum(2 d_i e_i + e_i^2) = 0.
+    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta =
+    eigenvalue_error_bound(A). By Hoffman-Wielandt the eigenvalue errors e
+    have ||e||_2 <= delta, so the sum is off by at most sqrt(n) * delta and
+    the sum of squares by at most delta * (2 ||A||_F + delta); these bounds
+    also cover the rounding of the sums themselves. The gate catches a
+    shifted, lost or non-finite eigenvalue, a misordered result, and a
+    compensating pair that keeps the trace but not the squares. It cannot
+    catch a corruption that keeps the order and both moments, such as three
+    eigenvalues moved by shifts e_i with sum(e) = 0 and sum(2 d_i e_i + e_i^2) = 0.
     """
     if not np.isfinite(d).all():
         raise NumericalError("eigenvalues are not finite")
     if np.any(d[1:] < d[:-1]):
         raise NumericalError("eigenvalues are not ascending")
     n = d.shape[0]
-    squares = float(np.sum(np.square(matrix)))  # pairwise: rounding O(log n)
+    squares = float(np.square(matrix).sum())
     norm = math.sqrt(squares)
-    delta = BACKWARD_ERROR_FACTOR * n * np.finfo(float).eps * norm
+    delta = eigenvalue_error_bound(matrix)
     trace_error = abs(float(np.sum(d)) - float(np.trace(matrix)))
     if not trace_error <= math.sqrt(n) * delta:
         raise NumericalError(f"eigenvalue sum misses the trace by {trace_error:.3e}")
@@ -157,16 +166,6 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
     return Spectrum(eigenvalues=d, eigenvectors=v, residual=residual)
 
 
-def zero_tolerance(eigenvalues: np.ndarray) -> float:
-    """Threshold separating the structural zero eigenvalue from the rest.
-
-    Relative to the largest eigenvalue, so scaling every weight scales the
-    threshold with it; an all-zero spectrum gets threshold 0.
-    """
-    top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    return ZERO_TOL_SCALE * top
-
-
 def _as_matrix(operand: WeightedGraph | Laplacian | np.ndarray) -> np.ndarray:
     if isinstance(operand, WeightedGraph):
         return laplacian(operand).matrix
@@ -175,33 +174,17 @@ def _as_matrix(operand: WeightedGraph | Laplacian | np.ndarray) -> np.ndarray:
     return np.asarray(operand, dtype=float)
 
 
-def eigenvalue_error_bound(matrix: np.ndarray) -> float:
-    """delta = BACKWARD_ERROR_FACTOR * n * eps * ||A||_F for a symmetric matrix A.
-
-    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta, so by
-    Weyl each computed eigenvalue is within delta of the exact one; an
-    eigenvalue within delta of zero cannot be told from zero.
-    """
-    norm = math.sqrt(float(np.sum(np.square(matrix))))
-    return BACKWARD_ERROR_FACTOR * matrix.shape[0] * np.finfo(float).eps * norm
-
-
 def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray, *,
                        vectors: bool = True) -> Spectrum:
     """Spectrum of a connected-graph Laplacian (or any matrix similar to one).
 
     eig_sym in the full mode, or values only with vectors=False; the smallest
-    eigenvalue is snapped to exactly 0.
-
-    A WeightedGraph brings its exact connectivity flag: a disconnected graph
-    raises ConnectivityError before any eigensolve, and the zero eigenvalue
-    and the second one are judged against eigenvalue_error_bound.  A smallest
-    eigenvalue beyond the bound, or a second one not above it, means the solve
-    cannot resolve the spectrum of this connected graph: NumericalError.
-
-    Any other operand is judged by the relative zero tolerance: the smallest
-    eigenvalue must sit below it (DomainError otherwise), and a second
-    eigenvalue below it means the matrix is disconnected (ConnectivityError).
+    eigenvalue is snapped to exactly 0.  With delta = eigenvalue_error_bound,
+    |lambda_1| > delta is not a structural zero (DomainError), and lambda_2 <=
+    delta means the matrix is disconnected as far as the solve can tell
+    (ConnectivityError).  A WeightedGraph brings its exact connectivity flag
+    instead: a disconnected graph raises ConnectivityError before any
+    eigensolve, and a connected one that fails either test NumericalError.
     """
     is_graph = isinstance(operand, WeightedGraph)
     if is_graph and operand.n >= 2 and not is_connected(operand):
@@ -211,20 +194,17 @@ def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray, *,
         raise DomainError("consensus spectra need at least 2 nodes")
     spec = eig_sym(matrix, vectors=vectors)
     lam = spec.eigenvalues
-    if is_graph:
-        delta = eigenvalue_error_bound(matrix)
-        if not (abs(lam[0]) <= delta and lam[1] > delta):
-            raise NumericalError(
-                f"eigenvalues {lam[0]:.3e}, {lam[1]:.3e} of a connected graph are not "
-                f"resolved by the solve's error bound {delta:.3e}")
-    else:
-        tol = zero_tolerance(lam)
-        if abs(lam[0]) > tol:
-            raise DomainError(
-                f"smallest eigenvalue {lam[0]:.3e} is not a structural zero (tol {tol:.3e})")
-        if lam[1] <= tol:
-            raise ConnectivityError(f"second eigenvalue {lam[1]:.3e} below tolerance "
-                                    f"{tol:.3e}: graph is disconnected")
+    delta = eigenvalue_error_bound(matrix)
+    if is_graph and not (abs(lam[0]) <= delta and lam[1] > delta):
+        raise NumericalError(
+            f"eigenvalues {lam[0]:.3e}, {lam[1]:.3e} of a connected graph are not "
+            f"resolved by the solve's error bound {delta:.3e}")
+    if not abs(lam[0]) <= delta:
+        raise DomainError(f"smallest eigenvalue {lam[0]:.3e} is not a structural zero "
+                          f"(error bound {delta:.3e})")
+    if not lam[1] > delta:
+        raise ConnectivityError(f"second eigenvalue {lam[1]:.3e} within the error bound "
+                                f"{delta:.3e}: graph is disconnected")
     snapped = lam.copy()
     snapped[0] = 0.0
     return Spectrum(eigenvalues=snapped, eigenvectors=spec.eigenvectors,

@@ -178,6 +178,15 @@ class TestProps:
         assert report is None
         assert "error:" in err
 
+    def test_negative_seed_exits_two(self, capsys):
+        # NumPy's seed sequence refuses it with a ValueError, which exited 1
+        code, report, err = run_cli(capsys, [
+            "props", "--measure", "energy1", "--property", "schur",
+            "--trials", "3", "--seed", "-1"])
+        assert code == 2
+        assert report is None
+        assert "seed must be an integer >= 0" in err
+
     def test_property_names_map_onto_the_table(self):
         from systemic import applicable_properties, measures, properties
         ids = list(cli._PROPERTY_NAMES.values())
@@ -199,6 +208,20 @@ class TestDesignCommands:
         results = report["results"]
         assert results["objective"] == pytest.approx(4.0 / 3.0, abs=1e-6)
         assert results["weights"] == pytest.approx([0.5, 0.5], abs=1e-4)
+
+    # a NaN tol or a negative iteration budget reported the uniform start
+    # as the optimum, and a negative tol died in math.sqrt with exit code 1
+    @pytest.mark.parametrize("option, message", [
+        (["--tol", "nan"], "tol must be finite"), (["--tol", "-1"], "tol must be finite"),
+        (["--max-iters", "-5"], "max_iters must be an integer >= 1"),
+        (["--max-iters", "0"], "max_iters must be an integer >= 1")])
+    def test_invalid_solver_options_exit_two(self, capsys, graph_files, option, message):
+        code, report, err = run_cli(capsys, [
+            "optimize-weights", "--topology", graph_files["p3"],
+            "--measure", "energy1"] + option)
+        assert code == 2
+        assert report is None
+        assert message in err
 
     def test_rewire(self, capsys):
         code, report, _ = run_cli(capsys, [
@@ -465,7 +488,7 @@ PACKAGE_NAMES = [
     "parse_graph", "project_simplex", "properties", "psd_order", "pseudo_inverse",
     "register_spectral_function", "replay_trial", "rewire_bruteforce", "run_check",
     "scalar_mul", "serialize_graph", "sim", "simulate_output", "spanning_tree_count",
-    "spectral", "spectral_form", "zero_tolerance", "zeta", "zeta_measure",
+    "spectral", "spectral_form", "zeta", "zeta_measure",
 ]
 LAYER_MODULES = ["design", "errors", "graphs", "measures", "properties", "sim", "spectral"]
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 from systemic import (ConnectivityError, DomainError, GraphFormatError, InputError,
                       MeasureDescriptor, ScaleError, SolverOptions,
                       SpectralFunction, Topology, WeightedGraph, evaluate,
-                      fundamental_limit, generate, graph_spectrum,
+                      fundamental_limit, generate, graph_spectrum, graphs,
                       greedy_augment, is_connected, laplacian, laplacian_spectrum,
                       optimize_weights,
                       project_simplex, register_spectral_function,
@@ -142,6 +143,53 @@ class TestOptimizeWeights:
         # reading the first 2m flattened endpoints would drop the 7 and pair up (0, 1, 2), (3,)
         with pytest.raises(GraphFormatError, match=r"\(u, v\) pairs"):
             Topology(n=4, edges=edges)
+
+    @pytest.mark.parametrize("edges, kind, message", [
+        (((2, 2), (0, 1), (1, 0)), GraphFormatError, "self-loop at node 2"),
+        (((0, 1), (1, 0), (2, 2)), DomainError, "topology has duplicate edges"),
+        (((1, 0), (0, 3), (1, 2), (0, 1)), GraphFormatError, "edge (0, 3) needs 0 <= u < v < 3"),
+    ])
+    def test_first_defective_pair_in_input_order(self, edges, kind, message):
+        # as the graph constructors do: the pairs are checked in input order
+        with pytest.raises(kind) as excinfo:
+            Topology(n=3, edges=edges)
+        assert type(excinfo.value) is kind and str(excinfo.value) == message
+
+    def test_from_graph_takes_the_checked_arrays(self, monkeypatch):
+        graph = generate("erdos_renyi", 15, seed=2, p=0.3, weight_range=(0.5, 2.0))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the graph's edges checked again")
+        monkeypatch.setattr(graphs, "_check_edges", fail)
+        topology = Topology.from_graph(graph)
+        monkeypatch.undo()
+        assert topology == Topology(n=graph.n, edges=topology.edges)
+        assert (topology._pairs.tobytes()
+                == Topology(n=graph.n, edges=topology.edges)._pairs.tobytes())
+        with pytest.raises(ConnectivityError, match="disconnected under positive weights"):
+            Topology.from_graph(WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+
+
+class TestSolverOptions:
+    def test_only_tol_and_max_iters(self):
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iters"]
+
+    # a NaN tol or a max_iters below 1 returned the uniform start as the
+    # optimum, and a negative tol died in math.sqrt with a ValueError
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tol_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            SolverOptions(tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [-5, 0, 2.5, "3", None, True])
+    def test_max_iters_rejected(self, max_iters):
+        with pytest.raises(DomainError, match="max_iters must be an integer >= 1"):
+            SolverOptions(max_iters=max_iters)
+
+    def test_zero_tol_and_numpy_max_iters_accepted(self):
+        result = optimize_weights(P4_TOPOLOGY, ENERGY,
+                                  SolverOptions(tol=0.0, max_iters=np.int64(3)))
+        assert result.iterations <= 3
 
 
 class TestTopologyLaplacian:

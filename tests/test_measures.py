@@ -206,8 +206,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("alpha", [1e-9, 1e9])
     def test_homogeneous_measures_survive_extreme_scaling(self, k3, alpha):
-        # the zero tolerance is relative to the spectrum, so tiny weights on a
-        # connected graph are not mistaken for a disconnected one
+        # the zero mode's error bound scales with the weights, so tiny weights
+        # on a connected graph are not mistaken for a disconnected one
         descriptors = [
             MeasureDescriptor("zeta_measure", p=2.0, k=0.7),
             MeasureDescriptor("zeta_measure", p=math.inf, k=1.0),

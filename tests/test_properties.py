@@ -260,6 +260,26 @@ class TestInvalidInputs:
         with pytest.raises(DomainError, match="trials"):
             _CHECKS[property_id](ENERGY, trials=trials)
 
+    # NumPy's seed sequence raised a bare ValueError for a negative seed
+    @pytest.mark.parametrize("seed", [-1, 2.5, "0", None, True])
+    @pytest.mark.parametrize("property_id", sorted(properties._PROPERTIES))
+    def test_seed_rejected(self, property_id, seed):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            run_check(property_id, ENERGY, trials=3, seed=seed)
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            _CHECKS[property_id](ENERGY, trials=3, seed=seed)
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            replay_trial(property_id, ENERGY, seed=seed, trial=0)
+
+    @pytest.mark.parametrize("trial", [-1, 1.0, None, False])
+    def test_trial_rejected(self, trial):
+        with pytest.raises(DomainError, match="trial must be an integer >= 0"):
+            replay_trial("homogeneity", ENERGY, seed=0, trial=trial)
+
+    def test_numpy_seed_and_trial_accepted(self):
+        assert (replay_trial("homogeneity", ENERGY, seed=np.int64(3), trial=np.int32(1))
+                == replay_trial("homogeneity", ENERGY, seed=3, trial=1))
+
     def test_zero_tol_and_numpy_trial_count_accepted(self):
         report = run_check("homogeneity", ENERGY, trials=np.int64(2), tol=0.0)
         assert report.trials == 2

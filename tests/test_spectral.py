@@ -6,7 +6,7 @@ from systemic import (ConnectivityError, DimensionError, DomainError, MeasureDes
                       NumericalError, WeightedGraph, centering_matrix, eig_sym, evaluate,
                       evaluate_eigenvalues, generate, graph_add, graph_spectrum,
                       is_connected, is_spectral, laplacian, laplacian_spectrum,
-                      pseudo_inverse, psd_order, scalar_mul, spectral, zero_tolerance)
+                      pseudo_inverse, psd_order, scalar_mul, spectral)
 
 from helpers import MEASURE_CASES, random_connected
 
@@ -162,9 +162,10 @@ class TestLaplacianSpectrum:
 
     def test_single_zero_mode(self):
         for seed in range(5):
-            spectrum = laplacian_spectrum(random_connected(400 + seed))
-            tol = zero_tolerance(spectrum.eigenvalues)
-            assert int(np.sum(spectrum.eigenvalues <= tol)) == 1
+            graph = random_connected(400 + seed)
+            spectrum = laplacian_spectrum(graph)
+            delta = spectral.eigenvalue_error_bound(laplacian(graph).matrix)
+            assert int(np.sum(spectrum.eigenvalues <= delta)) == 1
 
     def test_disconnected_rejected(self):
         graph = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -172,7 +173,7 @@ class TestLaplacianSpectrum:
             laplacian_spectrum(graph)
 
     def test_edgeless_graph_is_disconnected(self):
-        # all eigenvalues are zero, so the relative zero tolerance is zero too
+        # the stored flag says disconnected, before any eigensolve
         with pytest.raises(ConnectivityError):
             laplacian_spectrum(WeightedGraph.from_edges(3, []))
 
@@ -210,10 +211,35 @@ class TestGraphConnectivity:
         with pytest.raises(NumericalError):
             evaluate(graph, MeasureDescriptor("energy1"))
 
-    def test_raw_matrix_keeps_the_zero_tolerance(self):
-        matrix = laplacian(bridged_path(1e-9)).matrix
-        with pytest.raises(ConnectivityError, match="below tolerance"):
-            laplacian_spectrum(matrix)
+    def test_raw_matrix_resolves_a_weak_bridge(self):
+        # a raw matrix is judged by the same error bound as the graph it
+        # came from, so the 1e-9 bridge resolves and the solves agree bit for bit
+        graph = bridged_path(1e-9)
+        matrix = laplacian(graph).matrix
+        for vectors in (True, False):
+            raw = laplacian_spectrum(matrix, vectors=vectors)
+            assert (raw.eigenvalues.tobytes()
+                    == laplacian_spectrum(graph, vectors=vectors).eigenvalues.tobytes())
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("graph", [
+        bridged_path(1e-20),
+        # lambda_2 is about 1e-14: positive, but within the bound of about 2e-14
+        bridged_path(1e-14),
+        WeightedGraph.from_edges(6, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.0),
+                                     (3, 4, 1.0), (3, 5, 1.0), (4, 5, 3.0)]),
+    ], ids=["unresolved-bridge", "bridge-within-bound", "two-blocks"])
+    def test_raw_matrix_with_unresolved_second_eigenvalue_is_disconnected(
+            self, graph, vectors):
+        with pytest.raises(ConnectivityError, match="within the error bound"):
+            laplacian_spectrum(laplacian(graph).matrix, vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("shift", [1e-6, 1e-12])  # the bound is about 2e-14
+    def test_raw_matrix_without_a_zero_mode_rejected(self, shift, vectors):
+        matrix = laplacian(bridged_path(1.0)).matrix + shift * np.eye(4)
+        with pytest.raises(DomainError, match="not a structural zero"):
+            laplacian_spectrum(matrix, vectors=vectors)
 
     def test_disconnected_graph_runs_no_eigensolve(self, monkeypatch):
         def fail(*args, **kwargs):
