@@ -18,8 +18,8 @@ _EXPORTS = {
     "errors": ("ConfigError", "ConnectivityError", "DimensionError", "DomainError",
                "GenerationError", "GraphFormatError", "InputError", "NumericalError",
                "ScaleError", "SolverError", "SystemicError"),
-    "graphs": ("Laplacian", "WeightedGraph", "centering_matrix", "generate",
-               "graph_add", "is_connected", "laplacian", "parse_graph", "scalar_mul",
+    "graphs": ("WeightedGraph", "centering_matrix", "generate", "graph_add",
+               "is_connected", "laplacian", "parse_graph", "scalar_mul",
                "serialize_graph", "spanning_tree_count"),
     "measures": ("ENTROPY_FORM_WARNING", "MeasureDescriptor", "QuadratureSettings",
                  "SpectralFunction", "TransferModel", "applicable_properties",

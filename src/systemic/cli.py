@@ -28,7 +28,7 @@ from .errors import NumericalError, SolverError, SystemicError
 from .graphs import (WeightedGraph, is_connected, laplacian, parse_graph,
                      serialize_graph, spanning_tree_count)
 from .measures import ENTROPY_FORM_WARNING, MeasureDescriptor
-from .spectral import eigenvalue_error_bound, graph_spectrum, laplacian_spectrum
+from .spectral import graph_spectrum, laplacian_spectrum
 
 SCHEMA_VERSION = "1.0.0"
 BOUND_BREACH_TOL = 1e-9
@@ -328,8 +328,7 @@ def _run_simulate_h2(args) -> tuple[dict, int]:
 
 def _run_validate(args) -> tuple[dict, int]:
     graph = _load_graph(args.graph)
-    lap = laplacian(graph)
-    row_sum = float(np.abs(lap.matrix.sum(axis=1)).max())
+    row_sum = float(np.abs(laplacian(graph).sum(axis=1)).max())
     connected = is_connected(graph)
     results = {
         "n": graph.n,
@@ -341,9 +340,8 @@ def _run_validate(args) -> tuple[dict, int]:
     }
     if connected and graph.n >= 2:
         spectrum = laplacian_spectrum(graph)  # the full mode: it has a residual
-        tol = eigenvalue_error_bound(lap.matrix)
         results["zero_eigenvalue_count"] = int(
-            np.sum(np.abs(spectrum.eigenvalues) <= tol))
+            np.sum(np.abs(spectrum.eigenvalues) <= spectrum.error_bound))
         results["algebraic_connectivity"] = float(spectrum.nonzero[0])
         results["eigen_residual"] = spectrum.residual
     return results, 0

@@ -62,14 +62,14 @@ class Topology:
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "Topology":
         topology = object.__new__(cls)
-        object.__setattr__(topology, "n", graph.n)
         topology._adopt(graph)
         return topology
 
     def _adopt(self, graph: WeightedGraph) -> None:
-        """Take the checked, sorted endpoint arrays of a graph on n nodes."""
+        """Take the node count and the checked, sorted endpoint arrays of a graph."""
         if not is_connected(graph):
             raise ConnectivityError("topology is disconnected under positive weights")
+        object.__setattr__(self, "n", graph.n)
         # (m, 2) endpoint array; raveled it interleaves u0, v0, u1, v1, ...
         pairs = np.column_stack((graph._us, graph._vs))
         pairs.setflags(write=False)
@@ -204,9 +204,12 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
     backtracking along the projection arc; steps that disconnect the graph
     are rejected like failed line-search steps.  Measures that reduce to the
     reciprocal algebraic connectivity use a projected subgradient method with
-    diminishing steps instead, tracking the best iterate.
+    diminishing steps instead, tracking the best iterate.  A topology
+    without edges (one node) has no weights to allocate: DomainError.
     """
     options = options or SolverOptions()
+    if topology.m == 0:
+        raise DomainError("the topology has no edges to weight")
     objective = _Objective(topology, measure)
     weights = np.full(topology.m, 1.0 / topology.m)
     if _is_nonsmooth(measure):

@@ -27,9 +27,18 @@ from .errors import (DimensionError, DomainError, GenerationError, GraphFormatEr
 Edge = tuple[int, int, float]
 
 
-def _check_node_count(n: int) -> None:
-    if n < 1:
-        raise DomainError(f"node count must be positive, got {n}")
+def _check_node_count(n: int) -> int:
+    """The node count as an int; index() refuses floats, and bool (an int
+    subclass) is refused by name."""
+    try:
+        count = index(n)
+    except TypeError:
+        count = None
+    if count is None or isinstance(n, bool):
+        raise GraphFormatError(f"node count must be an integer, got {n!r}")
+    if count < 1:
+        raise DomainError(f"node count must be positive, got {count}")
+    return count
 
 
 def _check_arity(edges: Sequence) -> None:
@@ -146,7 +155,7 @@ class WeightedGraph:
     n: int
 
     def __init__(self, n: int, edges: Sequence[Edge]):
-        _check_node_count(n)
+        n = _check_node_count(n)
         edges = tuple(edges)
         _check_arity(edges)
         try:
@@ -181,7 +190,7 @@ class WeightedGraph:
         verdict of a caller that already ran _connected on the edges (us,
         vs); error names a defective edge, and where it is not given or
         returns None the error is the constructor's."""
-        _check_node_count(n)
+        n = _check_node_count(n)
 
         def named(i, defect):
             return ((error and error(i, defect))
@@ -270,27 +279,12 @@ class WeightedGraph:
         return self._us.size
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Dense Laplacian of a weighted graph, with the degree vector alongside."""
-
-    matrix: np.ndarray
-    degrees: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.degrees.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def laplacian(graph: WeightedGraph) -> Laplacian:
-    """Assemble the Laplacian from the graph's degree vector and edge weights."""
-    degrees = graph.degrees
-    return Laplacian(matrix=_laplacian_matrix(graph._us, graph._vs, graph._ws, degrees),
-                     degrees=degrees)
+def laplacian(graph: WeightedGraph) -> np.ndarray:
+    """The dense Laplacian (read-only), assembled from the graph's degree
+    vector and edge weights."""
+    matrix = _laplacian_matrix(graph._us, graph._vs, graph._ws, graph.degrees)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -335,7 +329,7 @@ def spanning_tree_count(graph: WeightedGraph, drop_index: int = 0) -> float:
     """
     if not (0 <= drop_index < graph.n):
         raise DomainError(f"drop_index {drop_index} out of range for n={graph.n}")
-    full = laplacian(graph).matrix
+    full = laplacian(graph)
     keep = [i for i in range(graph.n) if i != drop_index]
     reduced = full[np.ix_(keep, keep)]
     return float(np.linalg.det(reduced))
@@ -438,6 +432,7 @@ def generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
     Weights are 1 unless weight_range is given.  Erdos-Renyi draws are retried
     until connected, up to max_retries.
     """
+    n = _check_node_count(n)
     if n < 2:
         raise DomainError(f"generators need n >= 2, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))

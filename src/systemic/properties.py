@@ -147,7 +147,7 @@ def _orthogonal_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol:
     graph = _random_connected(rng, node_range)
     q, r = np.linalg.qr(rng.normal(size=(graph.n, graph.n)))
     u = q * np.sign(np.diag(r))  # Haar-distributed
-    rotated = u @ laplacian(graph).matrix @ u.T
+    rotated = u @ laplacian(graph) @ u.T
     rotated = 0.5 * (rotated + rotated.T)
     base = evaluate(graph, measure)
     conjugated = evaluate_eigenvalues(

@@ -89,7 +89,7 @@ def _validate(graph: WeightedGraph, cfg: SimConfig) -> tuple[np.ndarray, np.ndar
         warnings.warn(
             f"burn_in {cfg.burn_in:g} is below the mixing heuristic 5/lambda_2 = "
             f"{5.0 / lam_2:g}; the estimate may be biased", stacklevel=3)
-    matrix = laplacian(graph).matrix
+    matrix = laplacian(graph)
     if cfg.x0 is None:
         initial = np.zeros(graph.n)
     else:

@@ -4,37 +4,40 @@ eig_sym wraps LAPACK's symmetric eigensolver (syevd) in a contract: square,
 finite, symmetric input; ascending eigenvalues; a LAPACK failure becomes
 NumericalError. It has two modes, split as numpy splits eigh and eigvalsh:
 
-* full (the default, np.linalg.eigh): orthonormal eigenvectors with a fixed
-  sign convention, and residual and orthonormality gates that turn an
-  inaccurate result into NumericalError;
+* full (the default, np.linalg.eigh): orthonormal eigenvectors, and residual
+  and orthonormality gates that turn an inaccurate result into
+  NumericalError;
 * values only (vectors=False, np.linalg.eigvalsh): no eigenvectors and no
   O(n^3) gate products. A moment gate checks that the eigenvalues are finite
   and ascending and that their sum and the sum of their squares match the
   trace and the squared Frobenius norm of the input.
 
+In both modes the Spectrum carries the solve's error bound delta =
+8 n eps ||A||_F, from one sum of the input's squares: each computed
+eigenvalue is within delta of an exact one.
+
 The systemic measures are functions of the nonzero Laplacian eigenvalues
 alone, so graph_spectrum caches values-only spectra, about n floats per
-graph; pseudo_inverse and the weight-allocation gradient use the full mode.
-Identical input bits give identical output bits on the same machine and BLAS
-build in either mode, which the property-check machinery relies on for
-replayable trials.
+graph; pseudo_inverse and the weight-allocation gradient use the full mode,
+and read the eigenvectors only through sign-free products. Identical input
+bits give identical output bits on the same machine and BLAS build in either
+mode, which the property-check machinery relies on for replayable trials.
 
-laplacian_spectrum judges the zero mode of every operand (a graph, a
-Laplacian or a raw matrix) against one bound, eigenvalue_error_bound. A graph
-also brings its connectivity, an exact combinatorial fact, so a weak but
-present bridge is not called a cut.
+laplacian_spectrum judges the zero mode of a graph or a raw Laplacian matrix
+against the spectrum's error bound. A graph also brings its connectivity, an
+exact combinatorial fact, so a weak but present bridge is not called a cut.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConnectivityError, DimensionError, DomainError, NumericalError
-from .graphs import Laplacian, WeightedGraph, is_connected, laplacian
+from .graphs import WeightedGraph, is_connected, laplacian
 
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -48,11 +51,13 @@ _EPS = float(np.finfo(float).eps)
 class Spectrum:
     """Ascending eigenvalues, with orthonormal eigenvector columns in the full mode.
 
-    A values-only spectrum (eig_sym(..., vectors=False)) has eigenvectors and
-    residual None; its eigenvalues passed the moment gate instead.
+    error_bound is the solve's delta (eig_sym). A values-only spectrum
+    (eig_sym(..., vectors=False)) has eigenvectors and residual None; its
+    eigenvalues passed the moment gate instead.
     """
 
     eigenvalues: np.ndarray
+    error_bound: float
     eigenvectors: np.ndarray | None = None
     residual: float | None = None
 
@@ -62,62 +67,35 @@ class Spectrum:
             self.eigenvectors.setflags(write=False)
 
     @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
     def nonzero(self) -> np.ndarray:
         """Eigenvalues with the structural zero mode dropped (index >= 2 convention)."""
         return self.eigenvalues[1:]
 
 
-def _fix_signs(v: np.ndarray) -> None:
-    """Make the first nonzero component of each eigenvector positive."""
-    if v.size == 0:
-        return
-    leading = v[np.argmax(v != 0.0, axis=0), np.arange(v.shape[1])]
-    v[:, leading < 0] *= -1.0
-
-
-def eigenvalue_error_bound(matrix: np.ndarray) -> float:
-    """delta = BACKWARD_ERROR_FACTOR * n * eps * ||A||_F for a symmetric matrix A.
-
-    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta, so by
-    Weyl each computed eigenvalue is within delta of the exact one; an
-    eigenvalue within delta of zero cannot be told from zero.
-    """
-    norm = math.sqrt(float(np.square(matrix).sum()))  # pairwise: rounding O(log n)
-    return BACKWARD_ERROR_FACTOR * matrix.shape[0] * _EPS * norm
-
-
-def _check_moments(matrix: np.ndarray, d: np.ndarray) -> None:
+def _check_moments(matrix: np.ndarray, d: np.ndarray, squares: float, delta: float) -> None:
     """The values-only gate: raise NumericalError unless the eigenvalues d of
     the symmetric `matrix` are finite, ascending, and match its first two
-    moments, trace(A) = sum(d) and ||A||_F^2 = sum(d^2).
+    moments, trace(A) = sum(d) and ||A||_F^2 = sum(d^2) = squares.
 
-    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta =
-    eigenvalue_error_bound(A). By Hoffman-Wielandt the eigenvalue errors e
-    have ||e||_2 <= delta, so the sum is off by at most sqrt(n) * delta and
-    the sum of squares by at most delta * (2 ||A||_F + delta); these bounds
-    also cover the rounding of the sums themselves. The gate catches a
-    shifted, lost or non-finite eigenvalue, a misordered result, and a
-    compensating pair that keeps the trace but not the squares. It cannot
-    catch a corruption that keeps the order and both moments, such as three
-    eigenvalues moved by shifts e_i with sum(e) = 0 and sum(2 d_i e_i + e_i^2) = 0.
+    syevd returns the exact eigenvalues of A + E with ||E||_F <= delta. By
+    Hoffman-Wielandt the eigenvalue errors e have ||e||_2 <= delta, so the sum
+    is off by at most sqrt(n) * delta and the sum of squares by at most
+    delta * (2 ||A||_F + delta); these bounds also cover the rounding of the
+    sums themselves. The gate catches a shifted, lost or non-finite
+    eigenvalue, a misordered result, and a compensating pair that keeps the
+    trace but not the squares. It cannot catch a corruption that keeps the
+    order and both moments, such as three eigenvalues moved by shifts e_i
+    with sum(e) = 0 and sum(2 d_i e_i + e_i^2) = 0.
     """
     if not np.isfinite(d).all():
         raise NumericalError("eigenvalues are not finite")
     if np.any(d[1:] < d[:-1]):
         raise NumericalError("eigenvalues are not ascending")
-    n = d.shape[0]
-    squares = float(np.square(matrix).sum())
-    norm = math.sqrt(squares)
-    delta = eigenvalue_error_bound(matrix)
     trace_error = abs(float(np.sum(d)) - float(np.trace(matrix)))
-    if not trace_error <= math.sqrt(n) * delta:
+    if not trace_error <= math.sqrt(d.shape[0]) * delta:
         raise NumericalError(f"eigenvalue sum misses the trace by {trace_error:.3e}")
     square_error = abs(float(np.dot(d, d)) - squares)
-    if not square_error <= delta * (2.0 * norm + delta):
+    if not square_error <= delta * (2.0 * math.sqrt(squares) + delta):
         raise NumericalError(
             f"eigenvalue squares miss the Frobenius norm by {square_error:.3e}")
 
@@ -125,12 +103,15 @@ def _check_moments(matrix: np.ndarray, d: np.ndarray) -> None:
 def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
     """Spectrum of a symmetric matrix, eigenvalues ascending.
 
-    LAPACK syevd on the symmetrized matrix: np.linalg.eigh in the full mode,
-    np.linalg.eigvalsh with vectors=False. In the full mode each eigenvector's
-    first nonzero component is made positive, and the residual and
-    orthonormality gates apply; the values-only mode returns eigenvectors
-    None and applies the moment gate (_check_moments). Identical input bits
-    give identical output bits on the same machine and BLAS build.
+    LAPACK syevd on the symmetrized matrix A: np.linalg.eigh in the full mode,
+    np.linalg.eigvalsh with vectors=False. The full mode applies the residual
+    and orthonormality gates; the values-only mode returns eigenvectors None
+    and applies the moment gate (_check_moments). Either way the spectrum's
+    error_bound is delta = BACKWARD_ERROR_FACTOR * n * eps * ||A||_F: syevd
+    returns the exact eigenvalues of A + E with ||E||_F <= delta, so by Weyl
+    each computed eigenvalue is within delta of the exact one, and one within
+    delta of zero cannot be told from zero. Identical input bits give
+    identical output bits on the same machine and BLAS build.
 
     Raises DimensionError for non-square input, DomainError for non-finite or
     non-symmetric input, and NumericalError if LAPACK fails or a gate fails.
@@ -145,6 +126,8 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
     if not asym <= SYMMETRY_TOL * scale:
         raise DomainError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     symmetric = 0.5 * (m + m.T)
+    squares = float(np.square(symmetric).sum())  # pairwise: rounding O(log n)
+    delta = BACKWARD_ERROR_FACTOR * m.shape[0] * _EPS * math.sqrt(squares)
     try:
         if not vectors:
             d = np.linalg.eigvalsh(symmetric)
@@ -153,9 +136,8 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK eigensolver failed: {exc}") from exc
     if not vectors:
-        _check_moments(symmetric, d)
-        return Spectrum(eigenvalues=d)
-    _fix_signs(v)
+        _check_moments(symmetric, d, squares, delta)
+        return Spectrum(eigenvalues=d, error_bound=delta)
     residual = float(np.abs(m @ v - v * d).max(initial=0.0))
     gram_error = float(np.abs(v.T @ v - np.eye(d.shape[0])).max(initial=0.0))
     value_scale = max(1.0, float(np.abs(d).max(initial=0.0)))
@@ -163,38 +145,30 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
         raise NumericalError(f"eigenvectors lost orthonormality ({gram_error:.3e})")
     if not residual <= RESIDUAL_TOL * value_scale:
         raise NumericalError(f"eigen residual too large ({residual:.3e})")
-    return Spectrum(eigenvalues=d, eigenvectors=v, residual=residual)
+    return Spectrum(eigenvalues=d, error_bound=delta, eigenvectors=v, residual=residual)
 
 
-def _as_matrix(operand: WeightedGraph | Laplacian | np.ndarray) -> np.ndarray:
-    if isinstance(operand, WeightedGraph):
-        return laplacian(operand).matrix
-    if isinstance(operand, Laplacian):
-        return operand.matrix
-    return np.asarray(operand, dtype=float)
-
-
-def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray, *,
+def laplacian_spectrum(operand: WeightedGraph | np.ndarray, *,
                        vectors: bool = True) -> Spectrum:
     """Spectrum of a connected-graph Laplacian (or any matrix similar to one).
 
-    eig_sym in the full mode, or values only with vectors=False; the smallest
-    eigenvalue is snapped to exactly 0.  With delta = eigenvalue_error_bound,
-    |lambda_1| > delta is not a structural zero (DomainError), and lambda_2 <=
-    delta means the matrix is disconnected as far as the solve can tell
-    (ConnectivityError).  A WeightedGraph brings its exact connectivity flag
-    instead: a disconnected graph raises ConnectivityError before any
-    eigensolve, and a connected one that fails either test NumericalError.
+    The operand is a graph or a raw matrix. eig_sym in the full mode, or
+    values only with vectors=False; the smallest eigenvalue is snapped to
+    exactly 0.  With delta the spectrum's error_bound, |lambda_1| > delta is
+    not a structural zero (DomainError), and lambda_2 <= delta means the
+    matrix is disconnected as far as the solve can tell (ConnectivityError).
+    A WeightedGraph brings its exact connectivity flag instead: a
+    disconnected graph raises ConnectivityError before any eigensolve, and a
+    connected one that fails either test NumericalError.
     """
     is_graph = isinstance(operand, WeightedGraph)
     if is_graph and operand.n >= 2 and not is_connected(operand):
         raise ConnectivityError("graph is disconnected")
-    matrix = _as_matrix(operand)
+    matrix = laplacian(operand) if is_graph else np.asarray(operand, dtype=float)
     if matrix.shape[0] < 2:
         raise DomainError("consensus spectra need at least 2 nodes")
     spec = eig_sym(matrix, vectors=vectors)
-    lam = spec.eigenvalues
-    delta = eigenvalue_error_bound(matrix)
+    lam, delta = spec.eigenvalues, spec.error_bound
     if is_graph and not (abs(lam[0]) <= delta and lam[1] > delta):
         raise NumericalError(
             f"eigenvalues {lam[0]:.3e}, {lam[1]:.3e} of a connected graph are not "
@@ -207,8 +181,7 @@ def laplacian_spectrum(operand: WeightedGraph | Laplacian | np.ndarray, *,
                                 f"{delta:.3e}: graph is disconnected")
     snapped = lam.copy()
     snapped[0] = 0.0
-    return Spectrum(eigenvalues=snapped, eigenvectors=spec.eigenvectors,
-                    residual=spec.residual)
+    return replace(spec, eigenvalues=snapped)
 
 
 @lru_cache(maxsize=512)
@@ -217,7 +190,7 @@ def graph_spectrum(graph: WeightedGraph) -> Spectrum:
     return laplacian_spectrum(graph, vectors=False)
 
 
-def pseudo_inverse(operand: WeightedGraph | Laplacian | np.ndarray) -> np.ndarray:
+def pseudo_inverse(operand: WeightedGraph | np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a connected-graph Laplacian.
 
     Assembled from the spectrum as sum over nonzero modes of v v^T / lambda;

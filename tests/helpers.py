@@ -222,7 +222,7 @@ def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig,
     total_steps = int(round(cfg.horizon / cfg.dt))
     burn_steps = int(round(cfg.burn_in / cfg.dt))
     sqrt_dt = math.sqrt(cfg.dt)
-    step_matrix = np.eye(n) - cfg.dt * laplacian(graph).matrix
+    step_matrix = np.eye(n) - cfg.dt * laplacian(graph)
     initial = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     state = np.tile(initial - initial.mean(), (cfg.trials, 1))
     generators = [np.random.Generator(np.random.Philox(key=np.array(

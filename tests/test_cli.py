@@ -223,6 +223,15 @@ class TestDesignCommands:
         assert report is None
         assert message in err
 
+    def test_edgeless_topology_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "n1.txt"
+        path.write_text("n 1\n")
+        code, report, err = run_cli(capsys, ["optimize-weights", "--topology", str(path),
+                                             "--measure", "energy1"])
+        assert code == 2
+        assert report is None
+        assert "no edges" in err
+
     def test_rewire(self, capsys):
         code, report, _ = run_cli(capsys, [
             "rewire", "--n", "4", "--m", "4", "--alpha", "4",
@@ -474,7 +483,7 @@ class TestStartup:
 PACKAGE_NAMES = [
     "AugmentationReport", "ConfigError", "ConnectivityError", "DimensionError",
     "DomainError", "ENTROPY_FORM_WARNING", "GenerationError", "GraphFormatError",
-    "InputError", "Laplacian", "MeasureDescriptor", "NumericalError", "PropertyReport",
+    "InputError", "MeasureDescriptor", "NumericalError", "PropertyReport",
     "QuadratureSettings", "RankingEntry", "RewireResult", "ScaleError", "SimConfig",
     "SolverError", "SolverOptions", "SpectralFunction", "Spectrum", "SystemicError",
     "Topology", "TransferModel", "Violation", "WeightAllocationResult", "WeightedGraph",

@@ -132,6 +132,16 @@ class TestOptimizeWeights:
         with pytest.raises(ConnectivityError):
             Topology(n=4, edges=((0, 1), (2, 3)))
 
+    @pytest.mark.parametrize("descriptor", [MeasureDescriptor("energy1"),
+                                            MeasureDescriptor("hinf"),
+                                            MeasureDescriptor("local_error")],
+                             ids=lambda d: d.label())
+    def test_edgeless_topology_rejected(self, descriptor):
+        # one node, no edges: there is no simplex of weights to search
+        topology = Topology(n=1, edges=())
+        with pytest.raises(DomainError, match="no edges"):
+            optimize_weights(topology, descriptor)
+
     def test_duplicate_edges_rejected(self):
         with pytest.raises(DomainError):
             Topology(n=3, edges=((0, 1), (1, 0), (1, 2)))
@@ -238,7 +248,7 @@ class TestTopologyArrays:
         topology = Topology.from_graph(random_connected(seed, n_high=20))
         rng = np.random.Generator(np.random.PCG64(seed))
         weights = 10.0 ** rng.uniform(-3.0, 3.0, size=topology.m)
-        assert (laplacian(topology.graph_of(weights)).matrix.tobytes()
+        assert (laplacian(topology.graph_of(weights)).tobytes()
                 == topology.laplacian_of(weights).tobytes())
 
     def test_graph_of_drops_zero_weights(self):

@@ -109,19 +109,19 @@ class TestParse:
 class TestLaplacian:
     def test_k3(self, k3):
         expected = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-        assert np.array_equal(laplacian(k3).matrix, expected)
+        assert np.array_equal(laplacian(k3), expected)
 
     def test_p3_degrees(self, p3):
-        assert np.array_equal(laplacian(p3).degrees, np.array([1.0, 2.0, 1.0]))
+        assert np.array_equal(p3.degrees, np.array([1.0, 2.0, 1.0]))
 
     def test_single_weighted_edge(self):
         graph = WeightedGraph.from_edges(2, [(0, 1, 5.0)])
-        assert np.array_equal(laplacian(graph).matrix,
+        assert np.array_equal(laplacian(graph),
                               np.array([[5.0, -5.0], [-5.0, 5.0]]))
 
     def test_row_sums_zero(self):
         graph = random_connected(99)
-        sums = laplacian(graph).matrix.sum(axis=1)
+        sums = laplacian(graph).sum(axis=1)
         assert np.abs(sums).max() < 1e-12
 
 
@@ -133,8 +133,9 @@ class TestLaplacianMatchesLoop:
     def assert_matches(graph):
         result = laplacian(graph)
         expected = loop_laplacian(graph)
-        assert result.matrix.tobytes() == expected.tobytes()
-        assert result.degrees.tobytes() == np.diag(expected).tobytes()
+        assert result.tobytes() == expected.tobytes()
+        assert graph.degrees.tobytes() == np.diag(expected).tobytes()
+        assert not result.flags.writeable
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [3, 10, 50])
@@ -157,7 +158,7 @@ class TestLaplacianMatchesLoop:
     def test_edgeless(self, n):
         graph = WeightedGraph(n=n, edges=())
         self.assert_matches(graph)
-        assert not laplacian(graph).matrix.any()
+        assert not laplacian(graph).any()
 
 
 class TestGraphContract:
@@ -177,7 +178,7 @@ class TestGraphContract:
                       WeightedGraph(n=graph.n, edges=permuted)):
             assert other == graph
             assert hash(other) == hash(graph)
-            assert laplacian(other).matrix.tobytes() == laplacian(graph).matrix.tobytes()
+            assert laplacian(other).tobytes() == laplacian(graph).tobytes()
 
     @pytest.mark.parametrize("round_trip", [
         lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy])
@@ -186,7 +187,7 @@ class TestGraphContract:
         other = round_trip(graph)
         assert other == graph
         assert hash(other) == hash(graph) == canonical_hash(other.n, other.edges)
-        assert laplacian(other).matrix.tobytes() == laplacian(graph).matrix.tobytes()
+        assert laplacian(other).tobytes() == laplacian(graph).tobytes()
         assert all(not array.flags.writeable for array in stored_arrays(other))
 
     def test_stored_arrays_read_only(self):
@@ -214,8 +215,8 @@ class TestGraphContract:
     def test_integer_like_endpoints_accepted(self):
         graph = WeightedGraph(n=3, edges=((np.int64(0), np.intp(2), 1.5), (False, True, 2.0)))
         assert graph == WeightedGraph(n=3, edges=((0, 1, 2.0), (0, 2, 1.5)))
-        assert laplacian(graph).matrix.tobytes() == laplacian(
-            WeightedGraph(n=3, edges=((0, 1, 2.0), (0, 2, 1.5)))).matrix.tobytes()
+        assert laplacian(graph).tobytes() == laplacian(
+            WeightedGraph(n=3, edges=((0, 1, 2.0), (0, 2, 1.5)))).tobytes()
 
     def test_replace_recomputes(self, k3):
         edges = ((1, 2, 4.0), (0, 1, 0.5))
@@ -223,7 +224,7 @@ class TestGraphContract:
         fresh = WeightedGraph(n=3, edges=edges)
         assert other == fresh and other != k3
         assert hash(other) == hash(fresh) == canonical_hash(3, other.edges)
-        assert laplacian(other).matrix.tobytes() == loop_laplacian(fresh).tobytes()
+        assert laplacian(other).tobytes() == loop_laplacian(fresh).tobytes()
 
 
 class TestNonFiniteWeights:
@@ -245,8 +246,8 @@ class TestNonFiniteWeights:
     def test_numpy_and_int_weights_accepted(self):
         graph = WeightedGraph(n=3, edges=((0, 1, np.float64(2.5)), (1, 2, 3)))
         assert graph == WeightedGraph(n=3, edges=((0, 1, 2.5), (1, 2, 3.0)))
-        assert laplacian(graph).matrix.tobytes() == loop_laplacian(graph).tobytes()
-        assert np.array_equal(laplacian(graph).degrees, [2.5, 5.5, 3.0])
+        assert laplacian(graph).tobytes() == loop_laplacian(graph).tobytes()
+        assert np.array_equal(graph.degrees, [2.5, 5.5, 3.0])
 
 
 class TestAlgebra:
@@ -278,15 +279,15 @@ class TestAlgebra:
                     for (u, v), hit in zip(pairs, keep) if hit])
 
         g1, g2 = dyadic(5, 9), dyadic(6, 9)
-        left = laplacian(graph_add(g1, g2)).matrix
-        right = laplacian(g1).matrix + laplacian(g2).matrix
+        left = laplacian(graph_add(g1, g2))
+        right = laplacian(g1) + laplacian(g2)
         assert np.array_equal(left, right)
 
     def test_laplacian_additivity_ulp_general(self):
         g1 = random_connected(5)
         g2 = random_connected(6, n_low=g1.n, n_high=g1.n)
-        left = laplacian(graph_add(g1, g2)).matrix
-        right = laplacian(g1).matrix + laplacian(g2).matrix
+        left = laplacian(graph_add(g1, g2))
+        right = laplacian(g1) + laplacian(g2)
         scale = np.abs(right).max()
         assert np.abs(left - right).max() <= 4 * np.finfo(float).eps * scale
 
@@ -301,8 +302,8 @@ class TestAlgebra:
     def test_scalar_laplacian_within_ulp(self):
         graph = random_connected(44)
         alpha = 1.0 / 3.0
-        left = laplacian(scalar_mul(alpha, graph)).matrix
-        right = alpha * laplacian(graph).matrix
+        left = laplacian(scalar_mul(alpha, graph))
+        right = alpha * laplacian(graph)
         scale = np.abs(right).max()
         assert np.abs(left - right).max() <= 4 * np.finfo(float).eps * scale
 
@@ -566,6 +567,22 @@ class TestConnectivityMatchesLoop:
         with pytest.raises(DomainError, match="node count must be positive, got 0"):
             Topology(n=0, edges=())
 
+    @pytest.mark.parametrize("build", [
+        lambda n: WeightedGraph(n, [(0, 1, 1.0), (1, 2, 1.0)]),
+        lambda n: WeightedGraph.from_edges(n, [(0, 1, 1.0), (1, 2, 1.0)]),
+        lambda n: Topology(n=n, edges=((0, 1), (1, 2))),
+        lambda n: generate("path", n),
+        lambda n: generate("cycle", n),
+        lambda n: generate("complete", n),
+    ], ids=["constructor", "from_edges", "topology", "path", "cycle", "complete"])
+    def test_node_count_is_an_int(self, build):
+        # a float count used to die in the connectivity check, and True passed as 1
+        for bad in (3.0, np.float64(3.0), True, "3"):
+            with pytest.raises(GraphFormatError, match="node count must be an integer"):
+                build(bad)
+        built = build(np.int64(3))
+        assert type(built.n) is int and built.n == 3
+
 
 # Edge lists with several defects each: the error names the first defect in
 # input order, checked per edge as self-loop, range, weight, duplicate, and a
@@ -776,7 +793,6 @@ class TestArrayContract:
     def test_degrees_are_the_laplacian_diagonal(self, graph):
         degrees = graph.degrees
         assert not degrees.flags.writeable
-        assert laplacian(graph).degrees is degrees
         assert degrees.tobytes() == np.diag(loop_laplacian(graph)).tobytes()
 
     def test_graph_plus_edges(self):

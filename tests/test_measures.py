@@ -151,7 +151,7 @@ class TestTransferModel:
     def test_singular_values_match_svd(self):
         graph = random_connected(23, n_low=4, n_high=8)
         n = graph.n
-        matrix = laplacian(graph).matrix
+        matrix = laplacian(graph)
         centering = np.eye(n) - np.ones((n, n)) / n
         model = TransferModel.from_graph(graph)
         for omega in (0.1, 1.0, 7.5):

@@ -98,7 +98,7 @@ class TestSubadditivity:
 class TestOrthogonalInvariance:
     def test_identity_rotation_exact(self, c4):
         from systemic import evaluate_eigenvalues, laplacian, laplacian_spectrum
-        matrix = laplacian(c4).matrix
+        matrix = laplacian(c4)
         value = evaluate_eigenvalues(laplacian_spectrum(matrix).nonzero, ENTROPY)
         assert value == pytest.approx(evaluate(c4, ENTROPY), rel=1e-14)
 

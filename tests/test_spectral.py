@@ -33,12 +33,12 @@ class TestEigSym:
 
     def test_k3_eigenvalues(self, k3):
         # characteristic polynomial of the unit triangle: lambda (lambda - 3)^2
-        spectrum = eig_sym(laplacian(k3).matrix)
+        spectrum = eig_sym(laplacian(k3))
         assert np.allclose(spectrum.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
 
     def test_p3_eigenvalues(self, p3):
         # roots of lambda (lambda - 1) (lambda - 3)
-        spectrum = eig_sym(laplacian(p3).matrix)
+        spectrum = eig_sym(laplacian(p3))
         assert np.allclose(spectrum.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_zero_matrix(self):
@@ -70,14 +70,15 @@ class TestEigSym:
         trace = float(np.trace(matrix))
         assert abs(spectrum.eigenvalues.sum() - trace) <= 1e-9 * abs(trace)
 
-    def test_sign_convention_deterministic(self):
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_repeated_solves_are_bit_identical(self, vectors):
         matrix = _random_symmetric(10, 9)
-        first = eig_sym(matrix)
-        second = eig_sym(matrix.copy())
-        assert np.array_equal(first.eigenvectors, second.eigenvectors)
-        for column in first.eigenvectors.T:
-            leading = column[np.nonzero(column)[0][0]]
-            assert leading > 0
+        first = eig_sym(matrix, vectors=vectors)
+        second = eig_sym(matrix.copy(), vectors=vectors)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.error_bound == second.error_bound
+        if vectors:
+            assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(DomainError, match="symmetric"):
@@ -164,8 +165,7 @@ class TestLaplacianSpectrum:
         for seed in range(5):
             graph = random_connected(400 + seed)
             spectrum = laplacian_spectrum(graph)
-            delta = spectral.eigenvalue_error_bound(laplacian(graph).matrix)
-            assert int(np.sum(spectrum.eigenvalues <= delta)) == 1
+            assert int(np.sum(spectrum.eigenvalues <= spectrum.error_bound)) == 1
 
     def test_disconnected_rejected(self):
         graph = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -215,7 +215,7 @@ class TestGraphConnectivity:
         # a raw matrix is judged by the same error bound as the graph it
         # came from, so the 1e-9 bridge resolves and the solves agree bit for bit
         graph = bridged_path(1e-9)
-        matrix = laplacian(graph).matrix
+        matrix = laplacian(graph)
         for vectors in (True, False):
             raw = laplacian_spectrum(matrix, vectors=vectors)
             assert (raw.eigenvalues.tobytes()
@@ -232,12 +232,12 @@ class TestGraphConnectivity:
     def test_raw_matrix_with_unresolved_second_eigenvalue_is_disconnected(
             self, graph, vectors):
         with pytest.raises(ConnectivityError, match="within the error bound"):
-            laplacian_spectrum(laplacian(graph).matrix, vectors=vectors)
+            laplacian_spectrum(laplacian(graph), vectors=vectors)
 
     @pytest.mark.parametrize("vectors", [True, False])
     @pytest.mark.parametrize("shift", [1e-6, 1e-12])  # the bound is about 2e-14
     def test_raw_matrix_without_a_zero_mode_rejected(self, shift, vectors):
-        matrix = laplacian(bridged_path(1.0)).matrix + shift * np.eye(4)
+        matrix = laplacian(bridged_path(1.0)) + shift * np.eye(4)
         with pytest.raises(DomainError, match="not a structural zero"):
             laplacian_spectrum(matrix, vectors=vectors)
 
@@ -254,9 +254,32 @@ class TestGraphConnectivity:
         # second eigenvalue far above it, at extreme weight scales too
         for family in ("complete", "cycle", "path", "star", "erdos_renyi"):
             graph = scalar_mul(scale, generate(family, 200, seed=3, p=0.05))
-            lam = laplacian_spectrum(graph, vectors=False).eigenvalues
-            delta = spectral.eigenvalue_error_bound(laplacian(graph).matrix)
-            assert lam[0] == 0.0 and lam[1] > 100 * delta
+            spectrum = laplacian_spectrum(graph, vectors=False)
+            lam = spectrum.eigenvalues
+            assert lam[0] == 0.0 and lam[1] > 100 * spectrum.error_bound
+
+
+class TestErrorBound:
+    """Every spectrum carries delta = 8 n eps ||A||_F of its solve."""
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("raw", [False, True], ids=["graph", "raw-matrix"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_frobenius_formula(self, seed, raw, vectors):
+        graph = random_connected(700 + seed, weight_range=(1e-3, 1e3))
+        matrix = laplacian(graph)
+        spectrum = laplacian_spectrum(matrix if raw else graph, vectors=vectors)
+        expected = 8.0 * graph.n * np.finfo(float).eps * np.linalg.norm(matrix)
+        assert spectrum.error_bound == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("family", ["complete", "path", "erdos_renyi"])
+    def test_graph_and_raw_laplacian_give_the_same_bits(self, family, vectors):
+        graph = generate(family, 30, seed=2, p=0.2, weight_range=(0.5, 2.0))
+        from_graph = laplacian_spectrum(graph, vectors=vectors)
+        from_matrix = laplacian_spectrum(laplacian(graph), vectors=vectors)
+        assert from_graph.error_bound.hex() == from_matrix.error_bound.hex()
+        assert from_graph.eigenvalues.tobytes() == from_matrix.eigenvalues.tobytes()
 
 
 class TestPseudoInverse:
@@ -269,7 +292,7 @@ class TestPseudoInverse:
     @pytest.mark.parametrize("seed", range(100))
     def test_moore_penrose_identities(self, seed):
         graph = random_connected(seed, n_low=3, n_high=50)
-        matrix = laplacian(graph).matrix
+        matrix = laplacian(graph)
         dagger = pseudo_inverse(graph)
         scale = max(1.0, float(np.abs(matrix).max()))
         assert np.abs(matrix @ dagger @ matrix - matrix).max() < 1e-9 * scale
@@ -285,7 +308,7 @@ class TestPseudoInverse:
 
     def test_projection_identity(self, k3):
         # L Ldagger equals the centering projector for a connected graph
-        matrix = laplacian(k3).matrix
+        matrix = laplacian(k3)
         product = matrix @ pseudo_inverse(k3)
         assert np.abs(product - centering_matrix(3)).max() < 1e-12
 
@@ -354,7 +377,7 @@ class TestValuesOnlyContract:
 
     def _corrupt_raises(self, monkeypatch, corrupt, match):
         self._patch_eigvalsh(monkeypatch, corrupt)
-        matrix = laplacian(generate("erdos_renyi", 8, seed=3, p=0.5)).matrix
+        matrix = laplacian(generate("erdos_renyi", 8, seed=3, p=0.5))
         with pytest.raises(NumericalError, match=match):
             eig_sym(matrix, vectors=False)
         with pytest.raises(NumericalError, match=match):
@@ -410,7 +433,7 @@ class TestValuesOnlyContract:
 
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
     def test_no_false_alarm_on_k1000(self, scale):
-        matrix = scale * laplacian(generate("complete", 1000)).matrix
+        matrix = scale * laplacian(generate("complete", 1000))
         values = laplacian_spectrum(matrix, vectors=False).eigenvalues
         assert np.abs(values[1:] - 1000.0 * scale).max() <= 1e-12 * 1000.0 * scale
 
