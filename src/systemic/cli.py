@@ -197,12 +197,12 @@ def _run_zeta(args) -> tuple[dict, int]:
 
 
 def _run_hpnorm(args) -> tuple[dict, int]:
+    settings = measures.QuadratureSettings(rel_tol=args.tol)  # a bad --tol exits 2
     graph = _load_graph(args.graph)
     closed = measures.hp_norm(graph, args.p)
     results = {"p": args.p if math.isfinite(args.p) else "inf", "closed_form": closed}
     if args.numeric:
-        numeric = measures.hp_norm_numeric(
-            graph, args.p, measures.QuadratureSettings(rel_tol=args.tol))
+        numeric = measures.hp_norm_numeric(graph, args.p, settings)
         results["numeric"] = numeric
         results["difference"] = closed - numeric
         results["relative_difference"] = abs(closed - numeric) / abs(closed)

@@ -14,7 +14,10 @@ NumericalError. It has two modes, split as numpy splits eigh and eigvalsh:
 
 In both modes the Spectrum carries the solve's error bound delta =
 8 n eps ||A||_F, from one sum of the input's squares: each computed
-eigenvalue is within delta of an exact one.
+eigenvalue is within delta of an exact one. The squares are summed for the
+input divided by a power of two near its largest entry, so delta and the
+moment gate stay finite and nonzero for entries far beyond 1e+-154, where
+the plain sum of squares overflows or underflows.
 
 The systemic measures are functions of the nonzero Laplacian eigenvalues
 alone, so graph_spectrum caches values-only spectra, about n floats per
@@ -85,7 +88,9 @@ def _check_moments(matrix: np.ndarray, d: np.ndarray, squares: float, delta: flo
     eigenvalue, a misordered result, and a compensating pair that keeps the
     trace but not the squares. It cannot catch a corruption that keeps the
     order and both moments, such as three eigenvalues moved by shifts e_i
-    with sum(e) = 0 and sum(2 d_i e_i + e_i^2) = 0.
+    with sum(e) = 0 and sum(2 d_i e_i + e_i^2) = 0. eig_sym passes A, d and
+    delta divided by the same power of two, which leaves the gate's verdict
+    unchanged and keeps the squares representable.
     """
     if not np.isfinite(d).all():
         raise NumericalError("eigenvalues are not finite")
@@ -121,13 +126,19 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    largest = float(np.abs(m).max(initial=0.0))
     asym = float(np.abs(m - m.T).max(initial=0.0))
-    if not asym <= SYMMETRY_TOL * scale:
+    if not asym <= SYMMETRY_TOL * max(1.0, largest):
         raise DomainError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     symmetric = 0.5 * (m + m.T)
-    squares = float(np.square(symmetric).sum())  # pairwise: rounding O(log n)
-    delta = BACKWARD_ERROR_FACTOR * m.shape[0] * _EPS * math.sqrt(squares)
+    # The squares are summed for A / 2^k, 2^k the binade above max |a|, so the
+    # sum neither overflows nor underflows; scaling by a power of two is exact,
+    # so delta has the plain sum's bits wherever that sum is representable.
+    k = int(np.frexp(largest)[1])
+    unit = np.ldexp(symmetric, -k)
+    unit_squares = float(np.square(unit).sum())  # pairwise: rounding O(log n)
+    unit_delta = BACKWARD_ERROR_FACTOR * m.shape[0] * _EPS * math.sqrt(unit_squares)
+    delta = math.ldexp(unit_delta, k)
     try:
         if not vectors:
             d = np.linalg.eigvalsh(symmetric)
@@ -136,7 +147,7 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK eigensolver failed: {exc}") from exc
     if not vectors:
-        _check_moments(symmetric, d, squares, delta)
+        _check_moments(unit, np.ldexp(d, -k), unit_squares, unit_delta)
         return Spectrum(eigenvalues=d, error_bound=delta)
     residual = float(np.abs(m @ v - v * d).max(initial=0.0))
     gram_error = float(np.abs(v.T @ v - np.eye(d.shape[0])).max(initial=0.0))
@@ -165,9 +176,9 @@ def laplacian_spectrum(operand: WeightedGraph | np.ndarray, *,
     if is_graph and operand.n >= 2 and not is_connected(operand):
         raise ConnectivityError("graph is disconnected")
     matrix = laplacian(operand) if is_graph else np.asarray(operand, dtype=float)
-    if matrix.shape[0] < 2:
+    if matrix.ndim == 2 and matrix.shape[0] < 2:
         raise DomainError("consensus spectra need at least 2 nodes")
-    spec = eig_sym(matrix, vectors=vectors)
+    spec = eig_sym(matrix, vectors=vectors)  # DimensionError unless square
     lam, delta = spec.eigenvalues, spec.error_bound
     if is_graph and not (abs(lam[0]) <= delta and lam[1] > delta):
         raise NumericalError(

@@ -110,6 +110,22 @@ class TestZetaAndHp:
         assert report is None
         assert "p > 1" in err
 
+    def test_hpnorm_numeric_near_one(self, capsys, graph_files):
+        code, report, _ = run_cli(capsys, ["hpnorm", "--graph", graph_files["p3"],
+                                           "--p", "1.001", "--numeric"])
+        assert code == 0
+        assert report["results"]["relative_difference"] <= 1e-9
+
+    # a NaN tol exited 3 with QUADPACK's roundoff message, and tol 2 passed
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "2"])
+    @pytest.mark.parametrize("numeric", [["--numeric"], []], ids=["numeric", "closed-only"])
+    def test_invalid_quad_tolerance_exits_two(self, capsys, graph_files, tol, numeric):
+        code, report, err = run_cli(capsys, [
+            "hpnorm", "--graph", graph_files["k3"], "--p", "3", "--tol", tol] + numeric)
+        assert code == 2
+        assert report is None
+        assert "rel_tol must be finite with 0 < rel_tol < 1" in err
+
     def test_unachievable_quad_tolerance_exits_three(self, capsys, graph_files):
         code, report, err = run_cli(capsys, [
             "hpnorm", "--graph", graph_files["k3"], "--p", "1.05",
@@ -423,7 +439,7 @@ _STARTUP_CASES = {
 class TestStartup:
     # Fresh interpreters: the in-process tests above have SciPy loaded already.
     def test_import_loads_no_scipy(self):
-        # SciPy and concurrent.futures (which imports logging) load on first use
+        # neither SciPy nor concurrent.futures (which imports logging) loads on import
         done = _fresh_python(["-c", (
             "import sys, systemic, systemic.cli\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
@@ -446,6 +462,18 @@ class TestStartup:
         loaded = set(json.loads(done.stderr.splitlines()[-1]))
         assert "systemic.sim" in loaded
         assert not [m for m in loaded if m.startswith(("concurrent", "logging"))]
+
+    def test_hpnorm_numeric_loads_no_scipy(self, graph_files):
+        # the quadrature oracle is NumPy only
+        done = _fresh_python(["-c", (
+            "import sys\n"
+            "from systemic import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr)\n"
+            "sys.exit(code)"), "hpnorm", "--graph", graph_files["k3"], "--p", "3",
+            "--numeric"])
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == "[]"
 
     def test_hpnorm_numeric_cold(self, graph_files):
         done = _fresh_python(["-m", "systemic.cli", "hpnorm", "--graph", graph_files["k3"],

@@ -757,7 +757,6 @@ class TestArrayContract:
         assert graph != graph.edges
 
     def test_measures_never_build_the_edge_tuple(self):
-        pytest.importorskip("scipy")
         graphs = [generate(family, 10) for family in ("complete", "cycle", "path", "star")]
         graphs.append(generate("erdos_renyi", 30, seed=5, p=0.3, weight_range=(0.5, 2.0)))
         for graph in graphs:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from systemic import (ConnectivityError, DomainError, MeasureDescriptor,
-                      QuadratureSettings, SpectralFunction, TransferModel,
+                      NumericalError, QuadratureSettings, SpectralFunction, TransferModel,
                       WeightedGraph, applicable_properties, entropy_via_trees,
                       evaluate, evaluate_eigenvalues, generate,
                       get_spectral_function, graph_spectrum, hp_norm,
@@ -147,7 +147,112 @@ class TestHpNumeric:
                                                         max_subdivisions=1))
 
 
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.05, 1.5, 2.0, 3.0, 7.0, 50.0, 200.0, 2000.0])
+    def test_p3_across_exponents(self, p3, p):
+        assert hp_norm_numeric(p3, p) == pytest.approx(hp_norm(p3, p), rel=1e-10)
+
+    def test_exponents_near_one(self, p3):
+        # QUADPACK stopped on a roundoff error in its extrapolation table at p = 1.001
+        assert hp_norm_numeric(p3, 1.001) == pytest.approx(hp_norm(p3, 1.001), rel=1e-9)
+        er50 = generate("erdos_renyi", 50, seed=3, p=0.2, weight_range=(0.5, 2.0))
+        assert hp_norm_numeric(er50, 1.01) == pytest.approx(hp_norm(er50, 1.01), rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_weight_scales(self, scale):
+        # the integral scales as lambda_2^(1-p); no power of an eigenvalue is formed
+        graph = scalar_mul(scale, generate("path", 4))
+        for p in (1.5, 3.0, 50.0):
+            assert hp_norm_numeric(graph, p) == pytest.approx(hp_norm(graph, p), rel=1e-10)
+
+    def test_exponent_too_close_to_one_evaluates_nothing(self, p3, monkeypatch):
+        # the range grows as 1/(p - 1); the grid is sized against the budget
+        # before any node is evaluated
+        def fail(*args):
+            raise AssertionError("a node was evaluated")
+        monkeypatch.setattr(TransferModel, "log_frequency_integrand", fail)
+        with pytest.raises(NumericalError, match="budget"):
+            hp_norm_numeric(p3, 1.0 + 1e-9)
+
+    def test_memory_stays_bounded(self, p3):
+        # about 1.8 million nodes at p = 1.0001, evaluated in blocks
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            value = hp_norm_numeric(p3, 1.0001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(hp_norm(p3, 1.0001), rel=1e-9)
+        assert peak < 8 * 2**20
+
+    def test_halving_budget(self, p3):
+        # P3 at p = 3 and the default tolerance settles after three halvings
+        with pytest.raises(NumericalError, match="2 step halvings"):
+            hp_norm_numeric(p3, 3.0, QuadratureSettings(max_subdivisions=2))
+        assert hp_norm_numeric(p3, 3.0, QuadratureSettings(max_subdivisions=3)) \
+            == pytest.approx(hp_norm(p3, 3.0), rel=1e-10)
+
+    def test_tolerance_below_fifty_eps(self, p3):
+        with pytest.raises(NumericalError, match="tolerance 1e-14"):
+            hp_norm_numeric(p3, 3.0, QuadratureSettings(rel_tol=1e-14))
+        assert hp_norm_numeric(p3, 3.0, QuadratureSettings(rel_tol=2e-14)) \
+            == pytest.approx(hp_norm(p3, 3.0), rel=1e-13)
+
+    # a third oracle: 30-digit tanh-sinh quadrature of the same integral
+    @pytest.mark.parametrize("family, n", [("complete", 3), ("path", 3), ("cycle", 4),
+                                           ("star", 5)])
+    def test_matches_mpmath(self, family, n):
+        mpmath = pytest.importorskip("mpmath")
+        graph = generate(family, n)
+        lam = [mpmath.mpf(float(v)) for v in graph_spectrum(graph).nonzero]
+        with mpmath.workdps(30):
+            for p in (1.001, 1.01, 1.05, 1.5, 3.0, 7.0, 50.0):
+                exponent = -mpmath.mpf(p) / 2
+
+                def integrand(x):  # in x = log omega, breaks at every peak
+                    omega = mpmath.exp(x)
+                    return omega * mpmath.fsum((omega**2 + l**2) ** exponent for l in lam)
+
+                breaks = sorted({float(mpmath.log(l)) + shift for l in lam
+                                 for shift in (0.0, -0.5 * math.log(p - 1.0))})
+                total = mpmath.quad(integrand, [-mpmath.inf, *breaks, mpmath.inf])
+                reference = float((total / mpmath.pi) ** (1 / mpmath.mpf(p)))
+                assert hp_norm_numeric(graph, p) == pytest.approx(reference, rel=1e-10)
+                assert hp_norm(graph, p) == pytest.approx(reference, rel=1e-10)
+
+
+class TestQuadratureSettings:
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0, 0.0, 1.0, 2.0])
+    def test_invalid_tolerance(self, rel_tol):
+        with pytest.raises(DomainError, match="rel_tol must be finite with 0 < rel_tol < 1"):
+            QuadratureSettings(rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("halvings", [0, -1, True, 2.5, "3"])
+    def test_invalid_halving_budget(self, halvings):
+        with pytest.raises(DomainError, match="max_subdivisions must be an integer >= 1"):
+            QuadratureSettings(max_subdivisions=halvings)
+
+    def test_valid_settings(self):
+        settings = QuadratureSettings(rel_tol=0.5, max_subdivisions=np.int64(1))
+        assert settings.max_subdivisions == 1
+
+
 class TestTransferModel:
+    def test_log_frequency_integrand(self):
+        model = TransferModel.from_graph(random_connected(41, n_low=4, n_high=8))
+        x = np.linspace(-5.0, 5.0, 41)
+        for p in (1.01, 3.0, 40.0):
+            expected = [math.exp(t) * model.schatten_power(math.exp(t), p) for t in x]
+            assert np.allclose(model.log_frequency_integrand(x, p), expected,
+                               rtol=1e-13, atol=0.0)
+
+    def test_log_frequency_integrand_finite_everywhere(self):
+        # no power of omega is formed, so no node overflows
+        model = TransferModel(np.array([1.0, 2.0, 5.0]))
+        values = model.log_frequency_integrand(np.array([-1e6, -700.0, 0.0, 700.0, 1e6]), 3.0)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert values[2] > 0.0
+
     def test_singular_values_match_svd(self):
         graph = random_connected(23, n_low=4, n_high=8)
         n = graph.n

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +179,12 @@ class TestLaplacianSpectrum:
         with pytest.raises(ConnectivityError):
             laplacian_spectrum(WeightedGraph.from_edges(3, []))
 
+    @pytest.mark.parametrize("operand", [np.float64(1.0), np.zeros(3)])
+    def test_non_matrix_operand(self, operand):
+        # a 0-d operand raised a bare IndexError
+        with pytest.raises(DimensionError, match="expected a square matrix, got shape"):
+            laplacian_spectrum(operand)
+
 
 class TestGraphConnectivity:
     """A graph's connectivity is its stored flag; the eigensolve only has to
@@ -280,6 +288,34 @@ class TestErrorBound:
         from_matrix = laplacian_spectrum(laplacian(graph), vectors=vectors)
         assert from_graph.error_bound.hex() == from_matrix.error_bound.hex()
         assert from_graph.eigenvalues.tobytes() == from_matrix.eigenvalues.tobytes()
+
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_bits_of_the_plain_sum(self, scale, vectors):
+        # the sum of squares is taken for A / 2^k; where the plain sum is
+        # representable, delta has its bits
+        graph = scalar_mul(scale, random_connected(710, weight_range=(1e-3, 1e3)))
+        matrix = laplacian(graph)
+        plain = 8.0 * graph.n * np.finfo(float).eps * math.sqrt(float(np.square(matrix).sum()))
+        assert laplacian_spectrum(graph, vectors=vectors).error_bound.hex() == plain.hex()
+
+    # the squares overflowed above about 1e154 and underflowed below 1e-154
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e-160, 1e-170])
+    @pytest.mark.parametrize("family, n", [("path", 4), ("complete", 5)])
+    def test_extreme_scales(self, family, n, scale, vectors):
+        unit = generate(family, n)
+        graph = scalar_mul(scale, unit)
+        spectrum = laplacian_spectrum(graph, vectors=vectors)
+        reference = laplacian_spectrum(unit, vectors=vectors)
+        error = np.abs(spectrum.eigenvalues - scale * reference.eigenvalues).max()
+        assert error <= 1e-13 * scale * reference.eigenvalues[-1]
+        assert spectrum.error_bound == pytest.approx(scale * reference.error_bound, rel=1e-13)
+        for measure_id in ("hinf", "energy1"):  # both scale as 1/scale
+            descriptor = MeasureDescriptor(measure_id)
+            assert evaluate(graph, descriptor) == pytest.approx(
+                evaluate(unit, descriptor) / scale, rel=1e-12)
 
 
 class TestPseudoInverse:
