@@ -27,10 +27,7 @@ _EXPORTS = {
                  "get_spectral_function", "hp_norm", "hp_norm_numeric",
                  "is_homogeneous", "is_spectral", "register_spectral_function",
                  "spectral_form", "zeta", "zeta_measure"),
-    "properties": ("PropertyReport", "Violation", "check_convexity", "check_homogeneity",
-                   "check_monotonicity", "check_orthogonal_invariance",
-                   "check_schur_convexity", "check_subadditivity", "replay_trial",
-                   "run_check"),
+    "properties": ("PropertyReport", "Violation", "replay_trial", "run_check"),
     "sim": ("SimConfig", "decay_rate", "estimate_h2", "simulate_output"),
     "spectral": ("Spectrum", "eig_sym", "graph_spectrum", "laplacian_spectrum",
                  "pseudo_inverse", "psd_order"),

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
                      ScaleError, SolverError)
-from .graphs import (WeightedGraph, _connected, _degree_vector, _laplacian_matrix,
-                     is_connected)
+from .graphs import (WeightedGraph, _check_integer, _connected, _degree_vector,
+                     _integer_columns, _laplacian_matrix, is_connected)
 from .measures import (_MEASURES, MeasureDescriptor, evaluate,
                        evaluate_eigenvalues, get_spectral_function)
 from .spectral import Spectrum, graph_spectrum, laplacian_spectrum
@@ -122,9 +122,7 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise DomainError(f"tol must be finite and >= 0, got {self.tol!r}")
-        iters = self.max_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-            raise DomainError(f"max_iters must be an integer >= 1, got {iters!r}")
+        _check_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -157,10 +155,11 @@ class _Objective:
         self.measure = measure
         self.entry = _MEASURES[measure.id]
 
-    def _evaluate(self, weights: np.ndarray) -> tuple[Spectrum | None, np.ndarray, float]:
+    def _evaluate(self, weights: np.ndarray
+                  ) -> tuple[Spectrum | None, np.ndarray | None, float]:
         """The spectrum (None for a degree-based measure, which needs no
-        eigensolve), the degree vector and the value; ConnectivityError when
-        the weights disconnect the graph."""
+        eigensolve), the degree vector (None for a spectral measure) and the
+        value; ConnectivityError when the weights disconnect the graph."""
         if not self.entry.spectral:
             weights = np.asarray(weights, dtype=float)
             us, vs = self.topology._pairs[weights > 0.0].T
@@ -168,11 +167,8 @@ class _Objective:
                 raise ConnectivityError("the weights disconnect the topology")
             degrees = self.topology.degrees_of(weights)
             return None, degrees, self.entry.value(degrees, self.measure)
-        matrix = self.topology.laplacian_of(weights)
-        spectrum = laplacian_spectrum(matrix)
-        degrees = np.diag(matrix)
-        value = evaluate_eigenvalues(spectrum.nonzero, self.measure, degrees=degrees)
-        return spectrum, degrees, value
+        spectrum = laplacian_spectrum(self.topology.laplacian_of(weights))
+        return spectrum, None, evaluate_eigenvalues(spectrum.nonzero, self.measure)
 
     def value(self, weights: np.ndarray) -> float:
         return self._evaluate(weights)[2]
@@ -239,8 +235,8 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
                 break
             t *= 0.5
         if not accepted:
-            # no descent step exists at this scale; re-check stationarity
-            residual, support = _stationarity_residual(weights, gradient)
+            # no descent step exists at this scale; the residual is still
+            # the current iterate's
             if residual <= math.sqrt(options.tol):
                 break
             raise SolverError(
@@ -332,12 +328,12 @@ def rewire_bruteforce(n: int, m: int, alpha: float,
     one entry per isomorphism class, ascending by value with lexicographic
     tie-breaking.
     """
+    _check_integer("node count n", n, 2)
     if n > MAX_REWIRE_NODES:
         raise ScaleError(f"exhaustive rewiring supports n <= {MAX_REWIRE_NODES}, got {n}")
-    if n < 2:
-        raise DomainError("need at least 2 nodes")
-    if not (alpha > 0):
-        raise DomainError(f"total weight alpha must be positive, got {alpha}")
+    _check_integer("edge count m", m, 0)
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise DomainError(f"total weight alpha must be positive and finite, got {alpha}")
     all_us, all_vs = np.triu_indices(n, 1)
     all_pairs = list(zip(all_us.tolist(), all_vs.tolist()))
     if not (n - 1 <= m <= len(all_pairs)):
@@ -380,8 +376,7 @@ def fundamental_limit(graph: WeightedGraph, k: int, f_id: str) -> float:
     most k index positions; the bound sums f over the original eigenvalues
     from position k+2 upward (1-based), and is 0 once that range is empty.
     """
-    if k < 0:
-        raise DomainError(f"edge budget k must be >= 0, got {k}")
+    _check_integer("edge budget k", k, 0)
     fn = get_spectral_function(f_id)
     if not fn.vanishes_at_infinity:
         raise DomainError(f"bound needs f with f(inf) = 0, got {fn.name!r}")
@@ -392,10 +387,6 @@ def fundamental_limit(graph: WeightedGraph, k: int, f_id: str) -> float:
     return float(np.sum(fn.fn(tail)))
 
 
-def _sum_measure(graph: WeightedGraph, fn) -> float:
-    return float(np.sum(fn.fn(graph_spectrum(graph).nonzero)))
-
-
 def greedy_augment(graph: WeightedGraph, k: int,
                    candidates: list[tuple[int, int, float]], f_id: str,
                    mode: str = "greedy") -> AugmentationReport:
@@ -403,57 +394,42 @@ def greedy_augment(graph: WeightedGraph, k: int,
 
     Greedy picks the best (edge, budget-weight) candidate one step at a time;
     mode="exhaustive" scans all candidate subsets of size <= k (bounded at
-    1e5 subsets).  Candidates duplicating an existing edge are skipped.  The
-    report carries the achieved value, the rank-k spectral bound computed from
-    the original spectrum, and their gap.
+    1e5 subsets).  Candidates on an existing edge are skipped, and so is a
+    second candidate on an added pair.  Every candidate set is scored as the
+    schur_sum measure of the augmented graph, ties broken by the candidates.
+    The report carries the achieved value, the rank-k spectral bound computed
+    from the original spectrum, and their gap.
     """
     if not candidates:
         raise InputError("empty candidate edge set")
-    if k < 0:
-        raise DomainError(f"edge budget k must be >= 0, got {k}")
-    fn = get_spectral_function(f_id)
-    if not fn.vanishes_at_infinity:
-        raise DomainError(f"augmentation measure needs f(inf) = 0, got {fn.name!r}")
-    normalized = []
-    for u, v, w in candidates:
-        u, v = (v, u) if u > v else (u, v)
-        normalized.append((int(u), int(v), float(w)))
     bound = fundamental_limit(graph, k, f_id)
+    measure = MeasureDescriptor("schur_sum", f_id=f_id)
+    us, vs = _integer_columns(candidates)
+    normalized = [(min(u, v), max(u, v), float(w))
+                  for (_, _, w), u, v in zip(candidates, us.tolist(), vs.tolist())]
+    existing = {(u, v) for u, v, _ in graph.edges}
+    usable = [c for c in normalized if c[:2] not in existing]
+
+    def score(subset: tuple[tuple[int, int, float], ...]) -> float:
+        return evaluate(graph._with_edges(subset), measure)
 
     if mode == "greedy":
-        current = graph
-        added: list[tuple[int, int, float]] = []
-        pool = list(normalized)
+        chosen: tuple[tuple[int, int, float], ...] = ()
         for _ in range(k):
-            existing = {(u, v) for u, v, _ in current.edges}
-            usable = [c for c in pool if (c[0], c[1]) not in existing]
             if not usable:
                 break
-            scored = sorted(
-                ((_sum_measure(current._with_edges((c,)), fn), c) for c in usable),
-                key=lambda pair: (pair[0], pair[1]))
-            best_value, best_edge = scored[0]
-            current = current._with_edges((best_edge,))
-            added.append(best_edge)
-            pool.remove(best_edge)
-        achieved = _sum_measure(current, fn)
+            _, best = min((score(chosen + (c,)), c) for c in usable)
+            chosen += (best,)
+            usable = [c for c in usable if c[:2] != best[:2]]
+        achieved = score(chosen)
     elif mode == "exhaustive":
         total = sum(math.comb(len(normalized), j) for j in range(k + 1))
         if total > 100_000:
             raise ScaleError(f"exhaustive augmentation over {total} subsets exceeds 1e5")
-        existing = {(u, v) for u, v, _ in graph.edges}
-        best: tuple[float, tuple[tuple[int, int, float], ...]] | None = None
-        for size in range(k + 1):
-            for subset in itertools.combinations(normalized, size):
-                pairs = [(u, v) for u, v, _ in subset]
-                if len(set(pairs)) != len(pairs) or any(p in existing for p in pairs):
-                    continue
-                value = _sum_measure(graph._with_edges(subset), fn)
-                if best is None or (value, subset) < best:
-                    best = (value, subset)
-        achieved, chosen = best
-        added = list(chosen)
+        achieved, chosen = min((score(subset), subset) for size in range(k + 1)
+                               for subset in itertools.combinations(usable, size)
+                               if len({c[:2] for c in subset}) == size)
     else:
         raise DomainError(f"unknown augmentation mode {mode!r}")
-    return AugmentationReport(added=tuple(added), achieved=achieved, bound=bound,
+    return AugmentationReport(added=chosen, achieved=achieved, bound=bound,
                               gap=achieved - bound)

@@ -27,6 +27,13 @@ from .errors import (DimensionError, DomainError, GenerationError, GraphFormatEr
 Edge = tuple[int, int, float]
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """DomainError naming the argument unless value is an integer >= low;
+    bool, an int subclass, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_node_count(n: int) -> int:
     """The node count as an int; index() refuses floats, and bool (an int
     subclass) is refused by name."""

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConnectivityError, DomainError, NumericalError
-from .graphs import WeightedGraph, is_connected, spanning_tree_count
+from .graphs import WeightedGraph, _check_integer, is_connected, spanning_tree_count
 from .spectral import graph_spectrum
 
 ENTROPY_FORM_WARNING = (
@@ -407,10 +407,7 @@ class QuadratureSettings:
         if not (math.isfinite(self.rel_tol) and 0.0 < self.rel_tol < 1.0):
             raise DomainError(
                 f"rel_tol must be finite with 0 < rel_tol < 1, got {self.rel_tol!r}")
-        halvings = self.max_subdivisions
-        if (isinstance(halvings, bool) or not isinstance(halvings, (int, np.integer))
-                or halvings < 1):
-            raise DomainError(f"max_subdivisions must be an integer >= 1, got {halvings!r}")
+        _check_integer("max_subdivisions", self.max_subdivisions, 1)
 
 
 # the quadrature oracle's budget of integrand terms (nodes times modes) per
@@ -500,23 +497,20 @@ def hp_norm_numeric(graph: WeightedGraph, p: float,
         f"{abs(estimate - previous) / estimate:.3e})")
 
 
-def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor,
-                         degrees: np.ndarray | None = None) -> float:
+def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor) -> float:
     """Evaluate a measure from the nonzero eigenvalue vector (any order).
 
-    local_error additionally needs the node degree vector and is rejected
-    without one; every other measure is a symmetric function of lam.
+    Every spectral measure is a symmetric function of lam; a degree-based
+    measure (local_error) is rejected.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.size == 0 or np.any(lam <= 0):
         raise DomainError("expected a nonempty strictly positive eigenvalue vector")
     entry = _MEASURES[measure.id]
-    if entry.spectral:
-        return entry.value(lam, measure)
-    if degrees is None:
+    if not entry.spectral:
         raise DomainError(
             f"{measure.id} is degree-based; eigenvalues alone cannot express it")
-    return entry.value(degrees, measure)
+    return entry.value(lam, measure)
 
 
 def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:

@@ -1,9 +1,11 @@
 """Empirical axiom checks: homogeneity, monotonicity, convexity, subadditivity,
 orthogonal invariance and Schur-convexity, run as seeded falsification searches.
 
-Each property is one entry (salt, trial) of _PROPERTIES.  A trial draws all
-of its randomness from a stream derived from (seed, trial index, salt), so any
-recorded violation can be replayed bit-for-bit with replay_trial.
+run_check(property_id, measure, ...) is the one entry point for a check.
+Each property is one entry (salt, trial) of _PROPERTIES, so a new property is
+a new entry.  A trial draws all of its randomness from a stream derived from
+(seed, trial index, salt), so any recorded violation can be replayed
+bit-for-bit with replay_trial.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .graphs import WeightedGraph, generate, graph_add, laplacian, scalar_mul
+from .graphs import (WeightedGraph, _check_integer, generate, graph_add, laplacian,
+                     scalar_mul)
 from .measures import (MeasureDescriptor, evaluate, evaluate_eigenvalues,
                        is_spectral, spectral_form)
 from .spectral import laplacian_spectrum, pseudo_inverse, psd_order
@@ -83,6 +86,7 @@ def _allowance(tol: float, *values: float) -> float:
 
 def _homogeneity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
                        node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+    """Scaling weights by kappa must divide the measure by kappa."""
     graph = _random_connected(rng, node_range)
     kappa = float(rng.uniform(0.1, 10.0))
     base = evaluate(graph, measure)
@@ -94,6 +98,11 @@ def _homogeneity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol
 
 def _monotonicity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
                         node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+    """Adding edges (shrinking the pseudo-inverse) must not increase the measure.
+
+    The ordered pair is built by edge addition, and the pseudo-inverse
+    ordering is verified explicitly before the measure comparison.
+    """
     sparser = _random_connected(rng, node_range)
     denser = graph_add(sparser, _random_positive(rng, sparser.n))
     description = f"n={sparser.n} m={sparser.m}->{denser.m}"
@@ -119,6 +128,8 @@ def _mix(g1: WeightedGraph, g2: WeightedGraph, alpha: float) -> WeightedGraph:
 def _convexity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
                      node_range: tuple[int, int],
                      alpha_grid: Sequence[float]) -> list[Assertion]:
+    """The measure of a Laplacian convex combination is at most the same
+    combination of the measures, at each alpha of the grid."""
     first = _random_connected(rng, node_range)
     second = _second_graph(rng, first.n)
     value_first = evaluate(first, measure)
@@ -134,6 +145,7 @@ def _convexity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: 
 
 def _subadditivity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
                          node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+    """The measure of an edge union is at most the sum of the measures."""
     first = _random_connected(rng, node_range)
     second = _second_graph(rng, first.n)
     lhs = evaluate(graph_add(first, second), measure)
@@ -144,6 +156,9 @@ def _subadditivity_trial(measure: MeasureDescriptor, rng: np.random.Generator, t
 
 def _orthogonal_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
                       node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+    """Conjugating the Laplacian by a random orthogonal matrix must not move
+    an eigenvalue-based measure; the rotated matrix is generally not a
+    Laplacian, so the measure is evaluated on its spectrum directly."""
     graph = _random_connected(rng, node_range)
     q, r = np.linalg.qr(rng.normal(size=(graph.n, graph.n)))
     u = q * np.sign(np.diag(r))  # Haar-distributed
@@ -158,6 +173,8 @@ def _orthogonal_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol:
 
 def _schur_trial(f_vec: Callable[[np.ndarray], float], rng: np.random.Generator,
                  tol: float, node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+    """A random doubly stochastic matrix (a Birkhoff combination of
+    permutations) applied to a positive vector must not increase f_vec."""
     dim = int(rng.integers(max(2, node_range[0] - 1), node_range[1]))
     x = rng.uniform(0.1, 10.0, size=dim)
     terms = int(rng.integers(2, 6))
@@ -182,11 +199,6 @@ _PROPERTIES = {
 }
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _trial(property_id: str, subject, seed: int, trial: int, tol: float,
            node_range: tuple[int, int], alpha_grid: Sequence[float]) -> list[Assertion]:
     """One trial of a property, drawn from the stream of (seed, trial, salt)."""
@@ -206,85 +218,39 @@ def _trial(property_id: str, subject, seed: int, trial: int, tol: float,
     return trial_fn(subject, rng, tol, node_range, alpha_grid)
 
 
-def _run(property_id: str, subject, trials: int, seed: int, tol: float,
-         node_range: tuple[int, int], alpha_grid=DEFAULT_ALPHA_GRID) -> PropertyReport:
+def run_check(property_id: str,
+              measure: MeasureDescriptor | Callable[[np.ndarray], float],
+              trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL,
+              node_range: tuple[int, int] = DEFAULT_NODE_RANGE,
+              alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID) -> PropertyReport:
+    """Run `trials` seeded trials of one property check and collect its violations.
+
+    property_id names an entry of _PROPERTIES (homogeneity, monotonicity,
+    convexity, subadditivity, orthogonal_invariance, schur_convexity); each
+    trial function states its axiom.  Graphs are drawn with node counts in
+    node_range, the convexity check mixes at every alpha of alpha_grid, and
+    schur_convexity also takes a plain function of a positive vector in
+    place of a measure.
+    """
     _check_integer("trials", trials, 1)
+    alpha_grid = tuple(alpha_grid)
     violations = []
     for trial in range(trials):
-        for lhs, rhs, allowance, description in _trial(property_id, subject, seed, trial,
+        for lhs, rhs, allowance, description in _trial(property_id, measure, seed, trial,
                                                         tol, node_range, alpha_grid):
             margin = lhs - rhs - allowance
             if margin > 0.0:
                 violations.append(Violation(trial=trial, description=description,
                                             lhs=lhs, rhs=rhs, margin=margin))
-    label = (subject.label() if isinstance(subject, MeasureDescriptor)
-             else getattr(subject, "__name__", "f_vec"))
+    label = (measure.label() if isinstance(measure, MeasureDescriptor)
+             else getattr(measure, "__name__", "f_vec"))
     return PropertyReport(property_id=property_id, measure=label, trials=trials,
                           violations=tuple(violations), seed=seed, tol=tol)
-
-
-def check_homogeneity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0,
-                      tol: float = DEFAULT_TOL,
-                      node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
-    """Scaling weights by kappa must divide the measure by kappa."""
-    return _run("homogeneity", measure, trials, seed, tol, node_range)
-
-
-def check_monotonicity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0,
-                       tol: float = DEFAULT_TOL,
-                       node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
-    """Adding edges (shrinking the pseudo-inverse) must not increase the measure.
-
-    Ordered pairs are constructed by edge addition, then the pseudo-inverse
-    ordering is verified explicitly before the measure comparison.
-    """
-    return _run("monotonicity", measure, trials, seed, tol, node_range)
-
-
-def check_convexity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0,
-                    alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
-                    tol: float = DEFAULT_TOL,
-                    node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
-    """Measure of a Laplacian convex combination is below the value combination."""
-    return _run("convexity", measure, trials, seed, tol, node_range, tuple(alpha_grid))
-
-
-def check_subadditivity(measure: MeasureDescriptor, trials: int = 200, seed: int = 0,
-                        tol: float = DEFAULT_TOL,
-                        node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
-    """Measure of an edge union is at most the sum of the measures."""
-    return _run("subadditivity", measure, trials, seed, tol, node_range)
-
-
-def check_orthogonal_invariance(measure: MeasureDescriptor, trials: int = 200,
-                                seed: int = 0, tol: float = DEFAULT_TOL,
-                                node_range: tuple[int, int] = DEFAULT_NODE_RANGE,
-                                ) -> PropertyReport:
-    """Conjugating the Laplacian by a random orthogonal matrix must not move
-    any eigenvalue-based measure; evaluation works on the rotated matrix
-    directly since it is generally not a Laplacian."""
-    return _run("orthogonal_invariance", measure, trials, seed, tol, node_range)
-
-
-def check_schur_convexity(f_vec: Callable[[np.ndarray], float] | MeasureDescriptor,
-                          trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL,
-                          node_range: tuple[int, int] = DEFAULT_NODE_RANGE,
-                          ) -> PropertyReport:
-    """Applying a random doubly stochastic matrix (Birkhoff combination of
-    permutations) to a positive vector must not increase the measure."""
-    return _run("schur_convexity", f_vec, trials, seed, tol, node_range)
-
-
-def run_check(property_id: str, measure: MeasureDescriptor, trials: int = 200,
-              seed: int = 0, tol: float = DEFAULT_TOL,
-              node_range: tuple[int, int] = DEFAULT_NODE_RANGE) -> PropertyReport:
-    """Dispatch a property check by name."""
-    return _run(property_id, measure, trials, seed, tol, node_range)
 
 
 def replay_trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
                  tol: float = DEFAULT_TOL,
                  node_range: tuple[int, int] = DEFAULT_NODE_RANGE,
                  alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID) -> list[Assertion]:
-    """Re-run one trial of a property check; identical inputs give identical bits."""
+    """Re-run one trial of run_check; identical inputs give identical bits."""
     return _trial(property_id, measure, seed, trial, tol, node_range, tuple(alpha_grid))

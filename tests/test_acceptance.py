@@ -15,13 +15,11 @@ import numpy as np
 import pytest
 
 from systemic import (MeasureDescriptor, Topology, WeightedGraph,
-                      applicable_properties, check_convexity,
-                      check_homogeneity, check_monotonicity,
-                      check_orthogonal_invariance, check_schur_convexity,
-                      check_subadditivity, cli, entropy_via_trees, evaluate,
+                      applicable_properties, cli, entropy_via_trees, evaluate,
                       fundamental_limit, generate, get_spectral_function,
                       graph_spectrum, hp_norm, hp_norm_numeric,
-                      laplacian_spectrum, optimize_weights, rewire_bruteforce)
+                      laplacian_spectrum, optimize_weights, rewire_bruteforce,
+                      run_check)
 from systemic.design import canonical_edges
 from systemic.measures import ENTROPY_FORM_WARNING
 from systemic.sim import SimConfig, estimate_h2
@@ -129,15 +127,6 @@ CATALOG_TABLE = [
     MeasureDescriptor("entropy"),
 ]
 
-_CHECKERS = {
-    "homogeneity": check_homogeneity,
-    "subadditivity": check_subadditivity,
-    "monotonicity": check_monotonicity,
-    "convexity": check_convexity,
-    "orthogonal_invariance": check_orthogonal_invariance,
-    "schur_convexity": check_schur_convexity,
-}
-
 
 def test_criterion_5_axiom_suites():
     start = time.perf_counter()
@@ -145,8 +134,8 @@ def test_criterion_5_axiom_suites():
     runs = 0
     for index, descriptor in enumerate(CATALOG_TABLE):
         for prop in sorted(applicable_properties(descriptor)):
-            report = _CHECKERS[prop](descriptor, trials=200,
-                                     seed=1000 + 17 * index, tol=1e-8)
+            report = run_check(prop, descriptor, trials=200,
+                               seed=1000 + 17 * index, tol=1e-8)
             runs += 1
             if not report.ok:
                 failures.append((descriptor.label(), prop, len(report.violations)))

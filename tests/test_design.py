@@ -339,6 +339,19 @@ class TestRewire:
         with pytest.raises(DomainError):
             rewire_bruteforce(4, 2, 1.0, ENERGY)
 
+    # a float n raised IndexError and a float m TypeError
+    @pytest.mark.parametrize("n, m, name", [(4.0, 4, "node count n"), (True, 1, "node count n"),
+                                            (4, 4.0, "edge count m"), (4, True, "edge count m")])
+    def test_non_integer_counts(self, n, m, name):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            rewire_bruteforce(n, m, 4.0, ENERGY)
+
+    # an infinite alpha was reported as an edge with non-positive weight inf
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            rewire_bruteforce(4, 4, alpha, ENERGY)
+
 
 class TestFundamentalLimit:
     def test_p3_budget_zero_is_value(self, p3):
@@ -357,6 +370,18 @@ class TestFundamentalLimit:
     def test_negative_budget(self, p3):
         with pytest.raises(DomainError):
             fundamental_limit(p3, -1, "inverse")
+
+    # a float budget raised a bare TypeError from slicing, and True was taken as 1
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_non_integer_budget(self, p3, k):
+        with pytest.raises(DomainError, match="edge budget k must be an integer"):
+            fundamental_limit(p3, k, "inverse")
+        with pytest.raises(DomainError, match="edge budget k must be an integer"):
+            greedy_augment(p3, k, [(0, 2, 1.0)], "inverse")
+
+    def test_numpy_budget_accepted(self, p3):
+        assert fundamental_limit(p3, np.int64(1), "inverse") == fundamental_limit(
+            p3, 1, "inverse")
 
     def test_requires_vanishing_function(self, p3):
         register_spectral_function(
@@ -411,6 +436,23 @@ class TestGreedyAugment:
         exhaustive = greedy_augment(graph, 2, candidates, "inverse", mode="exhaustive")
         assert len(exhaustive.added) == 2
         assert exhaustive.achieved <= greedy.achieved + 1e-12
+
+    # a float endpoint was truncated: (0.5, 2) added the edge (0, 2)
+    @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+    def test_float_endpoints_rejected(self, mode):
+        path4 = generate("path", 4)
+        with pytest.raises(GraphFormatError, match="endpoints must be integers"):
+            greedy_augment(path4, 1, [(0.5, 2, 1.0)], "inverse", mode=mode)
+        with pytest.raises(GraphFormatError, match="endpoints must be integers"):
+            greedy_augment(path4, 1, [(0, 2, 1.0), (3, 2.0, 1.0)], "inverse", mode=mode)
+
+    @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+    def test_candidate_pairs_normalized(self, p3, mode):
+        # reversed and NumPy endpoints name the same pair, which is added once
+        candidates = [(0, 2, 0.01), (np.int64(2), 0, 10.0), (1, 0, 3.0)]
+        report = greedy_augment(p3, 2, candidates, "inverse", mode=mode)
+        assert report.added == ((0, 2, 10.0),)
+        assert report == greedy_augment(p3, 2, [(0, 2, 10.0)], "inverse", mode=mode)
 
     def test_exhaustive_budget(self, p3):
         candidates = [(0, 2, float(w)) for w in range(1, 200)]

@@ -3,10 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from systemic import (DomainError, MeasureDescriptor, WeightedGraph,
-                      check_convexity, check_homogeneity, check_monotonicity,
-                      check_orthogonal_invariance, check_schur_convexity,
-                      check_subadditivity, evaluate, generate, graph_add,
+from systemic import (DomainError, MeasureDescriptor, WeightedGraph, evaluate, graph_add,
                       properties, replay_trial, run_check, scalar_mul, spectral_form)
 
 ENERGY = MeasureDescriptor("energy1")
@@ -16,12 +13,12 @@ ZETA_HALF = MeasureDescriptor("zeta_measure", p=1.0, k=0.5)
 
 class TestHomogeneity:
     def test_energy1_clean(self):
-        report = check_homogeneity(ENERGY, trials=200, seed=5, tol=1e-9)
+        report = run_check("homogeneity", ENERGY, trials=200, seed=5, tol=1e-9)
         assert report.ok
         assert report.trials == 200
 
     def test_entropy_violates(self):
-        report = check_homogeneity(ENTROPY, trials=200, seed=5)
+        report = run_check("homogeneity", ENTROPY, trials=200, seed=5)
         assert not report.ok
 
     def test_entropy_shift_law(self, k3):
@@ -55,13 +52,13 @@ class TestMonotonicity:
     @pytest.mark.parametrize("descriptor", [ENERGY, ENTROPY, ZETA_HALF,
                                             MeasureDescriptor("local_error")])
     def test_random_pairs(self, descriptor):
-        report = check_monotonicity(descriptor, trials=60, seed=3)
+        report = run_check("monotonicity", descriptor, trials=60, seed=3)
         assert report.ok
 
 
 class TestConvexity:
     def test_endpoints_are_equalities(self):
-        report = check_convexity(ENERGY, trials=40, seed=9, alpha_grid=(0.0, 1.0))
+        report = run_check("convexity", ENERGY, trials=40, seed=9, alpha_grid=(0.0, 1.0))
         assert report.ok
 
     def test_k3_p3_midpoint_value(self, k3, p3):
@@ -76,7 +73,7 @@ class TestConvexity:
     @pytest.mark.parametrize("descriptor", [ENERGY, ENTROPY,
                                             MeasureDescriptor("hp_norm", p=3.0)])
     def test_random_mixes(self, descriptor):
-        report = check_convexity(descriptor, trials=60, seed=21)
+        report = run_check("convexity", descriptor, trials=60, seed=21)
         assert report.ok
 
 
@@ -86,7 +83,7 @@ class TestSubadditivity:
         assert evaluate(union, ENERGY) <= evaluate(k3, ENERGY) + evaluate(p3, ENERGY)
 
     def test_random(self):
-        report = check_subadditivity(ENERGY, trials=60, seed=2)
+        report = run_check("subadditivity", ENERGY, trials=60, seed=2)
         assert report.ok
 
     def test_entropy_fails_subadditivity(self, k3):
@@ -103,8 +100,8 @@ class TestOrthogonalInvariance:
         assert value == pytest.approx(evaluate(c4, ENTROPY), rel=1e-14)
 
     def test_entropy_c4_random_rotation(self):
-        report = check_orthogonal_invariance(ENTROPY, trials=60, seed=4,
-                                             node_range=(4, 4))
+        report = run_check("orthogonal_invariance", ENTROPY, trials=60, seed=4,
+                           node_range=(4, 4))
         assert report.ok
 
     def test_permutation_preserves_local_error(self, p3):
@@ -114,7 +111,7 @@ class TestOrthogonalInvariance:
 
     def test_local_error_not_spectral(self):
         with pytest.raises(DomainError):
-            check_orthogonal_invariance(MeasureDescriptor("local_error"), trials=1)
+            run_check("orthogonal_invariance", MeasureDescriptor("local_error"), trials=1)
 
 
 class TestSchurConvexity:
@@ -140,13 +137,13 @@ class TestSchurConvexity:
     @pytest.mark.parametrize("descriptor", [ENERGY, ENTROPY, ZETA_HALF,
                                             MeasureDescriptor("hinf")])
     def test_random_doubly_stochastic(self, descriptor):
-        report = check_schur_convexity(descriptor, trials=120, seed=8)
+        report = run_check("schur_convexity", descriptor, trials=120, seed=8)
         assert report.ok
 
 
 class TestReplay:
     def test_violations_replay_bit_for_bit(self):
-        report = check_homogeneity(ENTROPY, trials=40, seed=77)
+        report = run_check("homogeneity", ENTROPY, trials=40, seed=77)
         assert report.violations
         for violation in report.violations[:10]:
             assertions = replay_trial("homogeneity", ENTROPY, seed=77,
@@ -158,8 +155,8 @@ class TestReplay:
             assert rhs == violation.rhs
 
     def test_report_reproducible(self):
-        first = check_monotonicity(ENERGY, trials=25, seed=13)
-        second = check_monotonicity(ENERGY, trials=25, seed=13)
+        first = run_check("monotonicity", ENERGY, trials=25, seed=13)
+        second = run_check("monotonicity", ENERGY, trials=25, seed=13)
         assert first == second
 
     def test_run_check_dispatch(self):
@@ -173,15 +170,6 @@ def _schur_concave(x):
     # the sum of logs grows as a vector is averaged: Schur-concave
     return float(np.sum(np.log(x)))
 
-
-_CHECKS = {
-    "homogeneity": check_homogeneity,
-    "monotonicity": check_monotonicity,
-    "convexity": check_convexity,
-    "subadditivity": check_subadditivity,
-    "orthogonal_invariance": check_orthogonal_invariance,
-    "schur_convexity": check_schur_convexity,
-}
 
 # per property: (subject, tol, negate the measure) that makes its check fail
 _VIOLATING = {
@@ -214,14 +202,14 @@ def _assert_replays(report, property_id, subject, **options):
 
 class TestReplayEveryProperty:
     def test_checks_cover_the_table(self):
-        assert set(_CHECKS) == set(_VIOLATING) == set(properties._PROPERTIES)
+        assert set(_VIOLATING) == set(properties._PROPERTIES)
 
     @pytest.mark.parametrize("property_id", sorted(properties._PROPERTIES))
     def test_every_violation_replays(self, monkeypatch, property_id):
         subject, tol, negate = _VIOLATING[property_id]
         if negate:
             _negate_measures(monkeypatch)
-        report = _CHECKS[property_id](subject, trials=12, seed=31, tol=tol)
+        report = run_check(property_id, subject, trials=12, seed=31, tol=tol)
         assert report.property_id == property_id
         assert report.violations
         _assert_replays(report, property_id, subject)
@@ -229,8 +217,8 @@ class TestReplayEveryProperty:
     def test_custom_alpha_grid_replays(self, monkeypatch):
         _negate_measures(monkeypatch)
         grid = (0.2, 0.7)
-        report = check_convexity(ENERGY, trials=8, seed=12, alpha_grid=grid,
-                                 node_range=(4, 9))
+        report = run_check("convexity", ENERGY, trials=8, seed=12, alpha_grid=grid,
+                           node_range=(4, 9))
         assert report.violations
         assert {v.description.split("alpha=")[1] for v in report.violations} <= {
             repr(alpha) for alpha in grid}
@@ -248,8 +236,6 @@ class TestInvalidInputs:
         with pytest.raises(DomainError, match="tol"):
             run_check(property_id, ENERGY, trials=3, tol=tol)
         with pytest.raises(DomainError, match="tol"):
-            _CHECKS[property_id](ENERGY, trials=3, tol=tol)
-        with pytest.raises(DomainError, match="tol"):
             replay_trial(property_id, ENERGY, seed=0, trial=0, tol=tol)
 
     @pytest.mark.parametrize("trials", [0, -5, 2.5, "3", None])
@@ -257,8 +243,6 @@ class TestInvalidInputs:
     def test_trials_rejected(self, property_id, trials):
         with pytest.raises(DomainError, match="trials"):
             run_check(property_id, ENERGY, trials=trials)
-        with pytest.raises(DomainError, match="trials"):
-            _CHECKS[property_id](ENERGY, trials=trials)
 
     # NumPy's seed sequence raised a bare ValueError for a negative seed
     @pytest.mark.parametrize("seed", [-1, 2.5, "0", None, True])
@@ -266,8 +250,6 @@ class TestInvalidInputs:
     def test_seed_rejected(self, property_id, seed):
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             run_check(property_id, ENERGY, trials=3, seed=seed)
-        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
-            _CHECKS[property_id](ENERGY, trials=3, seed=seed)
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             replay_trial(property_id, ENERGY, seed=seed, trial=0)
 
