@@ -118,25 +118,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Performance/robustness measures of consensus networks "
                     "over weighted graphs: evaluation, verification, design.")
     sub = parser.add_subparsers(dest="command", required=True)
+    graph_file = argparse.ArgumentParser(add_help=False)
+    graph_file.add_argument("--graph", required=True)
 
-    p = sub.add_parser("measure", help="evaluate one catalog measure on a graph")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("measure", parents=[graph_file],
+                       help="evaluate one catalog measure on a graph")
     _measure_args(p)
 
-    p = sub.add_parser("zeta", help="spectral zeta function of a graph")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("zeta", parents=[graph_file], help="spectral zeta function of a graph")
     p.add_argument("--p", type=float, required=True)
 
-    p = sub.add_parser("hpnorm", help="H_p norm, closed form and optional quadrature")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("hpnorm", parents=[graph_file],
+                       help="H_p norm, closed form and optional quadrature")
     p.add_argument("--p", type=_parse_exponent, required=True)
     p.add_argument("--numeric", action="store_true",
                    help="also evaluate the frequency integral numerically")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="relative tolerance of the quadrature")
 
-    p = sub.add_parser("trees", help="spanning-tree count and the entropy cross-check")
-    p.add_argument("--graph", required=True)
+    sub.add_parser("trees", parents=[graph_file],
+                   help="spanning-tree count and the entropy cross-check")
 
     p = sub.add_parser("props", help="run one axiom check as a falsification search")
     _measure_args(p)
@@ -159,16 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     _measure_args(p)
 
-    p = sub.add_parser("augment", help="greedy edge augmentation with spectral bound")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("augment", parents=[graph_file],
+                       help="greedy edge augmentation with spectral bound")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--candidates", required=True,
                    help="edge-list file of candidate edges with budget weights")
     p.add_argument("--f", required=True,
                    help="decreasing convex spectral function id, e.g. inverse")
 
-    p = sub.add_parser("simulate-h2", help="Monte-Carlo estimate of the squared H_2 measure")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("simulate-h2", parents=[graph_file],
+                       help="Monte-Carlo estimate of the squared H_2 measure")
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
@@ -176,29 +177,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=float, default=None,
                    help="discarded prefix; defaults to min(5/lambda_2, horizon/4)")
 
-    p = sub.add_parser("validate", help="parse a graph file and audit its invariants")
-    p.add_argument("--graph", required=True)
+    sub.add_parser("validate", parents=[graph_file],
+                   help="parse a graph file and audit its invariants")
     return parser
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: return (results dict, exit code)
+# subcommand bodies: (args, the --graph file's graph or None) -> (results, exit code)
 
-def _run_measure(args) -> tuple[dict, int]:
-    graph = _load_graph(args.graph)
+def _run_measure(args, graph) -> tuple[dict, int]:
     descriptor = _descriptor(args)
     value = measures.evaluate(graph, descriptor)
     return {"measure": descriptor.label(), "value": value}, 0
 
 
-def _run_zeta(args) -> tuple[dict, int]:
-    graph = _load_graph(args.graph)
+def _run_zeta(args, graph) -> tuple[dict, int]:
     return {"p": args.p, "value": measures.zeta(graph, args.p)}, 0
 
 
-def _run_hpnorm(args) -> tuple[dict, int]:
+def _run_hpnorm(args, graph) -> tuple[dict, int]:
     settings = measures.QuadratureSettings(rel_tol=args.tol)  # a bad --tol exits 2
-    graph = _load_graph(args.graph)
     closed = measures.hp_norm(graph, args.p)
     results = {"p": args.p if math.isfinite(args.p) else "inf", "closed_form": closed}
     if args.numeric:
@@ -209,8 +207,7 @@ def _run_hpnorm(args) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_trees(args) -> tuple[dict, int]:
-    graph = _load_graph(args.graph)
+def _run_trees(args, graph) -> tuple[dict, int]:
     tau = spanning_tree_count(graph)
     if not math.isfinite(tau):
         raise NumericalError(f"spanning-tree count overflowed to {tau} on {graph.n} nodes")
@@ -225,7 +222,7 @@ def _run_trees(args) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_props(args) -> tuple[dict, int]:
+def _run_props(args, graph) -> tuple[dict, int]:
     from . import properties
 
     if args.tol is None:
@@ -249,7 +246,7 @@ def _run_props(args) -> tuple[dict, int]:
     return results, (1 if report.violations else 0)
 
 
-def _run_optimize_weights(args) -> tuple[dict, int]:
+def _run_optimize_weights(args, graph) -> tuple[dict, int]:
     from . import design
 
     topology = design.Topology.from_graph(_load_graph(args.topology))
@@ -267,7 +264,7 @@ def _run_optimize_weights(args) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_rewire(args) -> tuple[dict, int]:
+def _run_rewire(args, graph) -> tuple[dict, int]:
     from . import design
 
     descriptor = _descriptor(args)
@@ -282,10 +279,9 @@ def _run_rewire(args) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_augment(args) -> tuple[dict, int]:
+def _run_augment(args, graph) -> tuple[dict, int]:
     from . import design
 
-    graph = _load_graph(args.graph)
     candidates_graph = _load_graph(args.candidates)
     if candidates_graph.n != graph.n:
         raise SystemicError(
@@ -301,15 +297,14 @@ def _run_augment(args) -> tuple[dict, int]:
     return results, (1 if report.gap < -BOUND_BREACH_TOL else 0)
 
 
-def _run_simulate_h2(args) -> tuple[dict, int]:
+def _run_simulate_h2(args, graph) -> tuple[dict, int]:
     from . import sim
 
-    graph = _load_graph(args.graph)
     spectrum = graph_spectrum(graph)
     lam2 = float(spectrum.nonzero[0])
     burn_in = args.burn_in
     if burn_in is None:
-        burn_in = min(5.0 / lam2, args.horizon / 4.0)
+        burn_in = min(sim.MIXING_TIME_CONSTANTS / lam2, args.horizon / 4.0)
     cfg = sim.SimConfig(dt=args.dt, horizon=args.horizon, burn_in=burn_in,
                         trials=args.trials, seed=args.seed)
     estimate, stderr = sim.estimate_h2(graph, cfg)
@@ -326,8 +321,7 @@ def _run_simulate_h2(args) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_validate(args) -> tuple[dict, int]:
-    graph = _load_graph(args.graph)
+def _run_validate(args, graph) -> tuple[dict, int]:
     row_sum = float(np.abs(laplacian(graph).sum(axis=1)).max())
     connected = is_connected(graph)
     results = {
@@ -395,7 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results, code = _COMMANDS[args.command](args)
+            graph = _load_graph(args.graph) if "graph" in args else None
+            results, code = _COMMANDS[args.command](args, graph)
         warning_list.extend(str(w.message) for w in caught)
     except (NumericalError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

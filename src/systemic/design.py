@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import index
 
 import numpy as np
 
@@ -45,17 +44,11 @@ class Topology:
             arity = None
         if arity is None or (arity != 2).any():
             raise GraphFormatError("topology edges must be (u, v) pairs")
-        try:
-            # index() refuses floats, which an intp array would truncate
-            pairs = np.fromiter(map(index, itertools.chain.from_iterable(edges)),
-                                dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
-        except TypeError as exc:
-            raise GraphFormatError(f"topology endpoints must be integers: {exc}") from None
-        pairs.sort(axis=1)
+        us, vs = _integer_columns(edges)
         # a unit-weight graph's checks name the first defective pair in input
         # order, sort the pairs and decide connectivity
         self._adopt(WeightedGraph._from_arrays(
-            self.n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)),
+            self.n, np.minimum(us, vs), np.maximum(us, vs), np.ones(len(edges)),
             error=lambda i, defect: (DomainError("topology has duplicate edges")
                                      if defect == "duplicate" else None)))
 
@@ -192,6 +185,16 @@ def _stationarity_residual(weights: np.ndarray,
     return float(np.abs(supported - supported.mean()).max()), support
 
 
+def _allocation_result(weights: np.ndarray, value: float, gradient: np.ndarray,
+                       iterations: int, history: list[float]) -> WeightAllocationResult:
+    """The result at `weights`, with the residual and active set of its gradient."""
+    residual, support = _stationarity_residual(weights, gradient)
+    return WeightAllocationResult(weights=weights, objective=value, iterations=iterations,
+                                  stationarity_residual=residual,
+                                  active_set=tuple(int(i) for i in np.nonzero(~support)[0]),
+                                  history=tuple(history))
+
+
 def optimize_weights(topology: Topology, measure: MeasureDescriptor,
                      options: SolverOptions | None = None) -> WeightAllocationResult:
     """Minimize a measure over the unit simplex of edge weights.
@@ -215,7 +218,7 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
     history = [value]
     step = STEP_INIT
     iterations = 0
-    residual, support = _stationarity_residual(weights, gradient)
+    residual, _ = _stationarity_residual(weights, gradient)
     while residual > options.tol and iterations < options.max_iters:
         accepted = False
         t = step
@@ -246,12 +249,8 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
         iterations += 1
         history.append(value)
         value, gradient = objective.value_and_gradient(weights)
-        residual, support = _stationarity_residual(weights, gradient)
-    active = tuple(int(i) for i in np.nonzero(~support)[0])
-    return WeightAllocationResult(weights=weights, objective=value,
-                                  iterations=iterations,
-                                  stationarity_residual=residual,
-                                  active_set=active, history=tuple(history))
+        residual, _ = _stationarity_residual(weights, gradient)
+    return _allocation_result(weights, value, gradient, iterations, history)
 
 
 def _optimize_subgradient(objective: _Objective, weights: np.ndarray,
@@ -278,18 +277,15 @@ def _optimize_subgradient(objective: _Objective, weights: np.ndarray,
         if value < best_value:
             best_value, best_weights = value, weights
     _, best_gradient = objective.value_and_gradient(best_weights)
-    residual, support = _stationarity_residual(best_weights, best_gradient)
-    active = tuple(int(i) for i in np.nonzero(~support)[0])
-    return WeightAllocationResult(weights=best_weights, objective=best_value,
-                                  iterations=iterations,
-                                  stationarity_residual=residual,
-                                  active_set=active, history=tuple(history))
+    return _allocation_result(best_weights, best_value, best_gradient, iterations, history)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive rewiring over all connected graphs with n nodes and m edges
 
-MAX_REWIRE_NODES = 8
+# one relabeling takes 5-15 us on a Xeon core, more with more edges: rewiring
+# at (n, m) = (6, 7), 4,633,200 relabelings, takes 23 s, and (7, 10) hours
+MAX_RELABELINGS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -305,12 +301,28 @@ class RewireResult:
     ranking: tuple[RankingEntry, ...]
 
 
+def _check_relabelings(n: int, m: int | None = None) -> None:
+    """ScaleError unless the n! node relabelings of one edge set, or of each
+    of the C(n(n-1)/2, m) labeled m-edge sets, fit MAX_RELABELINGS.  n! is
+    multiplied out only while it fits, so a large n is refused at once."""
+    work = 1
+    for factor in range(2, n + 1):
+        work *= factor
+        if work > MAX_RELABELINGS:
+            break
+    else:
+        work *= 1 if m is None else math.comb(n * (n - 1) // 2, m)
+    if work > MAX_RELABELINGS:
+        sets = "one edge set" if m is None else f"C({n * (n - 1) // 2}, {m}) edge sets"
+        raise ScaleError(f"canonical forms of {sets} on n={n} nodes need over "
+                         f"{MAX_RELABELINGS} node relabelings")
+
+
 def canonical_edges(n: int, pairs: tuple[tuple[int, int], ...]
                     ) -> tuple[tuple[int, int], ...]:
-    """Lexicographically smallest relabeling of an edge set over all node
-    permutations; n is capped at MAX_REWIRE_NODES."""
-    if n > MAX_REWIRE_NODES:
-        raise ScaleError(f"canonical forms are enumerated only up to n={MAX_REWIRE_NODES}")
+    """Lexicographically smallest relabeling of an edge set over all n! node
+    permutations; ScaleError when n! exceeds MAX_RELABELINGS."""
+    _check_relabelings(n)
     best: tuple[tuple[int, int], ...] | None = None
     for perm in itertools.permutations(range(n)):
         relabeled = tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
@@ -326,18 +338,18 @@ def rewire_bruteforce(n: int, m: int, alpha: float,
 
     Isomorphic labelings are merged through canonical forms, so the ranking is
     one entry per isomorphism class, ascending by value with lexicographic
-    tie-breaking.
+    tie-breaking.  ScaleError, before any enumeration, when the labeled
+    m-edge sets times their n! relabelings exceed MAX_RELABELINGS.
     """
     _check_integer("node count n", n, 2)
-    if n > MAX_REWIRE_NODES:
-        raise ScaleError(f"exhaustive rewiring supports n <= {MAX_REWIRE_NODES}, got {n}")
     _check_integer("edge count m", m, 0)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DomainError(f"total weight alpha must be positive and finite, got {alpha}")
+    if not (n - 1 <= m <= n * (n - 1) // 2):
+        raise DomainError(f"edge count m={m} infeasible for connected n={n}")
+    _check_relabelings(n, m)
     all_us, all_vs = np.triu_indices(n, 1)
     all_pairs = list(zip(all_us.tolist(), all_vs.tolist()))
-    if not (n - 1 <= m <= len(all_pairs)):
-        raise DomainError(f"edge count m={m} infeasible for connected n={n}")
     weight = alpha / m
     classes: set[tuple[tuple[int, int], ...]] = set()
     for combo in itertools.combinations(range(len(all_pairs)), m):
@@ -345,17 +357,14 @@ def rewire_bruteforce(n: int, m: int, alpha: float,
         if _connected(n, all_us[chosen], all_vs[chosen]):
             classes.add(canonical_edges(n, tuple(all_pairs[i] for i in combo)))
 
-    def score(pairs: tuple[tuple[int, int], ...]) -> RankingEntry:
-        graph = WeightedGraph.from_edges(n, [(u, v, weight) for u, v in pairs])
-        value = evaluate(graph, measure)
-        return RankingEntry(edges=pairs, value=value)
+    def graph_of(pairs: tuple[tuple[int, int], ...]) -> WeightedGraph:
+        return WeightedGraph.from_edges(n, [(u, v, weight) for u, v in pairs])
 
-    entries = [score(pairs) for pairs in sorted(classes)]
-    ranking = tuple(sorted(entries, key=lambda e: (e.value, e.edges)))
-    best_entry = ranking[0]
-    best_graph = WeightedGraph.from_edges(
-        n, [(u, v, weight) for u, v in best_entry.edges])
-    return RewireResult(best=best_graph, value=best_entry.value, ranking=ranking)
+    # edge sets are distinct, so (value, edges) orders the classes totally
+    ranking = tuple(sorted((RankingEntry(edges=pairs, value=evaluate(graph_of(pairs), measure))
+                            for pairs in classes), key=lambda e: (e.value, e.edges)))
+    return RewireResult(best=graph_of(ranking[0].edges), value=ranking[0].value,
+                        ranking=ranking)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +402,10 @@ def greedy_augment(graph: WeightedGraph, k: int,
     """Add up to k candidate edges minimizing a sum-of-f measure.
 
     Greedy picks the best (edge, budget-weight) candidate one step at a time;
-    mode="exhaustive" scans all candidate subsets of size <= k (bounded at
-    1e5 subsets).  Candidates on an existing edge are skipped, and so is a
-    second candidate on an added pair.  Every candidate set is scored as the
+    mode="exhaustive" scores every subset of at most k candidates on distinct
+    pairs, and raises ScaleError before scoring any when there are over 1e5.
+    Candidates on an existing edge are skipped, and so is a second candidate
+    on an added pair.  Every candidate set is scored as the
     schur_sum measure of the augmented graph, ties broken by the candidates.
     The report carries the achieved value, the rank-k spectral bound computed
     from the original spectrum, and their gap.
@@ -423,12 +433,23 @@ def greedy_augment(graph: WeightedGraph, k: int,
             usable = [c for c in usable if c[:2] != best[:2]]
         achieved = score(chosen)
     elif mode == "exhaustive":
-        total = sum(math.comb(len(normalized), j) for j in range(k + 1))
+        by_pair: dict[tuple[int, int], list[int]] = {}
+        for i, c in enumerate(usable):
+            by_pair.setdefault(c[:2], []).append(i)
+        # counts[j]: subsets of j candidates on distinct pairs, the elementary
+        # symmetric polynomial e_j of the per-pair candidate counts
+        counts = [1] + [0] * k
+        for group in by_pair.values():
+            for j in range(k, 0, -1):
+                counts[j] += counts[j - 1] * len(group)
+        total = sum(counts)
         if total > 100_000:
             raise ScaleError(f"exhaustive augmentation over {total} subsets exceeds 1e5")
-        achieved, chosen = min((score(subset), subset) for size in range(k + 1)
-                               for subset in itertools.combinations(usable, size)
-                               if len({c[:2] for c in subset}) == size)
+        # each subset keeps its candidates in input order
+        subsets = (tuple(usable[i] for i in sorted(picks)) for size in range(k + 1)
+                   for groups in itertools.combinations(by_pair.values(), size)
+                   for picks in itertools.product(*groups))
+        achieved, chosen = min((score(subset), subset) for subset in subsets)
     else:
         raise DomainError(f"unknown augmentation mode {mode!r}")
     return AugmentationReport(added=chosen, achieved=achieved, bound=bound,

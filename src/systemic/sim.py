@@ -10,7 +10,8 @@ without touching them.  Noise streams are counter-based (Philox) keyed by
 worker threads, each filling half of the trials (NumPy releases the
 interpreter lock while it fills).  Every trial reads only its own stream,
 so the result is bit-identical to drawing the trials one after another, and
-independent of thread and BLAS scheduling.
+independent of thread and BLAS scheduling.  `simulate_output` draws its one
+trial through the same routine, so trial t of both reads the same noise.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .graphs import WeightedGraph, laplacian
 from .spectral import graph_spectrum
 
 NOISE_CHUNK_STEPS = 1024
+MIXING_TIME_CONSTANTS = 5.0  # burn-in the mixing heuristic asks for, in units of 1/lambda_2
 
 
 def _integer(name: str, value) -> int:
@@ -42,7 +44,8 @@ class SimConfig:
     """Integration settings; x0 is the initial state (defaults to zero).
 
     Stability needs dt * lambda_max < 2; the burn-in should cover at least
-    5 / lambda_2 of mixing time (warned about, not enforced).
+    MIXING_TIME_CONSTANTS / lambda_2 of mixing time (warned about, not
+    enforced).
     """
 
     dt: float
@@ -85,10 +88,12 @@ def _validate(graph: WeightedGraph, cfg: SimConfig) -> tuple[np.ndarray, np.ndar
             f"explicit scheme unstable: dt * lambda_max = {cfg.dt * lam_max:.3f} >= 2")
     # lambda_2 carries rounding error (P3's comes out as 1 - 2**-52), so a
     # burn-in that meets the heuristic to a relative 1e-9 is not warned about
-    if cfg.burn_in < 5.0 / lam_2 * (1.0 - 1e-9):
+    mixing = MIXING_TIME_CONSTANTS / lam_2
+    if cfg.burn_in < mixing * (1.0 - 1e-9):
         warnings.warn(
-            f"burn_in {cfg.burn_in:g} is below the mixing heuristic 5/lambda_2 = "
-            f"{5.0 / lam_2:g}; the estimate may be biased", stacklevel=3)
+            f"burn_in {cfg.burn_in:g} is below the mixing heuristic "
+            f"{MIXING_TIME_CONSTANTS:g}/lambda_2 = {mixing:g}; the estimate may be biased",
+            stacklevel=3)
     matrix = laplacian(graph)
     if cfg.x0 is None:
         initial = np.zeros(graph.n)
@@ -218,16 +223,13 @@ def simulate_output(graph: WeightedGraph, cfg: SimConfig, trial: int = 0) -> np.
     state = _center(initial)
     path = np.empty((total_steps + 1, graph.n))
     path[0] = state
-    step = 0
-    while step < total_steps:
-        chunk = min(NOISE_CHUNK_STEPS, total_steps - step)
-        noise = generator.standard_normal((chunk, graph.n))
-        noise -= noise.mean(axis=1, keepdims=True)
-        noise *= sqrt_dt
-        for local in range(chunk):
-            state = state @ step_matrix + noise[local]
-            path[step + 1] = state
-            step += 1
+    noise = np.empty((1, NOISE_CHUNK_STEPS, graph.n))
+    for step in range(0, total_steps, NOISE_CHUNK_STEPS):
+        block = noise[:, :min(NOISE_CHUNK_STEPS, total_steps - step)]
+        _fill_noise([generator], block, sqrt_dt)
+        for row, increment in enumerate(block[0], start=step + 1):
+            state = state @ step_matrix + increment
+            path[row] = state
     return path
 
 

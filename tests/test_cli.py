@@ -342,6 +342,45 @@ class TestValidate:
         assert "cannot read" in err
 
 
+# every subcommand that reads --graph, with its other required arguments
+GRAPH_COMMANDS = {
+    "measure": ["--measure", "energy1"],
+    "zeta": ["--p", "2"],
+    "hpnorm": ["--p", "3", "--numeric"],
+    "trees": [],
+    "augment": ["--k", "1", "--candidates", "{candidates}", "--f", "inverse"],
+    "simulate-h2": ["--dt", "0.01", "--horizon", "20", "--trials", "2", "--seed", "1"],
+    "validate": [],
+}
+
+
+class TestGraphFile:
+    def test_every_graph_command_is_listed(self):
+        subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert {name for name, parser in subcommands.items()
+                if any(action.dest == "graph" for action in parser._actions)} \
+            == set(GRAPH_COMMANDS)
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS)
+    def test_missing_file_exits_two(self, capsys, graph_files, tmp_path, command):
+        missing = str(tmp_path / "missing.txt")
+        extra = [arg.format(**graph_files) for arg in GRAPH_COMMANDS[command]]
+        code, report, err = run_cli(capsys, [command, "--graph", missing] + extra)
+        assert code == 2
+        assert report is None
+        assert f"error: cannot read graph file {missing}" in err
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS)
+    def test_malformed_file_names_the_line(self, capsys, graph_files, tmp_path, command):
+        malformed = tmp_path / "malformed.txt"
+        malformed.write_text("n 3\n0 1 1\n1 2\n")
+        extra = [arg.format(**graph_files) for arg in GRAPH_COMMANDS[command]]
+        code, report, err = run_cli(capsys, [command, "--graph", str(malformed)] + extra)
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: line 3:")
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys, graph_files):
         code, report, err = run_cli(capsys, ["measure", "--graph", graph_files["p3"],

@@ -15,7 +15,8 @@ from systemic import (ConnectivityError, DomainError, GraphFormatError, InputErr
                       optimize_weights,
                       project_simplex, register_spectral_function,
                       rewire_bruteforce)
-from systemic.design import _Objective, canonical_edges
+from systemic import design
+from systemic.design import _Objective, _check_relabelings, canonical_edges
 from systemic.measures import MEASURE_IDS
 
 from helpers import (MEASURE_CASES, grid_min_energy1, loop_topology_laplacian,
@@ -335,6 +336,28 @@ class TestRewire:
         with pytest.raises(ScaleError):
             rewire_bruteforce(9, 10, 1.0, ENERGY)
 
+    # the node cap of 8 admitted (7, 10), which canonicalizes about 350,000
+    # edge sets at 5040 relabelings each: hours of work
+    def test_work_refused_before_enumeration(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("an edge set was canonicalized")
+        monkeypatch.setattr(design, "canonical_edges", fail)
+        with pytest.raises(ScaleError, match=r"C\(21, 10\) edge sets on n=7"):
+            rewire_bruteforce(7, 10, 1.0, ENERGY)
+        with pytest.raises(ScaleError, match="node relabelings"):
+            rewire_bruteforce(10**9, 10**9, 1.0, ENERGY)
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 7)
+                                      for m in range(n - 1, n * (n - 1) // 2 + 1)]
+                             + [(7, 19), (7, 20), (7, 21)])
+    def test_work_budget_admits(self, n, m):
+        _check_relabelings(n, m)
+
+    def test_canonical_form_work_budget(self):
+        assert canonical_edges(7, ((0, 1),)) == ((0, 1),)
+        with pytest.raises(ScaleError, match="one edge set on n=11"):
+            canonical_edges(11, ((0, 1),))
+
     def test_infeasible_edge_count(self):
         with pytest.raises(DomainError):
             rewire_bruteforce(4, 2, 1.0, ENERGY)
@@ -454,10 +477,23 @@ class TestGreedyAugment:
         assert report.added == ((0, 2, 10.0),)
         assert report == greedy_augment(p3, 2, [(0, 2, 10.0)], "inverse", mode=mode)
 
-    def test_exhaustive_budget(self, p3):
+    def test_exhaustive_budget(self):
+        # 1 + 90 + C(90, 2) + C(90, 3) = 121,576 subsets on distinct pairs
+        path15 = generate("path", 15)
+        candidates = [(u, v, 1.0) for u in range(15) for v in range(u + 2, 15)][:90]
+        with pytest.raises(ScaleError, match="121576 subsets"):
+            greedy_augment(path15, 3, candidates, "inverse", mode="exhaustive")
+
+    # 199 candidates on one pair were counted as 1,313,600 subsets, but one
+    # pair admits one candidate: the search scores 200
+    def test_exhaustive_budget_counts_scored_subsets(self, p3, monkeypatch):
+        scored = []
+        monkeypatch.setattr(design, "evaluate",
+                            lambda graph, measure: scored.append(graph) or evaluate(graph, measure))
         candidates = [(0, 2, float(w)) for w in range(1, 200)]
-        with pytest.raises(ScaleError):
-            greedy_augment(p3, 3, candidates, "inverse", mode="exhaustive")
+        report = greedy_augment(p3, 3, candidates, "inverse", mode="exhaustive")
+        assert len(scored) == 200
+        assert report.added == ((0, 2, 199.0),)
 
 
 class TestInterlacingUnderAugmentation:
