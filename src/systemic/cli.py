@@ -209,10 +209,12 @@ def _run_hpnorm(args, graph) -> tuple[dict, int]:
 
 def _run_trees(args, graph) -> tuple[dict, int]:
     tau = spanning_tree_count(graph)
-    if not math.isfinite(tau):
-        raise NumericalError(f"spanning-tree count overflowed to {tau} on {graph.n} nodes")
     spectral_entropy = measures.evaluate(graph, MeasureDescriptor("entropy"))
     matrix_tree_entropy = measures.entropy_via_trees(graph)
+    # the entropies are finite on a connected graph, tau and log(n/tau) need not be
+    if not (math.isfinite(tau) and tau > 0.0):
+        kind = "overflowed" if tau > 0.0 else "underflowed"
+        raise NumericalError(f"spanning-tree count {kind} to {tau} on {graph.n} nodes")
     results = {
         "tau": tau,
         "entropy_spectral": spectral_entropy,
@@ -316,7 +318,7 @@ def _run_simulate_h2(args, graph) -> tuple[dict, int]:
         "closed_form": closed_form,
         "z_score": z_score,
         "burn_in": burn_in,
-        "steps": int(round(args.horizon / args.dt)),
+        "steps": cfg.total_steps,
     }
     return results, 0
 

@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (DimensionError, DomainError, GenerationError, GraphFormatError,
-                     SystemicError)
+from .errors import (ConnectivityError, DimensionError, DomainError, GenerationError,
+                     GraphFormatError, SystemicError)
 
 Edge = tuple[int, int, float]
 
@@ -325,21 +325,32 @@ def is_connected(graph: WeightedGraph) -> bool:
     return graph._is_connected
 
 
-def spanning_tree_count(graph: WeightedGraph, drop_index: int = 0) -> float:
-    """Weighted spanning-tree count via the determinant of the reduced Laplacian.
+def spanning_tree_count(graph: WeightedGraph, drop_index: int = 0, *,
+                        log: bool = False) -> float:
+    """Weighted spanning-tree count tau via the determinant of the reduced Laplacian.
 
     Deleting any one row/column of the Laplacian and taking the determinant
     gives the sum over spanning trees of the product of their edge weights
     (Kirchhoff).  The determinant goes through LU with partial pivoting, so
     this is independent of the eigensolver and usable as an oracle against it.
     Disconnected graphs give 0 up to round-off.
+
+    tau itself overflows (K_180 has 180^178 trees) or underflows (weights of
+    1e-90 on five nodes) long before its logarithm does: with log=True the
+    result is log tau, summed from the LU pivots by np.linalg.slogdet, and a
+    determinant whose sign is not positive raises ConnectivityError.
     """
     if not (0 <= drop_index < graph.n):
         raise DomainError(f"drop_index {drop_index} out of range for n={graph.n}")
     full = laplacian(graph)
     keep = [i for i in range(graph.n) if i != drop_index]
     reduced = full[np.ix_(keep, keep)]
-    return float(np.linalg.det(reduced))
+    if not log:
+        return float(np.linalg.det(reduced))
+    sign, log_tau = np.linalg.slogdet(reduced)
+    if not sign > 0:
+        raise ConnectivityError(f"non-positive spanning tree weight (determinant sign {sign})")
+    return float(log_tau)
 
 
 def _line_error(defect: str, n: int, u: int, v: int, w: float, line: int) -> SystemicError:

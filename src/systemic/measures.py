@@ -536,12 +536,11 @@ def entropy_via_trees(graph: WeightedGraph) -> float:
     """Entropy measure from the spanning-tree count: -log(n * tau).
 
     The matrix-tree identity (product of nonzero eigenvalues = n * tau) makes
-    this equal to -sum(log lambda_i).  See ENTROPY_FORM_WARNING for why the
-    often-quoted log(n/tau) is not reproduced here.
+    this equal to -sum(log lambda_i).  It is summed as -(log n + log tau) from
+    the log-determinant, so it stays finite where tau over- or underflows.
+    See ENTROPY_FORM_WARNING for why the often-quoted log(n/tau) is not
+    reproduced here.
     """
     if not is_connected(graph):
         raise ConnectivityError("spanning-tree entropy needs a connected graph")
-    tau = spanning_tree_count(graph)
-    if tau <= 0:
-        raise ConnectivityError(f"non-positive spanning tree weight {tau}")
-    return -math.log(graph.n * tau)
+    return -(math.log(graph.n) + spanning_tree_count(graph, log=True))

@@ -12,6 +12,14 @@ interpreter lock while it fills).  Every trial reads only its own stream,
 so the result is bit-identical to drawing the trials one after another, and
 independent of thread and BLAS scheduling.  `simulate_output` draws its one
 trial through the same routine, so trial t of both reads the same noise.
+
+Memory: a chunk is as many steps as fit into NOISE_BUFFER_BYTES (4 MiB) for
+all trials x n nodes, at least one step and at most the run's own.
+`estimate_h2` holds two noise buffers and one buffer of states of that size,
+about 13 MB at 32 trials x 50 nodes however long the horizon; a step of all
+trials larger than the budget makes one-step buffers.  `simulate_output`
+holds one noise buffer besides the path it returns.  The chunk length moves
+only the grouping of the time-average sums, by ulps.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .errors import ConfigError, DomainError
 from .graphs import WeightedGraph, laplacian
 from .spectral import graph_spectrum
 
-NOISE_CHUNK_STEPS = 1024
+NOISE_BUFFER_BYTES = 4 << 20  # budget of each noise and state buffer of a run
 MIXING_TIME_CONSTANTS = 5.0  # burn-in the mixing heuristic asks for, in units of 1/lambda_2
 
 
@@ -73,6 +81,22 @@ class SimConfig:
             if not all(math.isfinite(v) for v in x0):
                 raise ConfigError(f"x0 entries must be finite, got {x0}")
             object.__setattr__(self, "x0", x0)
+
+    @property
+    def total_steps(self) -> int:
+        """Euler-Maruyama steps over the horizon."""
+        return int(round(self.horizon / self.dt))
+
+    @property
+    def burn_steps(self) -> int:
+        """Steps before the time average starts."""
+        return int(round(self.burn_in / self.dt))
+
+
+def _chunk_steps(rows: int, n: int, total_steps: int) -> int:
+    """Steps per noise chunk: as many as fit rows x n doubles each into
+    NOISE_BUFFER_BYTES, at least one, and at most the run's total_steps."""
+    return max(1, min(total_steps, NOISE_BUFFER_BYTES // (8 * rows * n)))
 
 
 def _center(state: np.ndarray) -> np.ndarray:
@@ -148,8 +172,7 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
     """
     matrix, initial = _validate(graph, cfg)
     n = graph.n
-    total_steps = int(round(cfg.horizon / cfg.dt))
-    burn_steps = int(round(cfg.burn_in / cfg.dt))
+    total_steps, burn_steps = cfg.total_steps, cfg.burn_steps
     if total_steps <= burn_steps:
         raise ConfigError("horizon leaves no steps after burn-in")
     sqrt_dt = math.sqrt(cfg.dt)
@@ -157,10 +180,11 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
     generators = [_trial_generator(cfg.seed, trial) for trial in range(cfg.trials)]
     half = (cfg.trials + 1) // 2
     halves = [(lo, hi) for lo, hi in ((0, half), (half, cfg.trials)) if lo < hi]
-    chunks = [(step, min(NOISE_CHUNK_STEPS, total_steps - step))
-              for step in range(0, total_steps, NOISE_CHUNK_STEPS)]
-    noise = np.empty((2, cfg.trials, NOISE_CHUNK_STEPS, n))
-    states = np.empty((NOISE_CHUNK_STEPS, cfg.trials, n))
+    chunk_steps = _chunk_steps(cfg.trials, n, total_steps)
+    chunks = [(step, min(chunk_steps, total_steps - step))
+              for step in range(0, total_steps, chunk_steps)]
+    noise = np.empty((2, cfg.trials, chunk_steps, n))
+    states = np.empty((chunk_steps, cfg.trials, n))
     state = np.tile(_center(initial), (cfg.trials, 1))
     sums = np.zeros(cfg.trials)
     kept = 0
@@ -216,16 +240,17 @@ def simulate_output(graph: WeightedGraph, cfg: SimConfig, trial: int = 0) -> np.
     if not 0 <= trial < 1 << 64:
         raise ConfigError(f"trial must be in [0, 2**64), got {trial}")
     matrix, initial = _validate(graph, cfg)
-    total_steps = int(round(cfg.horizon / cfg.dt))
+    total_steps = cfg.total_steps
     sqrt_dt = math.sqrt(cfg.dt)
     step_matrix = np.eye(graph.n) - cfg.dt * matrix
     generator = _trial_generator(cfg.seed, trial)
     state = _center(initial)
     path = np.empty((total_steps + 1, graph.n))
     path[0] = state
-    noise = np.empty((1, NOISE_CHUNK_STEPS, graph.n))
-    for step in range(0, total_steps, NOISE_CHUNK_STEPS):
-        block = noise[:, :min(NOISE_CHUNK_STEPS, total_steps - step)]
+    chunk_steps = _chunk_steps(1, graph.n, total_steps)
+    noise = np.empty((1, chunk_steps, graph.n))
+    for step in range(0, total_steps, chunk_steps):
+        block = noise[:, :min(chunk_steps, total_steps - step)]
         _fill_noise([generator], block, sqrt_dt)
         for row, increment in enumerate(block[0], start=step + 1):
             state = state @ step_matrix + increment
@@ -245,7 +270,7 @@ def decay_rate(graph: WeightedGraph, cfg: SimConfig) -> float:
     norm0 = float(np.linalg.norm(state))
     if norm0 == 0.0:
         raise DomainError("x0 has no disagreement component; nothing decays")
-    total_steps = int(round(cfg.horizon / cfg.dt))
+    total_steps = cfg.total_steps
     norms = np.empty(total_steps + 1)
     norms[0] = norm0
     for step in range(total_steps):

@@ -16,6 +16,7 @@ import numpy as np
 
 from systemic import (DomainError, GenerationError, GraphFormatError, MeasureDescriptor,
                       SimConfig, Topology, WeightedGraph, generate, laplacian)
+from systemic import sim
 
 
 def brute_force_tree_weight(graph: WeightedGraph) -> float:
@@ -213,14 +214,16 @@ def loop_generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
     raise GenerationError(f"no connected draw in {max_retries} tries (n={n}, p={p})")
 
 
-def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig,
-                     chunk_steps: int = 1024) -> tuple[float, float]:
+def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
     """Serial reference for `sim.estimate_h2` on a valid configuration: the
     trials' noise drawn one trial after another for each chunk of steps,
-    stacked, and only then stepped through, with a fresh state per step."""
+    stacked, and only then stepped through, with a fresh state per step. A
+    chunk is as many steps as fit trials x n doubles into
+    `sim.NOISE_BUFFER_BYTES`, at least one and at most the run's steps."""
     n = graph.n
     total_steps = int(round(cfg.horizon / cfg.dt))
     burn_steps = int(round(cfg.burn_in / cfg.dt))
+    chunk_steps = max(1, min(total_steps, sim.NOISE_BUFFER_BYTES // (8 * cfg.trials * n)))
     sqrt_dt = math.sqrt(cfg.dt)
     step_matrix = np.eye(n) - cfg.dt * laplacian(graph)
     initial = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)

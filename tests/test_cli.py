@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import systemic
-from systemic import cli, serialize_graph, generate
+from systemic import cli, generate, scalar_mul, serialize_graph
 
 SCHEMA = json.loads(files("systemic").joinpath("report.schema.json").read_text())
 
@@ -155,6 +155,16 @@ class TestTrees:
         assert code == 3
         assert report is None
         assert "overflow" in err
+
+    def test_tree_count_underflow_exits_three(self, capsys, tmp_path):
+        # tau = 1e-360 underflows to 0.0 though both entropies are finite; this
+        # connected graph used to exit 2 with "non-positive spanning tree weight"
+        target = tmp_path / "tiny_p5.txt"
+        target.write_text(serialize_graph(scalar_mul(1e-90, generate("path", 5))))
+        code, report, err = run_cli(capsys, ["trees", "--graph", str(target)])
+        assert code == 3
+        assert report is None
+        assert "underflow" in err
 
 
 class TestProps:
@@ -415,8 +425,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("command, expected_code", [
         (["props", "--measure", "entropy", "--property", "homogeneity",
           "--trials", "40", "--seed", "77"], 1),
-        # 20 nodes, 1500 steps: more than one noise chunk, drawn on worker threads
-        (["simulate-h2", "--graph", "cycle20", "--dt", "0.02", "--horizon", "30",
+        # 5 trials x 20 nodes, 12,000 steps: three 4 MiB noise chunks, drawn on
+        # worker threads
+        (["simulate-h2", "--graph", "cycle20", "--dt", "0.02", "--horizon", "240",
           "--trials", "5", "--seed", "8"], 0),
     ], ids=["props", "simulate-h2"])
     def test_results_independent_of_blas_threads(self, tmp_path, command, expected_code):

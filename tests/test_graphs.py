@@ -349,6 +349,31 @@ class TestSpanningTrees:
     def test_disconnected_is_zero(self):
         graph = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert abs(spanning_tree_count(graph)) < 1e-12
+        with pytest.raises(ConnectivityError, match="non-positive"):
+            spanning_tree_count(graph, log=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_matches_the_determinant(self, seed):
+        graph = random_connected(300 + seed, n_low=3, n_high=8)
+        assert spanning_tree_count(graph, log=True) == pytest.approx(
+            math.log(spanning_tree_count(graph)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [180, 400])
+    def test_cayley_beyond_overflow(self, n):
+        # tau(K_n) = n^(n-2) overflows from n = 180; its log does not
+        graph = generate("complete", n)
+        assert spanning_tree_count(graph, log=True) == pytest.approx(
+            (n - 2) * math.log(n), rel=1e-12)
+        assert entropy_via_trees(graph) == pytest.approx(-(n - 1) * math.log(n), rel=1e-12)
+
+    def test_tiny_weights_beyond_underflow(self):
+        # tau = 1e-360 underflowed to 0.0, and entropy_via_trees raised
+        # ConnectivityError on this connected graph
+        graph = scalar_mul(1e-90, generate("path", 5))
+        assert spanning_tree_count(graph) == 0.0
+        spectral = evaluate(graph, MeasureDescriptor("entropy"))
+        assert spectral == pytest.approx(827.32, abs=5e-3)
+        assert entropy_via_trees(graph) == pytest.approx(spectral, rel=1e-12)
 
 
 class TestGenerate:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -120,7 +121,12 @@ class TestEstimate:
 
 FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
 TRIAL_COUNTS = (1, 2, 3, 5, 32)
-STEP_COUNTS = (5, 1023, 1024, 1025, 2049)  # around the 1024-step noise chunk
+STEP_COUNTS = (5, 1023, 1024, 1025, 2049)  # around a 1024-step noise chunk
+
+
+def _chunk_budget(monkeypatch, trials: int, n: int, steps: int) -> None:
+    """Shrink the noise buffer budget to `steps` steps of trials x n doubles."""
+    monkeypatch.setattr(sim, "NOISE_BUFFER_BYTES", 8 * trials * n * steps)
 
 
 class TestPipelinedNoise:
@@ -129,12 +135,13 @@ class TestPipelinedNoise:
     # streams, their centering or the step order shows up bit for bit.
     @pytest.mark.parametrize("n", [3, 7, 20, 50])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_bit_identical_to_serial_loop(self, family, n):
+    def test_bit_identical_to_serial_loop(self, monkeypatch, family, n):
         graph = generate(family, n, seed=n) if family == "erdos_renyi" \
             else generate(family, n)
         dt = 1.0 / n  # lambda_max <= n on these unit-weight graphs
         cases = itertools.product(enumerate(TRIAL_COUNTS), enumerate(STEP_COUNTS))
         for (i, trials), (j, steps) in cases:
+            _chunk_budget(monkeypatch, trials, n, 1024)
             variant = (i + j) % 4
             if variant % 2:  # burn-in ends on a chunk boundary
                 burn_steps = 1024 if steps > 1024 else 0
@@ -143,11 +150,38 @@ class TestPipelinedNoise:
             x0 = tuple(np.linspace(-1.0, 2.0, n) ** 2) if variant >= 2 else None
             cfg = SimConfig(dt=dt, horizon=steps * dt, burn_in=burn_steps * dt,
                             trials=trials, seed=100 * n + trials, x0=x0)
-            assert int(round(cfg.horizon / dt)) == steps
-            assert int(round(cfg.burn_in / dt)) == burn_steps
+            assert (cfg.total_steps, cfg.burn_steps) == (steps, burn_steps)
             got = np.array(_quiet_estimate(graph, cfg))
             want = np.array(loop_estimate_h2(graph, cfg))
             assert got.tobytes() == want.tobytes(), (trials, steps, burn_steps, x0)
+
+    def test_bit_identical_at_the_default_budget(self):
+        # 4 MiB holds 819 steps of 32 trials x 20 nodes: chunks of 819, 819, 362
+        graph = generate("cycle", 20)
+        cfg = SimConfig(dt=0.05, horizon=100.0, burn_in=50.0, trials=32, seed=5)
+        assert sim._chunk_steps(cfg.trials, graph.n, cfg.total_steps) == 819
+        got = np.array(_quiet_estimate(graph, cfg))
+        assert got.tobytes() == np.array(loop_estimate_h2(graph, cfg)).tobytes()
+
+    def test_chunk_steps_from_the_byte_budget(self):
+        assert sim._chunk_steps(32, 50, 10**6) == 327  # the catalog's path50
+        assert sim._chunk_steps(32, 50, 100) == 100  # never more than the run
+        assert sim._chunk_steps(4, 3, 2000) == 2000
+        assert sim._chunk_steps(1000, 1000, 10) == 1  # one step beyond the budget
+
+    def test_memory_does_not_grow_with_trials(self):
+        # 200 trials on K100 used to ask for 2 x 200 x 1024 x 100 doubles of
+        # noise and 200 x 1024 x 100 of states, about 0.5 GB, for 10 steps
+        graph = generate("complete", 100)
+        cfg = SimConfig(dt=0.01, horizon=0.1, burn_in=0.05, trials=200, seed=3)
+        _quiet_estimate(graph, cfg)  # fills the spectrum cache
+        tracemalloc.start()
+        try:
+            _quiet_estimate(graph, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_threads_do_not_outlive_call(self, k3):
         cfg = SimConfig(dt=1e-2, horizon=30.0, burn_in=2.0, trials=5, seed=4)
@@ -158,6 +192,7 @@ class TestPipelinedNoise:
     @pytest.mark.parametrize("failing_call", [1, 2, 5])
     def test_worker_exception_raised_in_caller(self, monkeypatch, k3, failing_call):
         # calls 1 and 2 fill the first chunk, later calls fill chunks ahead
+        _chunk_budget(monkeypatch, 5, 3, 1024)  # 4000 steps in four chunks
         real = sim._fill_noise
         calls = []
 
@@ -187,14 +222,16 @@ class TestOutputPath:
             path_b = simulate_output(c4, SimConfig(x0=shifted, **kwargs))
         assert np.array_equal(path_a, path_b)
 
-    def test_path_matches_trial_of_estimate(self, k3):
-        # horizon 12 at dt 1e-2 is 1200 steps, so the paths cross a noise chunk
+    def test_path_matches_trial_of_estimate(self, monkeypatch, k3):
+        # horizon 12 at dt 1e-2 is 1200 steps: chunks of 256 steps for the
+        # estimate's three trials and of 768 for one path cross several times
+        _chunk_budget(monkeypatch, 3, 3, 256)
         cfg = SimConfig(dt=1e-2, horizon=12.0, burn_in=2.0, trials=3, seed=21)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             estimate, stderr = estimate_h2(k3, cfg)
             paths = [simulate_output(k3, cfg, trial=t) for t in range(cfg.trials)]
-        burn = int(round(cfg.burn_in / cfg.dt))
+        burn = cfg.burn_steps
         averages = [float(np.mean(np.sum(path[burn + 1:] ** 2, axis=1)))
                     for path in paths]
         assert np.mean(averages) == pytest.approx(estimate, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -499,3 +500,41 @@ class TestValuesOnlyContract:
         assert spectrum.eigenvectors is None
         assert np.array_equal(spectrum.eigenvalues,
                               laplacian_spectrum(graph, vectors=False).eigenvalues)
+
+
+class TestScratchMemory:
+    """eig_sym reads its input in place and works in one n x n scratch matrix."""
+
+    @pytest.mark.parametrize("vectors, most", [(False, 1.5), (True, 4.0)])
+    def test_traced_peak(self, vectors, most):
+        # a copy of the input, |A - A^T|, 0.5 (A + A^T), the scaled matrix and
+        # its squares used to peak at 4.0 n^2 doubles values-only, and the
+        # gate products at 6.05 n^2 in the full mode
+        matrix = laplacian(generate("cycle", 400))
+        eig_sym(matrix, vectors=vectors)
+        tracemalloc.start()
+        try:
+            eig_sym(matrix, vectors=vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= most * matrix.nbytes
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_input_unwritten(self, vectors):
+        matrix = laplacian(_family_graph("erdos_renyi", 30)).copy()
+        before = matrix.tobytes()
+        matrix.setflags(write=False)  # a write into the input would raise
+        eig_sym(matrix, vectors=vectors)
+        assert matrix.tobytes() == before
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_asymmetric_input_gives_the_symmetrized_bits(self, vectors):
+        matrix = laplacian(_family_graph("erdos_renyi", 30)) \
+            + 1e-13 * np.random.default_rng(3).standard_normal((30, 30))
+        got = eig_sym(matrix, vectors=vectors)
+        want = eig_sym(0.5 * (matrix + matrix.T), vectors=vectors)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.error_bound == want.error_bound
+        if vectors:
+            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
