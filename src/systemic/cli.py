@@ -6,8 +6,9 @@ property violation or bound breach was found, 2 input/format errors, 3
 numerical failures.
 
 Each subcommand loads only the layers it calls: `graphs`, `spectral` and
-`measures` at import, `design`, `properties` and `sim` in `main` for the
-subcommands that use them, before the report's clock starts.
+`measures` at import.  A subcommand that needs `design`, `properties` or `sim`
+names it as its `layer` next to its arguments in `build_parser`; `main`
+imports it before the report's clock starts and passes it to the body.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ BOUND_BREACH_TOL = 1e-9
 _clock = time.perf_counter  # patchable for deterministic report tests
 
 
-def _parse_exponent(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _load_graph(path: str) -> WeightedGraph:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -51,9 +46,7 @@ def _load_graph(path: str) -> WeightedGraph:
 
 
 def _descriptor(args: argparse.Namespace) -> MeasureDescriptor:
-    return MeasureDescriptor(id=args.measure, p=getattr(args, "p", None),
-                             k=getattr(args, "k", None),
-                             f_id=getattr(args, "f", None))
+    return MeasureDescriptor(id=args.measure, p=args.p, k=args.k, f_id=args.f)
 
 
 def _sanitize(value):
@@ -104,7 +97,7 @@ _PROPERTY_NAMES = {
 
 def _measure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure", required=True, choices=measures.MEASURE_IDS)
-    parser.add_argument("--p", type=_parse_exponent, default=None,
+    parser.add_argument("--p", type=float, default=None,
                         help="exponent for zeta_measure / hp_norm ('inf' allowed)")
     parser.add_argument("--k", type=float, default=None,
                         help="positive scale for zeta_measure")
@@ -117,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="systemic",
         description="Performance/robustness measures of consensus networks "
                     "over weighted graphs: evaluation, verification, design.")
+    # each subparser names its body as `run` and, if it needs one, its `layer`
+    parser.set_defaults(layer=None)
     sub = parser.add_subparsers(dest="command", required=True)
     graph_file = argparse.ArgumentParser(add_help=False)
     graph_file.add_argument("--graph", required=True)
@@ -124,20 +119,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", parents=[graph_file],
                        help="evaluate one catalog measure on a graph")
     _measure_args(p)
+    p.set_defaults(run=_run_measure)
 
     p = sub.add_parser("zeta", parents=[graph_file], help="spectral zeta function of a graph")
     p.add_argument("--p", type=float, required=True)
+    p.set_defaults(run=_run_zeta)
 
     p = sub.add_parser("hpnorm", parents=[graph_file],
                        help="H_p norm, closed form and optional quadrature")
-    p.add_argument("--p", type=_parse_exponent, required=True)
+    p.add_argument("--p", type=float, required=True)
     p.add_argument("--numeric", action="store_true",
                    help="also evaluate the frequency integral numerically")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="relative tolerance of the quadrature")
+    p.set_defaults(run=_run_hpnorm)
 
-    sub.add_parser("trees", parents=[graph_file],
-                   help="spanning-tree count and the entropy cross-check")
+    p = sub.add_parser("trees", parents=[graph_file],
+                       help="spanning-tree count and the entropy cross-check")
+    p.set_defaults(run=_run_trees)
 
     p = sub.add_parser("props", help="run one axiom check as a falsification search")
     _measure_args(p)
@@ -145,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(run=_run_props, layer="properties")
 
     p = sub.add_parser("optimize-weights",
                        help="minimize a measure over simplex edge weights")
@@ -153,12 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     _measure_args(p)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=2000)
+    p.set_defaults(run=_run_optimize_weights, layer="design")
 
     p = sub.add_parser("rewire", help="rank all connected (n, m) graphs by a measure")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     _measure_args(p)
+    p.set_defaults(run=_run_rewire, layer="design")
 
     p = sub.add_parser("augment", parents=[graph_file],
                        help="greedy edge augmentation with spectral bound")
@@ -167,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge-list file of candidate edges with budget weights")
     p.add_argument("--f", required=True,
                    help="decreasing convex spectral function id, e.g. inverse")
+    p.set_defaults(run=_run_augment, layer="design")
 
     p = sub.add_parser("simulate-h2", parents=[graph_file],
                        help="Monte-Carlo estimate of the squared H_2 measure")
@@ -176,26 +179,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--burn-in", type=float, default=None,
                    help="discarded prefix; defaults to min(5/lambda_2, horizon/4)")
+    p.set_defaults(run=_run_simulate_h2, layer="sim")
 
-    sub.add_parser("validate", parents=[graph_file],
-                   help="parse a graph file and audit its invariants")
+    p = sub.add_parser("validate", parents=[graph_file],
+                       help="parse a graph file and audit its invariants")
+    p.set_defaults(run=_run_validate)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: (args, the --graph file's graph or None) -> (results, exit code)
+# subcommand bodies: (args, the --graph file's graph or None, the subcommand's
+# layer module or None) -> (results, exit code)
 
-def _run_measure(args, graph) -> tuple[dict, int]:
+def _run_measure(args, graph, layer) -> tuple[dict, int]:
     descriptor = _descriptor(args)
     value = measures.evaluate(graph, descriptor)
     return {"measure": descriptor.label(), "value": value}, 0
 
 
-def _run_zeta(args, graph) -> tuple[dict, int]:
+def _run_zeta(args, graph, layer) -> tuple[dict, int]:
     return {"p": args.p, "value": measures.zeta(graph, args.p)}, 0
 
 
-def _run_hpnorm(args, graph) -> tuple[dict, int]:
+def _run_hpnorm(args, graph, layer) -> tuple[dict, int]:
     settings = measures.QuadratureSettings(rel_tol=args.tol)  # a bad --tol exits 2
     closed = measures.hp_norm(graph, args.p)
     results = {"p": args.p if math.isfinite(args.p) else "inf", "closed_form": closed}
@@ -207,7 +213,8 @@ def _run_hpnorm(args, graph) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_trees(args, graph) -> tuple[dict, int]:
+def _run_trees(args, graph, layer) -> tuple[dict, int]:
+    warnings.warn(ENTROPY_FORM_WARNING)
     tau = spanning_tree_count(graph)
     spectral_entropy = measures.evaluate(graph, MeasureDescriptor("entropy"))
     matrix_tree_entropy = measures.entropy_via_trees(graph)
@@ -224,9 +231,7 @@ def _run_trees(args, graph) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_props(args, graph) -> tuple[dict, int]:
-    from . import properties
-
+def _run_props(args, graph, properties) -> tuple[dict, int]:
     if args.tol is None:
         args.tol = properties.DEFAULT_TOL  # echoed in the report's inputs
     descriptor = _descriptor(args)
@@ -248,9 +253,7 @@ def _run_props(args, graph) -> tuple[dict, int]:
     return results, (1 if report.violations else 0)
 
 
-def _run_optimize_weights(args, graph) -> tuple[dict, int]:
-    from . import design
-
+def _run_optimize_weights(args, graph, design) -> tuple[dict, int]:
     topology = design.Topology.from_graph(_load_graph(args.topology))
     descriptor = _descriptor(args)
     options = design.SolverOptions(tol=args.tol, max_iters=args.max_iters)
@@ -266,9 +269,7 @@ def _run_optimize_weights(args, graph) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_rewire(args, graph) -> tuple[dict, int]:
-    from . import design
-
+def _run_rewire(args, graph, design) -> tuple[dict, int]:
     descriptor = _descriptor(args)
     outcome = design.rewire_bruteforce(args.n, args.m, args.alpha, descriptor)
     results = {
@@ -281,9 +282,7 @@ def _run_rewire(args, graph) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_augment(args, graph) -> tuple[dict, int]:
-    from . import design
-
+def _run_augment(args, graph, design) -> tuple[dict, int]:
     candidates_graph = _load_graph(args.candidates)
     if candidates_graph.n != graph.n:
         raise SystemicError(
@@ -299,9 +298,7 @@ def _run_augment(args, graph) -> tuple[dict, int]:
     return results, (1 if report.gap < -BOUND_BREACH_TOL else 0)
 
 
-def _run_simulate_h2(args, graph) -> tuple[dict, int]:
-    from . import sim
-
+def _run_simulate_h2(args, graph, sim) -> tuple[dict, int]:
     spectrum = graph_spectrum(graph)
     lam2 = float(spectrum.nonzero[0])
     burn_in = args.burn_in
@@ -323,7 +320,7 @@ def _run_simulate_h2(args, graph) -> tuple[dict, int]:
     return results, 0
 
 
-def _run_validate(args, graph) -> tuple[dict, int]:
+def _run_validate(args, graph, layer) -> tuple[dict, int]:
     row_sum = float(np.abs(laplacian(graph).sum(axis=1)).max())
     connected = is_connected(graph)
     results = {
@@ -343,31 +340,8 @@ def _run_validate(args, graph) -> tuple[dict, int]:
     return results, 0
 
 
-_COMMANDS = {
-    "measure": _run_measure,
-    "zeta": _run_zeta,
-    "hpnorm": _run_hpnorm,
-    "trees": _run_trees,
-    "props": _run_props,
-    "optimize-weights": _run_optimize_weights,
-    "rewire": _run_rewire,
-    "augment": _run_augment,
-    "simulate-h2": _run_simulate_h2,
-    "validate": _run_validate,
-}
-
-# the layer beyond graphs/spectral/measures each subcommand body imports
-_LAYERS = {
-    "props": "properties",
-    "optimize-weights": "design",
-    "rewire": "design",
-    "augment": "design",
-    "simulate-h2": "sim",
-}
-
-
 def _inputs_echo(args: argparse.Namespace) -> dict:
-    skip = {"command"}
+    skip = {"command", "run", "layer"}
     echo = {}
     for key, value in vars(args).items():
         if key in skip or value is None:
@@ -382,18 +356,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command in _LAYERS:  # imported here so that `timing` is compute only
-        importlib.import_module(f"{__package__}.{_LAYERS[args.command]}")
+    # imported here so that `timing` is compute only
+    layer = importlib.import_module(f"{__package__}.{args.layer}") if args.layer else None
     start = _clock()
-    warning_list: list[str] = []
-    if args.command == "trees":
-        warning_list.append(ENTROPY_FORM_WARNING)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             graph = _load_graph(args.graph) if "graph" in args else None
-            results, code = _COMMANDS[args.command](args, graph)
-        warning_list.extend(str(w.message) for w in caught)
+            results, code = args.run(args, graph, layer)
+        warning_list = [str(w.message) for w in caught]
     except (NumericalError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,9 +54,8 @@ class PropertyReport:
         return not self.violations
 
 
-def _random_connected(rng: np.random.Generator,
-                      node_range: tuple[int, int]) -> WeightedGraph:
-    n = int(rng.integers(node_range[0], node_range[1] + 1))
+def _random_connected(rng: np.random.Generator) -> WeightedGraph:
+    n = int(rng.integers(DEFAULT_NODE_RANGE[0], DEFAULT_NODE_RANGE[1] + 1))
     p = float(rng.uniform(0.35, 0.9))
     graph_seed = int(rng.integers(0, 2**63 - 1))
     return generate("erdos_renyi", n, seed=graph_seed, p=p,
@@ -84,10 +83,10 @@ def _allowance(tol: float, *values: float) -> float:
     return tol + tol * scale
 
 
-def _homogeneity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
-                       node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+def _homogeneity_trial(measure: MeasureDescriptor, rng: np.random.Generator,
+                       tol: float) -> list[Assertion]:
     """Scaling weights by kappa must divide the measure by kappa."""
-    graph = _random_connected(rng, node_range)
+    graph = _random_connected(rng)
     kappa = float(rng.uniform(0.1, 10.0))
     base = evaluate(graph, measure)
     scaled = evaluate(scalar_mul(kappa, graph), measure)
@@ -96,14 +95,14 @@ def _homogeneity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol
     return [(abs(scaled - expected), 0.0, tol * abs(base), description)]
 
 
-def _monotonicity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
-                        node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+def _monotonicity_trial(measure: MeasureDescriptor, rng: np.random.Generator,
+                        tol: float) -> list[Assertion]:
     """Adding edges (shrinking the pseudo-inverse) must not increase the measure.
 
     The ordered pair is built by edge addition, and the pseudo-inverse
     ordering is verified explicitly before the measure comparison.
     """
-    sparser = _random_connected(rng, node_range)
+    sparser = _random_connected(rng)
     denser = graph_add(sparser, _random_positive(rng, sparser.n))
     description = f"n={sparser.n} m={sparser.m}->{denser.m}"
     ordered = psd_order(pseudo_inverse(denser), pseudo_inverse(sparser),
@@ -125,17 +124,16 @@ def _mix(g1: WeightedGraph, g2: WeightedGraph, alpha: float) -> WeightedGraph:
     return graph_add(scalar_mul(alpha, g1), scalar_mul(1.0 - alpha, g2))
 
 
-def _convexity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
-                     node_range: tuple[int, int],
-                     alpha_grid: Sequence[float]) -> list[Assertion]:
+def _convexity_trial(measure: MeasureDescriptor, rng: np.random.Generator,
+                     tol: float) -> list[Assertion]:
     """The measure of a Laplacian convex combination is at most the same
     combination of the measures, at each alpha of the grid."""
-    first = _random_connected(rng, node_range)
+    first = _random_connected(rng)
     second = _second_graph(rng, first.n)
     value_first = evaluate(first, measure)
     value_second = evaluate(second, measure)
     assertions = []
-    for alpha in alpha_grid:
+    for alpha in DEFAULT_ALPHA_GRID:
         lhs = evaluate(_mix(first, second, alpha), measure)
         rhs = alpha * value_first + (1.0 - alpha) * value_second
         description = f"n={first.n} alpha={alpha!r}"
@@ -143,10 +141,10 @@ def _convexity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: 
     return assertions
 
 
-def _subadditivity_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
-                         node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+def _subadditivity_trial(measure: MeasureDescriptor, rng: np.random.Generator,
+                         tol: float) -> list[Assertion]:
     """The measure of an edge union is at most the sum of the measures."""
-    first = _random_connected(rng, node_range)
+    first = _random_connected(rng)
     second = _second_graph(rng, first.n)
     lhs = evaluate(graph_add(first, second), measure)
     rhs = evaluate(first, measure) + evaluate(second, measure)
@@ -154,12 +152,12 @@ def _subadditivity_trial(measure: MeasureDescriptor, rng: np.random.Generator, t
     return [(lhs, rhs, _allowance(tol, lhs, rhs), description)]
 
 
-def _orthogonal_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol: float,
-                      node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+def _orthogonal_trial(measure: MeasureDescriptor, rng: np.random.Generator,
+                      tol: float) -> list[Assertion]:
     """Conjugating the Laplacian by a random orthogonal matrix must not move
     an eigenvalue-based measure; the rotated matrix is generally not a
     Laplacian, so the measure is evaluated on its spectrum directly."""
-    graph = _random_connected(rng, node_range)
+    graph = _random_connected(rng)
     q, r = np.linalg.qr(rng.normal(size=(graph.n, graph.n)))
     u = q * np.sign(np.diag(r))  # Haar-distributed
     rotated = u @ laplacian(graph) @ u.T
@@ -172,10 +170,10 @@ def _orthogonal_trial(measure: MeasureDescriptor, rng: np.random.Generator, tol:
 
 
 def _schur_trial(f_vec: Callable[[np.ndarray], float], rng: np.random.Generator,
-                 tol: float, node_range: tuple[int, int], alpha_grid) -> list[Assertion]:
+                 tol: float) -> list[Assertion]:
     """A random doubly stochastic matrix (a Birkhoff combination of
     permutations) applied to a positive vector must not increase f_vec."""
-    dim = int(rng.integers(max(2, node_range[0] - 1), node_range[1]))
+    dim = int(rng.integers(max(2, DEFAULT_NODE_RANGE[0] - 1), DEFAULT_NODE_RANGE[1]))
     x = rng.uniform(0.1, 10.0, size=dim)
     terms = int(rng.integers(2, 6))
     theta = rng.dirichlet(np.ones(terms))
@@ -199,8 +197,7 @@ _PROPERTIES = {
 }
 
 
-def _trial(property_id: str, subject, seed: int, trial: int, tol: float,
-           node_range: tuple[int, int], alpha_grid: Sequence[float]) -> list[Assertion]:
+def _trial(property_id: str, subject, seed: int, trial: int, tol: float) -> list[Assertion]:
     """One trial of a property, drawn from the stream of (seed, trial, salt)."""
     if property_id not in _PROPERTIES:
         raise DomainError(f"unknown property {property_id!r}")
@@ -215,29 +212,25 @@ def _trial(property_id: str, subject, seed: int, trial: int, tol: float,
         subject = spectral_form(subject)
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(salt, trial))
     rng = np.random.Generator(np.random.PCG64(sequence))
-    return trial_fn(subject, rng, tol, node_range, alpha_grid)
+    return trial_fn(subject, rng, tol)
 
 
 def run_check(property_id: str,
               measure: MeasureDescriptor | Callable[[np.ndarray], float],
-              trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL,
-              node_range: tuple[int, int] = DEFAULT_NODE_RANGE,
-              alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID) -> PropertyReport:
+              trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Run `trials` seeded trials of one property check and collect its violations.
 
     property_id names an entry of _PROPERTIES (homogeneity, monotonicity,
     convexity, subadditivity, orthogonal_invariance, schur_convexity); each
     trial function states its axiom.  Graphs are drawn with node counts in
-    node_range, the convexity check mixes at every alpha of alpha_grid, and
-    schur_convexity also takes a plain function of a positive vector in
-    place of a measure.
+    DEFAULT_NODE_RANGE, the convexity check mixes at every alpha of
+    DEFAULT_ALPHA_GRID, and schur_convexity also takes a plain function of a
+    positive vector in place of a measure.
     """
     _check_integer("trials", trials, 1)
-    alpha_grid = tuple(alpha_grid)
     violations = []
     for trial in range(trials):
-        for lhs, rhs, allowance, description in _trial(property_id, measure, seed, trial,
-                                                        tol, node_range, alpha_grid):
+        for lhs, rhs, allowance, description in _trial(property_id, measure, seed, trial, tol):
             margin = lhs - rhs - allowance
             if margin > 0.0:
                 violations.append(Violation(trial=trial, description=description,
@@ -249,8 +242,6 @@ def run_check(property_id: str,
 
 
 def replay_trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
-                 tol: float = DEFAULT_TOL,
-                 node_range: tuple[int, int] = DEFAULT_NODE_RANGE,
-                 alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID) -> list[Assertion]:
+                 tol: float = DEFAULT_TOL) -> list[Assertion]:
     """Re-run one trial of run_check; identical inputs give identical bits."""
-    return _trial(property_id, measure, seed, trial, tol, node_range, tuple(alpha_grid))
+    return _trial(property_id, measure, seed, trial, tol)

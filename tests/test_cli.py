@@ -557,6 +557,39 @@ class TestStartup:
         assert done.stdout.strip() == "[]"
 
 
+# subcommand -> arguments, with graph_files keys for paths
+_TIMED_CASES = {command: args for command, (args, _) in _STARTUP_CASES.items()} | {
+    "hpnorm": ["--graph", "p3", "--p", "3", "--numeric"],
+    "props": ["--measure", "energy1", "--property", "schur", "--trials", "3"],
+    "simulate-h2": ["--graph", "p3", "--dt", "0.01", "--horizon", "20", "--trials", "4",
+                    "--seed", "3"],
+}
+
+
+class TestTimedBlock:
+    # A module that first loads between the two clock reads counts its import
+    # in the report's `timing`.  Fresh interpreters, so that each layer loads
+    # for the first time in the subcommand under test.
+    @pytest.mark.parametrize("command", sorted(
+        cli.build_parser()._subparsers._group_actions[0].choices))
+    def test_no_module_loads_inside_the_timed_block(self, graph_files, command):
+        argv = [command] + [graph_files.get(arg, arg) for arg in _TIMED_CASES[command]]
+        done = _fresh_python(["-c", (
+            "import json, sys\n"
+            "from systemic import cli\n"
+            "loaded = []\n"
+            "def clock():\n"
+            "    loaded.append(sorted(m for m in sys.modules if m.startswith('systemic.')))\n"
+            "    return 0.0\n"
+            "cli._clock = clock\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps(loaded), file=sys.stderr)\n"
+            "sys.exit(code)"), *argv])
+        assert done.returncode == 0, done.stderr
+        start, end = json.loads(done.stderr.splitlines()[-1])
+        assert end == start, sorted(set(end) - set(start))
+
+
 # The package namespace: every re-exported name and the layer modules.
 PACKAGE_NAMES = [
     "AugmentationReport", "ConfigError", "ConnectivityError", "DimensionError",
