@@ -42,7 +42,7 @@ def main() -> int:
         weights = ", ".join(f"{w:.4f}" for w in result.weights)
         print(f"{name:8s} uniform {uniform_value:.6f} -> optimal "
               f"{result.objective:.6f} (gain {gain:.2e}, "
-              f"{result.iterations} iters)  weights [{weights}]")
+              f"{result.iterations} iters, {result.termination})  weights [{weights}]")
         traces.extend((name, i, value) for i, value in enumerate(result.history))
 
     if args.trace_csv:

@@ -17,7 +17,7 @@ _EXPORTS = {
                "rewire_bruteforce"),
     "errors": ("ConfigError", "ConnectivityError", "DimensionError", "DomainError",
                "GenerationError", "GraphFormatError", "InputError", "NumericalError",
-               "ScaleError", "SolverError", "SystemicError"),
+               "ScaleError", "SystemicError"),
     "graphs": ("WeightedGraph", "centering_matrix", "generate", "graph_add",
                "is_connected", "laplacian", "parse_graph", "scalar_mul",
                "serialize_graph", "spanning_tree_count"),

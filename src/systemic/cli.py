@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import measures
-from .errors import NumericalError, SolverError, SystemicError
+from .errors import NumericalError, SystemicError
 from .graphs import (WeightedGraph, is_connected, laplacian, parse_graph,
                      serialize_graph, spanning_tree_count)
 from .measures import ENTROPY_FORM_WARNING, MeasureDescriptor
@@ -215,19 +215,18 @@ def _run_hpnorm(args, graph, layer) -> tuple[dict, int]:
 
 def _run_trees(args, graph, layer) -> tuple[dict, int]:
     warnings.warn(ENTROPY_FORM_WARNING)
-    tau = spanning_tree_count(graph)
     spectral_entropy = measures.evaluate(graph, MeasureDescriptor("entropy"))
     matrix_tree_entropy = measures.entropy_via_trees(graph)
-    # the entropies are finite on a connected graph, tau and log(n/tau) need not be
-    if not (math.isfinite(tau) and tau > 0.0):
-        kind = "overflowed" if tau > 0.0 else "underflowed"
-        raise NumericalError(f"spanning-tree count {kind} to {tau} on {graph.n} nodes")
-    results = {
-        "tau": tau,
+    log_tau = spanning_tree_count(graph, log=True)
+    # tau over- or underflows long before log tau does (K200 has 200^198 trees)
+    tau = math.exp(log_tau) if log_tau < math.log(sys.float_info.max) else math.inf
+    results = {"tau": tau} if 0.0 < tau < math.inf else {}
+    results.update({
+        "log_tau": log_tau,
         "entropy_spectral": spectral_entropy,
         "entropy_matrix_tree": matrix_tree_entropy,
-        "entropy_literal_form": math.log(graph.n / tau),
-    }
+        "entropy_literal_form": math.log(graph.n) - log_tau,
+    })
     return results, 0
 
 
@@ -258,12 +257,18 @@ def _run_optimize_weights(args, graph, design) -> tuple[dict, int]:
     descriptor = _descriptor(args)
     options = design.SolverOptions(tol=args.tol, max_iters=args.max_iters)
     result = design.optimize_weights(topology, descriptor, options)
+    if result.termination != "converged":
+        bound = args.tol * max(1.0, abs(result.objective))
+        warnings.warn(f"weight allocation stopped by {result.termination} with gap "
+                      f"{result.gap:.3e} above tol * max(1, |objective|) = {bound:.3e}")
     results = {
         "edges": [[u, v] for u, v in topology.edges],
         "weights": list(result.weights),
         "objective": result.objective,
         "iterations": result.iterations,
         "stationarity_residual": result.stationarity_residual,
+        "gap": result.gap,
+        "termination": result.termination,
         "active_set": list(result.active_set),
     }
     return results, 0
@@ -365,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
             graph = _load_graph(args.graph) if "graph" in args else None
             results, code = args.run(args, graph, layer)
         warning_list = [str(w.message) for w in caught]
-    except (NumericalError, SolverError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SystemicError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
-                     ScaleError, SolverError)
+                     ScaleError)
 from .graphs import (WeightedGraph, _check_integer, _connected, _degree_vector,
                      _integer_columns, _laplacian_matrix, is_connected)
 from .measures import (_MEASURES, MeasureDescriptor, evaluate,
@@ -125,6 +125,8 @@ class WeightAllocationResult:
     iterations: int
     stationarity_residual: float
     active_set: tuple[int, ...]
+    gap: float  # g.w - min g, an upper bound on objective - optimum
+    termination: str  # "converged", "line_search_stall" or "max_iters"
     history: tuple[float, ...] = field(repr=False, default=())
 
     def __post_init__(self):
@@ -148,51 +150,51 @@ class _Objective:
         self.measure = measure
         self.entry = _MEASURES[measure.id]
 
-    def _evaluate(self, weights: np.ndarray
-                  ) -> tuple[Spectrum | None, np.ndarray | None, float]:
-        """The spectrum (None for a degree-based measure, which needs no
-        eigensolve), the degree vector (None for a spectral measure) and the
-        value; ConnectivityError when the weights disconnect the graph."""
-        if not self.entry.spectral:
-            weights = np.asarray(weights, dtype=float)
-            us, vs = self.topology._pairs[weights > 0.0].T
-            if not _connected(self.topology.n, us, vs):
-                raise ConnectivityError("the weights disconnect the topology")
-            degrees = self.topology.degrees_of(weights)
-            return None, degrees, self.entry.value(degrees, self.measure)
-        spectrum = laplacian_spectrum(self.topology.laplacian_of(weights))
-        return spectrum, None, evaluate_eigenvalues(spectrum.nonzero, self.measure)
-
-    def value(self, weights: np.ndarray) -> float:
-        return self._evaluate(weights)[2]
-
     def value_and_gradient(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
+        """The value and its edge gradient from one eigensolve (none for a degree-based
+        measure); ConnectivityError when the weights disconnect the topology."""
         # chain rule: d lambda_i / d w_e is the squared difference of mode i
         # across edge e, and w_e adds to the degrees of both its endpoints
-        spectrum, degrees, value = self._evaluate(weights)
         if self.entry.spectral:
+            spectrum = laplacian_spectrum(self.topology.laplacian_of(weights))
+            value = evaluate_eigenvalues(spectrum.nonzero, self.measure)
             grad = self.entry.grad(spectrum.nonzero, self.measure, value)
             return value, _edge_mode_squares(self.topology, spectrum) @ grad
+        weights = np.asarray(weights, dtype=float)
+        us, vs = self.topology._pairs[weights > 0.0].T
+        if not _connected(self.topology.n, us, vs):
+            raise ConnectivityError("the weights disconnect the topology")
+        degrees = self.topology.degrees_of(weights)
+        value = self.entry.value(degrees, self.measure)
         grad = self.entry.grad(degrees, self.measure, value)
         us, vs = self.topology._pairs.T
         return value, grad[us] + grad[vs]
 
 
-def _stationarity_residual(weights: np.ndarray,
-                           gradient: np.ndarray) -> tuple[float, np.ndarray]:
-    support = weights > SUPPORT_TOL
-    supported = gradient[support]
-    return float(np.abs(supported - supported.mean()).max()), support
+def _frank_wolfe_gap(weights: np.ndarray, gradient: np.ndarray) -> float:
+    """g.w - min g: by convexity, f(w) - f* over the simplex is at most this
+    for any (sub)gradient g at w (Jaggi, ICML 2013)."""
+    return float(weights @ gradient - gradient.min())
+
+
+def _certified(weights: np.ndarray, value: float, gradient: np.ndarray, tol: float) -> bool:
+    return _frank_wolfe_gap(weights, gradient) <= tol * max(1.0, abs(value))
 
 
 def _allocation_result(weights: np.ndarray, value: float, gradient: np.ndarray,
-                       iterations: int, history: list[float]) -> WeightAllocationResult:
-    """The result at `weights`, with the residual and active set of its gradient."""
-    residual, support = _stationarity_residual(weights, gradient)
+                       iterations: int, history: list[float], tol: float,
+                       stalled: bool = False) -> WeightAllocationResult:
+    """The result at `weights`, with the gap, residual and active set of its gradient."""
+    support = weights > SUPPORT_TOL
+    supported = gradient[support]
+    residual = float(np.abs(supported - supported.mean()).max())
+    termination = ("converged" if _certified(weights, value, gradient, tol)
+                   else "line_search_stall" if stalled else "max_iters")
     return WeightAllocationResult(weights=weights, objective=value, iterations=iterations,
                                   stationarity_residual=residual,
                                   active_set=tuple(int(i) for i in np.nonzero(~support)[0]),
-                                  history=tuple(history))
+                                  gap=_frank_wolfe_gap(weights, gradient),
+                                  termination=termination, history=tuple(history))
 
 
 def optimize_weights(topology: Topology, measure: MeasureDescriptor,
@@ -203,8 +205,10 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
     backtracking along the projection arc; steps that disconnect the graph
     are rejected like failed line-search steps.  Measures that reduce to the
     reciprocal algebraic connectivity use a projected subgradient method with
-    diminishing steps instead, tracking the best iterate.  A topology
-    without edges (one node) has no weights to allocate: DomainError.
+    diminishing steps instead, tracking the best iterate.  Both stop once the
+    returned iterate's gap g.w - min g is at most tol * max(1, |f|); else a
+    failed line search or max_iters ends them, as `termination` says.  A
+    topology without edges (one node) has no weights to allocate: DomainError.
     """
     options = options or SolverOptions()
     if topology.m == 0:
@@ -218,9 +222,9 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
     history = [value]
     step = STEP_INIT
     iterations = 0
-    residual, _ = _stationarity_residual(weights, gradient)
-    while residual > options.tol and iterations < options.max_iters:
-        accepted = False
+    while (iterations < options.max_iters
+           and not _certified(weights, value, gradient, options.tol)):
+        accepted = None
         t = step
         for _ in range(MAX_BACKTRACKS):
             candidate = project_simplex(weights - t * gradient)
@@ -229,55 +233,48 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
             if move_norm2 == 0.0:
                 break
             try:
-                candidate_value = objective.value(candidate)
+                evaluated = objective.value_and_gradient(candidate)
             except ConnectivityError:
                 t *= 0.5
                 continue
-            if candidate_value <= value - (ARMIJO / t) * move_norm2:
-                accepted = True
+            if evaluated[0] <= value - (ARMIJO / t) * move_norm2:
+                accepted = evaluated
                 break
             t *= 0.5
-        if not accepted:
-            # no descent step exists at this scale; the residual is still
-            # the current iterate's
-            if residual <= math.sqrt(options.tol):
-                break
-            raise SolverError(
-                f"line search failed at residual {residual:.3e} (iteration {iterations})")
-        weights, value = candidate, candidate_value
+        if accepted is None:
+            return _allocation_result(weights, value, gradient, iterations, history,
+                                      options.tol, stalled=True)
+        weights, (value, gradient) = candidate, accepted
         step = 2.0 * t
         iterations += 1
         history.append(value)
-        value, gradient = objective.value_and_gradient(weights)
-        residual, _ = _stationarity_residual(weights, gradient)
-    return _allocation_result(weights, value, gradient, iterations, history)
+    return _allocation_result(weights, value, gradient, iterations, history, options.tol)
 
 
 def _optimize_subgradient(objective: _Objective, weights: np.ndarray,
                           options: SolverOptions) -> WeightAllocationResult:
     value, gradient = objective.value_and_gradient(weights)
-    best_weights, best_value = weights, value
+    best = weights, value, gradient
     history = [value]
     iterations = 0
     for iteration in range(options.max_iters):
         norm = float(np.linalg.norm(gradient))
-        if norm == 0.0:
+        if norm == 0.0 or _certified(*best, options.tol):
             break
         t = STEP_INIT / ((1.0 + iteration) * norm)
         candidate = project_simplex(weights - t * gradient)
         try:
             candidate_value, candidate_gradient = objective.value_and_gradient(candidate)
         except ConnectivityError:
-            weights = 0.5 * (weights + best_weights)
+            weights = 0.5 * (weights + best[0])
             value, gradient = objective.value_and_gradient(weights)
             continue
         weights, value, gradient = candidate, candidate_value, candidate_gradient
         iterations += 1
         history.append(value)
-        if value < best_value:
-            best_value, best_weights = value, weights
-    _, best_gradient = objective.value_and_gradient(best_weights)
-    return _allocation_result(best_weights, best_value, best_gradient, iterations, history)
+        if value < best[1]:
+            best = weights, value, gradient
+    return _allocation_result(*best, iterations, history, options.tol)
 
 
 # ---------------------------------------------------------------------------

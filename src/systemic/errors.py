@@ -36,11 +36,7 @@ class GenerationError(SystemicError):
 
 
 class ScaleError(SystemicError):
-    """Problem size exceeds what exhaustive enumeration supports."""
-
-
-class SolverError(SystemicError):
-    """The optimization solver could not make progress."""
+    """Problem size exceeds what exhaustive enumeration or a dense matrix supports."""
 
 
 class ConfigError(SystemicError):

@@ -22,9 +22,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (ConnectivityError, DimensionError, DomainError, GenerationError,
-                     GraphFormatError, SystemicError)
+                     GraphFormatError, ScaleError, SystemicError)
 
 Edge = tuple[int, int, float]
+
+# byte budget of one dense n x n float64 matrix, n <= 8192; every dense route
+# over a graph starts from its Laplacian, whose eigensolve takes minutes at this size
+DENSE_MATRIX_BYTES = 1 << 29
 
 
 def _check_integer(name: str, value, low: int) -> None:
@@ -142,7 +146,12 @@ def _degree_vector(n: int, endpoints: np.ndarray, ws: np.ndarray) -> np.ndarray:
 def _laplacian_matrix(us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
                       degrees: np.ndarray) -> np.ndarray:
     """Dense Laplacian: the degrees on the diagonal, each edge's 0.0 - w off
-    it (so a zero weight leaves +0.0, as an untouched entry does)."""
+    it (so a zero weight leaves +0.0, as an untouched entry does).  ScaleError,
+    before any allocation, when it would exceed DENSE_MATRIX_BYTES."""
+    n = degrees.size
+    if 8 * n * n > DENSE_MATRIX_BYTES:
+        raise ScaleError(f"a dense Laplacian on n={n} nodes needs {8 * n * n} bytes, "
+                         f"over the budget of {DENSE_MATRIX_BYTES} bytes")
     matrix = np.diag(degrees)
     off_diagonal = 0.0 - ws
     matrix[us, vs] = off_diagonal

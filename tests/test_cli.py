@@ -147,24 +147,31 @@ class TestTrees:
         assert any("log(n/tau)" in w and "log(3/3) = 0" in w
                    for w in report["warnings"])
 
-    def test_tree_count_overflow_exits_three(self, capsys, tmp_path):
-        # tau(K200) = 200^198 is beyond the largest double
+    # tau(K200) = 200^198 is beyond the largest double; this exited 3 with
+    # "spanning-tree count overflowed to inf" though both entropies are finite
+    def test_tree_count_overflow_reports_log_tau(self, capsys, tmp_path):
         target = tmp_path / "k200.txt"
         target.write_text(serialize_graph(generate("complete", 200)))
-        code, report, err = run_cli(capsys, ["trees", "--graph", str(target)])
-        assert code == 3
-        assert report is None
-        assert "overflow" in err
+        code, report, _ = run_cli(capsys, ["trees", "--graph", str(target)])
+        assert code == 0
+        results = report["results"]
+        assert "tau" not in results
+        assert results["log_tau"] == pytest.approx(198 * math.log(200), rel=1e-12)
+        assert results["entropy_literal_form"] == pytest.approx(
+            math.log(200) - 198 * math.log(200), rel=1e-12)
+        assert report["warnings"] == [systemic.ENTROPY_FORM_WARNING]
 
-    def test_tree_count_underflow_exits_three(self, capsys, tmp_path):
-        # tau = 1e-360 underflows to 0.0 though both entropies are finite; this
-        # connected graph used to exit 2 with "non-positive spanning tree weight"
+    # tau = 1e-360 underflows to 0.0 though both entropies are finite; this
+    # connected graph exited 2 ("non-positive spanning tree weight"), then 3
+    def test_tree_count_underflow_reports_log_tau(self, capsys, tmp_path):
         target = tmp_path / "tiny_p5.txt"
         target.write_text(serialize_graph(scalar_mul(1e-90, generate("path", 5))))
-        code, report, err = run_cli(capsys, ["trees", "--graph", str(target)])
-        assert code == 3
-        assert report is None
-        assert "underflow" in err
+        code, report, _ = run_cli(capsys, ["trees", "--graph", str(target)])
+        assert code == 0
+        results = report["results"]
+        assert "tau" not in results
+        assert results["log_tau"] == pytest.approx(4 * math.log(1e-90), rel=1e-12)
+        assert math.isfinite(results["entropy_matrix_tree"])
 
 
 class TestProps:
@@ -234,6 +241,26 @@ class TestDesignCommands:
         results = report["results"]
         assert results["objective"] == pytest.approx(4.0 / 3.0, abs=1e-6)
         assert results["weights"] == pytest.approx([0.5, 0.5], abs=1e-4)
+        assert results["termination"] == "converged"
+        assert results["gap"] <= 1e-8 * results["objective"]
+        assert report["warnings"] == []
+
+    # energy2 on this topology exited 3 ("line search failed at residual
+    # 2.828e-03 (iteration 73)") where its gap is 2.4e-7 of the objective
+    @pytest.mark.parametrize("measure, extra, termination", [
+        ("energy2", [], "line_search_stall"),
+        ("schur_sum", ["--f", "exp_decay:0.5", "--max-iters", "5"], "max_iters")])
+    def test_uncertified_result_warns(self, capsys, tmp_path, measure, extra, termination):
+        path = tmp_path / "er30.txt"
+        path.write_text(serialize_graph(generate("erdos_renyi", 30, seed=4, p=0.2)))
+        code, report, _ = run_cli(capsys, ["optimize-weights", "--topology", str(path),
+                                           "--measure", measure] + extra)
+        assert code == 0
+        results = report["results"]
+        assert results["termination"] == termination
+        assert results["gap"] > 1e-8 * results["objective"]
+        assert len(report["warnings"]) == 1
+        assert termination in report["warnings"][0]
 
     # a NaN tol or a negative iteration budget reported the uniform start
     # as the optimum, and a negative tol died in math.sqrt with exit code 1
@@ -339,6 +366,23 @@ class TestValidate:
         assert code == 3
         assert report is None
         assert "not resolved" in err
+
+    # a 50,000-node path died in np.diag with an uncaught 18.6 GiB
+    # _ArrayMemoryError and exit 1; the address-space limit makes a missing
+    # size check fail at once instead of swapping
+    def test_dense_budget_exits_two(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "path50000.txt"
+        path.write_text(serialize_graph(generate("path", 50_000)))
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+        done = _fresh_python(["-m", "systemic.cli", "measure", "--graph", str(path),
+                              "--measure", "energy1"], preexec_fn=limit_address_space)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == ("error: a dense Laplacian on n=50000 nodes needs "
+                               "20000000000 bytes, over the budget of 536870912 bytes\n")
 
     def test_duplicate_edge_exit_two(self, capsys, graph_files):
         code, report, err = run_cli(capsys, ["validate", "--graph", graph_files["bad"]])
@@ -460,12 +504,12 @@ class TestDeterminism:
         assert first == second
 
 
-def _fresh_python(args: list[str]) -> subprocess.CompletedProcess:
+def _fresh_python(args: list[str], preexec_fn=None) -> subprocess.CompletedProcess:
     src = str(Path(systemic.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, preexec_fn=preexec_fn)
 
 
 # modules the subcommands that only read and evaluate a graph never load
@@ -596,7 +640,7 @@ PACKAGE_NAMES = [
     "DomainError", "ENTROPY_FORM_WARNING", "GenerationError", "GraphFormatError",
     "InputError", "MeasureDescriptor", "NumericalError", "PropertyReport",
     "QuadratureSettings", "RankingEntry", "RewireResult", "ScaleError", "SimConfig",
-    "SolverError", "SolverOptions", "SpectralFunction", "Spectrum", "SystemicError",
+    "SolverOptions", "SpectralFunction", "Spectrum", "SystemicError",
     "Topology", "TransferModel", "Violation", "WeightAllocationResult", "WeightedGraph",
     "applicable_properties", "centering_matrix", "decay_rate", "design", "eig_sym",
     "entropy_via_trees", "errors", "estimate_h2", "evaluate", "evaluate_eigenvalues",

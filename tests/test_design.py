@@ -15,7 +15,7 @@ from systemic import (ConnectivityError, DomainError, GraphFormatError, InputErr
                       optimize_weights,
                       project_simplex, register_spectral_function,
                       rewire_bruteforce)
-from systemic import design
+from systemic import design, spectral
 from systemic.design import _Objective, _check_relabelings, canonical_edges
 from systemic.measures import MEASURE_IDS
 
@@ -181,6 +181,145 @@ class TestOptimizeWeights:
             Topology.from_graph(WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
 
 
+# Erdos-Renyi topologies on 12 to 60 nodes, and every smooth catalog measure
+ER_TOPOLOGIES = {
+    "er30_s4": dict(n=30, seed=4, p=0.2),
+    "er12_s5": dict(n=12, seed=5, p=0.4),
+    "er12_s7": dict(n=12, seed=7, p=0.4),
+    "er60_s1": dict(n=60, seed=1, p=0.1, weight_range=(0.5, 2.0)),
+}
+SMOOTH_CASES = [MeasureDescriptor("zeta_measure", p=2.0), MeasureDescriptor("hp_norm", p=3.0),
+                MeasureDescriptor("h2"), ENERGY, MeasureDescriptor("energy2"),
+                MeasureDescriptor("local_error"), MeasureDescriptor("entropy"),
+                MeasureDescriptor("schur_sum", f_id="inverse_pow:2"),
+                MeasureDescriptor("schur_sum", f_id="exp_decay:0.5")]
+
+
+def er_topology(name: str) -> Topology:
+    params = dict(ER_TOPOLOGIES[name])
+    return Topology.from_graph(generate("erdos_renyi", params.pop("n"), **params))
+
+
+def two_solve_iterates(topology: Topology, measure: MeasureDescriptor,
+                       options: SolverOptions) -> tuple[list[tuple[np.ndarray, float]], bool]:
+    """The projected-gradient iterates as the solver made them before its gap
+    certificate: each accepted point is solved again for its gradient, and the
+    run stops once the stationarity residual is at most tol.  Returns the
+    (weights, value) iterates from the uniform start, and whether the line
+    search stalled after the last one, where that solver raised or stopped
+    through its sqrt(tol) escape."""
+    objective = _Objective(topology, measure)
+    weights = np.full(topology.m, 1.0 / topology.m)
+    value, gradient = objective.value_and_gradient(weights)
+    iterates = [(weights, value)]
+    step = design.STEP_INIT
+    while len(iterates) <= options.max_iters:
+        supported = gradient[weights > design.SUPPORT_TOL]
+        if np.abs(supported - supported.mean()).max() <= options.tol:
+            break
+        t = step
+        for _ in range(design.MAX_BACKTRACKS):
+            candidate = project_simplex(weights - t * gradient)
+            move = candidate - weights
+            move_norm2 = float(move @ move)
+            if move_norm2 == 0.0:
+                return iterates, True
+            try:
+                candidate_value = objective.value_and_gradient(candidate)[0]
+            except ConnectivityError:
+                t *= 0.5
+                continue
+            if candidate_value <= value - (design.ARMIJO / t) * move_norm2:
+                break
+            t *= 0.5
+        else:
+            return iterates, True
+        weights, step = candidate, 2.0 * t
+        value, gradient = objective.value_and_gradient(weights)
+        iterates.append((weights, value))
+    return iterates, False
+
+
+class TestCertificate:
+    """One objective call per trial point, and one stop: the Frank-Wolfe gap."""
+
+    @pytest.mark.parametrize("topology", list(ER_TOPOLOGIES))
+    @pytest.mark.parametrize("descriptor", SMOOTH_CASES, ids=lambda d: d.label())
+    def test_iterates_match_the_two_solve_loop(self, topology, descriptor):
+        # the solver once solved each accepted point again, stopped on the
+        # stationarity residual and raised where the line search stalled
+        topology = er_topology(topology)
+        options = SolverOptions(tol=1e-12, max_iters=300)
+        result = optimize_weights(topology, descriptor, options)
+        iterates, stalled = two_solve_iterates(topology, descriptor, options)
+        assert result.iterations < len(iterates)
+        weights, value = iterates[result.iterations]
+        assert result.weights.tobytes() == weights.tobytes()
+        assert result.objective == value
+        assert result.history == tuple(v for _, v in iterates[:result.iterations + 1])
+        if result.termination != "converged":
+            assert result.iterations == len(iterates) - 1
+            assert stalled == (result.termination == "line_search_stall")
+
+    @pytest.mark.parametrize("descriptor, max_iters", [(ENERGY, 2000),
+                                                       (MeasureDescriptor("hinf"), 50)],
+                             ids=["energy1", "hinf"])
+    def test_one_eigensolve_per_trial_point(self, monkeypatch, descriptor, max_iters):
+        solved, evaluated = [], []
+        eig_sym, value_and_gradient = spectral.eig_sym, _Objective.value_and_gradient
+
+        def recording_eig_sym(matrix, **kwargs):
+            solved.append(matrix)
+            return eig_sym(matrix, **kwargs)
+
+        def recording_value_and_gradient(self, weights):
+            evaluated.append(weights)
+            return value_and_gradient(self, weights)
+        monkeypatch.setattr(spectral, "eig_sym", recording_eig_sym)
+        monkeypatch.setattr(_Objective, "value_and_gradient", recording_value_and_gradient)
+        optimize_weights(er_topology("er30_s4"), descriptor, SolverOptions(max_iters=max_iters))
+        assert len(solved) == len(evaluated)
+        # an accepted point, or the best one, is not evaluated again
+        assert len({id(weights) for weights in evaluated}) == len(evaluated)
+
+    def test_energy2_stall_is_a_result(self):
+        # this raised "line search failed at residual 2.828e-03 (iteration 73)"
+        result = optimize_weights(er_topology("er30_s4"), MeasureDescriptor("energy2"))
+        assert result.termination == "line_search_stall"
+        assert 0.0 < result.gap <= 1e-6 * result.objective
+
+    @pytest.mark.parametrize("options, termination", [
+        (SolverOptions(), "converged"), (SolverOptions(tol=0.0, max_iters=3), "max_iters")])
+    def test_gap_bounds_the_p4_closed_form(self, options, termination):
+        counts = np.array([3.0, 4.0, 3.0])
+        optimum = np.sqrt(counts).sum() ** 2 / 8.0
+        result = optimize_weights(P4_TOPOLOGY, ENERGY, options)
+        assert result.termination == termination
+        assert result.objective - result.gap <= optimum * (1.0 + 1e-15)
+        assert result.objective >= optimum * (1.0 - 1e-15)
+
+    @pytest.mark.parametrize("topology", [P3_TOPOLOGY, TRIANGLE,
+                                          Topology(n=4, edges=((0, 1), (0, 2), (0, 3))),
+                                          P4_TOPOLOGY])
+    def test_gap_bounds_the_grid_minimum(self, topology):
+        # a grid point's value is at least the optimum, so it is at least
+        # objective - gap; criterion 6's topologies on a coarser grid
+        grid_value, _ = grid_min_energy1(topology, resolution=1e-2)
+        result = optimize_weights(topology, ENERGY)
+        assert result.termination == "converged"
+        assert 0.0 <= result.gap <= 1e-8 * max(1.0, result.objective)
+        assert result.objective - result.gap <= grid_value
+
+    def test_subgradient_reports_the_best_iterates_gap(self):
+        topology = er_topology("er12_s5")
+        result = optimize_weights(topology, MeasureDescriptor("hinf"),
+                                  SolverOptions(max_iters=50))
+        _, gradient = _Objective(topology, MeasureDescriptor("hinf")).value_and_gradient(
+            result.weights)
+        assert result.termination == "max_iters"
+        assert result.gap == float(result.weights @ gradient - gradient.min())
+
+
 class TestSolverOptions:
     def test_only_tol_and_max_iters(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iters"]
@@ -274,8 +413,10 @@ class TestDegreeObjective:
             raise AssertionError("eigensolve for a degree-based measure")
         monkeypatch.setattr("systemic.design.laplacian_spectrum", fail)
         topology = Topology.from_graph(generate("erdos_renyi", 30, seed=4, p=0.2))
-        result = optimize_weights(topology, MeasureDescriptor("local_error"))
-        # what the objective gave when it ran an eigensolve per call
+        result = optimize_weights(topology, MeasureDescriptor("local_error"),
+                                  SolverOptions(tol=1e-12))
+        # what the objective gave when it ran an eigensolve per call; at the
+        # default tol the gap certifies two iterations earlier
         assert result.iterations == 565
         assert result.objective == pytest.approx(float.fromhex("0x1.c1ffffffffffbp+7"),
                                                  rel=1e-12)
@@ -283,7 +424,7 @@ class TestDegreeObjective:
     def test_support_decides_connectivity(self):
         objective = _Objective(P4_TOPOLOGY, MeasureDescriptor("local_error"))
         with pytest.raises(ConnectivityError):
-            objective.value(np.array([0.5, 0.0, 0.5]))
+            objective.value_and_gradient(np.array([0.5, 0.0, 0.5]))[0]
         # a tiny positive bridge keeps the path connected: every degree is 0.5
         value, gradient = objective.value_and_gradient(np.array([0.5, 1e-300, 0.5]))
         assert value == 4.0
@@ -302,7 +443,8 @@ class TestGradients:
         objective = _Objective(topology, descriptor)
         _, gradient = objective.value_and_gradient(weights)
         h = 1e-6
-        fd = np.array([(objective.value(weights + step) - objective.value(weights - step))
+        fd = np.array([(objective.value_and_gradient(weights + step)[0]
+                        - objective.value_and_gradient(weights - step)[0])
                        / (2 * h) for step in h * np.eye(topology.m)])
         assert np.abs(fd - gradient).max() <= 1e-6 * np.abs(fd).max()
 

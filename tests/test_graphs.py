@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from systemic import (ConnectivityError, DimensionError, DomainError, GenerationError,
-                      GraphFormatError, MeasureDescriptor, SimConfig, Topology,
+                      GraphFormatError, MeasureDescriptor, ScaleError, SimConfig, Topology,
                       WeightedGraph, entropy_via_trees, estimate_h2, evaluate, generate,
                       graph_add, graph_spectrum, hp_norm_numeric, is_connected, laplacian,
                       laplacian_spectrum, parse_graph, scalar_mul, serialize_graph,
@@ -123,6 +123,14 @@ class TestLaplacian:
         graph = random_connected(99)
         sums = laplacian(graph).sum(axis=1)
         assert np.abs(sums).max() < 1e-12
+
+    def test_dense_budget_refuses_before_allocating(self):
+        # 8193^2 doubles are just over graphs.DENSE_MATRIX_BYTES
+        path = generate("path", 8193)
+        with pytest.raises(ScaleError, match="n=8193 nodes needs 537001992 bytes"):
+            laplacian(path)
+        with pytest.raises(ScaleError, match="n=8193"):
+            Topology.from_graph(path).laplacian_of(np.full(path.m, 1.0 / path.m))
 
 
 class TestLaplacianMatchesLoop:
