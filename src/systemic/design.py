@@ -21,8 +21,7 @@ from .errors import (ConnectivityError, DomainError, GraphFormatError, InputErro
                      ScaleError)
 from .graphs import (WeightedGraph, _check_integer, _connected, _degree_vector,
                      _integer_columns, _laplacian_matrix, is_connected)
-from .measures import (_MEASURES, MeasureDescriptor, evaluate,
-                       evaluate_eigenvalues, get_spectral_function)
+from .measures import _MEASURES, MeasureDescriptor, evaluate, get_spectral_function
 from .spectral import Spectrum, graph_spectrum, laplacian_spectrum
 
 
@@ -154,10 +153,11 @@ class _Objective:
         """The value and its edge gradient from one eigensolve (none for a degree-based
         measure); ConnectivityError when the weights disconnect the topology."""
         # chain rule: d lambda_i / d w_e is the squared difference of mode i
-        # across edge e, and w_e adds to the degrees of both its endpoints
+        # across edge e, and w_e adds to the degrees of both its endpoints;
+        # laplacian_spectrum's gates have proved the nonzero spectrum positive
         if self.entry.spectral:
             spectrum = laplacian_spectrum(self.topology.laplacian_of(weights))
-            value = evaluate_eigenvalues(spectrum.nonzero, self.measure)
+            value = self.entry.value(spectrum.nonzero, self.measure)
             grad = self.entry.grad(spectrum.nonzero, self.measure, value)
             return value, _edge_mode_squares(self.topology, spectrum) @ grad
         weights = np.asarray(weights, dtype=float)
@@ -224,7 +224,7 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
     iterations = 0
     while (iterations < options.max_iters
            and not _certified(weights, value, gradient, options.tol)):
-        accepted = None
+        accepted = tried = None
         t = step
         for _ in range(MAX_BACKTRACKS):
             candidate = project_simplex(weights - t * gradient)
@@ -232,6 +232,13 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
             move_norm2 = float(move @ move)
             if move_norm2 == 0.0:
                 break
+            # a saturated projection can give the point just rejected again;
+            # the Armijo threshold only tightens as t halves, and a point
+            # that disconnects the graph still does, so it is not solved again
+            if tried is not None and np.array_equal(candidate, tried):
+                t *= 0.5
+                continue
+            tried = candidate
             try:
                 evaluated = objective.value_and_gradient(candidate)
             except ConnectivityError:

@@ -178,12 +178,12 @@ def _power_root(lam: np.ndarray, scale: float, s: float, p: float,
     if p == math.inf:
         return scale / float(lam.min())
     with np.errstate(over="ignore"):
-        total = float(np.sum(lam ** (-s)))
+        total = float((lam ** (-s)).sum())
     if 2.0 ** -1022 <= total < math.inf:
         return scale * (coefficient * total) ** (1.0 / p)
     logs = -s * np.log(lam)
     peak = float(logs.max())
-    log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
+    log_total = peak + math.log(float(np.exp(logs - peak).sum()))
     return scale * math.exp((math.log(coefficient) + log_total) / p)
 
 
@@ -196,7 +196,7 @@ def _power_root_grad(lam: np.ndarray, s: float, p: float, value: float) -> np.nd
         one_hot = np.arange(lam.size) == np.argmin(lam)
         return np.where(one_hot, -value / lam, 0.0)
     ratios = (float(lam.min()) / lam) ** s
-    return -(s / p) * value * (ratios / float(np.sum(ratios))) / lam
+    return -(s / p) * value * (ratios / float(ratios.sum())) / lam
 
 
 # 1 / lambda_2 is the p = inf member of the power-root family
@@ -219,26 +219,27 @@ _MEASURES: dict[str, _Measure] = {
                                                "integral diverges at p = 1), got {}")},
         homogeneous=lambda m: m.p == math.inf, nonsmooth=lambda m: m.p == math.inf),
     "h2": _Measure(
-        value=lambda lam, m: float(math.sqrt(np.sum(0.5 / lam))),
+        value=lambda lam, m: math.sqrt((0.5 / lam).sum()),
         grad=lambda lam, m, value: (-0.5 / lam**2) * (0.5 / value)),
     "hinf": _RECIPROCAL_LAMBDA2,
     "energy1": _Measure(
-        value=lambda lam, m: float(np.sum(0.5 / lam)),
+        value=lambda lam, m: float((0.5 / lam).sum()),
         grad=lambda lam, m, value: -0.5 / lam**2,
         homogeneous=lambda m: True),
     "energy2": _Measure(
-        value=lambda lam, m: float(np.sum(0.5 / lam**2)),
+        value=lambda lam, m: float((0.5 / lam**2).sum()),
         grad=lambda lam, m, value: -1.0 / lam**3),
     "convergence_time": _RECIPROCAL_LAMBDA2,
     "local_error": _Measure(
-        value=lambda degrees, m: float(0.5 * np.sum(1.0 / degrees)),
+        value=lambda degrees, m: float(0.5 * (1.0 / degrees).sum()),
         grad=lambda degrees, m, value: -0.5 / degrees**2,
         homogeneous=lambda m: True, spectral=False),
     "entropy": _Measure(
-        value=lambda lam, m: -float(np.sum(np.log(lam))),
+        value=lambda lam, m: -float(np.log(lam).sum()),
         grad=lambda lam, m, value: -1.0 / lam),
     # get_spectral_function is looked up on every call, not bound here, so
-    # that a wrapper installed on the module attribute sees each call
+    # that a wrapper installed on the module attribute sees each call; a
+    # registered fn may return any array-like, hence np.sum
     "schur_sum": _Measure(
         value=lambda lam, m: float(np.sum(get_spectral_function(m.f_id).fn(lam))),
         grad=lambda lam, m, value: np.asarray(
@@ -493,14 +494,16 @@ def hp_norm_numeric(graph: WeightedGraph, p: float,
 
 
 def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor) -> float:
-    """Evaluate a measure from the nonzero eigenvalue vector (any order).
+    """Evaluate a measure from a caller's nonzero eigenvalue vector (any order).
 
     Every spectral measure is a symmetric function of lam; a degree-based
-    measure (local_error) is rejected.
+    measure (local_error) is rejected, and so is a vector that is empty or
+    has an entry that is not finite and positive (NaN, +-inf, 0 or below).
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.size == 0 or np.any(lam <= 0):
-        raise DomainError("expected a nonempty strictly positive eigenvalue vector")
+    # min and max propagate NaN, which fails both comparisons
+    if lam.size == 0 or not (lam.min() > 0.0 and lam.max() < math.inf):
+        raise DomainError("expected a nonempty vector of finite positive eigenvalues")
     entry = _MEASURES[measure.id]
     if not entry.spectral:
         raise DomainError(
@@ -511,13 +514,15 @@ def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor) -> float:
 def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
     """Evaluate a catalog measure on a connected weighted graph.
 
-    A degree-based measure needs no eigensolve: it reads the graph's degree
-    vector and its connectivity flag, so a weak but present bridge does not
-    count as a cut.
+    A spectral measure reads the cached spectrum as it is: graph_spectrum's
+    gates have already proved its nonzero part finite and above the solve's
+    error bound, so it is not scanned again.  A degree-based measure needs
+    no eigensolve: it reads the graph's degree vector and its connectivity
+    flag, so a weak but present bridge does not count as a cut.
     """
     entry = _MEASURES[measure.id]
     if entry.spectral:
-        return evaluate_eigenvalues(graph_spectrum(graph).nonzero, measure)
+        return entry.value(graph_spectrum(graph).nonzero, measure)
     if graph.n < 2:
         raise DomainError("consensus measures need at least 2 nodes")
     if not is_connected(graph):
@@ -529,7 +534,7 @@ def spectral_form(measure: MeasureDescriptor) -> Callable[[np.ndarray], float]:
     """The measure as a plain function of a positive eigenvalue vector."""
     if not is_spectral(measure):
         raise DomainError(f"{measure.id} has no spectrum-level form")
-    return lambda x: evaluate_eigenvalues(np.asarray(x, dtype=float), measure)
+    return lambda x: evaluate_eigenvalues(x, measure)
 
 
 def entropy_via_trees(graph: WeightedGraph) -> float:

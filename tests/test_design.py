@@ -240,6 +240,76 @@ def two_solve_iterates(topology: Topology, measure: MeasureDescriptor,
     return iterates, False
 
 
+def every_candidate_solve(topology: Topology, measure: MeasureDescriptor,
+                          options: SolverOptions) -> tuple[design.WeightAllocationResult, int]:
+    """The projected-gradient loop as it was before it skipped repeated trial
+    points: every line-search candidate is solved, also one equal to the
+    candidate just rejected.  Returns its result and the number of
+    candidates that repeat the one before them in the same line search."""
+    objective = _Objective(topology, measure)
+    weights = np.full(topology.m, 1.0 / topology.m)
+    value, gradient = objective.value_and_gradient(weights)
+    history, step, iterations, repeats = [value], design.STEP_INIT, 0, 0
+    while (iterations < options.max_iters
+           and not design._certified(weights, value, gradient, options.tol)):
+        accepted = previous = None
+        t = step
+        for _ in range(design.MAX_BACKTRACKS):
+            candidate = project_simplex(weights - t * gradient)
+            move = candidate - weights
+            move_norm2 = float(move @ move)
+            if move_norm2 == 0.0:
+                break
+            repeats += previous is not None and np.array_equal(candidate, previous)
+            previous = candidate
+            try:
+                evaluated = objective.value_and_gradient(candidate)
+            except ConnectivityError:
+                t *= 0.5
+                continue
+            if evaluated[0] <= value - (design.ARMIJO / t) * move_norm2:
+                accepted = evaluated
+                break
+            t *= 0.5
+        if accepted is None:
+            return design._allocation_result(weights, value, gradient, iterations, history,
+                                             options.tol, stalled=True), repeats
+        weights, (value, gradient) = candidate, accepted
+        step = 2.0 * t
+        iterations += 1
+        history.append(value)
+    return design._allocation_result(weights, value, gradient, iterations, history,
+                                     options.tol), repeats
+
+
+class TestRepeatedTrialPoints:
+    """A line-search candidate equal to the one just rejected is not solved again."""
+
+    @pytest.mark.parametrize("descriptor", SMOOTH_CASES, ids=lambda d: d.label())
+    def test_same_result_with_fewer_solves_by_the_repeats(self, monkeypatch, descriptor):
+        solves = [0]
+        eig_sym = spectral.eig_sym
+
+        def counting_eig_sym(matrix, **kwargs):
+            solves[0] += 1
+            return eig_sym(matrix, **kwargs)
+        monkeypatch.setattr(spectral, "eig_sym", counting_eig_sym)
+        topology, options = er_topology("er30_s4"), SolverOptions()
+        result = optimize_weights(topology, descriptor, options)
+        skipping_solves, solves[0] = solves[0], 0
+        reference, repeats = every_candidate_solve(topology, descriptor, options)
+        assert result.weights.tobytes() == reference.weights.tobytes()
+        assert result.objective == reference.objective
+        assert result.history == reference.history
+        assert (result.iterations, result.termination) == (reference.iterations,
+                                                           reference.termination)
+        if descriptor.id != "local_error":
+            assert solves[0] - skipping_solves == repeats
+        if descriptor.id in ("energy1", "energy2", "h2"):
+            # 48 of 171, 15 of 273 and 7 of 128 solves on one x86-64 host
+            assert repeats > 0
+
+
 class TestCertificate:
     """One objective call per trial point, and one stop: the Frank-Wolfe gap."""
 

@@ -366,6 +366,73 @@ class TestEvaluate:
                                  MeasureDescriptor("local_error"))
 
 
+SPECTRAL_CASES = [d for d in MEASURE_CASES if d.id != "local_error"]
+
+# the twelve descriptors of the benchmark's catalog workload
+CATALOG_CASES = [MeasureDescriptor("energy1"), MeasureDescriptor("energy2"),
+                 MeasureDescriptor("h2"), MeasureDescriptor("hinf"),
+                 MeasureDescriptor("convergence_time"), MeasureDescriptor("entropy"),
+                 MeasureDescriptor("local_error"), MeasureDescriptor("zeta_measure", p=2.0),
+                 MeasureDescriptor("zeta_measure", p=math.inf),
+                 MeasureDescriptor("hp_norm", p=3.0),
+                 MeasureDescriptor("schur_sum", f_id="inverse_pow:2"),
+                 MeasureDescriptor("schur_sum", f_id="exp_decay:0.5")]
+
+
+class TestCallerVectors:
+    """evaluate_eigenvalues and spectral_form check the vector a caller hands in."""
+
+    # [nan, 1] gave nan for energy1, hinf, entropy and zeta_2, and [inf, 1]
+    # gave entropy -inf, because nan <= 0 and inf <= 0 are both False
+    @pytest.mark.parametrize("lam", [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0],
+                                     [0.0, 1.0], [2.0, -1.0], []],
+                             ids=["nan", "inf", "-inf", "zero", "negative", "empty"])
+    @pytest.mark.parametrize("descriptor", SPECTRAL_CASES, ids=lambda d: d.label())
+    def test_rejected(self, lam, descriptor):
+        with pytest.raises(DomainError, match="finite positive"):
+            evaluate_eigenvalues(np.array(lam, dtype=float), descriptor)
+        with pytest.raises(DomainError, match="finite positive"):
+            spectral_form(descriptor)(lam)
+
+    def test_accepts_lists(self):
+        assert evaluate_eigenvalues([1.0, 4.0], MeasureDescriptor("energy1")) == 0.625
+
+
+class TestCachedFastPath:
+    """evaluate reads the gated spectrum without checking it again."""
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    @pytest.mark.parametrize("family", ["complete", "cycle", "path", "star", "erdos_renyi"])
+    def test_matches_the_checked_route_bit_for_bit(self, family, n, scale):
+        graph = scalar_mul(scale, generate(family, n, seed=n, p=min(1.0, 8.0 / n),
+                                           weight_range=(0.5, 2.0)))
+        lam = graph_spectrum(graph).nonzero
+        for descriptor in CATALOG_CASES:
+            value = evaluate(graph, descriptor)
+            if descriptor.id == "local_error":
+                assert value == 0.5 * float(np.sum(1.0 / graph.degrees))
+            else:
+                assert value == evaluate_eigenvalues(lam, descriptor), descriptor
+
+    def test_one_eigensolve_and_one_miss_per_graph(self, monkeypatch):
+        from systemic import spectral
+        solves = []
+        eig_sym = spectral.eig_sym
+
+        def counting_eig_sym(matrix, **kwargs):
+            solves.append(matrix.shape)
+            return eig_sym(matrix, **kwargs)
+        monkeypatch.setattr(spectral, "eig_sym", counting_eig_sym)
+        graph = generate("erdos_renyi", 50, seed=3, p=0.16, weight_range=(0.5, 2.0))
+        graph_spectrum.cache_clear()
+        for descriptor in CATALOG_CASES:
+            evaluate(graph, descriptor)
+        assert solves == [(50, 50)]
+        info = graph_spectrum.cache_info()
+        assert (info.misses, info.hits) == (1, 10)  # local_error reads no spectrum
+
+
 class TestEntropyViaTrees:
     def test_k3(self, k3):
         assert entropy_via_trees(k3) == pytest.approx(-math.log(9.0), rel=1e-12)
