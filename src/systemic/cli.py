@@ -100,7 +100,7 @@ def _measure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, default=None,
                         help="exponent for zeta_measure / hp_norm ('inf' allowed)")
     parser.add_argument("--k", type=float, default=None,
-                        help="positive scale for zeta_measure")
+                        help="finite positive scale for zeta_measure")
     parser.add_argument("--f", default=None,
                         help="spectral function id for schur_sum, e.g. inverse, inverse_pow:2")
 

@@ -388,11 +388,11 @@ def fundamental_limit(graph: WeightedGraph, k: int, f_id: str) -> float:
     Adding k edges is a rank-k positive update, so each eigenvalue climbs at
     most k index positions; the bound sums f over the original eigenvalues
     from position k+2 upward (1-based), and is 0 once that range is empty.
+    An added edge of unbounded weight sends an eigenvalue to infinity, so the
+    bound needs f(inf) = 0, which every f of get_spectral_function has.
     """
     _check_integer("edge budget k", k, 0)
     fn = get_spectral_function(f_id)
-    if not fn.vanishes_at_infinity:
-        raise DomainError(f"bound needs f with f(inf) = 0, got {fn.name!r}")
     lam = graph_spectrum(graph).eigenvalues
     tail = lam[k + 1:]
     if tail.size == 0:

@@ -303,11 +303,6 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
     return matrix
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """I - (1/n) * ones; projects onto the subspace orthogonal to the all-ones vector."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def graph_add(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     """Edge union; weights of shared edges add, so Laplacians add exactly."""
     if g1.n != g2.n:
@@ -334,26 +329,21 @@ def is_connected(graph: WeightedGraph) -> bool:
     return graph._is_connected
 
 
-def spanning_tree_count(graph: WeightedGraph, drop_index: int = 0, *,
-                        log: bool = False) -> float:
+def spanning_tree_count(graph: WeightedGraph, *, log: bool = False) -> float:
     """Weighted spanning-tree count tau via the determinant of the reduced Laplacian.
 
-    Deleting any one row/column of the Laplacian and taking the determinant
-    gives the sum over spanning trees of the product of their edge weights
-    (Kirchhoff).  The determinant goes through LU with partial pivoting, so
-    this is independent of the eigensolver and usable as an oracle against it.
-    Disconnected graphs give 0 up to round-off.
+    Deleting any one row/column of the Laplacian (here the first) and taking
+    the determinant gives the sum over spanning trees of the product of their
+    edge weights (Kirchhoff).  The determinant goes through LU with partial
+    pivoting, so this is independent of the eigensolver and usable as an
+    oracle against it.  Disconnected graphs give 0 up to round-off.
 
     tau itself overflows (K_180 has 180^178 trees) or underflows (weights of
     1e-90 on five nodes) long before its logarithm does: with log=True the
     result is log tau, summed from the LU pivots by np.linalg.slogdet, and a
     determinant whose sign is not positive raises ConnectivityError.
     """
-    if not (0 <= drop_index < graph.n):
-        raise DomainError(f"drop_index {drop_index} out of range for n={graph.n}")
-    full = laplacian(graph)
-    keep = [i for i in range(graph.n) if i != drop_index]
-    reduced = full[np.ix_(keep, keep)]
+    reduced = laplacian(graph)[1:, 1:]
     if not log:
         return float(np.linalg.det(reduced))
     sign, log_tau = np.linalg.slogdet(reduced)

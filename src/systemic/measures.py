@@ -1,14 +1,17 @@
 """Catalog of systemic performance/robustness measures on consensus networks.
 
 Every measure is a function of the Laplacian spectrum (plus node degrees for
-the local-error measure).  The closed-form H_p norm goes through the spectral
-zeta function and a beta-function coefficient; hp_norm_numeric evaluates the
-defining frequency integral instead and exists purely to cross-check the
-closed form.  It uses the trapezoidal rule in x = log omega, where the
-integrand is analytic in the strip |Im x| < pi/2 and decays exponentially
-at both ends, so the rule converges geometrically in the step.  The step is
-halved until two levels agree to QuadratureSettings.rel_tol, within a fixed
-budget of integrand terms.
+the local-error measure).  schur_sum sums one of four fixed decreasing convex
+functions over the spectrum, named 'name' or 'name:q' (get_spectral_function),
+and design's augmentation bound reads the same table.  The closed-form H_p
+norm goes through the spectral zeta function and a beta-function
+coefficient; hp_norm_numeric evaluates the defining frequency integral
+instead and exists purely to cross-check the closed form.  It uses the
+trapezoidal rule in x = log omega, where the integrand is analytic in the
+strip |Im x| < pi/2 and decays exponentially at both ends, so the rule
+converges geometrically in the step.  The step is halved until two levels
+agree to QuadratureSettings.rel_tol, within a fixed budget of integrand
+terms.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ ENTROPY_FORM_WARNING = (
 
 
 # ---------------------------------------------------------------------------
-# registry of decreasing convex spectral functions (for schur_sum and bounds)
+# the decreasing convex spectral functions (for schur_sum and bounds)
 
 @dataclass(frozen=True)
 class SpectralFunction:
@@ -42,94 +45,48 @@ class SpectralFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
-    vanishes_at_infinity: bool
 
 
-def _check_decreasing_convex(fn: Callable[[np.ndarray], np.ndarray], name: str) -> None:
-    # Finite sampling on a log grid; rejects functions that are not
-    # decreasing or not (midpoint-)convex on the positive axis.
-    xs = np.logspace(-3.0, 3.0, 121)
-    ys = np.asarray(fn(xs), dtype=float)
-    if not np.all(np.isfinite(ys)):
-        raise DomainError(f"spectral function {name!r} is not finite on (0, inf)")
-    scale = float(np.abs(ys).max()) + 1.0
-    if np.any(np.diff(ys) > 1e-12 * scale):
-        raise DomainError(f"spectral function {name!r} is not decreasing")
-    t = (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
-    chords = (1.0 - t) * ys[:-2] + t * ys[2:]
-    if np.any(ys[1:-1] > chords + 1e-12 * scale):
-        raise DomainError(f"spectral function {name!r} is not convex")
-
-
-_FUNCTION_BUILDERS: dict[str, Callable[[float | None], SpectralFunction]] = {}
-
-
-def register_spectral_function(name: str,
-                               builder: Callable[[float | None], SpectralFunction]) -> None:
-    """Register a builder; the built function is sampled for decreasing convexity."""
-    _FUNCTION_BUILDERS[name] = builder
-    _built_function.cache_clear()
-
-
-def get_spectral_function(f_id: str) -> SpectralFunction:
-    """Resolve identifiers like 'inverse', 'inverse_pow:2.5' or 'exp_decay(0.3)'.
-
-    Each identifier is built and checked once, until the next registration.
-    """
-    return _built_function(f_id)
+# name -> (parameter noun or None, f(x, q), f'(x, q)).  Each f is decreasing
+# and convex on (0, inf) for every q > 0, and vanishes at infinity.
+_SPECTRAL_FUNCTIONS = {
+    "inverse": (None, lambda x, q: 0.5 / x, lambda x, q: -0.5 / x**2),
+    "inverse_sq": (None, lambda x, q: 0.5 / x**2, lambda x, q: -1.0 / x**3),
+    "inverse_pow": ("exponent", lambda x, q: x**(-q), lambda x, q: -q * x**(-q - 1.0)),
+    "exp_decay": ("rate", lambda x, q: np.exp(-q * x), lambda x, q: -q * np.exp(-q * x)),
+}
 
 
 @lru_cache(maxsize=256)
-def _built_function(f_id: str) -> SpectralFunction:
-    name, param = f_id, None
-    for sep, close in ((":", ""), ("(", ")")):
-        if sep in f_id:
-            name, rest = f_id.split(sep, 1)
-            rest = rest[:-1] if close and rest.endswith(close) else rest
-            try:
-                param = float(rest)
-            except ValueError:
-                raise DomainError(f"bad parameter in spectral function id {f_id!r}")
-            break
-    if name not in _FUNCTION_BUILDERS:
+def get_spectral_function(f_id: str) -> SpectralFunction:
+    """Resolve 'name' or 'name:q': inverse, inverse_sq, inverse_pow:q or
+    exp_decay:q, with q finite and > 0.
+
+    Each identifier is resolved once.  f is sampled on a log grid over
+    [1e-3, 1e3], where it must be finite: inverse_pow:200 is not.
+    """
+    name, sep, rest = f_id.partition(":")
+    if name not in _SPECTRAL_FUNCTIONS:
         raise DomainError(f"unknown spectral function {name!r}")
-    spectral_fn = _FUNCTION_BUILDERS[name](param)
-    _check_decreasing_convex(spectral_fn.fn, spectral_fn.name)
-    return spectral_fn
-
-
-def _build_inverse(param: float | None) -> SpectralFunction:
-    if param is not None:
-        raise DomainError("'inverse' takes no parameter")
-    return SpectralFunction("inverse", lambda x: 0.5 / x, lambda x: -0.5 / x**2, True)
-
-
-def _build_inverse_sq(param: float | None) -> SpectralFunction:
-    if param is not None:
-        raise DomainError("'inverse_sq' takes no parameter")
-    return SpectralFunction("inverse_sq", lambda x: 0.5 / x**2, lambda x: -1.0 / x**3, True)
-
-
-def _build_inverse_pow(param: float | None) -> SpectralFunction:
-    if param is None or param <= 0:
-        raise DomainError("'inverse_pow' needs a positive exponent, e.g. inverse_pow:2")
-    q = float(param)
-    return SpectralFunction(f"inverse_pow:{q:g}", lambda x: x**(-q),
-                            lambda x: -q * x**(-q - 1.0), True)
-
-
-def _build_exp_decay(param: float | None) -> SpectralFunction:
-    if param is None or param <= 0:
-        raise DomainError("'exp_decay' needs a positive rate, e.g. exp_decay:0.5")
-    c = float(param)
-    return SpectralFunction(f"exp_decay:{c:g}", lambda x: np.exp(-c * x),
-                            lambda x: -c * np.exp(-c * x), True)
-
-
-register_spectral_function("inverse", _build_inverse)
-register_spectral_function("inverse_sq", _build_inverse_sq)
-register_spectral_function("inverse_pow", _build_inverse_pow)
-register_spectral_function("exp_decay", _build_exp_decay)
+    noun, fn, derivative = _SPECTRAL_FUNCTIONS[name]
+    if noun is None:
+        if sep:
+            raise DomainError(f"{name!r} takes no parameter")
+        q, label = None, name
+    else:
+        try:
+            q = float(rest)
+        except ValueError:
+            q = math.nan
+        if not (sep and 0.0 < q < math.inf):
+            raise DomainError(f"{name!r} needs a finite positive {noun}, "
+                              f"e.g. {name}:2, got {f_id!r}")
+        label = f"{name}:{q:g}"
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(fn(np.logspace(-3.0, 3.0, 121), q)).all()
+    if not finite:
+        raise DomainError(f"spectral function {label!r} is not finite on (0, inf)")
+    return SpectralFunction(label, lambda x: fn(x, q), lambda x: derivative(x, q))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +167,8 @@ _MEASURES: dict[str, _Measure] = {
         value=lambda lam, m: _power_root(lam, m.k, m.p, m.p),
         grad=lambda lam, m, value: _power_root_grad(lam, m.p, m.p, value),
         params={"p": _Param(lambda p: 1.0 <= p, "zeta_measure needs 1 <= p <= inf, got {}"),
-                "k": _Param(lambda k: k > 0, "zeta_measure needs k > 0, got {}", 1.0)},
+                "k": _Param(lambda k: 0 < k < math.inf,
+                            "zeta_measure needs 0 < k < inf, got {}", 1.0)},
         homogeneous=lambda m: True, nonsmooth=lambda m: m.p == math.inf),
     "hp_norm": _Measure(
         value=lambda lam, m: _power_root(lam, 1.0, m.p - 1.0, m.p, _hp_coefficient(m.p)),
@@ -238,12 +196,10 @@ _MEASURES: dict[str, _Measure] = {
         value=lambda lam, m: -float(np.log(lam).sum()),
         grad=lambda lam, m, value: -1.0 / lam),
     # get_spectral_function is looked up on every call, not bound here, so
-    # that a wrapper installed on the module attribute sees each call; a
-    # registered fn may return any array-like, hence np.sum
+    # that a wrapper installed on the module attribute sees each call
     "schur_sum": _Measure(
-        value=lambda lam, m: float(np.sum(get_spectral_function(m.f_id).fn(lam))),
-        grad=lambda lam, m, value: np.asarray(
-            get_spectral_function(m.f_id).derivative(lam), dtype=float),
+        value=lambda lam, m: float(get_spectral_function(m.f_id).fn(lam).sum()),
+        grad=lambda lam, m, value: get_spectral_function(m.f_id).derivative(lam),
         params={"f_id": _Param(lambda f_id: get_spectral_function(f_id))}),
 }
 
@@ -333,11 +289,12 @@ def applicable_properties(measure: MeasureDescriptor) -> frozenset[str]:
 def zeta(graph: WeightedGraph, p: float) -> float:
     """Spectral zeta function: sum of nonzero Laplacian eigenvalues to the -p.
 
-    Only p > 0 gives a systemic measure: p = 0 counts the n - 1 nonzero modes
-    and p < 0 sums positive powers, and neither decreases as edges are added.
+    Only a finite p > 0 gives a systemic measure: p = 0 counts the n - 1
+    nonzero modes and p < 0 sums positive powers, and neither decreases as
+    edges are added; at p = inf each term is 0 or inf.
     """
-    if not (p > 0):
-        raise DomainError(f"zeta exponent p must be positive, got {p}")
+    if not (0 < p < math.inf):
+        raise DomainError(f"zeta exponent p must be finite and positive, got {p}")
     lam = graph_spectrum(graph).nonzero
     return float(np.sum(lam ** (-float(p))))
 
@@ -497,12 +454,14 @@ def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor) -> float:
     """Evaluate a measure from a caller's nonzero eigenvalue vector (any order).
 
     Every spectral measure is a symmetric function of lam; a degree-based
-    measure (local_error) is rejected, and so is a vector that is empty or
-    has an entry that is not finite and positive (NaN, +-inf, 0 or below).
+    measure (local_error) is rejected, and so is an input that is not a
+    nonempty 1-D vector or has an entry that is not finite and positive (NaN,
+    +-inf, 0 or below).
     """
     lam = np.asarray(lam, dtype=float)
     # min and max propagate NaN, which fails both comparisons
-    if lam.size == 0 or not (lam.min() > 0.0 and lam.max() < math.inf):
+    if (lam.ndim != 1 or lam.size == 0
+            or not (lam.min() > 0.0 and lam.max() < math.inf)):
         raise DomainError("expected a nonempty vector of finite positive eigenvalues")
     entry = _MEASURES[measure.id]
     if not entry.spectral:
@@ -528,13 +487,6 @@ def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
     if not is_connected(graph):
         raise ConnectivityError(f"{measure.id} needs a connected graph")
     return entry.value(graph.degrees, measure)
-
-
-def spectral_form(measure: MeasureDescriptor) -> Callable[[np.ndarray], float]:
-    """The measure as a plain function of a positive eigenvalue vector."""
-    if not is_spectral(measure):
-        raise DomainError(f"{measure.id} has no spectrum-level form")
-    return lambda x: evaluate_eigenvalues(x, measure)
 
 
 def entropy_via_trees(graph: WeightedGraph) -> float:

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .graphs import (WeightedGraph, _check_integer, generate, graph_add, laplacian,
                      scalar_mul)
-from .measures import (MeasureDescriptor, evaluate, evaluate_eigenvalues,
-                       is_spectral, spectral_form)
+from .measures import MeasureDescriptor, evaluate, evaluate_eigenvalues, is_spectral
 from .spectral import laplacian_spectrum, pseudo_inverse, psd_order
 
 DEFAULT_TOL = 1e-8
@@ -169,10 +167,11 @@ def _orthogonal_trial(measure: MeasureDescriptor, rng: np.random.Generator,
     return [(abs(conjugated - base), 0.0, _allowance(tol, base), description)]
 
 
-def _schur_trial(f_vec: Callable[[np.ndarray], float], rng: np.random.Generator,
+def _schur_trial(measure: MeasureDescriptor, rng: np.random.Generator,
                  tol: float) -> list[Assertion]:
     """A random doubly stochastic matrix (a Birkhoff combination of
-    permutations) applied to a positive vector must not increase f_vec."""
+    permutations) applied to a positive vector, read as a spectrum, must not
+    increase the measure."""
     dim = int(rng.integers(max(2, DEFAULT_NODE_RANGE[0] - 1), DEFAULT_NODE_RANGE[1]))
     x = rng.uniform(0.1, 10.0, size=dim)
     terms = int(rng.integers(2, 6))
@@ -180,8 +179,8 @@ def _schur_trial(f_vec: Callable[[np.ndarray], float], rng: np.random.Generator,
     mixed = np.zeros(dim)
     for weight in theta:
         mixed += weight * x[rng.permutation(dim)]
-    lhs = float(f_vec(mixed))
-    rhs = float(f_vec(x))
+    lhs = evaluate_eigenvalues(mixed, measure)
+    rhs = evaluate_eigenvalues(x, measure)
     description = f"dim={dim} birkhoff_terms={terms}"
     return [(lhs, rhs, _allowance(tol, lhs, rhs), description)]
 
@@ -197,7 +196,8 @@ _PROPERTIES = {
 }
 
 
-def _trial(property_id: str, subject, seed: int, trial: int, tol: float) -> list[Assertion]:
+def _trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
+           tol: float) -> list[Assertion]:
     """One trial of a property, drawn from the stream of (seed, trial, salt)."""
     if property_id not in _PROPERTIES:
         raise DomainError(f"unknown property {property_id!r}")
@@ -206,26 +206,22 @@ def _trial(property_id: str, subject, seed: int, trial: int, tol: float) -> list
     _check_integer("seed", seed, 0)
     _check_integer("trial", trial, 0)
     salt, trial_fn = _PROPERTIES[property_id]
-    if trial_fn is _orthogonal_trial and not is_spectral(subject):
-        raise DomainError(f"{subject.id} is not eigenvalue-based")
-    if trial_fn is _schur_trial and isinstance(subject, MeasureDescriptor):
-        subject = spectral_form(subject)
+    if trial_fn in (_orthogonal_trial, _schur_trial) and not is_spectral(measure):
+        raise DomainError(f"{measure.id} is not eigenvalue-based")
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(salt, trial))
     rng = np.random.Generator(np.random.PCG64(sequence))
-    return trial_fn(subject, rng, tol)
+    return trial_fn(measure, rng, tol)
 
 
-def run_check(property_id: str,
-              measure: MeasureDescriptor | Callable[[np.ndarray], float],
-              trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL) -> PropertyReport:
+def run_check(property_id: str, measure: MeasureDescriptor, trials: int = 200,
+              seed: int = 0, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Run `trials` seeded trials of one property check and collect its violations.
 
     property_id names an entry of _PROPERTIES (homogeneity, monotonicity,
     convexity, subadditivity, orthogonal_invariance, schur_convexity); each
     trial function states its axiom.  Graphs are drawn with node counts in
-    DEFAULT_NODE_RANGE, the convexity check mixes at every alpha of
-    DEFAULT_ALPHA_GRID, and schur_convexity also takes a plain function of a
-    positive vector in place of a measure.
+    DEFAULT_NODE_RANGE, and the convexity check mixes at every alpha of
+    DEFAULT_ALPHA_GRID.  The last two checks need an eigenvalue-based measure.
     """
     _check_integer("trials", trials, 1)
     violations = []
@@ -235,9 +231,7 @@ def run_check(property_id: str,
             if margin > 0.0:
                 violations.append(Violation(trial=trial, description=description,
                                             lhs=lhs, rhs=rhs, margin=margin))
-    label = (measure.label() if isinstance(measure, MeasureDescriptor)
-             else getattr(measure, "__name__", "f_vec"))
-    return PropertyReport(property_id=property_id, measure=label, trials=trials,
+    return PropertyReport(property_id=property_id, measure=measure.label(), trials=trials,
                           violations=tuple(violations), seed=seed, tol=tol)
 
 

@@ -73,6 +73,17 @@ class TestMeasure:
         assert code == 0
         assert report["results"]["value"] == pytest.approx(1.0 / 3.0)
 
+    # each used to exit 0: exp_decay(0.5) was a second spelling of exp_decay:0.5,
+    # exp_decay:inf built f = 0 and k = inf reported a value of inf
+    @pytest.mark.parametrize("extra", [["--measure", "schur_sum", "--f", "exp_decay(0.5)"],
+                                       ["--measure", "schur_sum", "--f", "exp_decay:inf"],
+                                       ["--measure", "zeta_measure", "--p", "2", "--k", "inf"]],
+                             ids=["paren_spelling", "infinite_rate", "infinite_scale"])
+    def test_refused_parameters_exit_two(self, capsys, graph_files, extra):
+        code, report, _ = run_cli(capsys, ["measure", "--graph", graph_files["p3"], *extra])
+        assert code == 2
+        assert report is None
+
 
 class TestZetaAndHp:
     def test_zeta(self, capsys, graph_files):
@@ -81,8 +92,9 @@ class TestZetaAndHp:
         assert code == 0
         assert report["results"]["value"] == pytest.approx(4.0 / 3.0)
 
+    # p = inf printed a value of inf with exit 0: every term is 0 or inf
     def test_zeta_nonpositive_exponent_exits_two(self, capsys, graph_files):
-        for p in ("0", "-1"):
+        for p in ("0", "-1", "inf"):
             code, report, err = run_cli(capsys, ["zeta", "--graph", graph_files["p3"],
                                                  "--p", p])
             assert code == 2
@@ -642,15 +654,15 @@ PACKAGE_NAMES = [
     "QuadratureSettings", "RankingEntry", "RewireResult", "ScaleError", "SimConfig",
     "SolverOptions", "SpectralFunction", "Spectrum", "SystemicError",
     "Topology", "TransferModel", "Violation", "WeightAllocationResult", "WeightedGraph",
-    "applicable_properties", "centering_matrix", "decay_rate", "design", "eig_sym",
+    "applicable_properties", "decay_rate", "design", "eig_sym",
     "entropy_via_trees", "errors", "estimate_h2", "evaluate", "evaluate_eigenvalues",
     "fundamental_limit", "generate", "get_spectral_function", "graph_add",
     "graph_spectrum", "graphs", "greedy_augment", "hp_norm", "hp_norm_numeric",
     "is_connected", "is_homogeneous", "is_spectral", "laplacian", "laplacian_spectrum",
     "measures", "optimize_weights", "parse_graph", "project_simplex", "properties",
-    "psd_order", "pseudo_inverse", "register_spectral_function", "replay_trial",
+    "psd_order", "pseudo_inverse", "replay_trial",
     "rewire_bruteforce", "run_check", "scalar_mul", "serialize_graph", "sim",
-    "simulate_output", "spanning_tree_count", "spectral", "spectral_form", "zeta",
+    "simulate_output", "spanning_tree_count", "spectral", "zeta",
     "zeta_measure",
 ]
 LAYER_MODULES = ["design", "errors", "graphs", "measures", "properties", "sim", "spectral"]

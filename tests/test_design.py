@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from systemic import (ConnectivityError, DomainError, GraphFormatError, InputError,
-                      MeasureDescriptor, ScaleError, SolverOptions,
-                      SpectralFunction, Topology, WeightedGraph, evaluate,
-                      fundamental_limit, generate, graph_spectrum, graphs,
-                      greedy_augment, is_connected, laplacian, laplacian_spectrum,
-                      optimize_weights,
-                      project_simplex, register_spectral_function,
+                      MeasureDescriptor, ScaleError, SolverOptions, Topology,
+                      WeightedGraph, evaluate, fundamental_limit, generate,
+                      graph_spectrum, graphs, greedy_augment, is_connected, laplacian,
+                      laplacian_spectrum, optimize_weights, project_simplex,
                       rewire_bruteforce)
 from systemic import design, spectral
 from systemic.design import _Objective, _check_relabelings, canonical_edges
@@ -617,15 +615,6 @@ class TestFundamentalLimit:
     def test_numpy_budget_accepted(self, p3):
         assert fundamental_limit(p3, np.int64(1), "inverse") == fundamental_limit(
             p3, 1, "inverse")
-
-    def test_requires_vanishing_function(self, p3):
-        register_spectral_function(
-            "shifted_inverse",
-            lambda param: SpectralFunction("shifted_inverse",
-                                           lambda x: 1.0 + 1.0 / x,
-                                           lambda x: -1.0 / x**2, False))
-        with pytest.raises(DomainError, match="inf"):
-            fundamental_limit(p3, 1, "shifted_inverse")
 
 
 class TestGreedyAugment:

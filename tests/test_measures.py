@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from systemic import (ConnectivityError, DomainError, MeasureDescriptor,
-                      NumericalError, QuadratureSettings, SpectralFunction, TransferModel,
+                      NumericalError, QuadratureSettings, TransferModel,
                       WeightedGraph, applicable_properties, entropy_via_trees,
                       evaluate, evaluate_eigenvalues, generate,
                       get_spectral_function, graph_spectrum, hp_norm,
-                      hp_norm_numeric, is_homogeneous, laplacian,
-                      register_spectral_function, scalar_mul, spectral_form,
-                      zeta, zeta_measure)
+                      hp_norm_numeric, is_homogeneous, laplacian, scalar_mul, zeta,
+                      zeta_measure)
 
 from systemic import measures
 
@@ -42,6 +41,13 @@ class TestZeta:
         with pytest.raises(DomainError, match="positive"):
             zeta(p3, 0.0)
 
+    # p = inf gave inf on P3 and P5 (lambda_2 < 1) and 0.0 on K5
+    @pytest.mark.parametrize("graph", [generate("path", 3), generate("path", 5),
+                                       generate("complete", 5)], ids=["p3", "p5", "k5"])
+    def test_infinite_exponent_rejected(self, graph):
+        with pytest.raises(DomainError, match="finite and positive"):
+            zeta(graph, math.inf)
+
 
 class TestZetaMeasure:
     def test_k3_infinite_exponent(self, k3):
@@ -71,6 +77,12 @@ class TestZetaMeasure:
     def test_rejects_bad_k(self, k3):
         with pytest.raises(DomainError):
             zeta_measure(k3, 2.0, 0.0)
+
+    # k = inf evaluated to inf
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_rejects_non_finite_k(self, k):
+        with pytest.raises(DomainError, match="0 < k < inf"):
+            MeasureDescriptor("zeta_measure", p=2.0, k=k)
 
     def test_large_exponent_tends_to_connectivity(self):
         # needs a well-separated second eigenvalue for the p = 64 surrogate
@@ -335,10 +347,11 @@ class TestEvaluate:
         assert math.isfinite(value)
         assert value == hp_norm(graph, p)
 
-    def test_spectral_form_permutation_invariant(self):
-        fn = spectral_form(MeasureDescriptor("energy1"))
+    def test_eigenvalues_permutation_invariant(self):
+        descriptor = MeasureDescriptor("energy1")
         x = np.array([0.5, 2.0, 7.0])
-        assert fn(x) == pytest.approx(fn(x[::-1]), rel=1e-15)
+        assert evaluate_eigenvalues(x, descriptor) == pytest.approx(
+            evaluate_eigenvalues(x[::-1], descriptor), rel=1e-15)
 
     def test_local_error_on_weak_bridge(self):
         # a 1e-9 bridge keeps the path connected; local_error reads degrees
@@ -380,7 +393,7 @@ CATALOG_CASES = [MeasureDescriptor("energy1"), MeasureDescriptor("energy2"),
 
 
 class TestCallerVectors:
-    """evaluate_eigenvalues and spectral_form check the vector a caller hands in."""
+    """evaluate_eigenvalues checks the vector a caller hands in."""
 
     # [nan, 1] gave nan for energy1, hinf, entropy and zeta_2, and [inf, 1]
     # gave entropy -inf, because nan <= 0 and inf <= 0 are both False
@@ -391,8 +404,15 @@ class TestCallerVectors:
     def test_rejected(self, lam, descriptor):
         with pytest.raises(DomainError, match="finite positive"):
             evaluate_eigenvalues(np.array(lam, dtype=float), descriptor)
-        with pytest.raises(DomainError, match="finite positive"):
-            spectral_form(descriptor)(lam)
+
+    # a 2 x 2 array gave energy1 1.0417, the sum over all four entries, and
+    # the 0-d array 2.0 gave 0.25
+    @pytest.mark.parametrize("lam", [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array(2.0)],
+                             ids=["matrix", "scalar"])
+    @pytest.mark.parametrize("descriptor", SPECTRAL_CASES, ids=lambda d: d.label())
+    def test_rejects_non_vectors(self, lam, descriptor):
+        with pytest.raises(DomainError, match="vector"):
+            evaluate_eigenvalues(lam, descriptor)
 
     def test_accepts_lists(self):
         assert evaluate_eigenvalues([1.0, 4.0], MeasureDescriptor("energy1")) == 0.625
@@ -525,10 +545,14 @@ class TestDescriptors:
 
 
 class TestFunctionRegistry:
+    """The fixed table of spectral functions, resolved as 'name' or 'name:q'."""
+
     def test_parses_parameter_forms(self):
-        for f_id in ("inverse_pow:2.5", "inverse_pow(2.5)"):
-            fn = get_spectral_function(f_id)
-            assert fn.fn(np.array([2.0]))[0] == pytest.approx(2.0 ** -2.5)
+        fn = get_spectral_function("inverse_pow:2.5")
+        assert fn.fn(np.array([2.0]))[0] == pytest.approx(2.0 ** -2.5)
+        # the call-style spelling was a second grammar for the same function
+        with pytest.raises(DomainError, match="unknown spectral function"):
+            get_spectral_function("inverse_pow(2.5)")
 
     def test_inverse_matches_half_reciprocal(self):
         fn = get_spectral_function("inverse")
@@ -542,57 +566,74 @@ class TestFunctionRegistry:
         with pytest.raises(DomainError):
             get_spectral_function("exp_decay")
 
-    def test_rejects_increasing_function(self):
-        register_spectral_function(
-            "bad_increasing",
-            lambda param: SpectralFunction("bad_increasing", lambda x: x,
-                                           lambda x: np.ones_like(x), False))
-        with pytest.raises(DomainError, match="decreasing"):
-            get_spectral_function("bad_increasing")
+    @pytest.mark.parametrize("f_id", ["inverse:2", "inverse_sq:1", "inverse:"])
+    def test_plain_functions_take_no_parameter(self, f_id):
+        with pytest.raises(DomainError, match="takes no parameter"):
+            get_spectral_function(f_id)
 
-    def test_rejects_concave_function(self):
-        register_spectral_function(
-            "bad_concave",
-            lambda param: SpectralFunction("bad_concave", lambda x: -x**2,
-                                           lambda x: -2.0 * x, False))
-        with pytest.raises(DomainError, match="convex|decreasing"):
-            get_spectral_function("bad_concave")
+    # exp_decay:inf built f = 0, so schur_sum and fundamental_limit read 0
+    @pytest.mark.parametrize("f_id", ["exp_decay:inf", "exp_decay:nan", "inverse_pow:inf",
+                                      "inverse_pow:-inf", "exp_decay:0", "inverse_pow:-1",
+                                      "exp_decay:", "inverse_pow:two"])
+    def test_parameter_must_be_finite_and_positive(self, f_id):
+        with pytest.raises(DomainError, match="needs a finite positive"):
+            get_spectral_function(f_id)
+
+    # x^-200 overflows on the sample grid; under error::RuntimeWarning this
+    # was a RuntimeWarning rather than the DomainError
+    def test_overflowing_exponent_rejected(self):
+        with pytest.raises(DomainError, match="not finite"):
+            get_spectral_function("inverse_pow:200")
+
+    @pytest.mark.parametrize("f_id, name", [("inverse", "inverse"), ("inverse_sq", "inverse_sq"),
+                                            ("inverse_pow:2.50", "inverse_pow:2.5"),
+                                            ("inverse_pow:+2", "inverse_pow:2"),
+                                            ("exp_decay:1e-3", "exp_decay:0.001"),
+                                            ("exp_decay: 0.5", "exp_decay:0.5")])
+    def test_names(self, f_id, name):
+        assert get_spectral_function(f_id).name == name
+
+    @pytest.mark.parametrize("f_id", ["inverse", "inverse_sq"] + [
+        f"{name}:{q:g}" for name in ("inverse_pow", "exp_decay") for q in (0.1, 1.0, 2.5, 50.0)])
+    def test_decreasing_convex_with_matching_derivative(self, f_id):
+        # sampled on a log grid: f decreases, lies below its chords, and its
+        # derivative matches a central difference
+        fn = get_spectral_function(f_id)
+        xs = np.logspace(-3.0, 3.0, 121)
+        ys = fn.fn(xs)
+        scale = float(np.abs(ys).max()) + 1.0
+        assert np.all(np.diff(ys) <= 1e-12 * scale)
+        t = (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
+        assert np.all(ys[1:-1] <= (1.0 - t) * ys[:-2] + t * ys[2:] + 1e-12 * scale)
+        h = 1e-6 * xs
+        difference = (fn.fn(xs + h) - fn.fn(xs - h)) / (2.0 * h)
+        assert np.allclose(fn.derivative(xs), difference, rtol=1e-6, atol=1e-12)
 
 
 class TestFunctionMemo:
-    """Each identifier is built and sampled once, until the next
-    registration; evaluate still resolves it on every call."""
-
-    @staticmethod
-    def unit_inverse(name):
-        return SpectralFunction(name, lambda x: 1.0 / x, lambda x: -1.0 / x**2, True)
+    """Each identifier is resolved and sampled once; evaluate still looks
+    it up on every call."""
 
     def test_built_and_checked_once_per_identifier(self, monkeypatch):
-        builds, checks = [], []
-        check = measures._check_decreasing_convex
-        monkeypatch.setattr(measures, "_check_decreasing_convex",
-                            lambda fn, name: (checks.append(name), check(fn, name))[1])
-        register_spectral_function(
-            "memo_probe", lambda param: (builds.append(param), self.unit_inverse("memo_probe"))[1])
-        first = get_spectral_function("memo_probe:2")
-        assert get_spectral_function("memo_probe:2") is first
-        assert get_spectral_function("memo_probe(3)") is not first
-        assert builds == [2.0, 3.0]
-        assert checks == ["memo_probe", "memo_probe"]
-
-    def test_registration_clears_memo(self):
-        register_spectral_function("memo_swap", lambda param: self.unit_inverse("first"))
-        assert get_spectral_function("memo_swap").name == "first"
-        register_spectral_function("memo_swap", lambda param: self.unit_inverse("second"))
-        assert get_spectral_function("memo_swap").name == "second"
+        samples = []
+        noun, fn, derivative = measures._SPECTRAL_FUNCTIONS["inverse_pow"]
+        monkeypatch.setitem(measures._SPECTRAL_FUNCTIONS, "inverse_pow",
+                            (noun, lambda x, q: (samples.append(q), fn(x, q))[1], derivative))
+        get_spectral_function.cache_clear()
+        try:
+            first = get_spectral_function("inverse_pow:2")
+            assert get_spectral_function("inverse_pow:2") is first
+            assert get_spectral_function("inverse_pow:3") is not first
+            assert samples == [2.0, 3.0]
+        finally:
+            get_spectral_function.cache_clear()
 
     def test_failures_are_not_memoized(self):
-        register_spectral_function(
-            "memo_flaky", lambda param: SpectralFunction("memo_flaky", lambda x: x,
-                                                         lambda x: np.ones_like(x), False))
+        before = get_spectral_function.cache_info().misses
         for _ in range(2):
-            with pytest.raises(DomainError, match="decreasing"):
-                get_spectral_function("memo_flaky")
+            with pytest.raises(DomainError, match="not finite"):
+                get_spectral_function("inverse_pow:200")
+        assert get_spectral_function.cache_info().misses == before + 2
 
     @pytest.mark.parametrize("f_id", ["inverse_pow:2", "exp_decay:0.5", "inverse"])
     def test_evaluate_resolves_every_call(self, monkeypatch, f_id):
@@ -600,8 +641,8 @@ class TestFunctionMemo:
         graph = generate("erdos_renyi", 12, seed=4, p=0.4, weight_range=(0.5, 2.0))
         lam = graph_spectrum(graph).nonzero
         name, _, param = f_id.partition(":")
-        fresh = measures._FUNCTION_BUILDERS[name](float(param) if param else None)
-        expected = float(np.sum(fresh.fn(lam)))
+        fresh = measures._SPECTRAL_FUNCTIONS[name][1]
+        expected = float(np.sum(fresh(lam, float(param) if param else None)))
         calls = []
         resolve = measures.get_spectral_function
         monkeypatch.setattr(measures, "get_spectral_function",

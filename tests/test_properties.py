@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from systemic import (DomainError, MeasureDescriptor, WeightedGraph, evaluate, graph_add,
-                      properties, replay_trial, run_check, scalar_mul, spectral_form)
+from systemic import (DomainError, MeasureDescriptor, WeightedGraph, evaluate,
+                      evaluate_eigenvalues, graph_add, properties, replay_trial, run_check,
+                      scalar_mul)
 
 ENERGY = MeasureDescriptor("energy1")
 ENTROPY = MeasureDescriptor("entropy")
@@ -122,23 +123,29 @@ class TestOrthogonalInvariance:
 
 class TestSchurConvexity:
     def test_identity_mixture(self):
-        fn = spectral_form(ENERGY)
         x = np.array([1.0, 3.0, 0.4])
-        assert fn(x) == fn(x)
+        assert evaluate_eigenvalues(x, ENERGY) == evaluate_eigenvalues(x, ENERGY)
 
     def test_hand_example(self):
-        fn = spectral_form(ENERGY)
         x = np.array([1.0, 3.0])
         averaged = np.array([2.0, 2.0])  # doubly stochastic blend of x
-        assert fn(averaged) == pytest.approx(0.5)
-        assert fn(x) == pytest.approx(2.0 / 3.0)
-        assert fn(averaged) <= fn(x)
+        assert evaluate_eigenvalues(averaged, ENERGY) == pytest.approx(0.5)
+        assert evaluate_eigenvalues(x, ENERGY) == pytest.approx(2.0 / 3.0)
+        assert evaluate_eigenvalues(averaged, ENERGY) <= evaluate_eigenvalues(x, ENERGY)
 
     def test_constant_vector_fixed(self):
-        fn = spectral_form(ENTROPY)
         x = np.full(5, 2.0)
         mixed = np.full(5, 2.0)
-        assert fn(mixed) == pytest.approx(fn(x), rel=1e-15)
+        assert evaluate_eigenvalues(mixed, ENTROPY) == pytest.approx(
+            evaluate_eigenvalues(x, ENTROPY), rel=1e-15)
+
+    def test_local_error_not_spectral(self):
+        # refused before any trial, as orthogonal_invariance refuses it
+        local_error = MeasureDescriptor("local_error")
+        with pytest.raises(DomainError, match="local_error is not eigenvalue-based"):
+            run_check("schur_convexity", local_error, trials=1)
+        with pytest.raises(DomainError, match="local_error is not eigenvalue-based"):
+            replay_trial("schur_convexity", local_error, seed=0, trial=0)
 
     @pytest.mark.parametrize("descriptor", [ENERGY, ENTROPY, ZETA_HALF,
                                             MeasureDescriptor("hinf")])
@@ -172,27 +179,25 @@ class TestReplay:
             run_check("associativity", ENERGY)
 
 
-def _schur_concave(x):
-    # the sum of logs grows as a vector is averaged: Schur-concave
-    return float(np.sum(np.log(x)))
-
-
-# per property: (subject, tol, negate the measure) that makes its check fail
+# per property: (measure, tol, negate the measure) that makes its check fail
 _VIOLATING = {
     "homogeneity": (ENTROPY, 1e-8, False),
     "monotonicity": (ENERGY, 1e-8, True),
     "convexity": (ENERGY, 1e-8, True),
     "subadditivity": (ENTROPY, 1e-8, False),
     "orthogonal_invariance": (ENERGY, 0.0, False),
-    "schur_convexity": (_schur_concave, 1e-8, False),
+    "schur_convexity": (ENERGY, 1e-8, True),
 }
 
 
 def _negate_measures(monkeypatch):
-    """Make every graph measure the trials evaluate anti-monotone and concave."""
-    original = properties.evaluate
-    monkeypatch.setattr(properties, "evaluate",
-                        lambda graph, measure: -original(graph, measure))
+    """Make every measure the trials evaluate anti-monotone, concave and
+    Schur-concave, on graphs and on eigenvalue vectors alike."""
+    for name in ("evaluate", "evaluate_eigenvalues"):
+        original = getattr(properties, name)
+        monkeypatch.setattr(properties, name,
+                            lambda subject, measure, original=original:
+                            -original(subject, measure))
 
 
 def _assert_replays(report, property_id, subject):

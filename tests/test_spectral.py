@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from systemic import (ConnectivityError, DimensionError, DomainError, MeasureDescriptor,
-                      NumericalError, WeightedGraph, centering_matrix, eig_sym, evaluate,
+                      NumericalError, WeightedGraph, eig_sym, evaluate,
                       evaluate_eigenvalues, generate, graph_add, graph_spectrum,
                       is_connected, is_spectral, laplacian, laplacian_spectrum,
                       pseudo_inverse, psd_order, scalar_mul, spectral)
@@ -347,7 +347,8 @@ class TestPseudoInverse:
         # L Ldagger equals the centering projector for a connected graph
         matrix = laplacian(k3)
         product = matrix @ pseudo_inverse(k3)
-        assert np.abs(product - centering_matrix(3)).max() < 1e-12
+        centering = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
+        assert np.abs(product - centering).max() < 1e-12
 
     def test_disconnected_rejected(self):
         graph = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
