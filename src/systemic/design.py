@@ -21,8 +21,8 @@ from .errors import (ConnectivityError, DomainError, GraphFormatError, InputErro
                      ScaleError)
 from .graphs import (WeightedGraph, _check_integer, _connected, _degree_vector,
                      _integer_columns, _laplacian_matrix, is_connected)
-from .measures import _MEASURES, MeasureDescriptor, evaluate, get_spectral_function
-from .spectral import Spectrum, graph_spectrum, laplacian_spectrum
+from .measures import _MEASURES, MeasureDescriptor, evaluate, evaluate_eigenvalues
+from .spectral import Spectrum, eig_sym, graph_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,12 @@ class _Objective:
         measure); ConnectivityError when the weights disconnect the topology."""
         # chain rule: d lambda_i / d w_e is the squared difference of mode i
         # across edge e, and w_e adds to the degrees of both its endpoints;
-        # laplacian_spectrum's gates have proved the nonzero spectrum positive
+        # a lambda_2 above the solve's error bound proves the nonzero spectrum positive
         if self.entry.spectral:
-            spectrum = laplacian_spectrum(self.topology.laplacian_of(weights))
+            spectrum = eig_sym(self.topology.laplacian_of(weights))
+            if not spectrum.eigenvalues[1] > spectrum.error_bound:
+                raise ConnectivityError("lambda_2 is within the solve's error bound: "
+                                        "the weights disconnect the topology")
             value = self.entry.value(spectrum.nonzero, self.measure)
             grad = self.entry.grad(spectrum.nonzero, self.measure, value)
             return value, _edge_mode_squares(self.topology, spectrum) @ grad
@@ -386,18 +389,16 @@ def fundamental_limit(graph: WeightedGraph, k: int, f_id: str) -> float:
     """Lower bound on sum-of-f measures after adding at most k weighted edges.
 
     Adding k edges is a rank-k positive update, so each eigenvalue climbs at
-    most k index positions; the bound sums f over the original eigenvalues
-    from position k+2 upward (1-based), and is 0 once that range is empty.
+    most k index positions; the bound is the schur_sum measure of the
+    original eigenvalues from position k+2 upward (1-based), and 0 once that
+    range is empty.
     An added edge of unbounded weight sends an eigenvalue to infinity, so the
     bound needs f(inf) = 0, which every f of get_spectral_function has.
     """
     _check_integer("edge budget k", k, 0)
-    fn = get_spectral_function(f_id)
-    lam = graph_spectrum(graph).eigenvalues
-    tail = lam[k + 1:]
-    if tail.size == 0:
-        return 0.0
-    return float(np.sum(fn.fn(tail)))
+    measure = MeasureDescriptor("schur_sum", f_id=f_id)
+    tail = graph_spectrum(graph).eigenvalues[k + 1:]
+    return evaluate_eigenvalues(tail, measure) if tail.size else 0.0
 
 
 def greedy_augment(graph: WeightedGraph, k: int,

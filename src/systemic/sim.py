@@ -6,20 +6,21 @@ squared H_2 measure, so the simulation cross-checks the spectral formulas
 without touching them.  Noise streams are counter-based (Philox) keyed by
 (seed, trial), which makes trials reproducible and order-independent.
 
-`estimate_h2` draws the noise one chunk of steps ahead of the recursion on two
-worker threads, each filling half of the trials (NumPy releases the
-interpreter lock while it fills).  Every trial reads only its own stream,
-so the result is bit-identical to drawing the trials one after another, and
-independent of thread and BLAS scheduling.  `simulate_output` draws its one
-trial through the same routine, so trial t of both reads the same noise.
+`_integrate` is the one Euler-Maruyama recursion: `estimate_h2` averages over
+trials 0 .. trials-1 and `simulate_output` records the path of its one trial,
+so trial t of both reads the same noise.  It draws the noise one chunk of
+steps ahead on two worker threads, each filling half of the trials (NumPy
+releases the interpreter lock while it fills).  Every trial reads only its
+own stream, so the result is bit-identical to drawing the trials one after
+another, and independent of thread and BLAS scheduling.
 
 Memory: a chunk is as many steps as fit into NOISE_BUFFER_BYTES (4 MiB) for
-all trials x n nodes, at least one step and at most the run's own.
-`estimate_h2` holds two noise buffers and one buffer of states of that size,
+all trials x n nodes, at least one step and at most the run's own.  The
+recursion holds two noise buffers and one buffer of states of that size,
 about 13 MB at 32 trials x 50 nodes however long the horizon; a step of all
 trials larger than the budget makes one-step buffers.  `simulate_output`
-holds one noise buffer besides the path it returns.  The chunk length moves
-only the grouping of the time-average sums, by ulps.
+adds the path it returns.  The chunk length moves only the grouping of the
+time-average sums, by ulps.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numbers
 import threading
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -160,34 +162,28 @@ def _fill_ahead(generators: list[np.random.Generator], blocks: list[np.ndarray],
         barrier.abort()
 
 
-def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
-    """Monte-Carlo estimate of the squared H_2 measure with its standard error.
-
-    All trials advance in lockstep (vectorized across the trial axis); the
-    per-trial time averages are combined by numpy's pairwise-summation mean,
-    so results are deterministic for a fixed seed.  While the recursion runs
-    over one chunk of steps, two worker threads draw the next chunk's noise
-    into the other of two buffers, each for half of the trials.  Both are
-    joined before this returns, and an exception in either is raised here.
+def _integrate(matrix: np.ndarray, initial: np.ndarray, cfg: SimConfig,
+               trials: list[int], consume: Callable[[int, np.ndarray], None]) -> None:
+    """Euler-Maruyama recursion of the listed trials in lockstep, each from the
+    centered initial state on the noise stream of its id.  After each chunk,
+    consume(step, states) reads the states after steps step + 1 onward, shape
+    (steps, trials, n), in a buffer the next chunk overwrites.  Two worker
+    threads draw the next chunk's noise meanwhile, each for half of the
+    trials; both are joined before this returns, and an error in either is
+    raised here.
     """
-    matrix, initial = _validate(graph, cfg)
-    n = graph.n
-    total_steps, burn_steps = cfg.total_steps, cfg.burn_steps
-    if total_steps <= burn_steps:
-        raise ConfigError("horizon leaves no steps after burn-in")
+    n, count, total_steps = initial.shape[0], len(trials), cfg.total_steps
     sqrt_dt = math.sqrt(cfg.dt)
     step_matrix = np.eye(n) - cfg.dt * matrix
-    generators = [_trial_generator(cfg.seed, trial) for trial in range(cfg.trials)]
-    half = (cfg.trials + 1) // 2
-    halves = [(lo, hi) for lo, hi in ((0, half), (half, cfg.trials)) if lo < hi]
-    chunk_steps = _chunk_steps(cfg.trials, n, total_steps)
+    generators = [_trial_generator(cfg.seed, trial) for trial in trials]
+    half = (count + 1) // 2
+    halves = [(lo, hi) for lo, hi in ((0, half), (half, count)) if lo < hi]
+    chunk_steps = _chunk_steps(count, n, total_steps)
     chunks = [(step, min(chunk_steps, total_steps - step))
               for step in range(0, total_steps, chunk_steps)]
-    noise = np.empty((2, cfg.trials, chunk_steps, n))
-    states = np.empty((chunk_steps, cfg.trials, n))
-    state = np.tile(_center(initial), (cfg.trials, 1))
-    sums = np.zeros(cfg.trials)
-    kept = 0
+    noise = np.empty((2, count, chunk_steps, n))
+    states = np.empty((chunk_steps, count, n))
+    state = np.tile(_center(initial), (count, 1))
     # the caller and the workers meet once per chunk: the chunk's noise is
     # drawn, and the buffer the workers fill next has been consumed
     barrier = threading.Barrier(len(halves) + 1)
@@ -211,17 +207,34 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
                 np.matmul(state, step_matrix, out=out)
                 out += increment
                 state = out
-            first_kept = max(burn_steps - step, 0)
-            if first_kept < chunk:
-                sums += np.einsum("sij,sij->i", states[first_kept:chunk],
-                                  states[first_kept:chunk])
-                kept += chunk - first_kept
+            consume(step, states[:chunk])
     finally:
         barrier.abort()
         for worker in workers:
             if worker.ident is not None:
                 worker.join()
-    per_trial = sums / kept
+
+
+def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
+    """Monte-Carlo estimate of the squared H_2 measure with its standard error.
+
+    The per-trial time averages are combined by numpy's pairwise-summation
+    mean, so results are deterministic for a fixed seed.
+    """
+    matrix, initial = _validate(graph, cfg)
+    burn_steps = cfg.burn_steps
+    if cfg.total_steps <= burn_steps:
+        raise ConfigError("horizon leaves no steps after burn-in")
+    sums = np.zeros(cfg.trials)
+
+    def accumulate(step: int, states: np.ndarray) -> None:
+        nonlocal sums
+        first_kept = max(burn_steps - step, 0)
+        if first_kept < len(states):
+            sums += np.einsum("sij,sij->i", states[first_kept:], states[first_kept:])
+
+    _integrate(matrix, initial, cfg, list(range(cfg.trials)), accumulate)
+    per_trial = sums / (cfg.total_steps - burn_steps)
     estimate = float(np.mean(per_trial))
     if cfg.trials == 1:
         return estimate, math.nan
@@ -240,21 +253,13 @@ def simulate_output(graph: WeightedGraph, cfg: SimConfig, trial: int = 0) -> np.
     if not 0 <= trial < 1 << 64:
         raise ConfigError(f"trial must be in [0, 2**64), got {trial}")
     matrix, initial = _validate(graph, cfg)
-    total_steps = cfg.total_steps
-    sqrt_dt = math.sqrt(cfg.dt)
-    step_matrix = np.eye(graph.n) - cfg.dt * matrix
-    generator = _trial_generator(cfg.seed, trial)
-    state = _center(initial)
-    path = np.empty((total_steps + 1, graph.n))
-    path[0] = state
-    chunk_steps = _chunk_steps(1, graph.n, total_steps)
-    noise = np.empty((1, chunk_steps, graph.n))
-    for step in range(0, total_steps, chunk_steps):
-        block = noise[:, :min(chunk_steps, total_steps - step)]
-        _fill_noise([generator], block, sqrt_dt)
-        for row, increment in enumerate(block[0], start=step + 1):
-            state = state @ step_matrix + increment
-            path[row] = state
+    path = np.empty((cfg.total_steps + 1, graph.n))
+    path[0] = _center(initial)
+
+    def record(step: int, states: np.ndarray) -> None:
+        path[step + 1:step + 1 + len(states)] = states[:, 0]
+
+    _integrate(matrix, initial, cfg, [trial], record)
     return path
 
 

@@ -34,9 +34,9 @@ and read the eigenvectors only through sign-free products. Identical input
 bits give identical output bits on the same machine and BLAS build in either
 mode, which the property-check machinery relies on for replayable trials.
 
-laplacian_spectrum judges the zero mode of a graph or a raw Laplacian matrix
-against the spectrum's error bound. A graph also brings its connectivity, an
-exact combinatorial fact, so a weak but present bridge is not called a cut.
+laplacian_spectrum and pseudo_inverse take only a graph, which brings its
+connectivity, an exact combinatorial fact, so a weak but present bridge is
+not called a cut; eig_sym is the route for a raw matrix.
 """
 
 from __future__ import annotations
@@ -178,37 +178,29 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
     return Spectrum(eigenvalues=d, error_bound=delta, eigenvectors=v, residual=residual)
 
 
-def laplacian_spectrum(operand: WeightedGraph | np.ndarray, *,
-                       vectors: bool = True) -> Spectrum:
-    """Spectrum of a connected-graph Laplacian (or any matrix similar to one).
+def laplacian_spectrum(graph: WeightedGraph, *, vectors: bool = True) -> Spectrum:
+    """Spectrum of a connected graph's Laplacian, the zero mode snapped to 0.
 
-    The operand is a graph or a raw matrix. eig_sym in the full mode, or
-    values only with vectors=False; the smallest eigenvalue is snapped to
-    exactly 0.  With delta the spectrum's error_bound, |lambda_1| > delta is
-    not a structural zero (DomainError), and lambda_2 <= delta means the
-    matrix is disconnected as far as the solve can tell (ConnectivityError).
-    A WeightedGraph brings its exact connectivity flag instead: a
-    disconnected graph raises ConnectivityError before any eigensolve, and a
-    connected one that fails either test NumericalError.
+    eig_sym in the full mode, or values only with vectors=False. A
+    disconnected graph raises ConnectivityError before any eigensolve; a
+    connected one whose smallest eigenvalue is not within the spectrum's
+    error_bound delta of zero, or whose second is not above delta, raises
+    NumericalError. An operand that is not a WeightedGraph raises
+    DomainError: eig_sym takes a raw matrix.
     """
-    is_graph = isinstance(operand, WeightedGraph)
-    if is_graph and operand.n >= 2 and not is_connected(operand):
-        raise ConnectivityError("graph is disconnected")
-    matrix = laplacian(operand) if is_graph else np.asarray(operand, dtype=float)
-    if matrix.ndim == 2 and matrix.shape[0] < 2:
+    if not isinstance(graph, WeightedGraph):
+        raise DomainError(f"laplacian_spectrum takes a WeightedGraph, not "
+                          f"{type(graph).__name__}; use eig_sym for a raw matrix")
+    if graph.n < 2:
         raise DomainError("consensus spectra need at least 2 nodes")
-    spec = eig_sym(matrix, vectors=vectors)  # DimensionError unless square
+    if not is_connected(graph):
+        raise ConnectivityError("graph is disconnected")
+    spec = eig_sym(laplacian(graph), vectors=vectors)
     lam, delta = spec.eigenvalues, spec.error_bound
-    if is_graph and not (abs(lam[0]) <= delta and lam[1] > delta):
+    if not (abs(lam[0]) <= delta and lam[1] > delta):
         raise NumericalError(
             f"eigenvalues {lam[0]:.3e}, {lam[1]:.3e} of a connected graph are not "
             f"resolved by the solve's error bound {delta:.3e}")
-    if not abs(lam[0]) <= delta:
-        raise DomainError(f"smallest eigenvalue {lam[0]:.3e} is not a structural zero "
-                          f"(error bound {delta:.3e})")
-    if not lam[1] > delta:
-        raise ConnectivityError(f"second eigenvalue {lam[1]:.3e} within the error bound "
-                                f"{delta:.3e}: graph is disconnected")
     snapped = lam.copy()
     snapped[0] = 0.0
     return replace(spec, eigenvalues=snapped)
@@ -220,13 +212,14 @@ def graph_spectrum(graph: WeightedGraph) -> Spectrum:
     return laplacian_spectrum(graph, vectors=False)
 
 
-def pseudo_inverse(operand: WeightedGraph | np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a connected-graph Laplacian.
+def pseudo_inverse(graph: WeightedGraph) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of a connected graph's Laplacian.
 
-    Assembled from the spectrum as sum over nonzero modes of v v^T / lambda;
-    the result is symmetric, doubly centered and positive semidefinite.
+    Assembled from laplacian_spectrum as sum over nonzero modes of
+    v v^T / lambda, with its errors; the result is symmetric, doubly centered
+    and positive semidefinite.
     """
-    spec = laplacian_spectrum(operand)
+    spec = laplacian_spectrum(graph)
     vectors = spec.eigenvectors[:, 1:]
     inverse = (vectors / spec.nonzero) @ vectors.T
     return 0.5 * (inverse + inverse.T)

@@ -13,7 +13,7 @@ from systemic import (ConnectivityError, DomainError, GraphFormatError, InputErr
                       graph_spectrum, graphs, greedy_augment, is_connected, laplacian,
                       laplacian_spectrum, optimize_weights, project_simplex,
                       rewire_bruteforce)
-from systemic import design, spectral
+from systemic import design
 from systemic.design import _Objective, _check_relabelings, canonical_edges
 from systemic.measures import MEASURE_IDS
 
@@ -286,12 +286,12 @@ class TestRepeatedTrialPoints:
     @pytest.mark.parametrize("descriptor", SMOOTH_CASES, ids=lambda d: d.label())
     def test_same_result_with_fewer_solves_by_the_repeats(self, monkeypatch, descriptor):
         solves = [0]
-        eig_sym = spectral.eig_sym
+        eig_sym = design.eig_sym
 
         def counting_eig_sym(matrix, **kwargs):
             solves[0] += 1
             return eig_sym(matrix, **kwargs)
-        monkeypatch.setattr(spectral, "eig_sym", counting_eig_sym)
+        monkeypatch.setattr(design, "eig_sym", counting_eig_sym)
         topology, options = er_topology("er30_s4"), SolverOptions()
         result = optimize_weights(topology, descriptor, options)
         skipping_solves, solves[0] = solves[0], 0
@@ -334,7 +334,7 @@ class TestCertificate:
                              ids=["energy1", "hinf"])
     def test_one_eigensolve_per_trial_point(self, monkeypatch, descriptor, max_iters):
         solved, evaluated = [], []
-        eig_sym, value_and_gradient = spectral.eig_sym, _Objective.value_and_gradient
+        eig_sym, value_and_gradient = design.eig_sym, _Objective.value_and_gradient
 
         def recording_eig_sym(matrix, **kwargs):
             solved.append(matrix)
@@ -343,7 +343,7 @@ class TestCertificate:
         def recording_value_and_gradient(self, weights):
             evaluated.append(weights)
             return value_and_gradient(self, weights)
-        monkeypatch.setattr(spectral, "eig_sym", recording_eig_sym)
+        monkeypatch.setattr(design, "eig_sym", recording_eig_sym)
         monkeypatch.setattr(_Objective, "value_and_gradient", recording_value_and_gradient)
         optimize_weights(er_topology("er30_s4"), descriptor, SolverOptions(max_iters=max_iters))
         assert len(solved) == len(evaluated)
@@ -479,7 +479,7 @@ class TestDegreeObjective:
     def test_local_error_allocation_runs_no_eigensolve(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("eigensolve for a degree-based measure")
-        monkeypatch.setattr("systemic.design.laplacian_spectrum", fail)
+        monkeypatch.setattr("systemic.design.eig_sym", fail)
         topology = Topology.from_graph(generate("erdos_renyi", 30, seed=4, p=0.2))
         result = optimize_weights(topology, MeasureDescriptor("local_error"),
                                   SolverOptions(tol=1e-12))
@@ -497,6 +497,36 @@ class TestDegreeObjective:
         value, gradient = objective.value_and_gradient(np.array([0.5, 1e-300, 0.5]))
         assert value == 4.0
         assert np.array_equal(gradient, [-4.0, -4.0, -4.0])
+
+
+class TestAllocatorConnectivity:
+    """A spectral objective calls a trial point disconnected when its lambda_2
+    is not above the solve's error bound; laplacian_spectrum once made that
+    verdict for a raw matrix."""
+
+    TWO_BLOCKS = Topology(n=6, edges=((0, 1), (0, 2), (1, 2), (2, 3),
+                                      (3, 4), (3, 5), (4, 5)))
+
+    @pytest.mark.parametrize("topology, weights", [
+        (P4_TOPOLOGY, (1.0, 1e-20, 1.0)),
+        # lambda_2 is about 1e-14: positive, but within the bound of about 2e-14
+        (P4_TOPOLOGY, (1.0, 1e-14, 1.0)),
+        (TWO_BLOCKS, (1.0, 2.0, 1.0, 0.0, 1.0, 1.0, 3.0)),
+    ], ids=["unresolved-bridge", "bridge-within-bound", "two-blocks"])
+    @pytest.mark.parametrize("descriptor", [ENERGY, MeasureDescriptor("hinf")],
+                             ids=lambda d: d.label())
+    def test_lambda2_within_the_bound_is_a_cut(self, topology, weights, descriptor):
+        objective = _Objective(topology, descriptor)
+        with pytest.raises(ConnectivityError, match="within the solve's error bound"):
+            objective.value_and_gradient(np.array(weights))
+
+    def test_weak_bridge_resolves(self):
+        # the 1e-9 bridge is far above the bound; lambda_2 is about 5e-10
+        # with an error of about 1e-16, so the value is good to about 1e-7
+        value, _ = _Objective(P4_TOPOLOGY, ENERGY).value_and_gradient(
+            np.array([1.0, 1e-9, 1.0]))
+        graph = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1e-9), (2, 3, 1.0)])
+        assert value == pytest.approx(evaluate(graph, ENERGY), rel=1e-6)
 
 
 class TestGradients:

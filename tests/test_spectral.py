@@ -182,9 +182,17 @@ class TestLaplacianSpectrum:
 
     @pytest.mark.parametrize("operand", [np.float64(1.0), np.zeros(3)])
     def test_non_matrix_operand(self, operand):
-        # a 0-d operand raised a bare IndexError
-        with pytest.raises(DimensionError, match="expected a square matrix, got shape"):
+        # a 0-d operand raised a bare IndexError, and any array was solved
+        with pytest.raises(DomainError, match="use eig_sym for a raw matrix"):
             laplacian_spectrum(operand)
+
+    @pytest.mark.parametrize("route", [laplacian_spectrum, pseudo_inverse])
+    def test_raw_laplacian_refused(self, route):
+        # a raw matrix was judged by eigenvalue thresholds, a graph by its flag
+        matrix = laplacian(random_connected(5))
+        with pytest.raises(DomainError, match="takes a WeightedGraph, not ndarray; "
+                                              "use eig_sym for a raw matrix"):
+            route(matrix)
 
 
 class TestGraphConnectivity:
@@ -221,14 +229,15 @@ class TestGraphConnectivity:
             evaluate(graph, MeasureDescriptor("energy1"))
 
     def test_raw_matrix_resolves_a_weak_bridge(self):
-        # a raw matrix is judged by the same error bound as the graph it
-        # came from, so the 1e-9 bridge resolves and the solves agree bit for bit
+        # eig_sym on the raw Laplacian resolves the 1e-9 bridge above its
+        # error bound and agrees with the graph's spectrum bit for bit
         graph = bridged_path(1e-9)
         matrix = laplacian(graph)
         for vectors in (True, False):
-            raw = laplacian_spectrum(matrix, vectors=vectors)
-            assert (raw.eigenvalues.tobytes()
-                    == laplacian_spectrum(graph, vectors=vectors).eigenvalues.tobytes())
+            raw = eig_sym(matrix, vectors=vectors)
+            assert raw.eigenvalues[1] > raw.error_bound
+            assert (raw.eigenvalues[1:].tobytes()
+                    == laplacian_spectrum(graph, vectors=vectors).nonzero.tobytes())
 
     @pytest.mark.parametrize("vectors", [True, False])
     @pytest.mark.parametrize("graph", [
@@ -240,15 +249,18 @@ class TestGraphConnectivity:
     ], ids=["unresolved-bridge", "bridge-within-bound", "two-blocks"])
     def test_raw_matrix_with_unresolved_second_eigenvalue_is_disconnected(
             self, graph, vectors):
-        with pytest.raises(ConnectivityError, match="within the error bound"):
-            laplacian_spectrum(laplacian(graph), vectors=vectors)
+        # eig_sym cannot tell these lambda_2 from zero, which is the weight
+        # allocator's rule for a cut (test_design, TestAllocatorConnectivity)
+        spectrum = eig_sym(laplacian(graph), vectors=vectors)
+        assert not spectrum.eigenvalues[1] > spectrum.error_bound
 
     @pytest.mark.parametrize("vectors", [True, False])
     @pytest.mark.parametrize("shift", [1e-6, 1e-12])  # the bound is about 2e-14
     def test_raw_matrix_without_a_zero_mode_rejected(self, shift, vectors):
+        # the error bound tells a shifted smallest eigenvalue from a zero mode
         matrix = laplacian(bridged_path(1.0)) + shift * np.eye(4)
-        with pytest.raises(DomainError, match="not a structural zero"):
-            laplacian_spectrum(matrix, vectors=vectors)
+        spectrum = eig_sym(matrix, vectors=vectors)
+        assert spectrum.eigenvalues[0] > spectrum.error_bound
 
     def test_disconnected_graph_runs_no_eigensolve(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -277,7 +289,8 @@ class TestErrorBound:
     def test_matches_the_frobenius_formula(self, seed, raw, vectors):
         graph = random_connected(700 + seed, weight_range=(1e-3, 1e3))
         matrix = laplacian(graph)
-        spectrum = laplacian_spectrum(matrix if raw else graph, vectors=vectors)
+        spectrum = (eig_sym(matrix, vectors=vectors) if raw
+                    else laplacian_spectrum(graph, vectors=vectors))
         expected = 8.0 * graph.n * np.finfo(float).eps * np.linalg.norm(matrix)
         assert spectrum.error_bound == pytest.approx(expected, rel=1e-12)
 
@@ -285,10 +298,12 @@ class TestErrorBound:
     @pytest.mark.parametrize("family", ["complete", "path", "erdos_renyi"])
     def test_graph_and_raw_laplacian_give_the_same_bits(self, family, vectors):
         graph = generate(family, 30, seed=2, p=0.2, weight_range=(0.5, 2.0))
+        # laplacian_spectrum is eig_sym on the graph's Laplacian, the zero mode snapped
         from_graph = laplacian_spectrum(graph, vectors=vectors)
-        from_matrix = laplacian_spectrum(laplacian(graph), vectors=vectors)
+        from_matrix = eig_sym(laplacian(graph), vectors=vectors)
         assert from_graph.error_bound.hex() == from_matrix.error_bound.hex()
-        assert from_graph.eigenvalues.tobytes() == from_matrix.eigenvalues.tobytes()
+        assert from_graph.nonzero.tobytes() == from_matrix.eigenvalues[1:].tobytes()
+        assert abs(from_matrix.eigenvalues[0]) <= from_matrix.error_bound
 
 
     @pytest.mark.parametrize("vectors", [True, False])
@@ -415,11 +430,11 @@ class TestValuesOnlyContract:
 
     def _corrupt_raises(self, monkeypatch, corrupt, match):
         self._patch_eigvalsh(monkeypatch, corrupt)
-        matrix = laplacian(generate("erdos_renyi", 8, seed=3, p=0.5))
+        graph = generate("erdos_renyi", 8, seed=3, p=0.5)
         with pytest.raises(NumericalError, match=match):
-            eig_sym(matrix, vectors=False)
+            eig_sym(laplacian(graph), vectors=False)
         with pytest.raises(NumericalError, match=match):
-            laplacian_spectrum(matrix, vectors=False)
+            laplacian_spectrum(graph, vectors=False)
 
     def test_shifted_top_value_rejected(self, monkeypatch):
         def shift(values):
@@ -472,7 +487,7 @@ class TestValuesOnlyContract:
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
     def test_no_false_alarm_on_k1000(self, scale):
         matrix = scale * laplacian(generate("complete", 1000))
-        values = laplacian_spectrum(matrix, vectors=False).eigenvalues
+        values = eig_sym(matrix, vectors=False).eigenvalues
         assert np.abs(values[1:] - 1000.0 * scale).max() <= 1e-12 * 1000.0 * scale
 
     @pytest.mark.parametrize("scale", [1e-9, 1e9])
