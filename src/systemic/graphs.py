@@ -425,10 +425,10 @@ def parse_graph(text: str) -> WeightedGraph:
 
 def serialize_graph(graph: WeightedGraph) -> str:
     """Inverse of parse_graph; weights printed with 17 significant digits."""
-    lines = [f"n {graph.n}"]
-    lines.extend(f"{u} {v} {w:.17g}" for u, v, w in
-                 zip(graph._us.tolist(), graph._vs.tolist(), graph._ws.tolist()))
-    return "\n".join(lines) + "\n"
+    fields = [None] * (3 * graph.m)
+    fields[0::3], fields[1::3], fields[2::3] = (
+        graph._us.tolist(), graph._vs.tolist(), graph._ws.tolist())
+    return f"n {graph.n}\n" + ("%d %d %.17g\n" * graph.m) % tuple(fields)
 
 
 def _edge_weights(rng: np.random.Generator, count: int,

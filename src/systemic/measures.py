@@ -63,7 +63,8 @@ def get_spectral_function(f_id: str) -> SpectralFunction:
     exp_decay:q, with q finite and > 0.
 
     Each identifier is resolved once.  f is sampled on a log grid over
-    [1e-3, 1e3], where it must be finite: inverse_pow:200 is not.
+    [1e-3, 1e3], where it must be finite without an overflow on the way:
+    inverse_pow:200 and exp_decay:1e308 are not.
     """
     name, sep, rest = f_id.partition(":")
     if name not in _SPECTRAL_FUNCTIONS:
@@ -82,8 +83,11 @@ def get_spectral_function(f_id: str) -> SpectralFunction:
             raise DomainError(f"{name!r} needs a finite positive {noun}, "
                               f"e.g. {name}:2, got {f_id!r}")
         label = f"{name}:{q:g}"
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(fn(np.logspace(-3.0, 3.0, 121), q)).all()
+    try:
+        with np.errstate(over="raise"):
+            finite = np.isfinite(fn(np.logspace(-3.0, 3.0, 121), q)).all()
+    except FloatingPointError:
+        finite = False
     if not finite:
         raise DomainError(f"spectral function {label!r} is not finite on (0, inf)")
     return SpectralFunction(label, lambda x: fn(x, q), lambda x: derivative(x, q))
@@ -131,7 +135,8 @@ def _hp_coefficient(p: float) -> float:
 def _power_root(lam: np.ndarray, scale: float, s: float, p: float,
                 coefficient: float = 1.0) -> float:
     """scale * (coefficient * sum lam^-s)^(1/p), in log-space when the sum is
-    not a normal double; at p = inf, scale / lambda_2 (coefficient unused)."""
+    not a normal double, and inf where even that overflows; at p = inf,
+    scale / lambda_2 (coefficient unused)."""
     if p == math.inf:
         return scale / float(lam.min())
     with np.errstate(over="ignore"):
@@ -141,7 +146,10 @@ def _power_root(lam: np.ndarray, scale: float, s: float, p: float,
     logs = -s * np.log(lam)
     peak = float(logs.max())
     log_total = peak + math.log(float(np.exp(logs - peak).sum()))
-    return scale * math.exp((math.log(coefficient) + log_total) / p)
+    try:
+        return scale * math.exp((math.log(coefficient) + log_total) / p)
+    except OverflowError:
+        return math.inf
 
 
 def _power_root_grad(lam: np.ndarray, s: float, p: float, value: float) -> np.ndarray:
@@ -286,6 +294,15 @@ def applicable_properties(measure: MeasureDescriptor) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # core evaluations
 
+def _finite(value: float, measure: MeasureDescriptor | str) -> float:
+    """value, or NumericalError naming the measure when it is not a finite
+    double; a descriptor's label is formatted only then."""
+    if not math.isfinite(value):
+        name = measure if isinstance(measure, str) else measure.label()
+        raise NumericalError(f"{name} is {value} in double precision")
+    return value
+
+
 def zeta(graph: WeightedGraph, p: float) -> float:
     """Spectral zeta function: sum of nonzero Laplacian eigenvalues to the -p.
 
@@ -296,7 +313,7 @@ def zeta(graph: WeightedGraph, p: float) -> float:
     if not (0 < p < math.inf):
         raise DomainError(f"zeta exponent p must be finite and positive, got {p}")
     lam = graph_spectrum(graph).nonzero
-    return float(np.sum(lam ** (-float(p))))
+    return _finite(float(np.sum(lam ** (-float(p)))), f"zeta({p:g})")
 
 
 def zeta_measure(graph: WeightedGraph, p: float, k: float) -> float:
@@ -467,7 +484,7 @@ def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor) -> float:
     if not entry.spectral:
         raise DomainError(
             f"{measure.id} is degree-based; eigenvalues alone cannot express it")
-    return entry.value(lam, measure)
+    return _finite(entry.value(lam, measure), measure)
 
 
 def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
@@ -475,18 +492,20 @@ def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
 
     A spectral measure reads the cached spectrum as it is: graph_spectrum's
     gates have already proved its nonzero part finite and above the solve's
-    error bound, so it is not scanned again.  A degree-based measure needs
+    error bound, so it is not scanned again.  A value that is not a finite
+    double (an eigenvalue near the underflow threshold sends 1/lambda to inf)
+    is a NumericalError, here as in evaluate_eigenvalues and zeta.  A degree-based measure needs
     no eigensolve: it reads the graph's degree vector and its connectivity
     flag, so a weak but present bridge does not count as a cut.
     """
     entry = _MEASURES[measure.id]
     if entry.spectral:
-        return entry.value(graph_spectrum(graph).nonzero, measure)
+        return _finite(entry.value(graph_spectrum(graph).nonzero, measure), measure)
     if graph.n < 2:
         raise DomainError("consensus measures need at least 2 nodes")
     if not is_connected(graph):
         raise ConnectivityError(f"{measure.id} needs a connected graph")
-    return entry.value(graph.degrees, measure)
+    return _finite(entry.value(graph.degrees, measure), measure)
 
 
 def entropy_via_trees(graph: WeightedGraph) -> float:
@@ -498,6 +517,8 @@ def entropy_via_trees(graph: WeightedGraph) -> float:
     See ENTROPY_FORM_WARNING for why the often-quoted log(n/tau) is not
     reproduced here.
     """
+    if graph.n < 2:
+        raise DomainError("consensus spectra need at least 2 nodes")
     if not is_connected(graph):
         raise ConnectivityError("spanning-tree entropy needs a connected graph")
     return -(math.log(graph.n) + spanning_tree_count(graph, log=True))

@@ -85,6 +85,66 @@ class TestMeasure:
         assert report is None
 
 
+class TestNonFiniteValues:
+    """A value that is not a finite double exits 3 with the measure's name;
+    each of these printed "inf" with exit 0, and zeta_measure died with an
+    uncaught OverflowError (exit 1)."""
+
+    # lambda_2 = 2e-310: 1 / lambda_2 overflows, the log-space root as well
+    TINY = "n 2\n0 1 1e-310\n"
+    # lambda_2 = 2e-4: lambda^-100 overflows
+    SMALL = "n 2\n0 1 0.0001\n"
+
+    @staticmethod
+    def _file(tmp_path, text):
+        target = tmp_path / "graph.txt"
+        target.write_text(text)
+        return str(target)
+
+    @pytest.mark.parametrize("extra, name", [
+        (["--measure", "energy1"], "energy1"), (["--measure", "h2"], "h2"),
+        (["--measure", "energy2"], "energy2"), (["--measure", "hinf"], "hinf"),
+        (["--measure", "local_error"], "local_error"),
+        (["--measure", "zeta_measure", "--p", "2"], "(zeta_measure, p=2, k=1)"),
+    ], ids=["energy1", "h2", "energy2", "hinf", "local_error", "zeta_measure"])
+    def test_measure_exits_three(self, capsys, tmp_path, extra, name):
+        code, report, err = run_cli(
+            capsys, ["measure", "--graph", self._file(tmp_path, self.TINY), *extra])
+        assert (code, report) == (3, None)
+        assert f"error: {name} is inf in double precision" in err
+
+    def test_zeta_exits_three(self, capsys, tmp_path):
+        code, report, err = run_cli(
+            capsys, ["zeta", "--graph", self._file(tmp_path, self.TINY), "--p", "2"])
+        assert (code, report) == (3, None)
+        assert "zeta(2) is inf" in err
+
+    def test_schur_sum_exits_three(self, capsys, tmp_path):
+        code, report, err = run_cli(capsys, [
+            "measure", "--graph", self._file(tmp_path, self.SMALL), "--measure",
+            "schur_sum", "--f", "inverse_pow:100"])
+        assert (code, report) == (3, None)
+        assert "(schur_sum, f=inverse_pow:100) is inf" in err
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_augment_exits_three(self, capsys, tmp_path, k):
+        candidates = tmp_path / "candidates.txt"
+        candidates.write_text("n 2\n0 1 1\n")
+        code, report, err = run_cli(capsys, [
+            "augment", "--graph", self._file(tmp_path, self.SMALL), "--k", k,
+            "--candidates", str(candidates), "--f", "inverse_pow:100"])
+        assert (code, report) == (3, None)
+        assert "(schur_sum, f=inverse_pow:100) is inf" in err
+
+    def test_overflowing_spectral_function_exits_two(self, capsys, graph_files):
+        # exp_decay:1e308 overflows in -q * x on every evaluation
+        code, report, err = run_cli(capsys, [
+            "measure", "--graph", graph_files["p3"], "--measure", "schur_sum",
+            "--f", "exp_decay:1e308"])
+        assert (code, report) == (2, None)
+        assert "not finite" in err
+
+
 class TestZetaAndHp:
     def test_zeta(self, capsys, graph_files):
         code, report, _ = run_cli(capsys, ["zeta", "--graph", graph_files["p3"],

@@ -471,6 +471,19 @@ class TestSerialization:
         graph = WeightedGraph.from_edges(2, [(0, 1, weight)])
         assert parse_graph(serialize_graph(graph)).edges[0][2] == weight
 
+    @pytest.mark.parametrize("weights", ["extreme", "random", "edgeless"])
+    def test_bytes_of_the_per_edge_format(self, weights):
+        # the text once came from one f-string per edge
+        graph = generate("erdos_renyi", 40, seed=6, p=0.3, weight_range=(0.5, 2.0))
+        if weights == "extreme":
+            extremes = [1e-300, 1e300, 5e-324, 1.7976931348623157e308, 1.0, 0.1]
+            graph = WeightedGraph.from_edges(graph.n, [
+                (u, v, extremes[i % len(extremes)]) for i, (u, v, _) in enumerate(graph.edges)])
+        elif weights == "edgeless":
+            graph = WeightedGraph.from_edges(1, [])
+        lines = [f"n {graph.n}"] + [f"{u} {v} {w:.17g}" for u, v, w in graph.edges]
+        assert serialize_graph(graph) == "\n".join(lines) + "\n"
+
 
 class TestGenerateMatchesLoop:
     """The array generators give the loop generator's graphs bit for bit,

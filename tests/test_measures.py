@@ -50,6 +50,13 @@ class TestZeta:
 
 
 class TestZetaMeasure:
+    def test_log_space_overflow_is_inf(self):
+        # exp(713) raised OverflowError from the log-space branch
+        value = measures._power_root(np.array([2e-310]), 1.0, 2.0, 2.0)
+        assert value == math.inf
+        with pytest.raises(NumericalError, match=r"\(zeta_measure, p=2, k=1\) is inf"):
+            evaluate_eigenvalues(np.array([2e-310]), MeasureDescriptor("zeta_measure", p=2.0))
+
     def test_k3_infinite_exponent(self, k3):
         assert zeta_measure(k3, math.inf, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -476,6 +483,15 @@ class TestEntropyViaTrees:
         with pytest.raises(ConnectivityError):
             entropy_via_trees(graph)
 
+    def test_one_node_refused_as_evaluate_does(self):
+        # this returned -0.0
+        graph = WeightedGraph.from_edges(1, [])
+        message = "consensus spectra need at least 2 nodes"
+        with pytest.raises(DomainError, match=message):
+            evaluate(graph, MeasureDescriptor("entropy"))
+        with pytest.raises(DomainError, match=message):
+            entropy_via_trees(graph)
+
 
 class TestDescriptors:
     def test_unknown_id(self):
@@ -584,6 +600,13 @@ class TestFunctionRegistry:
     def test_overflowing_exponent_rejected(self):
         with pytest.raises(DomainError, match="not finite"):
             get_spectral_function("inverse_pow:200")
+
+    # f reads 0 on the grid, but -q * x overflows on the way, as it then did
+    # on every evaluation; the id was accepted
+    @pytest.mark.parametrize("f_id", ["exp_decay:1e308", "inverse_pow:200"])
+    def test_overflow_in_the_sample_rejected(self, f_id):
+        with pytest.raises(DomainError, match="not finite"):
+            get_spectral_function(f_id)
 
     @pytest.mark.parametrize("f_id, name", [("inverse", "inverse"), ("inverse_sq", "inverse_sq"),
                                             ("inverse_pow:2.50", "inverse_pow:2.5"),
