@@ -494,9 +494,10 @@ def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
     gates have already proved its nonzero part finite and above the solve's
     error bound, so it is not scanned again.  A value that is not a finite
     double (an eigenvalue near the underflow threshold sends 1/lambda to inf)
-    is a NumericalError, here as in evaluate_eigenvalues and zeta.  A degree-based measure needs
-    no eigensolve: it reads the graph's degree vector and its connectivity
-    flag, so a weak but present bridge does not count as a cut.
+    is a NumericalError, here as in evaluate_eigenvalues and zeta.  A
+    degree-based measure needs no eigensolve: it reads the graph's degree
+    vector and its connectivity flag, so a weak but present bridge does not
+    count as a cut.
     """
     entry = _MEASURES[measure.id]
     if entry.spectral:
