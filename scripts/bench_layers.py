@@ -8,10 +8,10 @@ it pays one eigensolve (none for the degree-based local_error); a cached call
 finds the spectrum cached.  Every value is checked, to a relative 1e-8,
 against the measure's formula on `numpy.linalg.eigvalsh` of a Laplacian
 assembled here from the edge list, so a fast wrong path posts no number.  The
-bench also counts the eigensolves (`eig_sym` calls) of one weight
-allocation per measure on ER(30, p = 0.2, seed 4), checks its objective the
-same way, and writes a host record.  The package is imported from this
-checkout's `src/`, and BLAS runs one thread.
+bench also counts the eigensolves (`eig_sym` calls) and iterations of one
+weight allocation per measure on ER(30, p = 0.2, seed 4), times it once,
+checks its objective the same way, and writes a host record.  The package
+is imported from this checkout's `src/`, and BLAS runs one thread.
 
     python scripts/bench_layers.py --out BENCH.json      # full run (about 10 s)
     python scripts/bench_layers.py --smoke               # checks, one call each
@@ -46,7 +46,7 @@ SIZES = (10, 50, 200, 400)
 RTOL = 1e-8
 ROUNDS = 15
 CACHED_CALLS = 200  # cached calls per timed round
-ALLOCATION_MEASURES = ("energy1", "energy2", "h2")
+ALLOCATION_MEASURES = ("energy1", "energy2", "h2", "hinf")
 
 _md = measures.MeasureDescriptor
 DESCRIPTORS = [_md("energy1"), _md("energy2"), _md("h2"), _md("hinf"),
@@ -149,7 +149,9 @@ def count_allocation_eigensolves() -> dict:
         for measure_id in ALLOCATION_MEASURES:
             solves = 0
             descriptor = _md(measure_id)
+            start = time.perf_counter()
             result = design.optimize_weights(topology, descriptor)
+            wall = time.perf_counter() - start
             lam, degrees = reference(topology.graph_of(result.weights))
             check(f"optimize_weights {measure_id} objective", result.objective,
                   ORACLES[measure_id](lam, degrees))
@@ -157,6 +159,8 @@ def count_allocation_eigensolves() -> dict:
                 "unit": "count", "median": solves}
             metrics[f"optimize_weights.iterations.{measure_id}.er30_s4"] = {
                 "unit": "count", "median": result.iterations}
+            metrics[f"optimize_weights.wall_us.{measure_id}.er30_s4"] = {
+                "unit": "us", **quartiles_us([wall])}
     finally:
         spectral.eig_sym = design.eig_sym = eig_sym
     return metrics

@@ -6,7 +6,8 @@ The weight-allocation problem (minimize a measure over nonnegative weights
 summing to one) is convex; it is solved by projected gradient descent with an
 Armijo line search instead of materializing the equivalent semidefinite
 program, since the gradient of every catalog measure is available in closed
-form through the eigensystem.
+form through the eigensystem; k/lambda_2 is descended through smooth
+surrogates whose gradients also certify a lower bound on its optimum.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
-                     ScaleError)
+                     NumericalError, ScaleError)
 from .graphs import (WeightedGraph, _check_integer, _connected, _degree_vector,
                      _integer_columns, _laplacian_matrix, is_connected)
 from .measures import _MEASURES, MeasureDescriptor, evaluate, evaluate_eigenvalues
@@ -91,6 +92,8 @@ class Topology:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise DomainError("only a finite vector has a projection onto the simplex")
     descending = np.sort(v)[::-1]
     cumulative = np.cumsum(descending)
     indices = np.arange(1, v.size + 1)
@@ -124,7 +127,7 @@ class WeightAllocationResult:
     iterations: int
     stationarity_residual: float
     active_set: tuple[int, ...]
-    gap: float  # g.w - min g, an upper bound on objective - optimum
+    gap: float  # an upper bound on objective - optimum (g.w - min g if smooth)
     termination: str  # "converged", "line_search_stall" or "max_iters"
     history: tuple[float, ...] = field(repr=False, default=())
 
@@ -136,13 +139,6 @@ def _is_nonsmooth(measure: MeasureDescriptor) -> bool:
     return _MEASURES[measure.id].nonsmooth(measure)
 
 
-def _edge_mode_squares(topology: Topology, spectrum: Spectrum) -> np.ndarray:
-    """(m, n-1) array of (v_i[u] - v_i[v])^2 over edges and nonzero modes."""
-    vectors = spectrum.eigenvectors[:, 1:]
-    us, vs = topology._pairs.T
-    return (vectors[us, :] - vectors[vs, :]) ** 2
-
-
 class _Objective:
     def __init__(self, topology: Topology, measure: MeasureDescriptor):
         self.topology = topology
@@ -151,27 +147,39 @@ class _Objective:
 
     def value_and_gradient(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
         """The value and its edge gradient from one eigensolve (none for a degree-based
-        measure); ConnectivityError when the weights disconnect the topology."""
-        # chain rule: d lambda_i / d w_e is the squared difference of mode i
-        # across edge e, and w_e adds to the degrees of both its endpoints;
-        # a lambda_2 above the solve's error bound proves the nonzero spectrum positive
-        if self.entry.spectral:
-            spectrum = eig_sym(self.topology.laplacian_of(weights))
-            if not spectrum.eigenvalues[1] > spectrum.error_bound:
-                raise ConnectivityError("lambda_2 is within the solve's error bound: "
-                                        "the weights disconnect the topology")
-            value = self.entry.value(spectrum.nonzero, self.measure)
-            grad = self.entry.grad(spectrum.nonzero, self.measure, value)
-            return value, _edge_mode_squares(self.topology, spectrum) @ grad
-        weights = np.asarray(weights, dtype=float)
-        us, vs = self.topology._pairs[weights > 0.0].T
-        if not _connected(self.topology.n, us, vs):
-            raise ConnectivityError("the weights disconnect the topology")
-        degrees = self.topology.degrees_of(weights)
-        value = self.entry.value(degrees, self.measure)
-        grad = self.entry.grad(degrees, self.measure, value)
+        measure); ConnectivityError when the weights disconnect the topology, and
+        NumericalError when the value or the gradient is not finite."""
+        # an overflow (an f' at a small lambda_2) is the NumericalError below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.entry.spectral:
+                spectrum = eig_sym(self.topology.laplacian_of(weights))
+                # a lambda_2 above the solve's error bound proves the nonzero spectrum positive
+                if not spectrum.eigenvalues[1] > spectrum.error_bound:
+                    raise ConnectivityError("lambda_2 is within the solve's error bound: "
+                                            "the weights disconnect the topology")
+                value, gradient = self._at(weights, spectrum)
+            else:
+                weights = np.asarray(weights, dtype=float)
+                us, vs = self.topology._pairs[weights > 0.0].T
+                if not _connected(self.topology.n, us, vs):
+                    raise ConnectivityError("the weights disconnect the topology")
+                degrees = self.topology.degrees_of(weights)
+                value = self.entry.value(degrees, self.measure)
+                grad = self.entry.grad(degrees, self.measure, value)
+                us, vs = self.topology._pairs.T
+                gradient = grad[us] + grad[vs]  # w_e adds to both end degrees
+        if not (math.isfinite(value) and np.isfinite(gradient).all()):
+            raise NumericalError(f"{self.measure.label()} or its gradient is not finite")
+        return value, gradient
+
+    def _at(self, weights: np.ndarray, spectrum: Spectrum) -> tuple[float, np.ndarray]:
+        """The value and edge gradient at weights whose Laplacian has this spectrum."""
+        # chain rule: d lambda_i / d w_e is (v_i[u] - v_i[v])^2 for edge e = (u, v)
+        value = self.entry.value(spectrum.nonzero, self.measure)
+        grad = self.entry.grad(spectrum.nonzero, self.measure, value)
+        vectors = spectrum.eigenvectors[:, 1:]
         us, vs = self.topology._pairs.T
-        return value, grad[us] + grad[vs]
+        return value, (vectors[us] - vectors[vs]) ** 2 @ grad
 
 
 def _frank_wolfe_gap(weights: np.ndarray, gradient: np.ndarray) -> float:
@@ -186,18 +194,19 @@ def _certified(weights: np.ndarray, value: float, gradient: np.ndarray, tol: flo
 
 def _allocation_result(weights: np.ndarray, value: float, gradient: np.ndarray,
                        iterations: int, history: list[float], tol: float,
-                       stalled: bool = False) -> WeightAllocationResult:
-    """The result at `weights`, with the gap, residual and active set of its gradient."""
+                       stalled: bool = False, gap: float | None = None
+                       ) -> WeightAllocationResult:
+    """The result at `weights`; the gap is its Frank-Wolfe gap unless given."""
+    gap = _frank_wolfe_gap(weights, gradient) if gap is None else gap
     support = weights > SUPPORT_TOL
     supported = gradient[support]
     residual = float(np.abs(supported - supported.mean()).max())
-    termination = ("converged" if _certified(weights, value, gradient, tol)
+    termination = ("converged" if gap <= tol * max(1.0, abs(value))
                    else "line_search_stall" if stalled else "max_iters")
     return WeightAllocationResult(weights=weights, objective=value, iterations=iterations,
                                   stationarity_residual=residual,
                                   active_set=tuple(int(i) for i in np.nonzero(~support)[0]),
-                                  gap=_frank_wolfe_gap(weights, gradient),
-                                  termination=termination, history=tuple(history))
+                                  gap=gap, termination=termination, history=tuple(history))
 
 
 def optimize_weights(topology: Topology, measure: MeasureDescriptor,
@@ -206,27 +215,55 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
 
     Projected gradient descent from the uniform start with Armijo
     backtracking along the projection arc; steps that disconnect the graph
-    are rejected like failed line-search steps.  Measures that reduce to the
-    reciprocal algebraic connectivity use a projected subgradient method with
-    diminishing steps instead, tracking the best iterate.  Both stop once the
-    returned iterate's gap g.w - min g is at most tol * max(1, |f|); else a
-    failed line search or max_iters ends them, as `termination` says.  A
-    topology without edges (one node) has no weights to allocate: DomainError.
+    are rejected like failed line-search steps.  It stops once the iterate's
+    gap g.w - min g is at most tol * max(1, |f|); else a failed line search
+    or max_iters ends it, as `termination` says.  A measure k/lambda_2 is
+    descended in stages on F_p = zeta_measure(p, k=1), p = FIRST_P *
+    P_FACTOR^j, each from the point of largest lambda_2 so far to a relative
+    gap of ln(n-1)/p, F_p's bias (1/lambda_2 <= F_p <= (n-1)^(1/p)/lambda_2);
+    the last, where (n-1)^(1/p) rounds to 1, runs to the shared max_iters or
+    a stall.  Its result is that point, with the gap of _Surrogate's bound
+    and the objective after each stage as history.  No edges (one node):
+    DomainError; a value or gradient that is not finite: NumericalError.
     """
     options = options or SolverOptions()
     if topology.m == 0:
         raise DomainError("the topology has no edges to weight")
-    objective = _Objective(topology, measure)
     weights = np.full(topology.m, 1.0 / topology.m)
-    if _is_nonsmooth(measure):
-        return _optimize_subgradient(objective, weights, options)
+    if not _is_nonsmooth(measure):
+        objective = _Objective(topology, measure)
+        return _descend(objective, weights, *objective.value_and_gradient(weights),
+                        options.max_iters, options.tol)
+    surrogate = _Surrogate(topology, MeasureDescriptor("zeta_measure", p=FIRST_P))
+    surrogate.value_and_gradient(weights)  # the uniform start is the first best point
+    target = _Objective(topology, measure)
+    history, iterations, p, last = [], 0, FIRST_P, False
+    while True:
+        weights, spectrum = surrogate.best
+        objective, subgradient = target._at(weights, spectrum)
+        history.append(objective)
+        # objective * lambda_2 is k
+        gap = objective * (1.0 - float(spectrum.nonzero[0]) * surrogate.lower)
+        if (gap <= options.tol * max(1.0, abs(objective)) or last
+                or iterations == options.max_iters):
+            return _allocation_result(weights, objective, subgradient, iterations, history,
+                                      options.tol, stalled=iterations < options.max_iters,
+                                      gap=gap)
+        surrogate.measure = MeasureDescriptor("zeta_measure", p=p)
+        last = (topology.n - 1) ** (1.0 / p) == 1.0
+        iterations += _descend(surrogate, weights, *surrogate._at(weights, spectrum),
+                               options.max_iters - iterations,
+                               0.0 if last else math.log(topology.n - 1) / p).iterations
+        p *= P_FACTOR
 
-    value, gradient = objective.value_and_gradient(weights)
+
+def _descend(objective: _Objective, weights: np.ndarray, value: float,
+             gradient: np.ndarray, max_iters: int, tol: float) -> WeightAllocationResult:
+    """Projected gradient descent from weights with this value and gradient."""
     history = [value]
     step = STEP_INIT
     iterations = 0
-    while (iterations < options.max_iters
-           and not _certified(weights, value, gradient, options.tol)):
+    while iterations < max_iters and not _certified(weights, value, gradient, tol):
         accepted = tried = None
         t = step
         for _ in range(MAX_BACKTRACKS):
@@ -253,38 +290,35 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
             t *= 0.5
         if accepted is None:
             return _allocation_result(weights, value, gradient, iterations, history,
-                                      options.tol, stalled=True)
+                                      tol, stalled=True)
         weights, (value, gradient) = candidate, accepted
         step = 2.0 * t
         iterations += 1
         history.append(value)
-    return _allocation_result(weights, value, gradient, iterations, history, options.tol)
+    return _allocation_result(weights, value, gradient, iterations, history, tol)
 
 
-def _optimize_subgradient(objective: _Objective, weights: np.ndarray,
-                          options: SolverOptions) -> WeightAllocationResult:
-    value, gradient = objective.value_and_gradient(weights)
-    best = weights, value, gradient
-    history = [value]
-    iterations = 0
-    for iteration in range(options.max_iters):
-        norm = float(np.linalg.norm(gradient))
-        if norm == 0.0 or _certified(*best, options.tol):
-            break
-        t = STEP_INIT / ((1.0 + iteration) * norm)
-        candidate = project_simplex(weights - t * gradient)
-        try:
-            candidate_value, candidate_gradient = objective.value_and_gradient(candidate)
-        except ConnectivityError:
-            weights = 0.5 * (weights + best[0])
-            value, gradient = objective.value_and_gradient(weights)
-            continue
-        weights, value, gradient = candidate, candidate_value, candidate_gradient
-        iterations += 1
-        history.append(value)
-        if value < best[1]:
-            best = weights, value, gradient
-    return _allocation_result(*best, iterations, history, options.tol)
+FIRST_P = 8.0  # the surrogate's exponent in the first stage
+P_FACTOR = 4.0  # its growth from one stage to the next
+
+
+class _Surrogate(_Objective):
+    """zeta_measure(p, k=1), keeping the evaluated point of largest lambda_2 and
+    the best lower bound on min 1/lambda_2: with h = dF/dlambda, Y = sum h_i
+    v_i v_i^T / sum h gives lambda_2(w) <= <L(w), Y> <= max_e gradient_e / sum h
+    on the simplex.  It is F S / (F + gap), S = sum lambda^(-p-1) / sum lambda^-p
+    >= F / (n-1)^(1/p): at least the sandwich bound (F - gap) / (n-1)^(1/p)."""
+
+    best: tuple[np.ndarray, Spectrum] | None = None
+    lower = 0.0
+
+    def _at(self, weights: np.ndarray, spectrum: Spectrum) -> tuple[float, np.ndarray]:
+        value, gradient = super()._at(weights, spectrum)
+        mixed = self.entry.grad(spectrum.nonzero, self.measure, value).sum()
+        self.lower = max(self.lower, float(mixed / gradient.min()))
+        if self.best is None or spectrum.nonzero[0] > self.best[1].nonzero[0]:
+            self.best = weights, spectrum
+        return value, gradient
 
 
 # ---------------------------------------------------------------------------

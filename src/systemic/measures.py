@@ -112,8 +112,8 @@ class _Measure(NamedTuple):
     value(x, m) and grad(x, m, value) = d value / d x_i take x, the nonzero
     spectrum, or the node degree vector when spectral is False.
     homogeneous(m): the value scales as 1/kappa when all weights scale by
-    kappa.  nonsmooth(m): the value is a multiple of 1/lambda_2, so grad is
-    only a subgradient where lambda_2 is repeated.
+    kappa.  nonsmooth(m): the value is k/lambda_2, grad only a subgradient
+    where lambda_2 repeats, so design descends zeta_measure(p) instead.
     """
 
     value: Callable[[np.ndarray, "MeasureDescriptor"], float]

@@ -282,7 +282,22 @@ def batched_laplacians(topology: Topology, weights: np.ndarray) -> np.ndarray:
 
 def grid_min_energy1(topology: Topology, resolution: float = 1e-3,
                      chunk: int = 120_000) -> tuple[float, np.ndarray]:
-    """Brute-force minimum of the first-order energy over the weight simplex.
+    """Brute-force minimum of the first-order energy over the weight simplex."""
+    return grid_min(topology, lambda nonzero: np.sum(0.5 / nonzero, axis=1),
+                    resolution, chunk)
+
+
+def grid_min_inverse_lambda2(topology: Topology, resolution: float = 1e-2
+                             ) -> tuple[float, np.ndarray]:
+    """Brute-force minimum of 1 / lambda_2 over the weight simplex."""
+    return grid_min(topology, lambda nonzero: 1.0 / nonzero[:, 0], resolution)
+
+
+def grid_min(topology: Topology, value, resolution: float,
+             chunk: int = 120_000) -> tuple[float, np.ndarray]:
+    """Brute-force minimum over the weight simplex of value(nonzero
+    eigenvalues, one row per grid point); a point whose lambda_2 is at most
+    1e-9 is disconnected and skipped.
 
     Eigenvalues come from numpy's eigvalsh, so this oracle is independent of
     the package eigensolver as well as of its optimizer.
@@ -295,8 +310,7 @@ def grid_min_energy1(topology: Topology, resolution: float = 1e-3,
         lam = np.linalg.eigvalsh(batched_laplacians(topology, block))
         nonzero = lam[:, 1:]
         with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(nonzero[:, 0] > 1e-9,
-                              np.sum(0.5 / nonzero, axis=1), np.inf)
+            values = np.where(nonzero[:, 0] > 1e-9, value(nonzero), np.inf)
         local = int(np.argmin(values))
         if values[local] < best_value:
             best_value = float(values[local])

@@ -136,6 +136,16 @@ class TestNonFiniteValues:
         assert (code, report) == (3, None)
         assert "(schur_sum, f=inverse_pow:100) is inf" in err
 
+    def test_optimize_weights_exits_three(self, capsys, tmp_path):
+        # lambda_2 is about 4e-4 at the uniform start, so f' overflows; this
+        # died with an IndexError from project_simplex (exit 1)
+        path = self._file(tmp_path, serialize_graph(generate("path", 30)))
+        code, report, err = run_cli(capsys, [
+            "optimize-weights", "--topology", path, "--measure", "schur_sum",
+            "--f", "inverse_pow:100"])
+        assert (code, report) == (3, None)
+        assert "(schur_sum, f=inverse_pow:100) or its gradient is not finite" in err
+
     def test_overflowing_spectral_function_exits_two(self, capsys, graph_files):
         # exp_decay:1e308 overflows in -q * x on every evaluation
         code, report, err = run_cli(capsys, [
@@ -314,6 +324,18 @@ class TestDesignCommands:
         assert results["objective"] == pytest.approx(4.0 / 3.0, abs=1e-6)
         assert results["weights"] == pytest.approx([0.5, 0.5], abs=1e-4)
         assert results["termination"] == "converged"
+        assert results["gap"] <= 1e-8 * results["objective"]
+        assert report["warnings"] == []
+
+    def test_optimize_weights_certifies_inverse_lambda2(self, capsys, tmp_path):
+        path = tmp_path / "p4.txt"
+        path.write_text(serialize_graph(generate("path", 4)))
+        code, report, _ = run_cli(capsys, ["optimize-weights", "--topology", str(path),
+                                           "--measure", "hinf"])
+        assert code == 0
+        results = report["results"]
+        assert results["termination"] == "converged"
+        assert results["objective"] == pytest.approx(5.0, abs=1e-7)
         assert results["gap"] <= 1e-8 * results["objective"]
         assert report["warnings"] == []
 

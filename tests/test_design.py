@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -8,17 +9,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from systemic import (ConnectivityError, DomainError, GraphFormatError, InputError,
-                      MeasureDescriptor, ScaleError, SolverOptions, Topology,
-                      WeightedGraph, evaluate, fundamental_limit, generate,
+                      MeasureDescriptor, NumericalError, ScaleError, SolverOptions,
+                      Topology, WeightedGraph, evaluate, fundamental_limit, generate,
                       graph_spectrum, graphs, greedy_augment, is_connected, laplacian,
                       laplacian_spectrum, optimize_weights, project_simplex,
                       rewire_bruteforce)
-from systemic import design
+from systemic import design, measures
 from systemic.design import _Objective, _check_relabelings, canonical_edges
 from systemic.measures import MEASURE_IDS
 
-from helpers import (MEASURE_CASES, grid_min_energy1, loop_topology_laplacian,
-                     random_connected)
+from helpers import (MEASURE_CASES, grid_min_energy1, grid_min_inverse_lambda2,
+                     loop_topology_laplacian, random_connected)
 
 ENERGY = MeasureDescriptor("energy1")
 
@@ -94,8 +95,9 @@ class TestOptimizeWeights:
         history = np.array(result.history)
         assert np.all(np.diff(history) <= 1e-15)
 
-    def test_subgradient_convergence_time(self):
+    def test_convergence_time_is_certified(self):
         result = optimize_weights(P3_TOPOLOGY, MeasureDescriptor("convergence_time"))
+        assert result.termination == "converged"
         assert result.objective == pytest.approx(2.0, abs=1e-3)
         assert np.abs(result.weights - 0.5).max() < 2e-2
 
@@ -378,14 +380,135 @@ class TestCertificate:
         assert 0.0 <= result.gap <= 1e-8 * max(1.0, result.objective)
         assert result.objective - result.gap <= grid_value
 
-    def test_subgradient_reports_the_best_iterates_gap(self):
-        topology = er_topology("er12_s5")
-        result = optimize_weights(topology, MeasureDescriptor("hinf"),
-                                  SolverOptions(max_iters=50))
-        _, gradient = _Objective(topology, MeasureDescriptor("hinf")).value_and_gradient(
-            result.weights)
-        assert result.termination == "max_iters"
-        assert result.gap == float(result.weights @ gradient - gradient.min())
+
+# the measures k / lambda_2: small topologies with their optimal 1/lambda_2,
+# and ER topologies with the value the projected subgradient method returned
+# (2000 iterations, gaps of 10 to 21) before the staged surrogate replaced it
+EXACT_INVERSE_LAMBDA2 = {"P3": (P3_TOPOLOGY, 2.0), "P4": (P4_TOPOLOGY, 5.0),
+                         "C6": (Topology.from_graph(generate("cycle", 6)), 6.0),
+                         "star5": (Topology.from_graph(generate("star", 5)), 4.0)}
+SUBGRADIENT_VALUES = {"er12_s5": 11.195203, "er12_s7": 11.702846, "er12_s11": 9.848244,
+                      "er30_s4": 42.179138}
+HINF = MeasureDescriptor("hinf")
+
+
+def lambda2_topology(name: str) -> Topology:
+    if name == "er12_s11":
+        return Topology.from_graph(generate("erdos_renyi", 12, seed=11, p=0.4))
+    return er_topology(name)
+
+
+@functools.lru_cache(maxsize=None)
+def hinf_result(name: str) -> design.WeightAllocationResult:
+    """The default-options hinf allocation on an ER topology, solved once."""
+    return optimize_weights(lambda2_topology(name), HINF)
+
+
+class TestReciprocalLambda2:
+    """k/lambda_2 is minimized through zeta_measure(p) at rising p, and its gap
+    is certified by a lower bound on min 1/lambda_2."""
+
+    @pytest.mark.parametrize("name", list(EXACT_INVERSE_LAMBDA2))
+    def test_small_topologies_certify_the_optimum(self, name):
+        topology, optimum = EXACT_INVERSE_LAMBDA2[name]
+        result = optimize_weights(topology, HINF)
+        assert result.termination == "converged"
+        assert result.gap <= 1e-8 * optimum
+        assert result.objective == pytest.approx(optimum, rel=1e-8)
+        if name == "P4":
+            assert np.abs(result.weights - np.array([0.3, 0.4, 0.3])).max() < 1e-3
+
+    @pytest.mark.parametrize("name", list(SUBGRADIENT_VALUES))
+    def test_er_matches_the_subgradient_with_a_certificate(self, name):
+        result = hinf_result(name)
+        assert result.objective <= SUBGRADIENT_VALUES[name]
+        assert 0.0 <= result.gap <= 1e-2 * result.objective
+        assert result.history[-1] == result.objective
+        # the objective is 1/lambda_2 at the returned weights
+        graph = lambda2_topology(name).graph_of(result.weights)
+        assert result.objective == pytest.approx(evaluate(graph, HINF), rel=1e-12)
+
+    @pytest.mark.parametrize("topology", [P3_TOPOLOGY, TRIANGLE,
+                                          Topology(n=4, edges=((0, 1), (0, 2), (0, 3))),
+                                          P4_TOPOLOGY])
+    def test_lower_bound_is_below_the_grid_minimum(self, topology):
+        # the optima of P3 and P4 lie on the grid, where the bound meets the
+        # grid minimum up to the rounding of two eigensolvers
+        grid_value, _ = grid_min_inverse_lambda2(topology, resolution=1e-2)
+        result = optimize_weights(topology, HINF)
+        assert result.termination == "converged"
+        assert result.objective - result.gap <= grid_value * (1.0 + 1e-14)
+
+    def test_one_ulp_gradient_change_keeps_the_intervals_overlapping(self, monkeypatch):
+        # the subgradient method moved by 1e-5 to 1e-4 relative under this change
+        names = ("er12_s5", "er12_s7", "er12_s11")
+        results = [hinf_result(name) for name in names]
+        power_root_grad = measures._power_root_grad
+        monkeypatch.setattr(measures, "_power_root_grad",
+                            lambda *args: power_root_grad(*args) * (1.0 + 2.0 ** -52))
+        for name, result in zip(names, results):
+            perturbed = optimize_weights(lambda2_topology(name), HINF)
+            assert max(result.objective - result.gap, perturbed.objective - perturbed.gap) \
+                <= min(result.objective, perturbed.objective)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_tol_stops_at_max_iters(self):
+        result = optimize_weights(lambda2_topology("er12_s5"), HINF,
+                                  SolverOptions(tol=0.0, max_iters=300))
+        assert (result.termination, result.iterations) == ("max_iters", 300)
+        assert math.isfinite(result.gap) and result.gap > 0.0
+        assert result.history[-1] == result.objective
+
+    def test_history_is_the_objective_after_each_stage(self):
+        result = optimize_weights(P4_TOPOLOGY, HINF)
+        assert result.history[-1] == result.objective
+        assert np.all(np.diff(result.history) <= 0.0)
+        assert result.history[0] == pytest.approx(evaluate(
+            P4_TOPOLOGY.graph_of(np.full(3, 1.0 / 3.0)), HINF), rel=1e-12)
+
+    @pytest.mark.parametrize("descriptor, k", [
+        (MeasureDescriptor("convergence_time"), 1.0),
+        (MeasureDescriptor("hp_norm", p=math.inf), 1.0),
+        (MeasureDescriptor("zeta_measure", p=math.inf, k=2.5), 2.5)],
+        ids=["convergence_time", "hp_norm", "zeta_measure"])
+    def test_every_reciprocal_lambda2_measure(self, descriptor, k):
+        reference = optimize_weights(P4_TOPOLOGY, HINF)
+        result = optimize_weights(P4_TOPOLOGY, descriptor)
+        assert result.weights.tobytes() == reference.weights.tobytes()
+        assert result.objective == pytest.approx(k * reference.objective, rel=1e-15)
+        assert result.gap == pytest.approx(k * reference.gap, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [8.0, 128.0, 2048.0, 1e6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixing_bound_is_at_least_the_sandwich_bound(self, p, seed):
+        # (F_p - gap) / (n-1)^(1/p) <= min 1/lambda_2 from the zeta sandwich;
+        # the surrogate's bound at the same point is never below it
+        topology = lambda2_topology("er12_s7")
+        rng = np.random.Generator(np.random.PCG64(seed))
+        weights = 0.5 / topology.m + 0.5 * rng.dirichlet(np.ones(topology.m))
+        surrogate = design._Surrogate(topology, MeasureDescriptor("zeta_measure", p=p))
+        value, gradient = surrogate.value_and_gradient(weights)
+        sandwich = (value - design._frank_wolfe_gap(weights, gradient)) \
+            / (topology.n - 1) ** (1.0 / p)
+        assert surrogate.lower >= sandwich * (1.0 - 1e-12)
+        assert surrogate.lower <= SUBGRADIENT_VALUES["er12_s7"]
+
+
+class TestNonFiniteTrialPoints:
+    """A value or gradient that overflows is a NumericalError; it was an
+    IndexError from project_simplex (exit 1 from the CLI)."""
+
+    def test_overflowing_gradient_is_a_numerical_error(self):
+        # lambda_2 is about 4e-4 at the uniform start, so f' = -100 lambda^-101 overflows
+        topology = Topology.from_graph(generate("path", 30))
+        measure = MeasureDescriptor("schur_sum", f_id="inverse_pow:100")
+        with pytest.raises(NumericalError, match=r"\) or its gradient is not finite"):
+            optimize_weights(topology, measure)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_projection_refuses_non_finite_input(self, entry):
+        with pytest.raises(DomainError, match="only a finite vector"):
+            project_simplex(np.array([0.2, entry, 0.5]))
 
 
 class TestSolverOptions:
