@@ -20,6 +20,7 @@ import math
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,7 @@ def _run_zeta(args, graph, layer) -> tuple[dict, int]:
 def _run_hpnorm(args, graph, layer) -> tuple[dict, int]:
     settings = measures.QuadratureSettings(rel_tol=args.tol)  # a bad --tol exits 2
     closed = measures.hp_norm(graph, args.p)
-    results = {"p": args.p if math.isfinite(args.p) else "inf", "closed_form": closed}
+    results = {"p": args.p, "closed_form": closed}
     if args.numeric:
         numeric = measures.hp_norm_numeric(graph, args.p, settings)
         results["numeric"] = numeric
@@ -243,11 +244,7 @@ def _run_props(args, graph, properties) -> tuple[dict, int]:
         "seed": report.seed,
         "tol": report.tol,
         "violation_count": len(report.violations),
-        "violations": [
-            {"trial": v.trial, "description": v.description,
-             "lhs": v.lhs, "rhs": v.rhs, "margin": v.margin}
-            for v in report.violations
-        ],
+        "violations": [asdict(v) for v in report.violations],
     }
     return results, (1 if report.violations else 0)
 
@@ -294,13 +291,7 @@ def _run_augment(args, graph, design) -> tuple[dict, int]:
             f"candidate file is on {candidates_graph.n} nodes, graph on {graph.n}")
     candidates = [(u, v, w) for u, v, w in candidates_graph.edges]
     report = design.greedy_augment(graph, args.k, candidates, args.f)
-    results = {
-        "added": [[u, v, w] for u, v, w in report.added],
-        "achieved": report.achieved,
-        "bound": report.bound,
-        "gap": report.gap,
-    }
-    return results, (1 if report.gap < -BOUND_BREACH_TOL else 0)
+    return asdict(report), (1 if report.gap < -BOUND_BREACH_TOL else 0)
 
 
 def _run_simulate_h2(args, graph, sim) -> tuple[dict, int]:

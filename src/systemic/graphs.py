@@ -14,6 +14,7 @@ is built only when `edges` is first read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, itemgetter, pos
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (ConnectivityError, DimensionError, DomainError, GenerationError,
-                     GraphFormatError, ScaleError, SystemicError)
+                     GraphFormatError, NumericalError, ScaleError, SystemicError)
 
 Edge = tuple[int, int, float]
 
@@ -329,27 +330,47 @@ def is_connected(graph: WeightedGraph) -> bool:
     return graph._is_connected
 
 
+def _check_consensus(graph: WeightedGraph) -> None:
+    """The precondition of every consensus route: at least 2 nodes
+    (DomainError) and connected by the stored flag, an exact combinatorial
+    fact, so a weak but present bridge is not a cut (ConnectivityError)."""
+    if graph.n < 2:
+        raise DomainError("consensus spectra need at least 2 nodes")
+    if not is_connected(graph):
+        raise ConnectivityError("graph is disconnected")
+
+
 def spanning_tree_count(graph: WeightedGraph, *, log: bool = False) -> float:
     """Weighted spanning-tree count tau via the determinant of the reduced Laplacian.
 
     Deleting any one row/column of the Laplacian (here the first) and taking
     the determinant gives the sum over spanning trees of the product of their
-    edge weights (Kirchhoff).  The determinant goes through LU with partial
-    pivoting, so this is independent of the eigensolver and usable as an
-    oracle against it.  Disconnected graphs give 0 up to round-off.
+    edge weights (Kirchhoff).  The graph's connectivity flag decides whether
+    there is a tree: a disconnected graph gives exactly 0.0, and with log=True
+    a ConnectivityError.  A connected graph takes one route, LU with partial
+    pivoting through np.linalg.slogdet, which sums log tau from the pivots;
+    this is independent of the eigensolver and usable as an oracle against
+    it.  An LU sign that is not positive there is a NumericalError.
 
     tau itself overflows (K_180 has 180^178 trees) or underflows (weights of
-    1e-90 on five nodes) long before its logarithm does: with log=True the
-    result is log tau, summed from the LU pivots by np.linalg.slogdet, and a
-    determinant whose sign is not positive raises ConnectivityError.
+    1e-90 on five nodes) long before its logarithm does: log=True returns log
+    tau, and log=False exp(log tau), which is 0.0 past the underflow and a
+    NumericalError past the overflow of a double.
     """
-    reduced = laplacian(graph)[1:, 1:]
-    if not log:
-        return float(np.linalg.det(reduced))
-    sign, log_tau = np.linalg.slogdet(reduced)
+    if not is_connected(graph):
+        if log:
+            raise ConnectivityError("non-positive spanning tree weight: graph is disconnected")
+        return 0.0
+    sign, log_tau = np.linalg.slogdet(laplacian(graph)[1:, 1:])
     if not sign > 0:
-        raise ConnectivityError(f"non-positive spanning tree weight (determinant sign {sign})")
-    return float(log_tau)
+        raise NumericalError(f"the reduced Laplacian of a connected graph has LU sign {sign}")
+    if log:
+        return float(log_tau)
+    try:
+        return math.exp(log_tau)
+    except OverflowError:
+        raise NumericalError(f"spanning tree weight exp({log_tau:.17g}) overflows a double"
+                             ) from None
 
 
 def _line_error(defect: str, n: int, u: int, v: int, w: float, line: int) -> SystemicError:

@@ -23,8 +23,8 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConnectivityError, DomainError, NumericalError
-from .graphs import WeightedGraph, is_connected, spanning_tree_count
+from .errors import DomainError, NumericalError
+from .graphs import WeightedGraph, _check_consensus, spanning_tree_count
 from .spectral import graph_spectrum
 
 ENTROPY_FORM_WARNING = (
@@ -294,13 +294,26 @@ def applicable_properties(measure: MeasureDescriptor) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # core evaluations
 
-def _finite(value: float, measure: MeasureDescriptor | str) -> float:
-    """value, or NumericalError naming the measure when it is not a finite
-    double; a descriptor's label is formatted only then."""
-    if not math.isfinite(value):
-        name = measure if isinstance(measure, str) else measure.label()
-        raise NumericalError(f"{name} is {value} in double precision")
-    return value
+def _finite(value: Callable[[np.ndarray, object], float], x: np.ndarray, arg,
+            name: MeasureDescriptor | str) -> float:
+    """value(x, arg), or NumericalError naming the measure when that is not a
+    finite double; a descriptor's label is formatted only then.  Where
+    warnings are errors, NumPy raises its overflow warning before the value
+    exists; the value is then computed again with NumPy's floating-point
+    reports off, so the error is the same either way."""
+    try:
+        result = value(x, arg)
+    except (FloatingPointError, RuntimeWarning):
+        with np.errstate(all="ignore"):
+            result = value(x, arg)
+    if not math.isfinite(result):
+        name = name if isinstance(name, str) else name.label()
+        raise NumericalError(f"{name} is {result} in double precision")
+    return result
+
+
+def _power_sum(lam: np.ndarray, p: float) -> float:
+    return float(np.sum(lam ** -p))
 
 
 def zeta(graph: WeightedGraph, p: float) -> float:
@@ -312,8 +325,7 @@ def zeta(graph: WeightedGraph, p: float) -> float:
     """
     if not (0 < p < math.inf):
         raise DomainError(f"zeta exponent p must be finite and positive, got {p}")
-    lam = graph_spectrum(graph).nonzero
-    return _finite(float(np.sum(lam ** (-float(p)))), f"zeta({p:g})")
+    return _finite(_power_sum, graph_spectrum(graph).nonzero, float(p), f"zeta({p:g})")
 
 
 def zeta_measure(graph: WeightedGraph, p: float, k: float) -> float:
@@ -484,7 +496,7 @@ def evaluate_eigenvalues(lam: np.ndarray, measure: MeasureDescriptor) -> float:
     if not entry.spectral:
         raise DomainError(
             f"{measure.id} is degree-based; eigenvalues alone cannot express it")
-    return _finite(entry.value(lam, measure), measure)
+    return _finite(entry.value, lam, measure, measure)
 
 
 def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
@@ -501,12 +513,9 @@ def evaluate(graph: WeightedGraph, measure: MeasureDescriptor) -> float:
     """
     entry = _MEASURES[measure.id]
     if entry.spectral:
-        return _finite(entry.value(graph_spectrum(graph).nonzero, measure), measure)
-    if graph.n < 2:
-        raise DomainError("consensus measures need at least 2 nodes")
-    if not is_connected(graph):
-        raise ConnectivityError(f"{measure.id} needs a connected graph")
-    return _finite(entry.value(graph.degrees, measure), measure)
+        return _finite(entry.value, graph_spectrum(graph).nonzero, measure, measure)
+    _check_consensus(graph)
+    return _finite(entry.value, graph.degrees, measure, measure)
 
 
 def entropy_via_trees(graph: WeightedGraph) -> float:
@@ -518,8 +527,5 @@ def entropy_via_trees(graph: WeightedGraph) -> float:
     See ENTROPY_FORM_WARNING for why the often-quoted log(n/tau) is not
     reproduced here.
     """
-    if graph.n < 2:
-        raise DomainError("consensus spectra need at least 2 nodes")
-    if not is_connected(graph):
-        raise ConnectivityError("spanning-tree entropy needs a connected graph")
+    _check_consensus(graph)
     return -(math.log(graph.n) + spanning_tree_count(graph, log=True))

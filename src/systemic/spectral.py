@@ -47,8 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConnectivityError, DimensionError, DomainError, NumericalError
-from .graphs import WeightedGraph, is_connected, laplacian
+from .errors import DimensionError, DomainError, NumericalError
+from .graphs import WeightedGraph, _check_consensus, laplacian
 
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -181,8 +181,9 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
 def laplacian_spectrum(graph: WeightedGraph, *, vectors: bool = True) -> Spectrum:
     """Spectrum of a connected graph's Laplacian, the zero mode snapped to 0.
 
-    eig_sym in the full mode, or values only with vectors=False. A
-    disconnected graph raises ConnectivityError before any eigensolve; a
+    eig_sym in the full mode, or values only with vectors=False. Before any
+    eigensolve the graph passes the consensus gate of graphs: fewer than 2
+    nodes raise DomainError, a disconnected graph ConnectivityError. A
     connected one whose smallest eigenvalue is not within the spectrum's
     error_bound delta of zero, or whose second is not above delta, raises
     NumericalError. An operand that is not a WeightedGraph raises
@@ -191,10 +192,7 @@ def laplacian_spectrum(graph: WeightedGraph, *, vectors: bool = True) -> Spectru
     if not isinstance(graph, WeightedGraph):
         raise DomainError(f"laplacian_spectrum takes a WeightedGraph, not "
                           f"{type(graph).__name__}; use eig_sym for a raw matrix")
-    if graph.n < 2:
-        raise DomainError("consensus spectra need at least 2 nodes")
-    if not is_connected(graph):
-        raise ConnectivityError("graph is disconnected")
+    _check_consensus(graph)
     spec = eig_sym(laplacian(graph), vectors=vectors)
     lam, delta = spec.eigenvalues, spec.error_bound
     if not (abs(lam[0]) <= delta and lam[1] > delta):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from systemic import (ConnectivityError, DimensionError, DomainError, GenerationError,
-                      GraphFormatError, MeasureDescriptor, ScaleError, SimConfig, Topology,
-                      WeightedGraph, entropy_via_trees, estimate_h2, evaluate, generate,
-                      graph_add, graph_spectrum, hp_norm_numeric, is_connected, laplacian,
-                      laplacian_spectrum, parse_graph, scalar_mul, serialize_graph,
-                      spanning_tree_count)
+                      GraphFormatError, MeasureDescriptor, NumericalError, ScaleError,
+                      SimConfig, Topology, WeightedGraph, entropy_via_trees, estimate_h2,
+                      evaluate, generate, graph_add, graph_spectrum, hp_norm_numeric,
+                      is_connected, laplacian, laplacian_spectrum, parse_graph, scalar_mul,
+                      serialize_graph, spanning_tree_count)
 
 from helpers import (analytic_spectrum, brute_force_tree_weight, loop_from_edges,
                      loop_generate, loop_graph_add, loop_is_connected, loop_laplacian,
@@ -384,6 +384,41 @@ class TestSpanningTrees:
         spectral = evaluate(graph, MeasureDescriptor("entropy"))
         assert spectral == pytest.approx(827.32, abs=5e-3)
         assert entropy_via_trees(graph) == pytest.approx(spectral, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_two_components_decided_by_the_flag(self, seed):
+        # the rounding of det gave 2.0e-6, -1.6e-4 and 1.4e-4, and slogdet a
+        # finite log tau (-13.12 and -8.89 for seeds 0 and 3)
+        copy = generate("erdos_renyi", 8, seed=seed, p=0.5, weight_range=(0.1, 3.0))
+        graph = WeightedGraph(16, list(copy.edges)
+                              + [(u + 8, v + 8, 1.7 * w) for u, v, w in copy.edges])
+        assert not is_connected(graph)
+        assert spanning_tree_count(graph) == 0.0
+        with pytest.raises(ConnectivityError, match="non-positive"):
+            spanning_tree_count(graph, log=True)
+
+    def test_overflow_is_a_numerical_error(self):
+        # det overflowed to inf with a RuntimeWarning; tau(K200) = 200^198
+        with pytest.raises(NumericalError, match="overflows"):
+            spanning_tree_count(generate("complete", 200))
+
+    @pytest.mark.parametrize("n", [10, 50])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_count_is_exp_of_the_log(self, family, n):
+        graph = family_graph(family, n, weight_range=(0.5, 2.0))
+        assert spanning_tree_count(graph) == math.exp(spanning_tree_count(graph, log=True))
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_negative_lu_sign_on_a_connected_graph(self, monkeypatch, k3, log):
+        # the flag says connected, so a sign the LU got wrong is numerical
+        monkeypatch.setattr(np.linalg, "slogdet", lambda matrix: (-1.0, 1.0986))
+        with pytest.raises(NumericalError, match="LU sign -1.0"):
+            spanning_tree_count(k3, log=log)
+
+    def test_single_node_has_one_tree(self):
+        graph = WeightedGraph(n=1, edges=())
+        assert spanning_tree_count(graph) == 1.0
+        assert spanning_tree_count(graph, log=True) == 0.0
 
 
 class TestGenerate:

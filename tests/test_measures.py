@@ -8,8 +8,8 @@ from systemic import (ConnectivityError, DomainError, MeasureDescriptor,
                       WeightedGraph, applicable_properties, entropy_via_trees,
                       evaluate, evaluate_eigenvalues, generate,
                       get_spectral_function, graph_spectrum, hp_norm,
-                      hp_norm_numeric, is_homogeneous, laplacian, scalar_mul, zeta,
-                      zeta_measure)
+                      hp_norm_numeric, is_homogeneous, laplacian, laplacian_spectrum,
+                      parse_graph, scalar_mul, zeta, zeta_measure)
 
 from systemic import measures
 
@@ -458,6 +458,54 @@ class TestCachedFastPath:
         assert solves == [(50, 50)]
         info = graph_spectrum.cache_info()
         assert (info.misses, info.hits) == (1, 10)  # local_error reads no spectrum
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowUnderWarningsAsErrors:
+    """With RuntimeWarning an error, NumPy's overflow warning came out of these
+    calls in place of the NumericalError that names the measure."""
+
+    TINY = "n 2\n0 1 1e-310\n"  # lambda_2 = 2e-310, so 1/lambda overflows
+
+    @pytest.mark.parametrize("descriptor", [
+        MeasureDescriptor("energy1"), MeasureDescriptor("energy2"), MeasureDescriptor("h2"),
+        MeasureDescriptor("local_error"), MeasureDescriptor("schur_sum", f_id="inverse"),
+        MeasureDescriptor("hinf"), MeasureDescriptor("zeta_measure", p=2.0)],
+        ids=lambda descriptor: descriptor.label())
+    def test_evaluate(self, descriptor):
+        graph = parse_graph(self.TINY)
+        with pytest.raises(NumericalError, match=r"is inf in double precision"):
+            evaluate(graph, descriptor)
+
+    def test_zeta(self):
+        with pytest.raises(NumericalError, match=r"zeta\(2\) is inf"):
+            zeta(parse_graph(self.TINY), 2)
+
+    def test_caller_vector(self):
+        with pytest.raises(NumericalError, match="energy1 is inf"):
+            evaluate_eigenvalues([1e-310, 1.0], MeasureDescriptor("energy1"))
+
+
+class TestConsensusGate:
+    """One gate in graphs refuses fewer than 2 nodes and a disconnected graph
+    for every consensus route."""
+
+    CALLERS = {
+        "laplacian_spectrum": laplacian_spectrum,
+        "local_error": lambda graph: evaluate(graph, MeasureDescriptor("local_error")),
+        "entropy_via_trees": entropy_via_trees,
+    }
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_one_node(self, caller):
+        with pytest.raises(DomainError, match="^consensus spectra need at least 2 nodes$"):
+            self.CALLERS[caller](WeightedGraph(n=1, edges=()))
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_disconnected(self, caller):
+        graph = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ConnectivityError, match="^graph is disconnected$"):
+            self.CALLERS[caller](graph)
 
 
 class TestEntropyViaTrees:
