@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import measures
-from .errors import NumericalError, SystemicError
-from .graphs import (WeightedGraph, is_connected, laplacian, parse_graph,
+from .errors import ConnectivityError, DomainError, NumericalError, SystemicError
+from .graphs import (WeightedGraph, _check_consensus, is_connected, laplacian, parse_graph,
                      serialize_graph, spanning_tree_count)
 from .measures import ENTROPY_FORM_WARNING, MeasureDescriptor
 from .spectral import graph_spectrum, laplacian_spectrum
@@ -220,8 +220,11 @@ def _run_trees(args, graph, layer) -> tuple[dict, int]:
     matrix_tree_entropy = measures.entropy_via_trees(graph)
     log_tau = spanning_tree_count(graph, log=True)
     # tau over- or underflows long before log tau does (K200 has 200^198 trees)
-    tau = math.exp(log_tau) if log_tau < math.log(sys.float_info.max) else math.inf
-    results = {"tau": tau} if 0.0 < tau < math.inf else {}
+    try:
+        tau = spanning_tree_count(graph)
+    except NumericalError:
+        tau = 0.0
+    results = {"tau": tau} if tau > 0.0 else {}
     results.update({
         "log_tau": log_tau,
         "entropy_spectral": spectral_entropy,
@@ -255,18 +258,18 @@ def _run_optimize_weights(args, graph, design) -> tuple[dict, int]:
     options = design.SolverOptions(tol=args.tol, max_iters=args.max_iters)
     result = design.optimize_weights(topology, descriptor, options)
     if result.termination != "converged":
-        bound = args.tol * max(1.0, abs(result.objective))
+        bound = design._allowance(result.objective, args.tol)
         warnings.warn(f"weight allocation stopped by {result.termination} with gap "
                       f"{result.gap:.3e} above tol * max(1, |objective|) = {bound:.3e}")
     results = {
-        "edges": [[u, v] for u, v in topology.edges],
-        "weights": list(result.weights),
+        "edges": topology.edges,
+        "weights": result.weights,
         "objective": result.objective,
         "iterations": result.iterations,
         "stationarity_residual": result.stationarity_residual,
         "gap": result.gap,
         "termination": result.termination,
-        "active_set": list(result.active_set),
+        "active_set": result.active_set,
     }
     return results, 0
 
@@ -275,11 +278,10 @@ def _run_rewire(args, graph, design) -> tuple[dict, int]:
     descriptor = _descriptor(args)
     outcome = design.rewire_bruteforce(args.n, args.m, args.alpha, descriptor)
     results = {
-        "best_edges": [[u, v] for u, v in outcome.ranking[0].edges],
+        "best_edges": outcome.ranking[0].edges,
         "best_value": outcome.value,
         "edge_weight": args.alpha / args.m,
-        "ranking": [{"edges": [[u, v] for u, v in entry.edges], "value": entry.value}
-                    for entry in outcome.ranking],
+        "ranking": [asdict(entry) for entry in outcome.ranking],
     }
     return results, 0
 
@@ -289,8 +291,7 @@ def _run_augment(args, graph, design) -> tuple[dict, int]:
     if candidates_graph.n != graph.n:
         raise SystemicError(
             f"candidate file is on {candidates_graph.n} nodes, graph on {graph.n}")
-    candidates = [(u, v, w) for u, v, w in candidates_graph.edges]
-    report = design.greedy_augment(graph, args.k, candidates, args.f)
+    report = design.greedy_augment(graph, args.k, list(candidates_graph.edges), args.f)
     return asdict(report), (1 if report.gap < -BOUND_BREACH_TOL else 0)
 
 
@@ -318,21 +319,23 @@ def _run_simulate_h2(args, graph, sim) -> tuple[dict, int]:
 
 def _run_validate(args, graph, layer) -> tuple[dict, int]:
     row_sum = float(np.abs(laplacian(graph).sum(axis=1)).max())
-    connected = is_connected(graph)
     results = {
         "n": graph.n,
         "edge_count": graph.m,
-        "connected": connected,
+        "connected": is_connected(graph),
         "weights_positive": True,  # enforced by the parser
         "max_laplacian_row_sum": row_sum,
         "round_trip_ok": parse_graph(serialize_graph(graph)) == graph,
     }
-    if connected and graph.n >= 2:
-        spectrum = laplacian_spectrum(graph)  # the full mode: it has a residual
-        results["zero_eigenvalue_count"] = int(
-            np.sum(np.abs(spectrum.eigenvalues) <= spectrum.error_bound))
-        results["algebraic_connectivity"] = float(spectrum.nonzero[0])
-        results["eigen_residual"] = spectrum.residual
+    try:
+        _check_consensus(graph)
+    except (DomainError, ConnectivityError):
+        return results, 0  # no consensus spectrum to audit
+    spectrum = laplacian_spectrum(graph)  # the full mode: it has a residual
+    results["zero_eigenvalue_count"] = int(
+        np.sum(np.abs(spectrum.eigenvalues) <= spectrum.error_bound))
+    results["algebraic_connectivity"] = float(spectrum.nonzero[0])
+    results["eigen_residual"] = spectrum.residual
     return results, 0
 
 

@@ -21,9 +21,9 @@ import numpy as np
 from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
                      NumericalError, ScaleError)
 from .graphs import (WeightedGraph, _check_integer, _connected, _degree_vector,
-                     _integer_columns, _laplacian_matrix, is_connected)
+                     _integer_columns, _laplacian_matrix, graph_add, is_connected)
 from .measures import _MEASURES, MeasureDescriptor, evaluate, evaluate_eigenvalues
-from .spectral import Spectrum, eig_sym, graph_spectrum
+from .spectral import Spectrum, eig_sym, graph_spectrum, laplacian_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ class Topology:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
     v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
+    if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
         raise DomainError("only a finite vector has a projection onto the simplex")
     descending = np.sort(v)[::-1]
     cumulative = np.cumsum(descending)
@@ -188,8 +188,12 @@ def _frank_wolfe_gap(weights: np.ndarray, gradient: np.ndarray) -> float:
     return float(weights @ gradient - gradient.min())
 
 
+def _allowance(value: float, tol: float) -> float:
+    return tol * max(1.0, abs(value))
+
+
 def _certified(weights: np.ndarray, value: float, gradient: np.ndarray, tol: float) -> bool:
-    return _frank_wolfe_gap(weights, gradient) <= tol * max(1.0, abs(value))
+    return _frank_wolfe_gap(weights, gradient) <= _allowance(value, tol)
 
 
 def _allocation_result(weights: np.ndarray, value: float, gradient: np.ndarray,
@@ -201,7 +205,7 @@ def _allocation_result(weights: np.ndarray, value: float, gradient: np.ndarray,
     support = weights > SUPPORT_TOL
     supported = gradient[support]
     residual = float(np.abs(supported - supported.mean()).max())
-    termination = ("converged" if gap <= tol * max(1.0, abs(value))
+    termination = ("converged" if gap <= _allowance(value, tol)
                    else "line_search_stall" if stalled else "max_iters")
     return WeightAllocationResult(weights=weights, objective=value, iterations=iterations,
                                   stationarity_residual=residual,
@@ -244,7 +248,7 @@ def optimize_weights(topology: Topology, measure: MeasureDescriptor,
         history.append(objective)
         # objective * lambda_2 is k
         gap = objective * (1.0 - float(spectrum.nonzero[0]) * surrogate.lower)
-        if (gap <= options.tol * max(1.0, abs(objective)) or last
+        if (gap <= _allowance(objective, options.tol) or last
                 or iterations == options.max_iters):
             return _allocation_result(weights, objective, subgradient, iterations, history,
                                       options.tol, stalled=iterations < options.max_iters,
@@ -362,7 +366,10 @@ def _check_relabelings(n: int, m: int | None = None) -> None:
 def canonical_edges(n: int, pairs: tuple[tuple[int, int], ...]
                     ) -> tuple[tuple[int, int], ...]:
     """Lexicographically smallest relabeling of an edge set over all n! node
-    permutations; ScaleError when n! exceeds MAX_RELABELINGS."""
+    permutations; ScaleError when n! exceeds MAX_RELABELINGS.  n and the
+    pairs, in either orientation, are checked as a unit-weight graph's are."""
+    us, vs = _integer_columns(pairs)
+    WeightedGraph._from_arrays(n, np.minimum(us, vs), np.maximum(us, vs), np.ones(len(pairs)))
     _check_relabelings(n)
     best: tuple[tuple[int, int], ...] | None = None
     for perm in itertools.permutations(range(n)):
@@ -444,10 +451,12 @@ def greedy_augment(graph: WeightedGraph, k: int,
     mode="exhaustive" scores every subset of at most k candidates on distinct
     pairs, and raises ScaleError before scoring any when there are over 1e5.
     Candidates on an existing edge are skipped, and so is a second candidate
-    on an added pair.  Every candidate set is scored as the
-    schur_sum measure of the augmented graph, ties broken by the candidates.
-    The report carries the achieved value, the rank-k spectral bound computed
-    from the original spectrum, and their gap.
+    on an added pair, so graph_add, which adds each candidate set to the
+    graph, sums no weights.  Each augmented graph is solved values-only
+    without graph_spectrum's cache, which it would only fill, and scored as
+    its schur_sum measure, ties broken by the candidates.  The report carries
+    the achieved value, the rank-k spectral bound computed from the original
+    spectrum, and their gap.
     """
     if not candidates:
         raise InputError("empty candidate edge set")
@@ -456,21 +465,24 @@ def greedy_augment(graph: WeightedGraph, k: int,
     us, vs = _integer_columns(candidates)
     normalized = [(min(u, v), max(u, v), float(w))
                   for (_, _, w), u, v in zip(candidates, us.tolist(), vs.tolist())]
-    existing = {(u, v) for u, v, _ in graph.edges}
+    existing = set(zip(graph._us.tolist(), graph._vs.tolist()))
     usable = [c for c in normalized if c[:2] not in existing]
 
     def score(subset: tuple[tuple[int, int, float], ...]) -> float:
-        return evaluate(graph._with_edges(subset), measure)
+        augmented = graph_add(graph, WeightedGraph.from_edges(graph.n, subset))
+        nonzero = laplacian_spectrum(augmented, vectors=False).nonzero
+        return evaluate_eigenvalues(nonzero, measure)
 
     if mode == "greedy":
+        # with no edge added the value is the graph's own, from the spectrum the bound cached
         chosen: tuple[tuple[int, int, float], ...] = ()
+        achieved = evaluate(graph, measure)
         for _ in range(k):
             if not usable:
                 break
-            _, best = min((score(chosen + (c,)), c) for c in usable)
+            achieved, best = min((score(chosen + (c,)), c) for c in usable)
             chosen += (best,)
             usable = [c for c in usable if c[:2] != best[:2]]
-        achieved = score(chosen)
     elif mode == "exhaustive":
         by_pair: dict[tuple[int, int], list[int]] = {}
         for i, c in enumerate(usable):

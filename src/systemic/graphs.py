@@ -203,10 +203,10 @@ class WeightedGraph:
                      error: Callable[[int, str], SystemicError] | None = None
                      ) -> "WeightedGraph":
         """Build a graph from integer endpoint and float weight arrays, which
-        it takes over and makes read-only.  connected, when given, is the
-        verdict of a caller that already ran _connected on the edges (us,
-        vs); error names a defective edge, and where it is not given or
-        returns None the error is the constructor's."""
+        it takes over and makes read-only.  connected, when given, is a
+        caller's exact verdict on the edges (us, vs), from _connected or
+        from the graphs they came from; error names a defective edge, and
+        where it is not given or returns None the error is the constructor's."""
         n = _check_node_count(n)
 
         def named(i, defect):
@@ -265,17 +265,6 @@ class WeightedGraph:
         ws = np.fromiter(map(float, map(itemgetter(2), edges)), dtype=float, count=len(edges))
         return cls._from_arrays(n, np.minimum(us, vs), np.maximum(us, vs), ws)
 
-    def _with_edges(self, edges: Sequence[Edge]) -> "WeightedGraph":
-        """This graph plus the (u, v, w) edges, u < v, checked as the
-        constructor checks them."""
-        if not edges:
-            return self
-        us, vs, ws = zip(*edges)
-        return type(self)._from_arrays(
-            self.n, np.concatenate((self._us, np.array(us, dtype=np.intp))),
-            np.concatenate((self._vs, np.array(vs, dtype=np.intp))),
-            np.concatenate((self._ws, np.array(ws, dtype=float))))
-
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """The (u, v, w) triples, u < v, sorted by (u, v); built on first read."""
@@ -313,7 +302,9 @@ def graph_add(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     keys, first, pair = np.unique(us * g1.n + vs, return_index=True, return_inverse=True)
     # bincount adds from 0.0, so a shared edge gets w1 + w2 and any other its own w
     weights = np.bincount(pair, weights=np.concatenate((g1._ws, g2._ws)), minlength=keys.size)
-    return WeightedGraph._from_arrays(g1.n, us[first], vs[first], weights)
+    # the union keeps every edge, so a connected operand makes it connected
+    return WeightedGraph._from_arrays(g1.n, us[first], vs[first], weights,
+                                      connected=g1._is_connected or g2._is_connected or None)
 
 
 def scalar_mul(alpha: float, graph: WeightedGraph) -> WeightedGraph:

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import systemic
-from systemic import cli, generate, scalar_mul, serialize_graph
+from systemic import cli, generate, scalar_mul, serialize_graph, spanning_tree_count
 
 SCHEMA = json.loads(files("systemic").joinpath("report.schema.json").read_text())
 
@@ -255,6 +255,17 @@ class TestTrees:
         assert results["log_tau"] == pytest.approx(4 * math.log(1e-90), rel=1e-12)
         assert math.isfinite(results["entropy_matrix_tree"])
 
+    @pytest.mark.parametrize("graph", [
+        generate("complete", 3), generate("complete", 30),
+        generate("erdos_renyi", 12, seed=5, p=0.4, weight_range=(0.5, 2.0)),
+        scalar_mul(1e-20, generate("path", 5))], ids=["k3", "k30", "er12", "tiny_p5"])
+    def test_tau_is_the_tree_count(self, capsys, tmp_path, graph):
+        target = tmp_path / "graph.txt"
+        target.write_text(serialize_graph(graph))
+        code, report, _ = run_cli(capsys, ["trees", "--graph", str(target)])
+        assert code == 0
+        assert report["results"]["tau"] == spanning_tree_count(graph)
+
 
 class TestProps:
     def test_clean_measure_exits_zero(self, capsys):
@@ -451,6 +462,29 @@ class TestValidate:
         assert results["connected"] is True
         assert results["zero_eigenvalue_count"] == 1
         assert results["algebraic_connectivity"] == pytest.approx(1e-9, rel=1e-6)
+
+    # a graph without a consensus spectrum is reported without one
+    @pytest.mark.parametrize("text", ["n 1\n", "n 4\n0 1 1\n2 3 1\n"],
+                             ids=["one_node", "two_components"])
+    def test_no_consensus_spectrum_reported(self, capsys, tmp_path, text):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        code, report, _ = run_cli(capsys, ["validate", "--graph", str(path)])
+        assert code == 0
+        results = report["results"]
+        assert results["connected"] is (text == "n 1\n")
+        assert "algebraic_connectivity" not in results
+        assert results["round_trip_ok"] is True
+
+    # the degrees overflow to inf: the eigensolver's refusal of the matrix
+    # is an input error, not a graph without a consensus spectrum
+    def test_overflowing_degrees_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("n 3\n0 1 1e308\n1 2 1e308\n")
+        code, report, err = run_cli(capsys, ["validate", "--graph", str(path)])
+        assert code == 2
+        assert report is None
+        assert "matrix has non-finite entries" in err
 
     def test_unresolved_bridge_exits_three(self, capsys, tmp_path):
         path = tmp_path / "bridge.txt"

@@ -510,6 +510,12 @@ class TestNonFiniteTrialPoints:
         with pytest.raises(DomainError, match="only a finite vector"):
             project_simplex(np.array([0.2, entry, 0.5]))
 
+    # the empty vector raised IndexError, a matrix ValueError
+    @pytest.mark.parametrize("v", [[], np.full((2, 2), 0.25)], ids=["empty", "matrix"])
+    def test_projection_refuses_what_is_not_a_vector(self, v):
+        with pytest.raises(DomainError, match="only a finite vector"):
+            project_simplex(v)
+
 
 class TestSolverOptions:
     def test_only_tol_and_max_iters(self):
@@ -716,6 +722,18 @@ class TestRewire:
     def test_work_budget_admits(self, n, m):
         _check_relabelings(n, m)
 
+    # an endpoint out of range raised IndexError, a self-loop was relabeled
+    # as one, and a node count of -1 gave () and of 2.5 a TypeError
+    @pytest.mark.parametrize("n, pairs, error, message", [
+        (3, ((0, 5),), GraphFormatError, r"edge \(0, 5\) needs 0 <= u < v < 3"),
+        (3, ((1, 1),), GraphFormatError, "self-loop at node 1"),
+        (-1, (), DomainError, "node count must be positive, got -1"),
+        (2.5, (), GraphFormatError, "node count must be an integer, got 2.5"),
+    ], ids=["out_of_range", "self_loop", "negative_n", "float_n"])
+    def test_canonical_form_refuses_what_a_graph_refuses(self, n, pairs, error, message):
+        with pytest.raises(error, match=message):
+            canonical_edges(n, pairs)
+
     def test_canonical_form_work_budget(self):
         assert canonical_edges(7, ((0, 1),)) == ((0, 1),)
         with pytest.raises(ScaleError, match="one edge set on n=11"):
@@ -842,12 +860,40 @@ class TestGreedyAugment:
     # pair admits one candidate: the search scores 200
     def test_exhaustive_budget_counts_scored_subsets(self, p3, monkeypatch):
         scored = []
-        monkeypatch.setattr(design, "evaluate",
-                            lambda graph, measure: scored.append(graph) or evaluate(graph, measure))
+        monkeypatch.setattr(design, "laplacian_spectrum", lambda graph, **options: (
+            scored.append(graph) or laplacian_spectrum(graph, **options)))
         candidates = [(0, 2, float(w)) for w in range(1, 200)]
         report = greedy_augment(p3, 3, candidates, "inverse", mode="exhaustive")
         assert len(scored) == 200
         assert report.added == ((0, 2, 199.0),)
+
+    # a candidate is checked as the constructor checks an edge
+    @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+    def test_defective_candidates_named_as_the_constructor_names_them(self, mode):
+        graph = generate("erdos_renyi", 8, seed=3, p=0.4, weight_range=(0.5, 2.0))
+        existing = {(u, v) for u, v, _ in graph.edges}
+        u, v = next((u, v) for u in range(8) for v in range(u + 1, 8)
+                    if (u, v) not in existing)
+        for bad in [(1, 1, 1.0), (0, graph.n, 1.0), (u, v, -1.0), (u, v, 0.0)]:
+            errors = []
+            for build in (lambda: greedy_augment(graph, 1, [bad], "inverse", mode=mode),
+                          lambda: WeightedGraph(graph.n, graph.edges + (bad,))):
+                with pytest.raises(Exception) as excinfo:
+                    build()
+                errors.append((type(excinfo.value), str(excinfo.value)))
+            assert errors[0] == errors[1]
+
+    # every scored graph was kept by the LRU: about 190 MB after one greedy
+    # step over 200 candidates on ER(400, 0.5)
+    @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+    def test_scored_graphs_stay_out_of_the_spectrum_cache(self, mode):
+        graph = generate("cycle", 6)
+        graph_spectrum.cache_clear()
+        graph_spectrum(graph)  # the bound reads the original graph's spectrum
+        candidates = [(0, 2, 1.0), (0, 3, 2.0), (1, 4, 0.5), (0, 2, 3.0)]
+        report = greedy_augment(graph, 2, candidates, "inverse", mode=mode)
+        assert len(report.added) == 2
+        assert graph_spectrum.cache_info().currsize == 1
 
 
 class TestInterlacingUnderAugmentation:

@@ -877,23 +877,6 @@ class TestArrayContract:
         assert not degrees.flags.writeable
         assert degrees.tobytes() == np.diag(loop_laplacian(graph)).tobytes()
 
-    def test_graph_plus_edges(self):
-        graph = generate("erdos_renyi", 8, seed=3, p=0.4, weight_range=(0.5, 2.0))
-        present = {(u, v) for u, v, _ in graph.edges}
-        missing = [(u, v, 0.5 + u + v) for u in range(graph.n)
-                   for v in range(u + 1, graph.n) if (u, v) not in present][:3]
-        for extra in ([], missing[:1], missing):
-            other = graph._with_edges(extra)
-            expected = WeightedGraph(n=graph.n, edges=graph.edges + tuple(extra))
-            assert_graph_is(other, graph.n, expected.edges)
-            assert is_connected(other)
-        apart = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        assert is_connected(apart._with_edges([(1, 2, 1.0)]))
-        u, v, w = graph.edges[0]
-        for bad in [(u, v, 2.0), (0, graph.n, 1.0), (1, 1, 1.0), (0, graph.n - 1, -1.0)]:
-            assert raised(lambda: graph._with_edges([bad])) == raised(
-                lambda: WeightedGraph(n=graph.n, edges=graph.edges + (bad,)))
-
 
 class TestAlgebraMatchesLoop:
     @pytest.mark.parametrize("seed", range(12))
@@ -905,6 +888,20 @@ class TestAlgebraMatchesLoop:
                                              for u, v in pairs if rng.random() < 0.4])
         assert_graph_is(graph_add(g1, g2), g1.n, loop_graph_add(g1, g2))
         assert_graph_is(graph_add(g2, g1), g1.n, loop_graph_add(g2, g1))
+
+    # the union's flag comes from its operands where one is connected
+    @pytest.mark.parametrize("left, right, connected", [
+        ([(0, 1), (1, 2), (2, 3)], [(0, 2)], True),
+        ([(0, 1)], [(2, 3)], False),
+        ([(0, 1), (2, 3)], [(1, 2)], True),
+        ([(0, 1)], [(0, 1), (1, 2)], False),
+    ])
+    def test_graph_add_connectivity(self, left, right, connected):
+        g1, g2 = (WeightedGraph.from_edges(4, [(u, v, 1.0) for u, v in pairs])
+                  for pairs in (left, right))
+        for union in (graph_add(g1, g2), graph_add(g2, g1)):
+            assert is_connected(union) is connected
+            assert is_connected(union) == is_connected(WeightedGraph(4, union.edges))
 
     def test_graph_add_overflow_named(self):
         huge = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e308)])
