@@ -5,13 +5,15 @@ Times `measures.evaluate` for each of the twelve catalog descriptors on a
 weighted Erdos-Renyi graph (p = min(1, 8/n), weights in [0.5, 2), seed n) at
 n = 10, 50, 200 and 400.  A cold call starts from an empty spectrum cache, so
 it pays one eigensolve (none for the degree-based local_error); a cached call
-finds the spectrum cached.  Every value is checked, to a relative 1e-8,
-against the measure's formula on `numpy.linalg.eigvalsh` of a Laplacian
-assembled here from the edge list, so a fast wrong path posts no number.  The
-bench also counts the eigensolves (`eig_sym` calls) and iterations of one
-weight allocation per measure on ER(30, p = 0.2, seed 4), times it once,
-checks its objective the same way, and writes a host record.  The package
-is imported from this checkout's `src/`, and BLAS runs one thread.
+finds the spectrum cached.  The quadrature oracle `hp_norm_numeric` at
+p = 3 is timed on the same graphs with the spectrum cached.  Every value is
+checked, to a relative 1e-8, against the measure's formula on
+`numpy.linalg.eigvalsh` of a Laplacian assembled here from the edge list, so
+a fast wrong path posts no number.  The bench also counts the eigensolves
+(`eig_sym` calls) and iterations of one weight allocation per measure on
+ER(30, p = 0.2, seed 4), times it once, checks its objective the same way,
+and writes a host record.  The package is imported from this checkout's
+`src/`, and BLAS runs one thread.
 
     python scripts/bench_layers.py --out BENCH.json      # full run (about 10 s)
     python scripts/bench_layers.py --smoke               # checks, one call each
@@ -46,6 +48,7 @@ SIZES = (10, 50, 200, 400)
 RTOL = 1e-8
 ROUNDS = 15
 CACHED_CALLS = 200  # cached calls per timed round
+NUMERIC_CALLS = 10  # hp_norm_numeric calls per timed round
 ALLOCATION_MEASURES = ("energy1", "energy2", "h2", "hinf")
 
 _md = measures.MeasureDescriptor
@@ -128,6 +131,23 @@ def bench_evaluate(rounds: int, calls: int) -> dict:
             metrics[f"evaluate.cold_us.{label}.n{n}"] = {"unit": "us", **quartiles_us(cold)}
             metrics[f"evaluate.cached_us.{label}.n{n}"] = {"unit": "us",
                                                            **quartiles_us(cached)}
+    return metrics
+
+
+def bench_hp_norm_numeric(rounds: int, calls: int) -> dict:
+    metrics = {}
+    for n in SIZES:
+        graph = bench_graph(n)
+        expected = ORACLES["(hp_norm, p=3)"](*reference(graph))
+        times = []
+        for _ in range(rounds):
+            measures.hp_norm_numeric(graph, 3.0)  # the spectrum is cached
+            start = time.perf_counter()
+            for _ in range(calls):
+                value = measures.hp_norm_numeric(graph, 3.0)
+            times.append((time.perf_counter() - start) / calls)
+            check(f"hp_norm_numeric p=3 n={n}", value, expected)
+        metrics[f"hp_norm_numeric.cached_us.p3.n{n}"] = {"unit": "us", **quartiles_us(times)}
     return metrics
 
 
@@ -216,13 +236,17 @@ def main() -> int:
         compare(*args.compare)
         return 0
     rounds, calls = (1, 1) if args.smoke else (ROUNDS, CACHED_CALLS)
-    metrics = {**bench_evaluate(rounds, calls), **count_allocation_eigensolves()}
+    numeric_calls = 1 if args.smoke else NUMERIC_CALLS
+    metrics = {**bench_evaluate(rounds, calls), **bench_hp_norm_numeric(rounds, numeric_calls),
+               **count_allocation_eigensolves()}
     if args.smoke:
         print(f"bench_layers --smoke: {len(metrics)} metrics, every value checked")
         return 0
     record = json.dumps({"host": host_record(),
                          "settings": {"sizes": SIZES, "rounds": rounds,
-                                      "cached_calls_per_round": calls, "rtol": RTOL},
+                                      "cached_calls_per_round": calls,
+                                      "numeric_calls_per_round": numeric_calls,
+                                      "rtol": RTOL},
                          "metrics": metrics}, indent=1)
     if args.out:
         Path(args.out).write_text(record + "\n", encoding="utf-8")

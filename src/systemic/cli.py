@@ -50,6 +50,11 @@ def _descriptor(args: argparse.Namespace) -> MeasureDescriptor:
     return MeasureDescriptor(id=args.measure, p=args.p, k=args.k, f_id=args.f)
 
 
+def _given(**values) -> dict:
+    """The options the user gave; one left out keeps its library default."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _sanitize(value):
     """Make a report tree JSON-safe with deterministic float text (repr)."""
     if isinstance(value, dict):
@@ -131,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--numeric", action="store_true",
                    help="also evaluate the frequency integral numerically")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=None,
                    help="relative tolerance of the quadrature")
     p.set_defaults(run=_run_hpnorm)
 
@@ -142,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="run one axiom check as a falsification search")
     _measure_args(p)
     p.add_argument("--property", required=True, choices=list(_PROPERTY_NAMES))
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(run=_run_props, layer="properties")
 
@@ -152,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True,
                    help="edge-list file; its weights are ignored")
     _measure_args(p)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(run=_run_optimize_weights, layer="design")
 
     p = sub.add_parser("rewire", help="rank all connected (n, m) graphs by a measure")
@@ -203,7 +208,8 @@ def _run_zeta(args, graph, layer) -> tuple[dict, int]:
 
 
 def _run_hpnorm(args, graph, layer) -> tuple[dict, int]:
-    settings = measures.QuadratureSettings(rel_tol=args.tol)  # a bad --tol exits 2
+    settings = measures.QuadratureSettings(**_given(rel_tol=args.tol))  # bad --tol: exit 2
+    args.tol = settings.rel_tol  # echoed in the report's inputs
     closed = measures.hp_norm(graph, args.p)
     results = {"p": args.p, "closed_form": closed}
     if args.numeric:
@@ -235,11 +241,11 @@ def _run_trees(args, graph, layer) -> tuple[dict, int]:
 
 
 def _run_props(args, graph, properties) -> tuple[dict, int]:
-    if args.tol is None:
-        args.tol = properties.DEFAULT_TOL  # echoed in the report's inputs
     descriptor = _descriptor(args)
-    report = properties.run_check(_PROPERTY_NAMES[args.property], descriptor,
-                                  trials=args.trials, seed=args.seed, tol=args.tol)
+    given = _given(trials=args.trials, seed=args.seed, tol=args.tol)
+    report = properties.run_check(_PROPERTY_NAMES[args.property], descriptor, **given)
+    # echoed in the report's inputs
+    args.trials, args.seed, args.tol = report.trials, report.seed, report.tol
     results = {
         "property": report.property_id,
         "measure": report.measure,
@@ -255,10 +261,11 @@ def _run_props(args, graph, properties) -> tuple[dict, int]:
 def _run_optimize_weights(args, graph, design) -> tuple[dict, int]:
     topology = design.Topology.from_graph(_load_graph(args.topology))
     descriptor = _descriptor(args)
-    options = design.SolverOptions(tol=args.tol, max_iters=args.max_iters)
+    options = design.SolverOptions(**_given(tol=args.tol, max_iters=args.max_iters))
+    args.tol, args.max_iters = options.tol, options.max_iters  # echoed in inputs
     result = design.optimize_weights(topology, descriptor, options)
     if result.termination != "converged":
-        bound = design._allowance(result.objective, args.tol)
+        bound = design._allowance(result.objective, options.tol)
         warnings.warn(f"weight allocation stopped by {result.termination} with gap "
                       f"{result.gap:.3e} above tol * max(1, |objective|) = {bound:.3e}")
     results = {

@@ -344,46 +344,6 @@ def hp_norm(graph: WeightedGraph, p: float) -> float:
 
 
 @dataclass(frozen=True)
-class TransferModel:
-    """Frequency response of the network seen through the centering output.
-
-    The transfer function from disturbance to disagreement output has
-    singular values (omega^2 + lambda_i^2)^(-1/2) over the nonzero modes;
-    the consensus mode is annihilated by the output projection.
-    """
-
-    nonzero_eigenvalues: np.ndarray
-
-    @classmethod
-    def from_graph(cls, graph: WeightedGraph) -> "TransferModel":
-        return cls(nonzero_eigenvalues=graph_spectrum(graph).nonzero)
-
-    def singular_values(self, omega: float) -> np.ndarray:
-        return 1.0 / np.sqrt(omega**2 + self.nonzero_eigenvalues**2)
-
-    def schatten_power(self, omega: float, p: float) -> float:
-        """Schatten p-norm of the frequency response, raised to the p."""
-        return float(np.sum((omega**2 + self.nonzero_eigenvalues**2) ** (-p / 2.0)))
-
-    def log_frequency_integrand(self, x: np.ndarray, p: float) -> np.ndarray:
-        """omega * schatten_power(omega, p) at omega = exp(x), for each x.
-
-        Each mode contributes exp(x - (p/2) logaddexp(2x, 2 log lambda)),
-        evaluated as exp(min(u, 0) - (p-1) max(x, log lambda) - (p/2)
-        log1p(exp(-2|u|))) with u = x - log lambda: no power is formed, so
-        every node is finite for any x, and the x - p x cancellation at high
-        frequency is taken out.  Each term is at most 1 when every lambda is
-        at least 1.
-        """
-        x = np.asarray(x, dtype=float)[:, None]
-        log_lam = np.log(self.nonzero_eigenvalues)
-        u = x - log_lam
-        exponent = (np.minimum(u, 0.0) - (p - 1.0) * np.maximum(x, log_lam)
-                    - 0.5 * p * np.log1p(np.exp(-2.0 * np.abs(u))))
-        return np.exp(exponent).sum(axis=1)
-
-
-@dataclass(frozen=True)
 class QuadratureSettings:
     """rel_tol: two successive trapezoidal sums must agree to it, 0 < rel_tol < 1.
     The step is halved until they do; the budget of integrand terms is the
@@ -404,14 +364,33 @@ _BLOCK_TERMS = 2**16
 _EPS = 2.0 ** -52  # double-precision machine epsilon
 
 
-def _node_sum(model: TransferModel, p: float, start: float, step: float,
+def _log_frequency_integrand(log_mu: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
+    """omega * sum_i (omega^2 + mu_i^2)^(-p/2) at omega = exp(x), for each x.
+
+    The transfer function from disturbance to disagreement output has
+    singular values (omega^2 + mu_i^2)^(-1/2) over the nonzero modes mu_i; the
+    consensus mode is annihilated by the output projection.  Each mode
+    contributes exp(x - (p/2) logaddexp(2x, 2 log mu)), evaluated as
+    exp(min(u, 0) - (p-1) max(x, log mu) - (p/2) log1p(exp(-2|u|))) with
+    u = x - log mu: no power is formed, so every node is finite for any x, and
+    the x - p x cancellation at high frequency is taken out.  Each term is at
+    most 1 when every mu is at least 1.
+    """
+    x = x[:, None]
+    u = x - log_mu
+    exponent = (np.minimum(u, 0.0) - (p - 1.0) * np.maximum(x, log_mu)
+                - 0.5 * p * np.log1p(np.exp(-2.0 * np.abs(u))))
+    return np.exp(exponent).sum(axis=1)
+
+
+def _node_sum(log_mu: np.ndarray, p: float, start: float, step: float,
               count: int) -> float:
     """Sum of the log-frequency integrand over x = start + j * step, j < count."""
-    block = max(1, _BLOCK_TERMS // model.nonzero_eigenvalues.size)
+    block = max(1, _BLOCK_TERMS // log_mu.size)
     total = 0.0
     for first in range(0, count, block):
         x = start + step * np.arange(first, min(first + block, count))
-        total += float(model.log_frequency_integrand(x, p).sum())
+        total += float(_log_frequency_integrand(log_mu, x, p).sum())
     return total
 
 
@@ -445,9 +424,9 @@ def hp_norm_numeric(graph: WeightedGraph, p: float,
     if tol < 50.0 * _EPS:
         raise NumericalError(f"quadrature tolerance {tol:g} is not achievable in double "
                              f"precision (below 50 eps = {50.0 * _EPS:.2g})")
-    lam = TransferModel.from_graph(graph).nonzero_eigenvalues
+    lam = graph_spectrum(graph).nonzero
     lambda_2 = float(lam.min())
-    model = TransferModel(lam / lambda_2)
+    log_mu = np.log(lam / lambda_2)
     # With mu = lambda / lambda_2 >= 1, I >= K(p) sum mu^(1-p), where K(p) =
     # int_0^inf (1 + t^2)^(-p/2) dt >= max(e^(-1/2) / sqrt(p), 2^(-p/2) / (p-1)).
     # The integrand is at most e^x sum mu^-p below -c and (n-1) e^((1-p) x)
@@ -466,12 +445,12 @@ def hp_norm_numeric(graph: WeightedGraph, p: float,
 
     # level 0: x = -c + j for j <= intervals; each halving adds the midpoints
     step, nodes = 1.0, within_budget(intervals + 1, 1.0)
-    total = _node_sum(model, p, -c, step, nodes)
+    total = _node_sum(log_mu, p, -c, step, nodes)
     estimate = step * total
     while True:  # ended by the budget, since every halving doubles the nodes
         added = nodes - 1  # one midpoint per interval
         nodes = within_budget(nodes + added, step / 2.0)
-        total += _node_sum(model, p, -c + step / 2.0, step, added)
+        total += _node_sum(log_mu, p, -c + step / 2.0, step, added)
         step /= 2.0
         previous, estimate = estimate, step * total
         if abs(estimate - previous) <= tol * estimate:

@@ -582,6 +582,26 @@ class TestUsageErrors:
         assert code == 2
 
 
+class TestInputsEcho:
+    # the CLI leaves each default to the library object that owns it and
+    # echoes the value that object used
+    def test_defaults_echoed(self, capsys, graph_files):
+        cases = [
+            (["hpnorm", "--graph", graph_files["k3"], "--p", "3"],
+             {"graph": graph_files["k3"], "p": 3.0, "numeric": False, "tol": 1e-9}),
+            (["props", "--measure", "energy1", "--property", "schur"],
+             {"measure": "energy1", "property": "schur", "trials": 200, "seed": 0,
+              "tol": 1e-8}),
+            (["optimize-weights", "--topology", graph_files["p3"], "--measure", "energy1"],
+             {"topology": graph_files["p3"], "measure": "energy1", "tol": 1e-8,
+              "max_iters": 2000}),
+        ]
+        for argv, inputs in cases:
+            code, report, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert list(report["inputs"].items()) == list(inputs.items())
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, graph_files, monkeypatch):
         monkeypatch.setattr(cli, "_clock", lambda: 0.0)
@@ -769,7 +789,7 @@ PACKAGE_NAMES = [
     "InputError", "MeasureDescriptor", "NumericalError", "PropertyReport",
     "QuadratureSettings", "RankingEntry", "RewireResult", "ScaleError", "SimConfig",
     "SolverOptions", "SpectralFunction", "Spectrum", "SystemicError",
-    "Topology", "TransferModel", "Violation", "WeightAllocationResult", "WeightedGraph",
+    "Topology", "Violation", "WeightAllocationResult", "WeightedGraph",
     "applicable_properties", "decay_rate", "design", "eig_sym",
     "entropy_via_trees", "errors", "estimate_h2", "evaluate", "evaluate_eigenvalues",
     "fundamental_limit", "generate", "get_spectral_function", "graph_add",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from systemic import (ConnectivityError, DomainError, MeasureDescriptor,
-                      NumericalError, QuadratureSettings, TransferModel,
+                      NumericalError, QuadratureSettings,
                       WeightedGraph, applicable_properties, entropy_via_trees,
                       evaluate, evaluate_eigenvalues, generate,
                       get_spectral_function, graph_spectrum, hp_norm,
@@ -162,8 +162,8 @@ class TestHpNumeric:
     def test_term_budget_ends_the_halvings(self, k3, monkeypatch):
         # a NaN integrand never lets two levels agree; the halvings double the
         # nodes until the term budget refuses the next level
-        monkeypatch.setattr(TransferModel, "log_frequency_integrand",
-                            lambda self, x, p: np.full(len(x), math.nan))
+        monkeypatch.setattr(measures, "_log_frequency_integrand",
+                            lambda log_mu, x, p: np.full(len(x), math.nan))
         with pytest.raises(NumericalError, match="over the budget of 67108864 integrand terms"):
             hp_norm_numeric(k3, 1.1)
 
@@ -189,7 +189,7 @@ class TestHpNumeric:
         # before any node is evaluated
         def fail(*args):
             raise AssertionError("a node was evaluated")
-        monkeypatch.setattr(TransferModel, "log_frequency_integrand", fail)
+        monkeypatch.setattr(measures, "_log_frequency_integrand", fail)
         with pytest.raises(NumericalError, match="budget"):
             hp_norm_numeric(p3, 1.0 + 1e-9)
 
@@ -253,34 +253,31 @@ class TestQuadratureSettings:
         assert QuadratureSettings(rel_tol=0.5).rel_tol == 0.5
 
 
-class TestTransferModel:
-    def test_log_frequency_integrand(self):
-        model = TransferModel.from_graph(random_connected(41, n_low=4, n_high=8))
-        x = np.linspace(-5.0, 5.0, 41)
-        for p in (1.01, 3.0, 40.0):
-            expected = [math.exp(t) * model.schatten_power(math.exp(t), p) for t in x]
-            assert np.allclose(model.log_frequency_integrand(x, p), expected,
-                               rtol=1e-13, atol=0.0)
-
-    def test_log_frequency_integrand_finite_everywhere(self):
-        # no power of omega is formed, so no node overflows
-        model = TransferModel(np.array([1.0, 2.0, 5.0]))
-        values = model.log_frequency_integrand(np.array([-1e6, -700.0, 0.0, 700.0, 1e6]), 3.0)
-        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
-        assert values[2] > 0.0
-
-    def test_singular_values_match_svd(self):
+class TestLogFrequencyIntegrand:
+    def test_matches_singular_values_of_the_transfer_function(self):
+        # omega * sum sigma_i(omega)^p over the singular values of
+        # C (i omega I + L)^-1, with C the centering projection, at omega = e^t
         graph = random_connected(23, n_low=4, n_high=8)
         n = graph.n
         matrix = laplacian(graph)
         centering = np.eye(n) - np.ones((n, n)) / n
-        model = TransferModel.from_graph(graph)
-        for omega in (0.1, 1.0, 7.5):
+        log_mu = np.log(graph_spectrum(graph).nonzero)
+        for t in (-2.3, 0.0, 2.0):
+            omega = math.exp(t)
             response = centering @ np.linalg.inv(1j * omega * np.eye(n) + matrix)
-            reference = np.linalg.svd(response, compute_uv=False)
-            mine = np.sort(model.singular_values(omega))[::-1]
-            assert np.abs(reference[:n - 1] - mine).max() < 1e-10
-            assert reference[n - 1] < 1e-10
+            sigma = np.linalg.svd(response, compute_uv=False)
+            assert sigma[n - 1] < 1e-10  # the consensus mode
+            for p in (1.01, 3.0, 40.0):
+                value = measures._log_frequency_integrand(log_mu, np.array([t]), p)[0]
+                assert value == pytest.approx(omega * np.sum(sigma[:n - 1] ** p), rel=1e-10)
+
+    def test_finite_everywhere(self):
+        # no power of omega is formed, so no node overflows
+        log_mu = np.log(np.array([1.0, 2.0, 5.0]))
+        values = measures._log_frequency_integrand(
+            log_mu, np.array([-1e6, -700.0, 0.0, 700.0, 1e6]), 3.0)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert values[2] > 0.0
 
 
 class TestEvaluate:
