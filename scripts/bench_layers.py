@@ -9,11 +9,14 @@ finds the spectrum cached.  The quadrature oracle `hp_norm_numeric` at
 p = 3 is timed on the same graphs with the spectrum cached.  Every value is
 checked, to a relative 1e-8, against the measure's formula on
 `numpy.linalg.eigvalsh` of a Laplacian assembled here from the edge list, so
-a fast wrong path posts no number.  The bench also counts the eigensolves
-(`eig_sym` calls) and iterations of one weight allocation per measure on
-ER(30, p = 0.2, seed 4), times it once, checks its objective the same way,
-and writes a host record.  The package is imported from this checkout's
-`src/`, and BLAS runs one thread.
+a fast wrong path posts no number.  One property-check trial is timed as
+`properties.replay_trial` of the energy1 monotonicity check, seed 0, over a
+fixed set of trials, each from an empty spectrum cache; every assertion it
+returns must be finite and hold the axiom (lhs <= rhs + allowance).  The
+bench also counts the eigensolves (`eig_sym` calls) and iterations of one
+weight allocation per measure on ER(30, p = 0.2, seed 4), times it once,
+checks its objective the same way, and writes a host record.  The package is
+imported from this checkout's `src/`, and BLAS runs one thread.
 
     python scripts/bench_layers.py --out BENCH.json      # full run (about 10 s)
     python scripts/bench_layers.py --smoke               # checks, one call each
@@ -42,13 +45,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from systemic import design, graphs, measures, spectral  # noqa: E402
+from systemic import design, graphs, measures, properties, spectral  # noqa: E402
 
 SIZES = (10, 50, 200, 400)
 RTOL = 1e-8
 ROUNDS = 15
 CACHED_CALLS = 200  # cached calls per timed round
 NUMERIC_CALLS = 10  # hp_norm_numeric calls per timed round
+PROPERTY_TRIALS = range(20)  # replayed monotonicity trials per timed round
 ALLOCATION_MEASURES = ("energy1", "energy2", "h2", "hinf")
 
 _md = measures.MeasureDescriptor
@@ -151,6 +155,25 @@ def bench_hp_norm_numeric(rounds: int, calls: int) -> dict:
     return metrics
 
 
+def bench_property_trial(rounds: int) -> dict:
+    energy1 = _md("energy1")
+    times = []
+    for _ in range(rounds):
+        elapsed = 0.0
+        for trial in PROPERTY_TRIALS:
+            spectral.graph_spectrum.cache_clear()
+            start = time.perf_counter()
+            assertions = properties.replay_trial("monotonicity", energy1, seed=0, trial=trial)
+            elapsed += time.perf_counter() - start
+            for lhs, rhs, allowance, description in assertions:
+                if not (math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs + allowance):
+                    sys.exit(f"bench_layers: check failed: monotonicity trial {trial} "
+                             f"({description}): {lhs!r} > {rhs!r} + {allowance!r}")
+        times.append(elapsed / len(PROPERTY_TRIALS))
+    return {"property_trial.cold_us.monotonicity.energy1": {"unit": "us",
+                                                           **quartiles_us(times)}}
+
+
 def count_allocation_eigensolves() -> dict:
     topology = design.Topology.from_graph(
         graphs.generate("erdos_renyi", 30, seed=4, p=0.2))
@@ -238,7 +261,7 @@ def main() -> int:
     rounds, calls = (1, 1) if args.smoke else (ROUNDS, CACHED_CALLS)
     numeric_calls = 1 if args.smoke else NUMERIC_CALLS
     metrics = {**bench_evaluate(rounds, calls), **bench_hp_norm_numeric(rounds, numeric_calls),
-               **count_allocation_eigensolves()}
+               **bench_property_trial(rounds), **count_allocation_eigensolves()}
     if args.smoke:
         print(f"bench_layers --smoke: {len(metrics)} metrics, every value checked")
         return 0

@@ -26,9 +26,8 @@ _EXPORTS = {
                  "hp_norm", "hp_norm_numeric", "is_homogeneous", "is_spectral",
                  "zeta", "zeta_measure"),
     "properties": ("PropertyReport", "Violation", "replay_trial", "run_check"),
-    "sim": ("SimConfig", "decay_rate", "estimate_h2", "simulate_output"),
-    "spectral": ("Spectrum", "eig_sym", "graph_spectrum", "laplacian_spectrum",
-                 "pseudo_inverse", "psd_order"),
+    "sim": ("SimConfig", "estimate_h2"),
+    "spectral": ("Spectrum", "eig_sym", "graph_spectrum", "laplacian_spectrum"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .graphs import (WeightedGraph, _check_integer, generate, graph_add, laplacian,
                      scalar_mul)
 from .measures import MeasureDescriptor, evaluate, evaluate_eigenvalues, is_spectral
-from .spectral import eig_sym, pseudo_inverse, psd_order
+from .spectral import eig_sym
 
 DEFAULT_TOL = 1e-8
 DEFAULT_ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -97,21 +97,16 @@ def _monotonicity_trial(measure: MeasureDescriptor, rng: np.random.Generator,
                         tol: float) -> list[Assertion]:
     """Adding edges (shrinking the pseudo-inverse) must not increase the measure.
 
-    The ordered pair is built by edge addition, and the pseudo-inverse
-    ordering is verified explicitly before the measure comparison.
+    The denser graph is the sparser one plus positively weighted edges, so
+    its Laplacian dominates and its pseudo-inverse is smaller in the Loewner
+    order by construction; the trial compares the measures alone.
     """
     sparser = _random_connected(rng)
     denser = graph_add(sparser, _random_positive(rng, sparser.n))
     description = f"n={sparser.n} m={sparser.m}->{denser.m}"
-    ordered = psd_order(pseudo_inverse(denser), pseudo_inverse(sparser),
-                        tol=max(1e-10, tol))
-    assertions: list[Assertion] = []
-    if not ordered:
-        assertions.append((1.0, 0.0, 0.0, description + " [psd precondition failed]"))
     lhs = evaluate(denser, measure)
     rhs = evaluate(sparser, measure)
-    assertions.append((lhs, rhs, _allowance(tol, lhs, rhs), description))
-    return assertions
+    return [(lhs, rhs, _allowance(tol, lhs, rhs), description)]
 
 
 def _mix(g1: WeightedGraph, g2: WeightedGraph, alpha: float) -> WeightedGraph:

@@ -6,21 +6,20 @@ squared H_2 measure, so the simulation cross-checks the spectral formulas
 without touching them.  Noise streams are counter-based (Philox) keyed by
 (seed, trial), which makes trials reproducible and order-independent.
 
-`_integrate` is the one Euler-Maruyama recursion: `estimate_h2` averages over
-trials 0 .. trials-1 and `simulate_output` records the path of its one trial,
-so trial t of both reads the same noise.  It draws the noise one chunk of
-steps ahead on two worker threads, each filling half of the trials (NumPy
-releases the interpreter lock while it fills).  Every trial reads only its
-own stream, so the result is bit-identical to drawing the trials one after
-another, and independent of thread and BLAS scheduling.
+`_integrate` steps trials 0 .. trials-1 and sums each one's squared states
+after burn-in; `estimate_h2` averages those sums.  The recursion draws the
+noise one chunk of steps ahead on two worker threads, each filling half of
+the trials (NumPy releases the interpreter lock while it fills).  Every
+trial reads only its own stream, so the result is bit-identical to drawing
+the trials one after another, and independent of thread and BLAS
+scheduling.
 
 Memory: a chunk is as many steps as fit into NOISE_BUFFER_BYTES (4 MiB) for
 all trials x n nodes, at least one step and at most the run's own.  The
 recursion holds two noise buffers and one buffer of states of that size,
 about 13 MB at 32 trials x 50 nodes however long the horizon; a step of all
-trials larger than the budget makes one-step buffers.  `simulate_output`
-adds the path it returns.  The chunk length moves only the grouping of the
-time-average sums, by ulps.
+trials larger than the budget makes one-step buffers.  The chunk length
+moves only the grouping of the time-average sums, by ulps.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ import numbers
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .graphs import WeightedGraph, laplacian
 from .spectral import graph_spectrum
 
@@ -101,10 +99,6 @@ def _chunk_steps(rows: int, n: int, total_steps: int) -> int:
     return max(1, min(total_steps, NOISE_BUFFER_BYTES // (8 * rows * n)))
 
 
-def _center(state: np.ndarray) -> np.ndarray:
-    return state - state.mean(axis=-1, keepdims=True)
-
-
 def _validate(graph: WeightedGraph, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     spectrum = graph_spectrum(graph)  # also enforces connectivity
     lam_max = float(spectrum.eigenvalues[-1])
@@ -162,20 +156,18 @@ def _fill_ahead(generators: list[np.random.Generator], blocks: list[np.ndarray],
         barrier.abort()
 
 
-def _integrate(matrix: np.ndarray, initial: np.ndarray, cfg: SimConfig,
-               trials: list[int], consume: Callable[[int, np.ndarray], None]) -> None:
-    """Euler-Maruyama recursion of the listed trials in lockstep, each from the
-    centered initial state on the noise stream of its id.  After each chunk,
-    consume(step, states) reads the states after steps step + 1 onward, shape
-    (steps, trials, n), in a buffer the next chunk overwrites.  Two worker
-    threads draw the next chunk's noise meanwhile, each for half of the
-    trials; both are joined before this returns, and an error in either is
-    raised here.
+def _integrate(matrix: np.ndarray, initial: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Euler-Maruyama recursion of trials 0 .. trials-1 in lockstep, each from
+    the centered initial state on the noise stream of its id; returns each
+    trial's sum of squared states over the steps after burn-in.  While a chunk
+    is stepped, two worker threads draw the next chunk's noise, each for half
+    of the trials; both are joined before this returns, and an error in either
+    is raised here.
     """
-    n, count, total_steps = initial.shape[0], len(trials), cfg.total_steps
+    n, count, total_steps = initial.shape[0], cfg.trials, cfg.total_steps
     sqrt_dt = math.sqrt(cfg.dt)
     step_matrix = np.eye(n) - cfg.dt * matrix
-    generators = [_trial_generator(cfg.seed, trial) for trial in trials]
+    generators = [_trial_generator(cfg.seed, trial) for trial in range(count)]
     half = (count + 1) // 2
     halves = [(lo, hi) for lo, hi in ((0, half), (half, count)) if lo < hi]
     chunk_steps = _chunk_steps(count, n, total_steps)
@@ -183,9 +175,10 @@ def _integrate(matrix: np.ndarray, initial: np.ndarray, cfg: SimConfig,
               for step in range(0, total_steps, chunk_steps)]
     noise = np.empty((2, count, chunk_steps, n))
     states = np.empty((chunk_steps, count, n))
-    state = np.tile(_center(initial), (count, 1))
+    state = np.tile(initial - initial.mean(), (count, 1))
+    sums = np.zeros(count)
     # the caller and the workers meet once per chunk: the chunk's noise is
-    # drawn, and the buffer the workers fill next has been consumed
+    # drawn, and the buffer the workers fill next has been stepped through
     barrier = threading.Barrier(len(halves) + 1)
     errors: list[BaseException] = []
     workers = [threading.Thread(
@@ -207,12 +200,14 @@ def _integrate(matrix: np.ndarray, initial: np.ndarray, cfg: SimConfig,
                 np.matmul(state, step_matrix, out=out)
                 out += increment
                 state = out
-            consume(step, states[:chunk])
+            kept = states[max(cfg.burn_steps - step, 0):chunk]  # empty in the burn-in
+            sums += np.einsum("sij,sij->i", kept, kept)
     finally:
         barrier.abort()
         for worker in workers:
             if worker.ident is not None:
                 worker.join()
+    return sums
 
 
 def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
@@ -222,68 +217,11 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
     mean, so results are deterministic for a fixed seed.
     """
     matrix, initial = _validate(graph, cfg)
-    burn_steps = cfg.burn_steps
-    if cfg.total_steps <= burn_steps:
+    if cfg.total_steps <= cfg.burn_steps:
         raise ConfigError("horizon leaves no steps after burn-in")
-    sums = np.zeros(cfg.trials)
-
-    def accumulate(step: int, states: np.ndarray) -> None:
-        nonlocal sums
-        first_kept = max(burn_steps - step, 0)
-        if first_kept < len(states):
-            sums += np.einsum("sij,sij->i", states[first_kept:], states[first_kept:])
-
-    _integrate(matrix, initial, cfg, list(range(cfg.trials)), accumulate)
-    per_trial = sums / (cfg.total_steps - burn_steps)
+    per_trial = _integrate(matrix, initial, cfg) / (cfg.total_steps - cfg.burn_steps)
     estimate = float(np.mean(per_trial))
     if cfg.trials == 1:
         return estimate, math.nan
     stderr = float(np.std(per_trial, ddof=1) / math.sqrt(cfg.trials))
     return estimate, stderr
-
-
-def simulate_output(graph: WeightedGraph, cfg: SimConfig, trial: int = 0) -> np.ndarray:
-    """Disagreement-output path of one trial, shape (steps + 1, n).
-
-    The path depends on x0 only through its centered part, so shifting every
-    node's initial value by the same constant leaves the output untouched.
-    `trial` selects the noise stream and must be an integer in [0, 2**64).
-    """
-    trial = _integer("trial", trial)
-    if not 0 <= trial < 1 << 64:
-        raise ConfigError(f"trial must be in [0, 2**64), got {trial}")
-    matrix, initial = _validate(graph, cfg)
-    path = np.empty((cfg.total_steps + 1, graph.n))
-    path[0] = _center(initial)
-
-    def record(step: int, states: np.ndarray) -> None:
-        path[step + 1:step + 1 + len(states)] = states[:, 0]
-
-    _integrate(matrix, initial, cfg, [trial], record)
-    return path
-
-
-def decay_rate(graph: WeightedGraph, cfg: SimConfig) -> float:
-    """Fitted exponential decay rate of the noise-free disagreement norm.
-
-    With the disturbance switched off, the disagreement decays like
-    exp(-lambda_2 t) once faster modes die out; the rate is fitted by least
-    squares on the log-norm over the second half of the horizon.
-    """
-    matrix, initial = _validate(graph, cfg)
-    state = _center(initial)
-    norm0 = float(np.linalg.norm(state))
-    if norm0 == 0.0:
-        raise DomainError("x0 has no disagreement component; nothing decays")
-    total_steps = cfg.total_steps
-    norms = np.empty(total_steps + 1)
-    norms[0] = norm0
-    for step in range(total_steps):
-        state = state - cfg.dt * (matrix @ state)
-        norms[step + 1] = np.linalg.norm(state)
-    start = total_steps // 2
-    if np.any(norms[start:] <= 0.0):
-        raise DomainError("disagreement reached zero; shorten the horizon")
-    times = cfg.dt * np.arange(start, total_steps + 1)
-    slope = np.polyfit(times, np.log(norms[start:]), 1)[0]
-    return -float(slope)

@@ -1,4 +1,4 @@
-"""Symmetric eigensolver, Laplacian pseudo-inverse, and the PSD partial order.
+"""Symmetric eigensolver and the cached Laplacian spectra of connected graphs.
 
 eig_sym wraps LAPACK's symmetric eigensolver (syevd) in a contract: square,
 finite, symmetric input; ascending eigenvalues; a LAPACK failure becomes
@@ -29,14 +29,14 @@ one matrix.
 
 The systemic measures are functions of the nonzero Laplacian eigenvalues
 alone, so graph_spectrum caches values-only spectra, about n floats per
-graph; pseudo_inverse and the weight-allocation gradient use the full mode,
-and read the eigenvectors only through sign-free products. Identical input
-bits give identical output bits on the same machine and BLAS build in either
-mode, which the property-check machinery relies on for replayable trials.
+graph; the weight-allocation gradient uses the full mode, and reads the
+eigenvectors only through sign-free products. Identical input bits give
+identical output bits on the same machine and BLAS build in either mode,
+which the property-check machinery relies on for replayable trials.
 
-laplacian_spectrum and pseudo_inverse take only a graph, which brings its
-connectivity, an exact combinatorial fact, so a weak but present bridge is
-not called a cut; eig_sym is the route for a raw matrix.
+laplacian_spectrum takes only a graph, which brings its connectivity, an
+exact combinatorial fact, so a weak but present bridge is not called a cut;
+eig_sym is the route for a raw matrix.
 """
 
 from __future__ import annotations
@@ -208,26 +208,3 @@ def laplacian_spectrum(graph: WeightedGraph, *, vectors: bool = True) -> Spectru
 def graph_spectrum(graph: WeightedGraph) -> Spectrum:
     """Cached values-only laplacian_spectrum keyed by the (immutable) graph."""
     return laplacian_spectrum(graph, vectors=False)
-
-
-def pseudo_inverse(graph: WeightedGraph) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a connected graph's Laplacian.
-
-    Assembled from laplacian_spectrum as sum over nonzero modes of
-    v v^T / lambda, with its errors; the result is symmetric, doubly centered
-    and positive semidefinite.
-    """
-    spec = laplacian_spectrum(graph)
-    vectors = spec.eigenvectors[:, 1:]
-    inverse = (vectors / spec.nonzero) @ vectors.T
-    return 0.5 * (inverse + inverse.T)
-
-
-def psd_order(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff a <= b in the positive semidefinite order, within tol."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    gap = eig_sym(b - a, vectors=False)
-    return bool(gap.eigenvalues[0] >= -tol)

@@ -256,6 +256,35 @@ def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float
     return estimate, float(np.std(per_trial, ddof=1) / math.sqrt(cfg.trials))
 
 
+def decay_rate(graph: WeightedGraph, cfg: SimConfig) -> float:
+    """Oracle for lambda_2: the fitted exponential decay rate of the
+    noise-free disagreement norm from cfg.x0, stepped with cfg.dt.
+
+    With the disturbance switched off, the disagreement decays like
+    exp(-lambda_2 t) once faster modes die out; the rate is fitted by least
+    squares on the log-norm over the second half of the horizon. The matrix
+    comes from `laplacian`, never from the package's spectra.
+    """
+    matrix = laplacian(graph)
+    initial = np.zeros(graph.n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
+    state = initial - initial.mean()
+    norm0 = float(np.linalg.norm(state))
+    if norm0 == 0.0:
+        raise DomainError("x0 has no disagreement component; nothing decays")
+    total_steps = cfg.total_steps
+    norms = np.empty(total_steps + 1)
+    norms[0] = norm0
+    for step in range(total_steps):
+        state = state - cfg.dt * (matrix @ state)
+        norms[step + 1] = np.linalg.norm(state)
+    start = total_steps // 2
+    if np.any(norms[start:] <= 0.0):
+        raise DomainError("disagreement reached zero; shorten the horizon")
+    times = cfg.dt * np.arange(start, total_steps + 1)
+    slope = np.polyfit(times, np.log(norms[start:]), 1)[0]
+    return -float(slope)
+
+
 def loop_topology_laplacian(topology: Topology, weights: np.ndarray) -> np.ndarray:
     """Loop reference for `Topology.laplacian_of`: every entry accumulated
     edge by edge, in edge order."""

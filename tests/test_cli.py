@@ -790,15 +790,15 @@ PACKAGE_NAMES = [
     "QuadratureSettings", "RankingEntry", "RewireResult", "ScaleError", "SimConfig",
     "SolverOptions", "SpectralFunction", "Spectrum", "SystemicError",
     "Topology", "Violation", "WeightAllocationResult", "WeightedGraph",
-    "applicable_properties", "decay_rate", "design", "eig_sym",
+    "applicable_properties", "design", "eig_sym",
     "entropy_via_trees", "errors", "estimate_h2", "evaluate", "evaluate_eigenvalues",
     "fundamental_limit", "generate", "get_spectral_function", "graph_add",
     "graph_spectrum", "graphs", "greedy_augment", "hp_norm", "hp_norm_numeric",
     "is_connected", "is_homogeneous", "is_spectral", "laplacian", "laplacian_spectrum",
     "measures", "optimize_weights", "parse_graph", "project_simplex", "properties",
-    "psd_order", "pseudo_inverse", "replay_trial",
+    "replay_trial",
     "rewire_bruteforce", "run_check", "scalar_mul", "serialize_graph", "sim",
-    "simulate_output", "spanning_tree_count", "spectral", "zeta",
+    "spanning_tree_count", "spectral", "zeta",
     "zeta_measure",
 ]
 LAYER_MODULES = ["design", "errors", "graphs", "measures", "properties", "sim", "spectral"]

@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from systemic import (DomainError, MeasureDescriptor, WeightedGraph, evaluate,
-                      evaluate_eigenvalues, graph_add, properties, replay_trial, run_check,
-                      scalar_mul)
+                      evaluate_eigenvalues, graph_add, laplacian, properties, replay_trial,
+                      run_check, scalar_mul)
 
 ENERGY = MeasureDescriptor("energy1")
 ENTROPY = MeasureDescriptor("entropy")
@@ -55,6 +56,22 @@ class TestMonotonicity:
     def test_random_pairs(self, descriptor):
         report = run_check("monotonicity", descriptor, trials=60, seed=3)
         assert report.ok
+
+    def test_trial_pairs_are_loewner_ordered(self):
+        # the trial adds positive edges to the sparser graph, so the pair's
+        # pseudo-inverses are ordered by construction and the trial does not
+        # check it; this redraws the trials' pairs and checks it with numpy
+        salt = properties._PROPERTIES["monotonicity"][0]
+        for seed, trial in itertools.product(range(2), range(200)):
+            sequence = np.random.SeedSequence(entropy=seed, spawn_key=(salt, trial))
+            rng = np.random.Generator(np.random.PCG64(sequence))
+            sparser = properties._random_connected(rng)
+            denser = graph_add(sparser, properties._random_positive(rng, sparser.n))
+            sparse_inverse = np.linalg.pinv(laplacian(sparser), hermitian=True)
+            dense_inverse = np.linalg.pinv(laplacian(denser), hermitian=True)
+            smallest = np.linalg.eigvalsh(sparse_inverse - dense_inverse)[0]
+            scale = max(1.0, float(np.abs(sparse_inverse).max()))
+            assert smallest >= -1e-10 * scale, (seed, trial, smallest)
 
 
 class TestConvexity:

@@ -7,11 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import loop_estimate_h2
+from helpers import decay_rate, loop_estimate_h2
 from systemic import sim
 from systemic import (ConfigError, DomainError, MeasureDescriptor, SimConfig,
-                      decay_rate, estimate_h2, evaluate, generate,
-                      graph_spectrum, simulate_output)
+                      estimate_h2, evaluate, generate, graph_spectrum)
 
 
 def _quiet_estimate(graph, cfg):
@@ -106,6 +105,15 @@ class TestEstimate:
     def test_deterministic_given_seed(self, k3):
         cfg = SimConfig(dt=5e-3, horizon=30.0, burn_in=2.0, trials=4, seed=11)
         assert estimate_h2(k3, cfg) == estimate_h2(k3, cfg)
+
+    def test_shifted_x0_bit_identical(self, c4):
+        # n = 4 and dyadic values make the centering arithmetic error-free
+        base = (0.0, 0.5, 1.0, 1.5)
+        shifted = tuple(v + 2.0 for v in base)
+        kwargs = dict(dt=1e-2, horizon=3.0, burn_in=0.0, trials=4, seed=3)
+        first = _quiet_estimate(c4, SimConfig(x0=base, **kwargs))
+        second = _quiet_estimate(c4, SimConfig(x0=shifted, **kwargs))
+        assert [v.hex() for v in first] == [v.hex() for v in second]
 
     def test_bias_shrinks_with_dt(self, k3):
         # the Euler stationary variance exceeds the exact one by O(dt); the
@@ -208,56 +216,6 @@ class TestPipelinedNoise:
         with pytest.raises(FloatingPointError, match="noise fill failed"):
             estimate_h2(k3, cfg)
         assert threading.active_count() == before
-
-
-class TestOutputPath:
-    def test_shifted_x0_bit_identical(self, c4):
-        # n = 4 and dyadic values make the centering arithmetic error-free
-        base = (0.0, 0.5, 1.0, 1.5)
-        shifted = tuple(v + 2.0 for v in base)
-        kwargs = dict(dt=1e-2, horizon=3.0, burn_in=0.0, trials=1, seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            path_a = simulate_output(c4, SimConfig(x0=base, **kwargs))
-            path_b = simulate_output(c4, SimConfig(x0=shifted, **kwargs))
-        assert np.array_equal(path_a, path_b)
-
-    def test_path_matches_trial_of_estimate(self, monkeypatch, k3):
-        # horizon 12 at dt 1e-2 is 1200 steps: chunks of 256 steps for the
-        # estimate's three trials and of 768 for one path cross several times
-        _chunk_budget(monkeypatch, 3, 3, 256)
-        cfg = SimConfig(dt=1e-2, horizon=12.0, burn_in=2.0, trials=3, seed=21)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            estimate, stderr = estimate_h2(k3, cfg)
-            paths = [simulate_output(k3, cfg, trial=t) for t in range(cfg.trials)]
-        burn = cfg.burn_steps
-        averages = [float(np.mean(np.sum(path[burn + 1:] ** 2, axis=1)))
-                    for path in paths]
-        assert np.mean(averages) == pytest.approx(estimate, rel=1e-12)
-        expected_stderr = np.std(averages, ddof=1) / math.sqrt(cfg.trials)
-        assert expected_stderr == pytest.approx(stderr, rel=1e-12)
-
-    # -1 used to raise NumPy's OverflowError from the Philox key, 2.5 ran as
-    # trial 2 and True as trial 1
-    @pytest.mark.parametrize("trial, message", [
-        (2.5, "trial must be an integer"), (True, "trial must be an integer"),
-        (2.0, "trial must be an integer"), ("1", "trial must be an integer"),
-        (None, "trial must be an integer"), (-1, "trial must be in"),
-        (np.int64(-1), "trial must be in"), (1 << 64, "trial must be in")])
-    def test_bad_trial_rejected(self, p3, trial, message):
-        cfg = SimConfig(dt=0.01, horizon=1.0, burn_in=0.0, trials=1, seed=0)
-        with pytest.raises(ConfigError, match=message):
-            simulate_output(p3, cfg, trial=trial)
-
-    def test_numpy_integer_trial(self, p3):
-        cfg = SimConfig(dt=0.01, horizon=1.0, burn_in=0.0, trials=1, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plain = simulate_output(p3, cfg, trial=2)
-            assert np.array_equal(simulate_output(p3, cfg, trial=np.uint8(2)), plain)
-            assert np.array_equal(simulate_output(p3, cfg, trial=(1 << 64) - 1),
-                                  simulate_output(p3, cfg, trial=np.uint64((1 << 64) - 1)))
 
 
 class TestDecay:

@@ -9,7 +9,7 @@ from systemic import (ConnectivityError, DimensionError, DomainError, MeasureDes
                       NumericalError, WeightedGraph, eig_sym, evaluate,
                       evaluate_eigenvalues, generate, graph_add, graph_spectrum,
                       is_connected, is_spectral, laplacian, laplacian_spectrum,
-                      pseudo_inverse, psd_order, scalar_mul, spectral)
+                      scalar_mul, spectral)
 
 from helpers import MEASURE_CASES, random_connected
 
@@ -186,7 +186,7 @@ class TestLaplacianSpectrum:
         with pytest.raises(DomainError, match="use eig_sym for a raw matrix"):
             laplacian_spectrum(operand)
 
-    @pytest.mark.parametrize("route", [laplacian_spectrum, pseudo_inverse])
+    @pytest.mark.parametrize("route", [laplacian_spectrum])
     def test_raw_laplacian_refused(self, route):
         # a raw matrix was judged by eigenvalue thresholds, a graph by its flag
         matrix = laplacian(random_connected(5))
@@ -332,61 +332,6 @@ class TestErrorBound:
             descriptor = MeasureDescriptor(measure_id)
             assert evaluate(graph, descriptor) == pytest.approx(
                 evaluate(unit, descriptor) / scale, rel=1e-12)
-
-
-class TestPseudoInverse:
-    def test_k3_closed_form(self, k3):
-        expected = (3.0 * np.eye(3) - np.ones((3, 3))) / 9.0
-        result = pseudo_inverse(k3)
-        assert np.abs(result - expected).max() < 1e-12
-        assert np.trace(result) == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-    @pytest.mark.parametrize("seed", range(100))
-    def test_moore_penrose_identities(self, seed):
-        graph = random_connected(seed, n_low=3, n_high=50)
-        matrix = laplacian(graph)
-        dagger = pseudo_inverse(graph)
-        scale = max(1.0, float(np.abs(matrix).max()))
-        assert np.abs(matrix @ dagger @ matrix - matrix).max() < 1e-9 * scale
-        assert np.abs(dagger @ matrix @ dagger - dagger).max() < 1e-9
-        assert np.abs((matrix @ dagger).T - matrix @ dagger).max() < 1e-9
-        assert np.abs((dagger @ matrix).T - dagger @ matrix).max() < 1e-9
-
-    def test_doubly_centered(self):
-        dagger = pseudo_inverse(random_connected(11))
-        ones = np.ones(dagger.shape[0])
-        assert np.abs(dagger @ ones).max() < 1e-10
-        assert np.abs(dagger - dagger.T).max() == 0.0
-
-    def test_projection_identity(self, k3):
-        # L Ldagger equals the centering projector for a connected graph
-        matrix = laplacian(k3)
-        product = matrix @ pseudo_inverse(k3)
-        centering = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
-        assert np.abs(product - centering).max() < 1e-12
-
-    def test_disconnected_rejected(self):
-        graph = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(ConnectivityError):
-            pseudo_inverse(graph)
-
-
-class TestPsdOrder:
-    def test_reflexive(self):
-        matrix = _random_symmetric(1, 5)
-        assert psd_order(matrix, matrix, tol=1e-12)
-
-    def test_identity_vs_zero(self):
-        assert not psd_order(np.eye(3), np.zeros((3, 3)), tol=1e-12)
-        assert psd_order(np.zeros((3, 3)), np.eye(3), tol=1e-12)
-
-    def test_heavier_graph_smaller_inverse(self, k3):
-        heavy = pseudo_inverse(scalar_mul(2.0, k3))
-        assert psd_order(heavy, pseudo_inverse(k3), tol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            psd_order(np.eye(2), np.eye(3))
 
 
 class TestInterlacing:
