@@ -15,10 +15,16 @@ fixed set of trials, each from an empty spectrum cache; every assertion it
 returns must be finite and hold the axiom (lhs <= rhs + allowance).  The
 bench also counts the eigensolves (`eig_sym` calls) and iterations of one
 weight allocation per measure on ER(30, p = 0.2, seed 4), times it once,
-checks its objective the same way, and writes a host record.  The package is
+checks its objective the same way, and writes a host record.  The
+Euler-Maruyama oracle `sim.estimate_h2` runs on the catalog's complete10 and
+path50 configurations (32 trials, dt = 0.5 / lambda_max, burn-in 6 / lambda_2;
+under --smoke the time average covers only SMOKE_KEPT_STEPS steps), timed per
+step and traced for its peak bytes; each estimate must lie within
+SIM_Z_GATE standard errors of energy1 plus the exact Euler offset
+sum dt / (2 (2 - dt lambda)), both from the same eigvalsh.  The package is
 imported from this checkout's `src/`, and BLAS runs one thread.
 
-    python scripts/bench_layers.py --out BENCH.json      # full run (about 10 s)
+    python scripts/bench_layers.py --out BENCH.json      # full run (about 12 s)
     python scripts/bench_layers.py --smoke               # checks, one call each
     python scripts/bench_layers.py --compare A.json B.json
 
@@ -37,6 +43,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -45,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from systemic import design, graphs, measures, properties, spectral  # noqa: E402
+from systemic import design, graphs, measures, properties, sim, spectral  # noqa: E402
 
 SIZES = (10, 50, 200, 400)
 RTOL = 1e-8
@@ -54,6 +61,11 @@ CACHED_CALLS = 200  # cached calls per timed round
 NUMERIC_CALLS = 10  # hp_norm_numeric calls per timed round
 PROPERTY_TRIALS = range(20)  # replayed monotonicity trials per timed round
 ALLOCATION_MEASURES = ("energy1", "energy2", "h2", "hinf")
+SIM_GRAPHS = (("complete", 10), ("path", 50))  # the catalog's simulated sizes
+SIM_TRIALS = 32
+SIM_ROUNDS = 5  # timed estimate_h2 calls per graph
+SIM_Z_GATE = 5.0  # the catalog's gate, in standard errors
+SMOKE_KEPT_STEPS = 500  # steps after burn-in under --smoke
 
 _md = measures.MeasureDescriptor
 DESCRIPTORS = [_md("energy1"), _md("energy2"), _md("h2"), _md("hinf"),
@@ -209,6 +221,42 @@ def count_allocation_eigensolves() -> dict:
     return metrics
 
 
+def sim_config(lam: np.ndarray, smoke: bool) -> sim.SimConfig:
+    """The catalog's settings on the nonzero eigenvalues lam (ascending)."""
+    dt = 0.5 / float(lam[-1])
+    burn_in = 6.0 / float(lam[0])  # clear of the simulator's mixing warning
+    kept = SMOKE_KEPT_STEPS * dt if smoke else max(15.0 / float(lam[0]), 4000.0 * dt)
+    return sim.SimConfig(dt=dt, horizon=burn_in + kept, burn_in=burn_in,
+                         trials=SIM_TRIALS, seed=1)
+
+
+def bench_estimate_h2(rounds: int, smoke: bool) -> dict:
+    metrics = {}
+    for family, n in SIM_GRAPHS:
+        graph = graphs.generate(family, n)
+        lam, _ = reference(graph)
+        cfg = sim_config(lam, smoke)
+        target = np.sum(0.5 / lam) + np.sum(cfg.dt / (2.0 * (2.0 - cfg.dt * lam)))
+        times = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            estimate, stderr = sim.estimate_h2(graph, cfg)
+            times.append((time.perf_counter() - start) / cfg.total_steps)
+            if not abs(estimate - target) <= SIM_Z_GATE * stderr:
+                sys.exit(f"bench_layers: check failed: estimate_h2 {family}{n}: "
+                         f"{estimate!r} is {(estimate - target) / stderr:.2f} "
+                         f"standard errors from {target!r}")
+        tracemalloc.start()
+        try:
+            sim.estimate_h2(graph, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        metrics[f"estimate_h2.step_us.{family}{n}"] = {"unit": "us", **quartiles_us(times)}
+        metrics[f"estimate_h2.peak_bytes.{family}{n}"] = {"unit": "bytes", "median": peak}
+    return metrics
+
+
 def host_record() -> dict:
     cpu = platform.processor() or "unknown"
     try:
@@ -261,7 +309,8 @@ def main() -> int:
     rounds, calls = (1, 1) if args.smoke else (ROUNDS, CACHED_CALLS)
     numeric_calls = 1 if args.smoke else NUMERIC_CALLS
     metrics = {**bench_evaluate(rounds, calls), **bench_hp_norm_numeric(rounds, numeric_calls),
-               **bench_property_trial(rounds), **count_allocation_eigensolves()}
+               **bench_property_trial(rounds), **count_allocation_eigensolves(),
+               **bench_estimate_h2(1 if args.smoke else SIM_ROUNDS, args.smoke)}
     if args.smoke:
         print(f"bench_layers --smoke: {len(metrics)} metrics, every value checked")
         return 0
@@ -269,7 +318,9 @@ def main() -> int:
                          "settings": {"sizes": SIZES, "rounds": rounds,
                                       "cached_calls_per_round": calls,
                                       "numeric_calls_per_round": numeric_calls,
-                                      "rtol": RTOL},
+                                      "rtol": RTOL, "sim_trials": SIM_TRIALS,
+                                      "sim_rounds": SIM_ROUNDS,
+                                      "sim_z_gate": SIM_Z_GATE},
                          "metrics": metrics}, indent=1)
     if args.out:
         Path(args.out).write_text(record + "\n", encoding="utf-8")

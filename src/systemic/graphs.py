@@ -9,7 +9,7 @@ from n and those bytes.  Every route in (the constructor, from_edges,
 parse_graph, generate and the graph algebra) checks the arrays once, through
 _check_edges, and stores the connectivity flag beside them.  The Laplacian,
 the degrees and connectivity read the arrays; the (int, int, float) edge tuple
-is built only when `edges` is first read.
+is built on each read of `edges` and never kept.
 """
 
 from __future__ import annotations
@@ -265,9 +265,11 @@ class WeightedGraph:
         ws = np.fromiter(map(float, map(itemgetter(2), edges)), dtype=float, count=len(edges))
         return cls._from_arrays(n, np.minimum(us, vs), np.maximum(us, vs), ws)
 
-    @cached_property
+    @property
     def edges(self) -> tuple[Edge, ...]:
-        """The (u, v, w) triples, u < v, sorted by (u, v); built on first read."""
+        """The (u, v, w) triples, u < v, sorted by (u, v); built from the
+        arrays on each read and never kept, so that a graph holds 24 bytes
+        per edge."""
         return tuple(zip(self._us.tolist(), self._vs.tolist(), self._ws.tolist()))
 
     @cached_property

@@ -14,12 +14,15 @@ trial reads only its own stream, so the result is bit-identical to drawing
 the trials one after another, and independent of thread and BLAS
 scheduling.
 
-Memory: a chunk is as many steps as fit into NOISE_BUFFER_BYTES (4 MiB) for
+Memory: a chunk is as many steps as fit into NOISE_BUFFER_BYTES (2 MiB) for
 all trials x n nodes, at least one step and at most the run's own.  The
-recursion holds two noise buffers and one buffer of states of that size,
-about 13 MB at 32 trials x 50 nodes however long the horizon; a step of all
-trials larger than the budget makes one-step buffers.  The chunk length
-moves only the grouping of the time-average sums, by ulps.
+recursion holds two noise buffers of that size and steps each chunk in
+place: a step's state overwrites its own increment, and the time-average sums
+read the states from the buffer.  That is 4.2 MB of buffers at 32 trials x 50
+nodes (163-step chunks) however long the horizon, and each chunk is derived
+as the loop reaches it; a step of all trials larger than the budget makes
+one-step buffers.  The chunk length moves only the grouping of the
+time-average sums, by ulps.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import ConfigError
 from .graphs import WeightedGraph, laplacian
 from .spectral import graph_spectrum
 
-NOISE_BUFFER_BYTES = 4 << 20  # budget of each noise and state buffer of a run
+NOISE_BUFFER_BYTES = 2 << 20  # budget of each of a run's two noise buffers
 MIXING_TIME_CONSTANTS = 5.0  # burn-in the mixing heuristic asks for, in units of 1/lambda_2
 
 
@@ -140,13 +143,23 @@ def _fill_noise(generators: list[np.random.Generator], block: np.ndarray,
     block *= sqrt_dt
 
 
-def _fill_ahead(generators: list[np.random.Generator], blocks: list[np.ndarray],
-                sqrt_dt: float, barrier: threading.Barrier, errors: list) -> None:
-    """Worker: fill each block in turn, meeting the caller at `barrier` after
-    each one. An exception is stored in `errors` and breaks the barrier; a
-    broken barrier (the caller gave up) ends the worker."""
+def _chunks(noise: np.ndarray, total_steps: int):
+    """Yield (first step, block) for each chunk of a run of total_steps steps,
+    as the loop reaches it: the chunks alternate between the two buffers of
+    `noise` (2, trials, chunk_steps, n), and the last one may be short."""
+    for index, step in enumerate(range(0, total_steps, noise.shape[2])):
+        yield step, noise[index % 2, :, :total_steps - step]
+
+
+def _fill_ahead(generators: list[np.random.Generator], noise: np.ndarray,
+                total_steps: int, sqrt_dt: float, barrier: threading.Barrier,
+                errors: list) -> None:
+    """Worker: draw each chunk into its buffer of `noise` in turn (see
+    _chunks), meeting the caller at `barrier` after each one. An exception is
+    stored in `errors` and breaks the barrier; a broken barrier (the caller
+    gave up) ends the worker."""
     try:
-        for block in blocks:
+        for _, block in _chunks(noise, total_steps):
             _fill_noise(generators, block, sqrt_dt)
             barrier.wait()
     except threading.BrokenBarrierError:
@@ -170,11 +183,8 @@ def _integrate(matrix: np.ndarray, initial: np.ndarray, cfg: SimConfig) -> np.nd
     generators = [_trial_generator(cfg.seed, trial) for trial in range(count)]
     half = (count + 1) // 2
     halves = [(lo, hi) for lo, hi in ((0, half), (half, count)) if lo < hi]
-    chunk_steps = _chunk_steps(count, n, total_steps)
-    chunks = [(step, min(chunk_steps, total_steps - step))
-              for step in range(0, total_steps, chunk_steps)]
-    noise = np.empty((2, count, chunk_steps, n))
-    states = np.empty((chunk_steps, count, n))
+    noise = np.empty((2, count, _chunk_steps(count, n, total_steps), n))
+    product = np.empty((count, n))
     state = np.tile(initial - initial.mean(), (count, 1))
     sums = np.zeros(count)
     # the caller and the workers meet once per chunk: the chunk's noise is
@@ -183,25 +193,26 @@ def _integrate(matrix: np.ndarray, initial: np.ndarray, cfg: SimConfig) -> np.nd
     errors: list[BaseException] = []
     workers = [threading.Thread(
         target=_fill_ahead,
-        args=(generators[lo:hi], [noise[index % 2, lo:hi, :chunk]
-                                  for index, (_, chunk) in enumerate(chunks)],
-              sqrt_dt, barrier, errors)) for lo, hi in halves]
+        args=(generators[lo:hi], noise[:, lo:hi], total_steps, sqrt_dt, barrier, errors))
+        for lo, hi in halves]
     try:
         for worker in workers:
             worker.start()
-        for index, (step, chunk) in enumerate(chunks):
+        for step, block in _chunks(noise, total_steps):
             try:
                 barrier.wait()
             except threading.BrokenBarrierError:
                 raise errors[0] from None
-            increments = noise[index % 2, :, :chunk].swapaxes(0, 1)
-            # `state` may view the last row of `states`, which is written last
-            for out, increment in zip(states[:chunk], increments):
-                np.matmul(state, step_matrix, out=out)
-                out += increment
-                state = out
-            kept = states[max(cfg.burn_steps - step, 0):chunk]  # empty in the burn-in
-            sums += np.einsum("sij,sij->i", kept, kept)
+            # each state x A + dW overwrites its own increment dW
+            current = state
+            for increment in block.swapaxes(0, 1):
+                np.matmul(current, step_matrix, out=product)
+                increment += product
+                current = increment
+            kept = block[:, max(cfg.burn_steps - step, 0):]  # empty in the burn-in
+            sums += np.einsum("isj,isj->i", kept, kept)
+            # copied out now: past the next barrier the workers refill this buffer
+            state[...] = current
     finally:
         barrier.abort()
         for worker in workers:

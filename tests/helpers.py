@@ -234,7 +234,7 @@ def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float
     sums = np.zeros(cfg.trials)
     kept = 0
     step = 0
-    states = np.empty((chunk_steps, cfg.trials, n))
+    states = np.empty((cfg.trials, chunk_steps, n))  # trial-major, as the library sums
     while step < total_steps:
         chunk = min(chunk_steps, total_steps - step)
         noise = np.stack([g.standard_normal((chunk, n)) for g in generators], axis=1)
@@ -242,11 +242,11 @@ def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float
         noise *= sqrt_dt
         for local in range(chunk):
             state = state @ step_matrix + noise[local]
-            states[local] = state
+            states[:, local] = state
         first_kept = max(burn_steps - step, 0)
         if first_kept < chunk:
-            sums += np.einsum("sij,sij->i", states[first_kept:chunk],
-                              states[first_kept:chunk])
+            sums += np.einsum("isj,isj->i", states[:, first_kept:chunk],
+                              states[:, first_kept:chunk])
             kept += chunk - first_kept
         step += chunk
     per_trial = sums / kept
@@ -283,6 +283,19 @@ def decay_rate(graph: WeightedGraph, cfg: SimConfig) -> float:
     times = cfg.dt * np.arange(start, total_steps + 1)
     slope = np.polyfit(times, np.log(norms[start:]), 1)[0]
     return -float(slope)
+
+
+def count_edge_reads(monkeypatch) -> list:
+    """Wrap the `WeightedGraph.edges` property for the rest of the test; each
+    read appends the graph's id to the returned list."""
+    reads = []
+    build = WeightedGraph.edges.fget
+
+    def counted(graph):
+        reads.append(id(graph))
+        return build(graph)
+    monkeypatch.setattr(WeightedGraph, "edges", property(counted))
+    return reads
 
 
 def loop_topology_laplacian(topology: Topology, weights: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ from systemic import design, measures
 from systemic.design import _Objective, _check_relabelings, canonical_edges
 from systemic.measures import MEASURE_IDS
 
-from helpers import (MEASURE_CASES, grid_min_energy1, grid_min_inverse_lambda2,
-                     loop_topology_laplacian, random_connected)
+from helpers import (MEASURE_CASES, count_edge_reads, grid_min_energy1,
+                     grid_min_inverse_lambda2, loop_topology_laplacian, random_connected)
 
 ENERGY = MeasureDescriptor("energy1")
 
@@ -593,10 +593,11 @@ class TestTopologyArrays:
         assert graph.edges == ((0, 1, 0.25), (2, 3, 0.75))
         assert not is_connected(graph)
 
-    def test_from_graph_reads_the_arrays(self):
+    def test_from_graph_reads_the_arrays(self, monkeypatch):
         graph = generate("erdos_renyi", 15, seed=2, p=0.3, weight_range=(0.5, 2.0))
+        reads = count_edge_reads(monkeypatch)
         topology = Topology.from_graph(graph)
-        assert "edges" not in vars(graph)
+        assert reads == []
         assert topology.edges == tuple((u, v) for u, v, _ in graph.edges)
         assert topology == Topology(n=15, edges=tuple((v, u) for u, v in topology.edges[::-1]))
 

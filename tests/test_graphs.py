@@ -16,9 +16,9 @@ from systemic import (ConnectivityError, DimensionError, DomainError, Generation
                       is_connected, laplacian, laplacian_spectrum, parse_graph, scalar_mul,
                       serialize_graph, spanning_tree_count)
 
-from helpers import (analytic_spectrum, brute_force_tree_weight, loop_from_edges,
-                     loop_generate, loop_graph_add, loop_is_connected, loop_laplacian,
-                     loop_validate, random_connected)
+from helpers import (analytic_spectrum, brute_force_tree_weight, count_edge_reads,
+                     loop_from_edges, loop_generate, loop_graph_add, loop_is_connected,
+                     loop_laplacian, loop_validate, random_connected)
 
 FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
 NON_FINITE = (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf"))
@@ -839,7 +839,8 @@ class TestArrayContract:
         assert WeightedGraph(n=graph.n + 1, edges=edges) != graph
         assert graph != graph.edges
 
-    def test_measures_never_build_the_edge_tuple(self):
+    def test_measures_never_build_the_edge_tuple(self, monkeypatch):
+        reads = count_edge_reads(monkeypatch)
         graphs = [generate(family, 10) for family in ("complete", "cycle", "path", "star")]
         graphs.append(generate("erdos_renyi", 30, seed=5, p=0.3, weight_range=(0.5, 2.0)))
         for graph in graphs:
@@ -853,9 +854,9 @@ class TestArrayContract:
                 warnings.simplefilter("ignore")  # a short burn-in is fine here
                 estimate_h2(graph, SimConfig(dt=dt, horizon=300 * dt, burn_in=100 * dt,
                                              trials=2, seed=1))
-        assert all("edges" not in vars(graph) for graph in graphs)
+        assert reads == []
         graphs[0].edges
-        assert "edges" in vars(graphs[0])  # the check above can see a built tuple
+        assert reads == [id(graphs[0])]  # the check above can see a read
 
     def test_complete_1000_holds_24_bytes_per_edge(self):
         generate("complete", 10)  # first-use imports and caches
@@ -866,7 +867,7 @@ class TestArrayContract:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert "edges" not in vars(graph) and "degrees" not in vars(graph)
+        assert "degrees" not in vars(graph)
         # the three arrays, plus a fixed allowance for the object and array headers
         assert held <= 24 * graph.m + 4096
 

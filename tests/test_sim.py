@@ -164,32 +164,54 @@ class TestPipelinedNoise:
             assert got.tobytes() == want.tobytes(), (trials, steps, burn_steps, x0)
 
     def test_bit_identical_at_the_default_budget(self):
-        # 4 MiB holds 819 steps of 32 trials x 20 nodes: chunks of 819, 819, 362
+        # 2 MiB holds 409 steps of 32 trials x 20 nodes: four chunks of 409, then 364
         graph = generate("cycle", 20)
         cfg = SimConfig(dt=0.05, horizon=100.0, burn_in=50.0, trials=32, seed=5)
-        assert sim._chunk_steps(cfg.trials, graph.n, cfg.total_steps) == 819
+        assert sim._chunk_steps(cfg.trials, graph.n, cfg.total_steps) == 409
         got = np.array(_quiet_estimate(graph, cfg))
         assert got.tobytes() == np.array(loop_estimate_h2(graph, cfg)).tobytes()
 
     def test_chunk_steps_from_the_byte_budget(self):
-        assert sim._chunk_steps(32, 50, 10**6) == 327  # the catalog's path50
+        assert sim._chunk_steps(32, 50, 10**6) == 163  # the catalog's path50
         assert sim._chunk_steps(32, 50, 100) == 100  # never more than the run
         assert sim._chunk_steps(4, 3, 2000) == 2000
         assert sim._chunk_steps(1000, 1000, 10) == 1  # one step beyond the budget
 
-    def test_memory_does_not_grow_with_trials(self):
-        # 200 trials on K100 used to ask for 2 x 200 x 1024 x 100 doubles of
-        # noise and 200 x 1024 x 100 of states, about 0.5 GB, for 10 steps
-        graph = generate("complete", 100)
-        cfg = SimConfig(dt=0.01, horizon=0.1, burn_in=0.05, trials=200, seed=3)
+    @staticmethod
+    def _traced_peak(graph, cfg) -> int:
         _quiet_estimate(graph, cfg)  # fills the spectrum cache
         tracemalloc.start()
         try:
             _quiet_estimate(graph, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
+
+    def test_memory_does_not_grow_with_trials(self):
+        cases = [
+            # 200 trials on K100 used to ask for 2 x 200 x 1024 x 100 doubles of
+            # noise and 200 x 1024 x 100 of states, about 0.5 GB, for 10 steps
+            (generate("complete", 100),
+             SimConfig(dt=0.01, horizon=0.1, burn_in=0.05, trials=200, seed=3)),
+            # the catalog's shape, 32 trials x 50 nodes, over seven 163-step chunks
+            (generate("path", 50),
+             SimConfig(dt=0.1, horizon=100.0, burn_in=10.0, trials=32, seed=3)),
+        ]
+        for graph, cfg in cases:
+            # the two noise buffers, plus 1 MiB for the step matrix, the state and
+            # product rows and the workers' per-step means (1/n of a buffer)
+            peak = self._traced_peak(graph, cfg)
+            assert peak <= 2 * sim.NOISE_BUFFER_BYTES + 2**20, (graph.n, cfg.trials, peak)
+
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
+        # 4-step chunks: 10x the steps is 10x the chunks, and a list of chunks
+        # or of buffer views built up front held 0.4 MB more
+        graph = generate("cycle", 3)
+        _chunk_budget(monkeypatch, 3, 3, 4)
+        short_run, long_run = (self._traced_peak(graph, SimConfig(
+            dt=0.01, horizon=steps * 0.01, burn_in=1.0, trials=3, seed=1))
+            for steps in (500, 5000))
+        assert abs(long_run - short_run) <= 64 * 2**10, (short_run, long_run)
 
     def test_threads_do_not_outlive_call(self, k3):
         cfg = SimConfig(dt=1e-2, horizon=30.0, burn_in=2.0, trials=5, seed=4)
@@ -222,9 +244,7 @@ class TestDecay:
     def test_rate_matches_connectivity(self, p3):
         cfg = SimConfig(dt=1e-3, horizon=15.0, burn_in=0.0, trials=1, seed=0,
                         x0=(1.0, 0.0, -0.5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rate = decay_rate(p3, cfg)
+        rate = decay_rate(p3, cfg)
         lam2 = float(graph_spectrum(p3).nonzero[0])
         assert abs(rate - lam2) <= 0.05 * lam2
 
@@ -232,15 +252,11 @@ class TestDecay:
         star = generate("star", 5)
         cfg = SimConfig(dt=1e-3, horizon=15.0, burn_in=0.0, trials=1, seed=0,
                         x0=(0.3, -1.0, 0.4, 0.9, 2.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rate = decay_rate(star, cfg)
+        rate = decay_rate(star, cfg)
         assert abs(rate - 1.0) <= 0.05
 
     def test_zero_disagreement_rejected(self, p3):
         cfg = SimConfig(dt=1e-3, horizon=5.0, burn_in=0.0, trials=1, seed=0,
                         x0=(2.0, 2.0, 2.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(DomainError):
-                decay_rate(p3, cfg)
+        with pytest.raises(DomainError):
+            decay_rate(p3, cfg)
