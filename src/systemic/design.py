@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConnectivityError, DomainError, GraphFormatError, InputError,
-                     NumericalError, ScaleError)
+from .errors import ConnectivityError, DomainError, InputError, NumericalError, ScaleError
 from .graphs import (WeightedGraph, _check_integer, _connected, _degree_vector,
-                     _integer_columns, _laplacian_matrix, graph_add, is_connected)
+                     _laplacian_matrix, _read_edges, graph_add, is_connected)
 from .measures import _MEASURES, MeasureDescriptor, evaluate, evaluate_eigenvalues
 from .spectral import Spectrum, eig_sym, graph_spectrum, laplacian_spectrum
 
@@ -31,24 +30,18 @@ from .spectral import Spectrum, eig_sym, graph_spectrum, laplacian_spectrum
 
 @dataclass(frozen=True)
 class Topology:
-    """A fixed edge skeleton whose positive weights are to be chosen."""
+    """A fixed edge skeleton whose positive weights are to be chosen: (u, v)
+    pairs in either orientation, read by graphs._read_edges and checked as a
+    unit-weight graph's edges, but a repeated pair is a DomainError."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        edges = tuple(self.edges)
-        try:
-            arity = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
-        except TypeError:
-            arity = None
-        if arity is None or (arity != 2).any():
-            raise GraphFormatError("topology edges must be (u, v) pairs")
-        us, vs = _integer_columns(edges)
         # a unit-weight graph's checks name the first defective pair in input
         # order, sort the pairs and decide connectivity
         self._adopt(WeightedGraph._from_arrays(
-            self.n, np.minimum(us, vs), np.maximum(us, vs), np.ones(len(edges)),
+            self.n, *_read_edges(self.edges, 2),
             error=lambda i, defect: (DomainError("topology has duplicate edges")
                                      if defect == "duplicate" else None)))
 
@@ -367,9 +360,8 @@ def canonical_edges(n: int, pairs: tuple[tuple[int, int], ...]
                     ) -> tuple[tuple[int, int], ...]:
     """Lexicographically smallest relabeling of an edge set over all n! node
     permutations; ScaleError when n! exceeds MAX_RELABELINGS.  n and the
-    pairs, in either orientation, are checked as a unit-weight graph's are."""
-    us, vs = _integer_columns(pairs)
-    WeightedGraph._from_arrays(n, np.minimum(us, vs), np.maximum(us, vs), np.ones(len(pairs)))
+    pairs, in either orientation, are read and checked as a unit-weight graph's are."""
+    WeightedGraph._from_arrays(n, *_read_edges(pairs, 2))
     _check_relabelings(n)
     best: tuple[tuple[int, int], ...] | None = None
     for perm in itertools.permutations(range(n)):
@@ -447,6 +439,9 @@ def greedy_augment(graph: WeightedGraph, k: int,
                    mode: str = "greedy") -> AugmentationReport:
     """Add up to k candidate edges minimizing a sum-of-f measure.
 
+    The candidates are read by graphs._read_edges, each pair put as u < v,
+    so an entry that is not a triple, a non-integer endpoint or a weight that
+    is not a number is a GraphFormatError; other defects are named when scored.
     Greedy picks the best (edge, budget-weight) candidate one step at a time;
     mode="exhaustive" scores every subset of at most k candidates on distinct
     pairs, and raises ScaleError before scoring any when there are over 1e5.
@@ -462,9 +457,7 @@ def greedy_augment(graph: WeightedGraph, k: int,
         raise InputError("empty candidate edge set")
     bound = fundamental_limit(graph, k, f_id)
     measure = MeasureDescriptor("schur_sum", f_id=f_id)
-    us, vs = _integer_columns(candidates)
-    normalized = [(min(u, v), max(u, v), float(w))
-                  for (_, _, w), u, v in zip(candidates, us.tolist(), vs.tolist())]
+    normalized = list(zip(*(array.tolist() for array in _read_edges(candidates, 3))))
     existing = set(zip(graph._us.tolist(), graph._vs.tolist()))
     usable = [c for c in normalized if c[:2] not in existing]
 

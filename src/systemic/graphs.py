@@ -7,9 +7,10 @@ strictly positive and finite.  Equal graphs therefore have equal array bytes,
 so equality compares the arrays and the hash, stored at construction, comes
 from n and those bytes.  Every route in (the constructor, from_edges,
 parse_graph, generate and the graph algebra) checks the arrays once, through
-_check_edges, and stores the connectivity flag beside them.  The Laplacian,
-the degrees and connectivity read the arrays; the (int, int, float) edge tuple
-is built on each read of `edges` and never kept.
+_check_edges, and stores the connectivity flag beside them; caller tuples
+become arrays through _read_edges alone.  The Laplacian, the degrees and
+connectivity read the arrays; the (int, int, float) edge tuple is built on
+each read of `edges` and never kept.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import index, itemgetter, pos
 from typing import Callable, Iterable, Sequence
 
@@ -53,20 +55,42 @@ def _check_node_count(n: int) -> int:
     return count
 
 
-def _check_arity(edges: Sequence) -> None:
-    wrong = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges)) != 3
-    if wrong.any():
-        u, v, w = edges[int(np.argmax(wrong))]  # raises the unpacking error
-
-
-def _integer_columns(edges: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoint columns as intp arrays; index() refuses floats, which an
-    intp array would truncate."""
+def _read_edges(edges: Iterable[Sequence], size: int, *, ordered: bool = True
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint (intp) and weight (float64) arrays of a caller's (u, v) pairs
+    (size 2, unit weights) or (u, v, w) triples (size 3), each pair put as
+    u <= v when ordered.  GraphFormatError at the first entry not of this
+    size, then the first endpoint index() refuses in input order (a float,
+    which intp would truncate), then the first weight unary plus refuses (a
+    str, which float() would parse).  _check_edges checks the arrays."""
+    edges = tuple(edges)
     try:
-        return tuple(np.fromiter(map(index, map(itemgetter(column), edges)),
-                                 dtype=np.intp, count=len(edges)) for column in (0, 1))
+        sized = set(map(len, edges)) <= {size}
+    except TypeError:
+        sized = False
+    if not sized:
+        entry = next(e for e in edges if not (hasattr(e, "__len__") and len(e) == size))
+        shape = "(u, v) pairs" if size == 2 else "(u, v, w) triples"
+        raise GraphFormatError(f"edges must be {shape}, got {entry!r}")
+    try:
+        try:
+            us, vs = (np.fromiter(map(index, map(itemgetter(column), edges)), dtype=np.intp,
+                                  count=len(edges)) for column in (0, 1))
+        except TypeError:
+            # read again in input order, to name the first endpoint refused
+            np.fromiter(map(index, chain.from_iterable(map(itemgetter(0, 1), edges))),
+                        dtype=np.intp)
     except TypeError as exc:
         raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
+    if ordered:
+        us, vs = np.minimum(us, vs), np.maximum(us, vs)
+    if size == 2:
+        return us, vs, np.ones(len(edges))
+    try:
+        ws = np.fromiter(map(pos, map(itemgetter(2), edges)), dtype=float, count=len(edges))
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(f"edge weights must be numbers: {exc}") from None
+    return us, vs, ws
 
 
 def _check_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
@@ -164,73 +188,52 @@ def _laplacian_matrix(us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
 class WeightedGraph:
     """Simple undirected graph with strictly positive edge weights.
 
-    WeightedGraph(n, edges) takes (u, v, w) triples with integer endpoints,
-    u < v, in any order.  Graphs are equal when they have the same n and the
-    same weighted edges.
+    WeightedGraph(n, edges) takes (u, v, w) triples in any order, each
+    refused as _read_edges says; then the first edge that is a self-loop,
+    has u >= v or an endpoint outside [0, n), a weight that is not positive
+    and finite, or a repeated pair is named by the values read, so unlike
+    from_edges it refuses (v, u).  Graphs are equal when they have the same
+    n and the same weighted edges.
     """
 
     n: int
 
     def __init__(self, n: int, edges: Sequence[Edge]):
-        n = _check_node_count(n)
-        edges = tuple(edges)
-        _check_arity(edges)
-        try:
-            us, vs = _integer_columns(edges)
-            integral = True
-        except GraphFormatError as exc:
-            # check the edges as floats first, so that any other defect is
-            # reported before a non-integer endpoint
-            try:
-                us, vs = (np.fromiter(map(itemgetter(column), edges), dtype=float,
-                                      count=len(edges)) for column in (0, 1))
-            except (TypeError, ValueError):
-                raise exc from None
-            integral = False
-        # unary plus refuses str and None, which fromiter would parse or read as nan
-        ws = np.fromiter(map(pos, map(itemgetter(2), edges)), dtype=float, count=len(edges))
-        order = _check_edges(n, us, vs, ws,
-                             lambda i, defect: _edge_error(defect, n, *edges[i]))
-        if not integral:
-            # raises, for the first non-integer endpoint in sorted order
-            _integer_columns(sorted(edges))
-        object.__setattr__(self, "n", n)
-        self._store(us, vs, ws, order, None)
+        self._init(_check_node_count(n), *_read_edges(edges, 3, ordered=False))
 
     @classmethod
     def _from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
                      connected: bool | None = None,
                      error: Callable[[int, str], SystemicError] | None = None
                      ) -> "WeightedGraph":
-        """Build a graph from integer endpoint and float weight arrays, which
-        it takes over and makes read-only.  connected, when given, is a
+        graph = object.__new__(cls)
+        graph._init(_check_node_count(n), us, vs, ws, connected, error)
+        return graph
+
+    def _init(self, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+              connected: bool | None = None,
+              error: Callable[[int, str], SystemicError] | None = None) -> None:
+        """Check integer endpoint and float weight arrays, which the graph
+        takes over and makes read-only.  connected, when given, is a
         caller's exact verdict on the edges (us, vs), from _connected or
         from the graphs they came from; error names a defective edge, and
-        where it is not given or returns None the error is the constructor's."""
-        n = _check_node_count(n)
-
+        where it is not given or returns None the error is the constructor's,
+        which prints the values read."""
         def named(i, defect):
             return ((error and error(i, defect))
                     or _edge_error(defect, n, int(us[i]), int(vs[i]), float(ws[i])))
         order = _check_edges(n, us, vs, ws, named)
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        graph._store(us, vs, ws, order, connected)
-        return graph
-
-    def _store(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-               order: np.ndarray | None, connected: bool | None) -> None:
         if order is not None:
             us, vs, ws = us[order], vs[order], ws[order]
         us, vs, ws = (np.ascontiguousarray(array, dtype=dtype) for array, dtype in
                       ((us, np.intp), (vs, np.intp), (ws, float)))
+        object.__setattr__(self, "n", n)
         for name, array in (("_us", us), ("_vs", vs), ("_ws", ws)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "_hash",
-                           hash((self.n, us.tobytes(), vs.tobytes(), ws.tobytes())))
+        object.__setattr__(self, "_hash", hash((n, us.tobytes(), vs.tobytes(), ws.tobytes())))
         if connected is None:
-            connected = _connected(self.n, us, vs)
+            connected = _connected(n, us, vs)
         object.__setattr__(self, "_is_connected", connected)
 
     def __eq__(self, other):
@@ -254,16 +257,9 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
-        """Build a graph, normalizing each pair to u < v.
-
-        Endpoints must be integers (GraphFormatError otherwise); weights go
-        through float().
-        """
-        edges = tuple(edges)
-        _check_arity(edges)
-        us, vs = _integer_columns(edges)
-        ws = np.fromiter(map(float, map(itemgetter(2), edges)), dtype=float, count=len(edges))
-        return cls._from_arrays(n, np.minimum(us, vs), np.maximum(us, vs), ws)
+        """Build a graph from (u, v, w) triples, each pair put as u < v; read
+        as the constructor reads its triples (_read_edges)."""
+        return cls._from_arrays(n, *_read_edges(edges, 3))
 
     @property
     def edges(self) -> tuple[Edge, ...]:

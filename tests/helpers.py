@@ -106,13 +106,30 @@ def loop_laplacian(graph: WeightedGraph) -> np.ndarray:
 
 
 def loop_validate(n: int, edges) -> tuple:
-    """Loop reference for the `WeightedGraph` checks: edge by edge in input
-    order (self-loop, range, weight, duplicate), then the sorted endpoints
-    converted with index(); returns the sorted edge tuple."""
+    """Loop reference for the `WeightedGraph` checks: the node count, then
+    every edge read (three entries each, then the endpoints converted with
+    index() in input order, then the weights with unary plus), then edge by
+    edge in input order a self-loop, the range, the weight and a duplicate,
+    named by the values read; returns the sorted edge tuple."""
     if n < 1:
         raise DomainError(f"node count must be positive, got {n}")
+    for edge in edges:
+        if not hasattr(edge, "__len__") or len(edge) != 3:
+            raise GraphFormatError(f"edges must be (u, v, w) triples, got {edge!r}")
+    ends = []
+    try:
+        for u, v, _ in edges:
+            ends.append((operator.index(u), operator.index(v)))
+    except TypeError as exc:
+        raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
+    weights = []
+    try:
+        for _, _, w in edges:
+            weights.append(float(+w))
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(f"edge weights must be numbers: {exc}") from None
     seen = set()
-    for u, v, w in edges:
+    for (u, v), w in zip(ends, weights):
         if u == v:
             raise GraphFormatError(f"self-loop at node {u}")
         if not (0 <= u < v < n):
@@ -122,13 +139,7 @@ def loop_validate(n: int, edges) -> tuple:
         if (u, v) in seen:
             raise GraphFormatError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-    edges = tuple(sorted(edges))
-    try:
-        for column in (0, 1):
-            [operator.index(edge[column]) for edge in edges]
-    except TypeError as exc:
-        raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
-    return edges
+    return tuple(sorted((u, v, w) for (u, v), w in zip(ends, weights)))
 
 
 def loop_from_edges(n: int, edges) -> tuple:

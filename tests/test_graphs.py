@@ -16,6 +16,8 @@ from systemic import (ConnectivityError, DimensionError, DomainError, Generation
                       is_connected, laplacian, laplacian_spectrum, parse_graph, scalar_mul,
                       serialize_graph, spanning_tree_count)
 
+from systemic.design import canonical_edges, greedy_augment
+
 from helpers import (analytic_spectrum, brute_force_tree_weight, count_edge_reads,
                      loop_from_edges, loop_generate, loop_graph_add, loop_is_connected,
                      loop_laplacian, loop_validate, random_connected)
@@ -683,8 +685,9 @@ MALFORMED = [
      DomainError, "edge (1, 2) has non-positive weight 0.0"),
     (4, ((0, 1, math.nan), (-1, 2, 1.0)),
      DomainError, "edge (0, 1) has non-positive weight nan"),
+    # the messages print the values read: the weight -2 as -2.0, True as 1
     (4, ((0, 1, 1), (1, 2, -2), (1, 2, 1.0)),
-     DomainError, "edge (1, 2) has non-positive weight -2"),
+     DomainError, "edge (1, 2) has non-positive weight -2.0"),
     (4, ((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (3, 3, 1.0), (1, 2, math.inf)),
      GraphFormatError, "duplicate edge (0, 1)"),
     (4, ((2, 3, 1.0), (0, 1, 1.0), (2, 3, 1.0), (0, 1, 1.0)),
@@ -694,17 +697,51 @@ MALFORMED = [
     (4, ((np.int64(0), np.int64(1), 1.0), (np.int64(1), np.int64(1), 1.0)),
      GraphFormatError, "self-loop at node 1"),
     (4, ((False, True, 1.0), (True, False, 1.0)),
-     GraphFormatError, "edge (True, False) needs 0 <= u < v < 4"),
-    (4, ((0.5, 1.5, 1.0), (2, 2, 1.0)), GraphFormatError, "self-loop at node 2"),
-    (4, ((0.5, 1.5, 1.0), (1, 2, np.float64(-1.0))),
-     DomainError, "edge (1, 2) has non-positive weight -1.0"),
+     GraphFormatError, "edge (1, 0) needs 0 <= u < v < 4"),
+    # every endpoint is read before any edge is checked
+    (4, ((0.5, 1.5, 1.0), (2, 2, 1.0)), GraphFormatError,
+     "edge endpoints must be integers: 'float' object cannot be interpreted as an integer"),
+    (4, ((0.5, 1.5, 1.0), (1, 2, np.float64(-1.0))), GraphFormatError,
+     "edge endpoints must be integers: 'float' object cannot be interpreted as an integer"),
     (4, ((1, 2, 1.0), (0.0, 1.0, 1.0)), GraphFormatError,
      "edge endpoints must be integers: 'float' object cannot be interpreted as an integer"),
-    # converted in sorted order, so the float in (0.0, 1) is named, not the
-    # numpy float that comes first in input order
+    # read in input order, so the numpy float that comes first is named
     (4, ((2, 3, 1.0), (np.float64(1.0), 2, 1.0), (0.0, 1, 1.0)), GraphFormatError,
-     "edge endpoints must be integers: 'float' object cannot be interpreted as an integer"),
+     "edge endpoints must be integers: 'numpy.float64' object cannot be interpreted as an "
+     "integer"),
     (0, ((0, 0, -1.0),), DomainError, "node count must be positive, got 0"),
+]
+
+
+def augment_star(n: int, candidates) -> None:
+    """greedy_augment, one edge, on the star centred at node n - 1; the
+    READ_ALIKE rows put no candidate on one of its edges before the defect."""
+    star = WeightedGraph(n, [(u, n - 1, 1.0) for u in range(n - 1)])
+    greedy_augment(star, 1, candidates, "inverse")
+
+
+TRIPLE_ROUTES = (WeightedGraph, WeightedGraph.from_edges, augment_star)
+PAIR_ROUTES = (Topology, canonical_edges)
+
+# malformed (u < v) lists that every route refuses alike: the triple routes
+# as they are, the pair routes with the weights dropped
+READ_ALIKE = [
+    (4, ((0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0)), GraphFormatError, "self-loop at node 2"),
+    (4, ((0, 1, 1.0), (0, 5, 1.0), (2, 2, 1.0)),
+     GraphFormatError, "edge (0, 5) needs 0 <= u < v < 4"),
+    (4, ((1, 2, 1.0), (-1, 2, 1.0)), GraphFormatError, "edge (-1, 2) needs 0 <= u < v < 4"),
+    (4, ((False, True, 1.0), (True, True, 1.0)), GraphFormatError, "self-loop at node 1"),
+    (4, ((0, 1, 1.0), (2, 2, 1.0), (0.5, 1, 1.0)), GraphFormatError,
+     "edge endpoints must be integers: 'float' object cannot be interpreted as an integer"),
+    (4, ((1, 2, 1.0), (np.float64(1.0), 2, 1.0), (0.0, 1, 1.0)), GraphFormatError,
+     "edge endpoints must be integers: 'numpy.float64' object cannot be interpreted as an "
+     "integer"),
+    (4, ((0, 1, 1.0), (1, None, 1.0)), GraphFormatError,
+     "edge endpoints must be integers: 'NoneType' object cannot be interpreted as an integer"),
+    (4, ((0, 1, 1.0), ("1", 2, 1.0)), GraphFormatError,
+     "edge endpoints must be integers: 'str' object cannot be interpreted as an integer"),
+    (4, ((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (3, 3, 1.0)),
+     GraphFormatError, "duplicate edge (0, 1)"),
 ]
 
 
@@ -728,17 +765,48 @@ class TestMalformedEdges:
         assert expected[1] == message
         assert raised(lambda: WeightedGraph.from_edges(n, edges)) == expected
 
-    @pytest.mark.parametrize("edge", [(0, 1), (0, 1, 1.0, 2.0)])
+    @pytest.mark.parametrize("edge", [(0, 1), (0, 1, 1.0, 2.0), 7])
     def test_wrong_arity(self, edge):
-        expected = raised(lambda: loop_validate(3, ((0, 2, 1.0), edge)))
-        assert expected[0] is ValueError
-        assert raised(lambda: WeightedGraph(n=3, edges=((0, 2, 1.0), edge))) == expected
-        assert raised(lambda: WeightedGraph.from_edges(3, [(0, 2, 1.0), edge])) == expected
+        # every size is read first, so the float endpoint before it is not named
+        edges = [(0.5, 2, 1.0), edge]
+        expected = (GraphFormatError, f"edges must be (u, v, w) triples, got {edge!r}")
+        assert raised(lambda: loop_validate(3, edges)) == expected
+        for route in TRIPLE_ROUTES:
+            assert raised(lambda: route(3, edges)) == expected, route.__name__
 
-    @pytest.mark.parametrize("weight", ["1.0", None])
+    @pytest.mark.parametrize("pair", [(0,), (0, 1, 1.0), 7])
+    def test_wrong_pair_arity(self, pair):
+        pairs = [(0.5, 2), pair]
+        expected = (GraphFormatError, f"edges must be (u, v) pairs, got {pair!r}")
+        for route in PAIR_ROUTES:
+            assert raised(lambda: route(3, pairs)) == expected, route.__name__
+
+    # float() parsed the string: from_edges and greedy_augment took "1.0" as 1.0
+    @pytest.mark.parametrize("weight", ["1.0", None, 1j])
     def test_non_numeric_weight(self, weight):
-        with pytest.raises(TypeError):
-            WeightedGraph(n=2, edges=((0, 1, weight),))
+        edges = [(0, 1, 1.0), (1, 2, weight)]
+        expected = raised(lambda: loop_validate(3, edges))
+        assert expected[0] is GraphFormatError
+        assert expected[1].startswith("edge weights must be numbers: ")
+        for route in TRIPLE_ROUTES:
+            assert raised(lambda: route(3, edges)) == expected, route.__name__
+
+    @pytest.mark.parametrize("n, edges, kind, message", READ_ALIKE)
+    def test_every_route_reads_alike(self, n, edges, kind, message):
+        # the two exceptions: greedy_augment takes a repeated pair as a second
+        # weight option, and a topology names no duplicate pair
+        duplicate = message.startswith("duplicate")
+        for route in TRIPLE_ROUTES:
+            if route is augment_star and duplicate:
+                route(n, edges[:3])
+            else:
+                assert raised(lambda: route(n, edges)) == (kind, message), route.__name__
+        pairs = [edge[:2] for edge in edges]
+        for route in PAIR_ROUTES:
+            expected = (kind, message)
+            if route is Topology and duplicate:
+                expected = (DomainError, "topology has duplicate edges")
+            assert raised(lambda: route(n, pairs)) == expected, route.__name__
 
     def test_valid_lists_match_loop(self):
         rng = np.random.Generator(np.random.PCG64(31))
