@@ -128,7 +128,11 @@ def _hp_coefficient(p: float) -> float:
     # 1/(2*pi) * B((p-1)/2, 1/2), the positive rewriting of the frequency
     # integral's constant; evaluated through log-gamma at positive arguments
     # only, so there is no cancellation from gamma at negative arguments.
-    log_b = math.lgamma((p - 1.0) / 2.0) + math.lgamma(0.5) - math.lgamma(p / 2.0)
+    try:
+        log_b = math.lgamma((p - 1.0) / 2.0) + math.lgamma(0.5) - math.lgamma(p / 2.0)
+    except OverflowError:
+        # past p = 5e305: lgamma(x - 1/2) - lgamma(x) = -log(x)/2 + O(1/x), x = p/2
+        log_b = math.lgamma(0.5) - 0.5 * math.log(p / 2.0)
     return math.exp(log_b) / (2.0 * math.pi)
 
 
@@ -378,8 +382,9 @@ def _log_frequency_integrand(log_mu: np.ndarray, x: np.ndarray, p: float) -> np.
     """
     x = x[:, None]
     u = x - log_mu
-    exponent = (np.minimum(u, 0.0) - (p - 1.0) * np.maximum(x, log_mu)
-                - 0.5 * p * np.log1p(np.exp(-2.0 * np.abs(u))))
+    with np.errstate(over="ignore"):  # an overflow is the -inf exponent of a vanishing term
+        decay = (p - 1.0) * np.maximum(x, log_mu)
+    exponent = np.minimum(u, 0.0) - decay - 0.5 * p * np.log1p(np.exp(-2.0 * np.abs(u)))
     return np.exp(exponent).sum(axis=1)
 
 

@@ -123,6 +123,22 @@ class TestHpNorm:
         with pytest.raises(DomainError):
             hp_norm(k3, p)
 
+    # lgamma overflowed past p = 5e305: an OverflowError, and the quadrature's
+    # (p - 1) * x an overflow warning, where both tend to 1 / lambda_2
+    @pytest.mark.parametrize("p", [1e306, 1.7976931348623157e308])
+    def test_beyond_the_range_of_lgamma(self, p3, p):
+        closed, numeric = hp_norm(p3, p), hp_norm_numeric(p3, p)
+        assert math.isfinite(closed) and math.isfinite(numeric)
+        assert closed == pytest.approx(numeric, rel=1e-12, abs=0.0)
+        assert closed == pytest.approx(1.0 / float(graph_spectrum(p3).nonzero[0]),
+                                       rel=1e-12, abs=0.0)
+
+    def test_coefficient_unchanged_where_lgamma_is_finite(self):
+        for p in (1.5, 2.0, 3.0, 7.25, 1e3, 1e300, 5e305):
+            expected = math.exp(math.lgamma((p - 1.0) / 2.0) + math.lgamma(0.5)
+                                - math.lgamma(p / 2.0)) / (2.0 * math.pi)
+            assert measures._hp_coefficient(p) == expected
+
     def test_squared_h2_matches_energy(self):
         for seed in range(10):
             graph = random_connected(500 + seed)
