@@ -75,12 +75,19 @@ class SimConfig:
         if not (self.horizon > self.burn_in >= 0):
             raise ConfigError(
                 f"need horizon > burn_in >= 0, got {self.horizon}, {self.burn_in}")
+        # burn_in < horizon, so a finite horizon / dt bounds burn_in / dt too
+        if not math.isfinite(float(self.horizon) / float(self.dt)):
+            raise ConfigError(f"horizon / dt is not a finite step count: "
+                              f"{self.horizon} / {self.dt}")
         for name in ("trials", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.x0 is not None:
-            x0 = tuple(float(v) for v in self.x0)
+            try:
+                x0 = tuple(float(v) for v in self.x0)
+            except (TypeError, ValueError):
+                raise ConfigError(f"x0 must be a sequence of numbers, got {self.x0!r}") from None
             if not all(math.isfinite(v) for v in x0):
                 raise ConfigError(f"x0 entries must be finite, got {x0}")
             object.__setattr__(self, "x0", x0)

@@ -59,6 +59,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="x0"):
             SimConfig(dt=0.01, horizon=10.0, burn_in=1.0, trials=2, seed=1, x0=x0)
 
+    def test_step_count_finite(self):
+        # horizon / dt overflowed to inf: accepted here, then an OverflowError
+        # from int(round(inf)) in total_steps
+        with pytest.raises(ConfigError, match="not a finite step count"):
+            SimConfig(dt=1e-320, horizon=1e10, burn_in=0.0, trials=1, seed=1)
+        # a finite count, however large, is accepted
+        cfg = SimConfig(dt=1e-320, horizon=1e-300, burn_in=0.0, trials=1, seed=1)
+        assert cfg.total_steps == round(1e-300 / 1e-320) > 10**19
+
+    @pytest.mark.parametrize("x0", [3.0, ("a",) * 5, (None, 0.0)])
+    def test_x0_not_numbers(self, x0):
+        # a bare TypeError (3.0, None) or ValueError ("a") from float()
+        with pytest.raises(ConfigError, match="x0 must be a sequence of numbers"):
+            SimConfig(dt=0.01, horizon=10.0, burn_in=1.0, trials=2, seed=1, x0=x0)
+
     @pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True),
                                               ("trials", 2.0), ("trials", "2"),
                                               ("seed", 1.5), ("seed", False),
