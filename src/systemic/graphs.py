@@ -445,7 +445,10 @@ def _edge_weights(rng: np.random.Generator, count: int,
                   weight_range: tuple[float, float] | None) -> np.ndarray:
     if weight_range is None:
         return np.ones(count)
-    lo, hi = weight_range
+    try:
+        lo, hi = weight_range
+    except (TypeError, ValueError):
+        raise DomainError(f"weight range must be a pair (lo, hi), got {weight_range!r}") from None
     if not (0 < lo <= hi):
         raise DomainError(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
     return rng.uniform(lo, hi, size=count)
@@ -456,12 +459,15 @@ def generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
              max_retries: int = 100) -> WeightedGraph:
     """Deterministic graph generators: complete, cycle, path, star, erdos_renyi.
 
-    Weights are 1 unless weight_range is given.  Erdos-Renyi draws are retried
-    until connected, up to max_retries.
+    Weights are 1 unless weight_range, a pair (lo, hi), is given.  Erdos-Renyi
+    draws are retried until connected, up to max_retries.  seed and
+    max_retries are integers >= 0 (DomainError otherwise).
     """
     n = _check_node_count(n)
     if n < 2:
         raise DomainError(f"generators need n >= 2, got {n}")
+    _check_integer("seed", seed, 0)
+    _check_integer("max_retries", max_retries, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     if family == "complete":
         us, vs = np.triu_indices(n, 1)

@@ -126,10 +126,19 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
     delta of zero cannot be told from zero. Identical input bits give
     identical output bits on the same machine and BLAS build.
 
-    Raises DimensionError for non-square input, DomainError for non-finite or
-    non-symmetric input, and NumericalError if LAPACK fails or a gate fails.
+    Raises DimensionError for non-square input, DomainError for complex input
+    (a cast would drop the imaginary part), input that does not convert to
+    float, or non-finite or non-symmetric input, and NumericalError if LAPACK
+    fails or a gate fails.
     """
-    m = np.asarray(matrix, dtype=float)
+    try:
+        m = np.asarray(matrix)
+        if not np.iscomplexobj(m):
+            m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"matrix does not convert to float: {exc}") from None
+    if np.iscomplexobj(m):
+        raise DomainError("matrix is complex; only a real symmetric matrix has this spectrum")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     # max and min propagate NaN, so this is the finiteness check too

@@ -192,6 +192,21 @@ class TestZetaAndHp:
         assert report is None
         assert "p > 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["hpnorm", "--graph", "p3"], ["measure", "--graph", "p3", "--measure", "hp_norm"],
+        ["props", "--measure", "hp_norm", "--property", "convexity", "--trials", "2",
+         "--seed", "1"],
+        ["optimize-weights", "--topology", "p3", "--measure", "hp_norm"],
+        ["rewire", "--n", "4", "--m", "4", "--alpha", "4", "--measure", "hp_norm"]],
+        ids=lambda argv: argv[0])
+    def test_hp_norm_beyond_the_range_of_lgamma(self, capsys, graph_files, argv):
+        # math.lgamma overflowed: an OverflowError traceback and exit 1
+        argv = [graph_files.get(arg, arg) for arg in argv] + ["--p", "1e306"]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 0
+        if argv[0] == "hpnorm":
+            assert report["results"]["closed_form"] == pytest.approx(1.0, rel=1e-12)
+
     def test_hpnorm_numeric_near_one(self, capsys, graph_files):
         code, report, _ = run_cli(capsys, ["hpnorm", "--graph", graph_files["p3"],
                                            "--p", "1.001", "--numeric"])
@@ -431,6 +446,15 @@ class TestSimulate:
             "--burn-in", "0.5"])
         assert code == 0
         assert any("burn_in" in w for w in report["warnings"])
+
+    def test_overflowing_step_count_exits_two(self, capsys, graph_files):
+        # horizon / dt = inf passed the config and exited 1 with an OverflowError
+        code, report, err = run_cli(capsys, [
+            "simulate-h2", "--graph", graph_files["p3"], "--dt", "1e-320",
+            "--horizon", "1e10", "--trials", "1", "--seed", "1"])
+        assert code == 2
+        assert report is None
+        assert err.startswith("error:") and "not a finite step count" in err
 
     def test_infinite_horizon_exit_two(self, capsys, graph_files):
         # used to die with an OverflowError traceback and exit 1

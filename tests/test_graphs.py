@@ -470,6 +470,24 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate("torus", 4)
 
+    # NumPy's seed sequence raised a bare ValueError for seed=-1, and seed=2.5
+    # and max_retries=2.5 a TypeError
+    @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 2.5), ("seed", True),
+                                             ("max_retries", 2.5), ("max_retries", -1)])
+    def test_counts_are_integers(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be an integer >= 0"):
+            generate("path", 5, **{name: value})
+
+    def test_no_retries_is_a_generation_error(self):
+        with pytest.raises(GenerationError, match="in 0 tries"):
+            generate("erdos_renyi", 5, seed=0, p=0.5, max_retries=0)
+
+    # the unpacking raised a bare ValueError or TypeError
+    @pytest.mark.parametrize("weight_range", [(1,), (1, 2, 3), 2.0])
+    def test_weight_range_is_a_pair(self, weight_range):
+        with pytest.raises(DomainError, match="weight range must be a pair"):
+            generate("path", 5, weight_range=weight_range)
+
 
 class TestConnectivity:
     def test_k3(self, k3):

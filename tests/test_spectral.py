@@ -34,6 +34,21 @@ class TestEigSym:
             scale = max(1.0, float(np.abs(reference).max()))
             assert np.abs(spectrum.eigenvalues - reference).max() < 1e-12 * scale
 
+    def test_complex_refused(self):
+        # the cast kept the real part: [[2, 1j], [-1j, 2]], eigenvalues 1 and 3,
+        # came out as 2 and 2 with only a ComplexWarning
+        for matrix in (np.array([[2, 1j], [-1j, 2]]), [[2, 1j], [-1j, 2]],
+                       np.array([[2.0, 0.0], [0.0, 2.0]], dtype=complex)):
+            with pytest.raises(DomainError, match="complex"):
+                eig_sym(matrix)
+
+    @pytest.mark.parametrize("matrix", ["abc", [["a", "b"], ["c", "d"]], [[1, 2], [3]],
+                                        np.array([[1j, 1], [1, 0]], dtype=object)])
+    def test_not_a_float_matrix_refused(self, matrix):
+        # a bare ValueError or TypeError from the float cast
+        with pytest.raises(DomainError, match="does not convert to float"):
+            eig_sym(matrix)
+
     def test_k3_eigenvalues(self, k3):
         # characteristic polynomial of the unit triangle: lambda (lambda - 3)^2
         spectrum = eig_sym(laplacian(k3))
