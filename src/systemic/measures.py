@@ -382,9 +382,11 @@ def _log_frequency_integrand(log_mu: np.ndarray, x: np.ndarray, p: float) -> np.
     """
     x = x[:, None]
     u = x - log_mu
-    with np.errstate(over="ignore"):  # an overflow is the -inf exponent of a vanishing term
-        decay = (p - 1.0) * np.maximum(x, log_mu)
-    exponent = np.minimum(u, 0.0) - decay - 0.5 * p * np.log1p(np.exp(-2.0 * np.abs(u)))
+    # (p - 1) max(x, log mu) can overflow at p near the largest double, to
+    # the -inf exponent of a term that vanishes
+    with np.errstate(over="ignore"):
+        exponent = (np.minimum(u, 0.0) - (p - 1.0) * np.maximum(x, log_mu)
+                    - 0.5 * p * np.log1p(np.exp(-2.0 * np.abs(u))))
     return np.exp(exponent).sum(axis=1)
 
 
