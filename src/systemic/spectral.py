@@ -133,12 +133,11 @@ def eig_sym(matrix: np.ndarray, *, vectors: bool = True) -> Spectrum:
     """
     try:
         m = np.asarray(matrix)
-        if not np.iscomplexobj(m):
-            m = np.asarray(m, dtype=float)
+        if np.iscomplexobj(m):
+            raise DomainError("matrix is complex; only a real symmetric matrix has this spectrum")
+        m = np.asarray(m, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"matrix does not convert to float: {exc}") from None
-    if np.iscomplexobj(m):
-        raise DomainError("matrix is complex; only a real symmetric matrix has this spectrum")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     # max and min propagate NaN, so this is the finiteness check too
