@@ -41,7 +41,7 @@ class Topology:
         # a unit-weight graph's checks name the first defective pair in input
         # order, sort the pairs and decide connectivity
         self._adopt(WeightedGraph._from_arrays(
-            self.n, *_read_edges(self.edges, 2),
+            *_read_edges(self.n, self.edges, 2),
             error=lambda i, defect: (DomainError("topology has duplicate edges")
                                      if defect == "duplicate" else None)))
 
@@ -361,7 +361,7 @@ def canonical_edges(n: int, pairs: tuple[tuple[int, int], ...]
     """Lexicographically smallest relabeling of an edge set over all n! node
     permutations; ScaleError when n! exceeds MAX_RELABELINGS.  n and the
     pairs, in either orientation, are read and checked as a unit-weight graph's are."""
-    WeightedGraph._from_arrays(n, *_read_edges(pairs, 2))
+    WeightedGraph._from_arrays(*_read_edges(n, pairs, 2))
     _check_relabelings(n)
     best: tuple[tuple[int, int], ...] | None = None
     for perm in itertools.permutations(range(n)):
@@ -440,8 +440,9 @@ def greedy_augment(graph: WeightedGraph, k: int,
     """Add up to k candidate edges minimizing a sum-of-f measure.
 
     The candidates are read by graphs._read_edges, each pair put as u < v,
-    so an entry that is not a triple, a non-integer endpoint or a weight that
-    is not a number is a GraphFormatError; other defects are named when scored.
+    so an entry that is not a triple, an endpoint that is not an integer or
+    does not fit in intp, or a weight that is not a real number is a
+    GraphFormatError; other defects are named when scored.
     Greedy picks the best (edge, budget-weight) candidate one step at a time;
     mode="exhaustive" scores every subset of at most k candidates on distinct
     pairs, and raises ScaleError before scoring any when there are over 1e5.
@@ -457,7 +458,8 @@ def greedy_augment(graph: WeightedGraph, k: int,
         raise InputError("empty candidate edge set")
     bound = fundamental_limit(graph, k, f_id)
     measure = MeasureDescriptor("schur_sum", f_id=f_id)
-    normalized = list(zip(*(array.tolist() for array in _read_edges(candidates, 3))))
+    _, *columns = _read_edges(graph.n, candidates, 3)
+    normalized = list(zip(*(array.tolist() for array in columns)))
     existing = set(zip(graph._us.tolist(), graph._vs.tolist()))
     usable = [c for c in normalized if c[:2] not in existing]
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import index, itemgetter, pos
+from operator import index, itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -55,14 +55,37 @@ def _check_node_count(n: int) -> int:
     return count
 
 
-def _read_edges(edges: Iterable[Sequence], size: int, *, ordered: bool = True
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint (intp) and weight (float64) arrays of a caller's (u, v) pairs
-    (size 2, unit weights) or (u, v, w) triples (size 3), each pair put as
-    u <= v when ordered.  GraphFormatError at the first entry not of this
-    size, then the first endpoint index() refuses in input order (a float,
-    which intp would truncate), then the first weight unary plus refuses (a
-    str, which float() would parse).  _check_edges checks the arrays."""
+# the integers an intp endpoint array holds
+_INTP_RANGE = range(np.iinfo(np.intp).min, np.iinfo(np.intp).max + 1)
+
+
+def _endpoint(value) -> int:
+    """index(value), which refuses a float that intp would truncate;
+    GraphFormatError for an integer intp cannot hold."""
+    u = index(value)
+    if u not in _INTP_RANGE:
+        raise GraphFormatError(f"edge endpoint {u} is out of range")
+    return u
+
+
+def _weight(value):
+    """+value, which refuses a str that float() would parse; GraphFormatError
+    for a complex value, which a float cast would cut to its real part."""
+    if isinstance(value, (complex, np.complexfloating)):
+        raise GraphFormatError(f"edge weights must be numbers: {value!r} is complex")
+    return +value
+
+
+def _read_edges(n: int, edges: Iterable[Sequence], size: int, *, ordered: bool = True
+                ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The node count (int), endpoint (intp) and weight (float64) arrays of
+    n and a caller's (u, v) pairs (size 2, unit weights) or (u, v, w) triples
+    (size 3), each pair put as u <= v when ordered.  The node count is
+    checked first (_check_node_count); then GraphFormatError names the first
+    entry not of this size, then the first endpoint in input order that
+    _endpoint refuses, then the first weight _weight refuses.  _check_edges
+    checks the arrays."""
+    n = _check_node_count(n)
     edges = tuple(edges)
     try:
         sized = set(map(len, edges)) <= {size}
@@ -73,24 +96,21 @@ def _read_edges(edges: Iterable[Sequence], size: int, *, ordered: bool = True
         shape = "(u, v) pairs" if size == 2 else "(u, v, w) triples"
         raise GraphFormatError(f"edges must be {shape}, got {entry!r}")
     try:
-        try:
-            us, vs = (np.fromiter(map(index, map(itemgetter(column), edges)), dtype=np.intp,
-                                  count=len(edges)) for column in (0, 1))
-        except TypeError:
-            # read again in input order, to name the first endpoint refused
-            np.fromiter(map(index, chain.from_iterable(map(itemgetter(0, 1), edges))),
-                        dtype=np.intp)
+        ends = np.fromiter(map(_endpoint, chain.from_iterable(map(itemgetter(0, 1), edges))),
+                           dtype=np.intp, count=2 * len(edges))
     except TypeError as exc:
         raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
+    us, vs = ends[0::2], ends[1::2]
     if ordered:
         us, vs = np.minimum(us, vs), np.maximum(us, vs)
     if size == 2:
-        return us, vs, np.ones(len(edges))
+        return n, us, vs, np.ones(len(edges))
     try:
-        ws = np.fromiter(map(pos, map(itemgetter(2), edges)), dtype=float, count=len(edges))
+        ws = np.fromiter(map(_weight, map(itemgetter(2), edges)), dtype=float,
+                         count=len(edges))
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"edge weights must be numbers: {exc}") from None
-    return us, vs, ws
+    return n, us, vs, ws
 
 
 def _check_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
@@ -199,7 +219,7 @@ class WeightedGraph:
     n: int
 
     def __init__(self, n: int, edges: Sequence[Edge]):
-        self._init(_check_node_count(n), *_read_edges(edges, 3, ordered=False))
+        self._init(*_read_edges(n, edges, 3, ordered=False))
 
     @classmethod
     def _from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
@@ -259,7 +279,7 @@ class WeightedGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
         """Build a graph from (u, v, w) triples, each pair put as u < v; read
         as the constructor reads its triples (_read_edges)."""
-        return cls._from_arrays(n, *_read_edges(edges, 3))
+        return cls._from_arrays(*_read_edges(n, edges, 3))
 
     @property
     def edges(self) -> tuple[Edge, ...]:

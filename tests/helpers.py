@@ -105,12 +105,13 @@ def loop_laplacian(graph: WeightedGraph) -> np.ndarray:
     return np.diag(degrees) - adjacency
 
 
-def loop_validate(n: int, edges) -> tuple:
+def loop_validate(n: int, edges, *, ordered: bool = False) -> tuple:
     """Loop reference for the `WeightedGraph` checks: the node count, then
     every edge read (three entries each, then the endpoints converted with
-    index() in input order, then the weights with unary plus), then edge by
-    edge in input order a self-loop, the range, the weight and a duplicate,
-    named by the values read; returns the sorted edge tuple."""
+    index() in input order, each held by an int64, then the weights with
+    unary plus, complex refused), each pair put as u <= v when ordered, then
+    edge by edge in input order a self-loop, the range, the weight and a
+    duplicate, named by the values read; returns the sorted edge tuple."""
     if n < 1:
         raise DomainError(f"node count must be positive, got {n}")
     for edge in edges:
@@ -119,12 +120,18 @@ def loop_validate(n: int, edges) -> tuple:
     ends = []
     try:
         for u, v, _ in edges:
-            ends.append((operator.index(u), operator.index(v)))
+            pair = (operator.index(u), operator.index(v))
+            for end in pair:
+                if not -2**63 <= end < 2**63:
+                    raise GraphFormatError(f"edge endpoint {end} is out of range")
+            ends.append((min(pair), max(pair)) if ordered else pair)
     except TypeError as exc:
         raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
     weights = []
     try:
         for _, _, w in edges:
+            if isinstance(w, (complex, np.complexfloating)):
+                raise GraphFormatError(f"edge weights must be numbers: {w!r} is complex")
             weights.append(float(+w))
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"edge weights must be numbers: {exc}") from None
@@ -143,14 +150,9 @@ def loop_validate(n: int, edges) -> tuple:
 
 
 def loop_from_edges(n: int, edges) -> tuple:
-    """Loop reference for `WeightedGraph.from_edges` on integer endpoints:
-    each pair normalized to u < v, then `loop_validate`."""
-    normalized = []
-    for u, v, w in edges:
-        if u > v:
-            u, v = v, u
-        normalized.append((int(u), int(v), float(w)))
-    return loop_validate(n, normalized)
+    """Loop reference for `WeightedGraph.from_edges`: `loop_validate` with
+    each pair put as u <= v once read."""
+    return loop_validate(n, edges, ordered=True)
 
 
 def loop_graph_add(g1: WeightedGraph, g2: WeightedGraph) -> tuple:

@@ -687,9 +687,10 @@ class TestConnectivityMatchesLoop:
         assert type(built.n) is int and built.n == 3
 
 
-# Edge lists with several defects each: the error names the first defect in
-# input order, checked per edge as self-loop, range, weight, duplicate, and a
-# non-integer endpoint only once every edge passed those checks.
+# Edge lists with several defects each.  Every edge is read first: its size,
+# then the endpoints in input order, then the weights; only then is each edge
+# checked, in input order, for a self-loop, its range, its weight and a
+# duplicate, and the first defect is named.
 MALFORMED = [
     (4, ((0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0), (1, 0, -1.0)),
      GraphFormatError, "self-loop at node 2"),
@@ -760,6 +761,11 @@ READ_ALIKE = [
      "edge endpoints must be integers: 'str' object cannot be interpreted as an integer"),
     (4, ((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (3, 3, 1.0)),
      GraphFormatError, "duplicate edge (0, 1)"),
+    # an endpoint intp cannot hold is refused when read, before the float after it
+    (4, ((0, 1, 1.0), (1, 10**30, 1.0), (0.5, 1, 1.0)), GraphFormatError,
+     f"edge endpoint {10**30} is out of range"),
+    (4, ((0, 1, 1.0), (-2**63 - 1, 1, 1.0)), GraphFormatError,
+     f"edge endpoint {-2**63 - 1} is out of range"),
 ]
 
 
@@ -792,6 +798,18 @@ class TestMalformedEdges:
         for route in TRIPLE_ROUTES:
             assert raised(lambda: route(3, edges)) == expected, route.__name__
 
+    @pytest.mark.parametrize("n", [3.0, True, 0])
+    def test_node_count_read_first(self, n):
+        # every route that takes a node count checks it before the edges
+        edges = [(0.5, 1, 1.0), (0, 1)]
+        expected = raised(lambda: WeightedGraph(n, []))
+        assert expected[0] in (GraphFormatError, DomainError)
+        for route in TRIPLE_ROUTES[:2]:
+            assert raised(lambda: route(n, edges)) == expected, route.__name__
+        for route in PAIR_ROUTES:
+            assert raised(lambda: route(n, [edge[:2] for edge in edges])) == expected, \
+                route.__name__
+
     @pytest.mark.parametrize("pair", [(0,), (0, 1, 1.0), 7])
     def test_wrong_pair_arity(self, pair):
         pairs = [(0.5, 2), pair]
@@ -800,7 +818,9 @@ class TestMalformedEdges:
             assert raised(lambda: route(3, pairs)) == expected, route.__name__
 
     # float() parsed the string: from_edges and greedy_augment took "1.0" as 1.0
-    @pytest.mark.parametrize("weight", ["1.0", None, 1j])
+    # and a NumPy complex weight was cut to its real part
+    @pytest.mark.parametrize("weight", ["1.0", None, 1j, np.complex128(1 + 2j),
+                                        np.complex64(1)])
     def test_non_numeric_weight(self, weight):
         edges = [(0, 1, 1.0), (1, 2, weight)]
         expected = raised(lambda: loop_validate(3, edges))
