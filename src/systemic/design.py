@@ -32,7 +32,7 @@ from .spectral import Spectrum, eig_sym, graph_spectrum, laplacian_spectrum
 class Topology:
     """A fixed edge skeleton whose positive weights are to be chosen: (u, v)
     pairs in either orientation, read by graphs._read_edges and checked as a
-    unit-weight graph's edges, but a repeated pair is a DomainError."""
+    unit-weight graph's edges, so a repeated pair is a GraphFormatError."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -40,10 +40,7 @@ class Topology:
     def __post_init__(self):
         # a unit-weight graph's checks name the first defective pair in input
         # order, sort the pairs and decide connectivity
-        self._adopt(WeightedGraph._from_arrays(
-            *_read_edges(self.n, self.edges, 2),
-            error=lambda i, defect: (DomainError("topology has duplicate edges")
-                                     if defect == "duplicate" else None)))
+        self._adopt(WeightedGraph._from_arrays(*_read_edges(self.n, self.edges, 2)))
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "Topology":

@@ -8,7 +8,8 @@ so equality compares the arrays and the hash, stored at construction, comes
 from n and those bytes.  Every route in (the constructor, from_edges,
 parse_graph, generate and the graph algebra) checks the arrays once, through
 _check_edges, and stores the connectivity flag beside them; caller tuples
-become arrays through _read_edges alone.  The Laplacian, the degrees and
+become arrays through _read_edges alone, and _edge_error alone names a
+defective edge, with its line in a file.  The Laplacian, the degrees and
 connectivity read the arrays; the (int, int, float) edge tuple is built on
 each read of `edges` and never kept.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import index, itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -114,8 +115,9 @@ def _read_edges(n: int, edges: Iterable[Sequence], size: int, *, ordered: bool =
 
 
 def _check_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-                 error: Callable[[int, str], SystemicError]) -> np.ndarray | None:
-    """Raise error(i, defect) for the first defective edge i in input order.
+                 lines: Sequence[int] | None = None) -> np.ndarray | None:
+    """Raise _edge_error for the first defective edge i in input order, on
+    line lines[i] of a file when lines are given.
 
     Each edge is checked for, in this order, a "self-loop", an endpoint out of
     "range" (0 <= u < v < n), a "weight" that is not positive and finite, and
@@ -137,19 +139,21 @@ def _check_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
         i = int(np.argmax(bad))
         defect = ("self-loop" if loops[i] else "range" if outside[i]
                   else "weight" if weak[i] else "duplicate")
-        raise error(i, defect)
+        raise _edge_error(defect, n, int(us[i]), int(vs[i]), float(ws[i]),
+                          None if lines is None else lines[i])
     return order
 
 
-def _edge_error(defect: str, n: int, u, v, w) -> SystemicError:
-    """The graph constructors' error for a defective edge (u, v, w)."""
-    if defect == "self-loop":
-        return GraphFormatError(f"self-loop at node {u}")
-    if defect == "range":
-        return GraphFormatError(f"edge ({u}, {v}) needs 0 <= u < v < {n}")
+def _edge_error(defect: str, n: int, u, v, w, line: int | None = None) -> SystemicError:
+    """The one error naming a defective edge (u, v, w), on every route; a
+    file's names its line."""
     if defect == "weight":
-        return DomainError(f"edge ({u}, {v}) has non-positive weight {w}")
-    return GraphFormatError(f"duplicate edge ({u}, {v})")
+        where = "" if line is None else f"line {line}: "
+        return DomainError(f"{where}edge ({u}, {v}) needs a positive finite weight, got {w}")
+    message = {"self-loop": f"self-loop at node {u}",
+               "range": f"edge ({u}, {v}) needs 0 <= u < v < {n}",
+               "duplicate": f"duplicate edge ({u}, {v})"}[defect]
+    return GraphFormatError(message, line=line)
 
 
 def _connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
@@ -223,26 +227,20 @@ class WeightedGraph:
 
     @classmethod
     def _from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-                     connected: bool | None = None,
-                     error: Callable[[int, str], SystemicError] | None = None
+                     connected: bool | None = None, lines: Sequence[int] | None = None
                      ) -> "WeightedGraph":
         graph = object.__new__(cls)
-        graph._init(_check_node_count(n), us, vs, ws, connected, error)
+        graph._init(_check_node_count(n), us, vs, ws, connected, lines)
         return graph
 
     def _init(self, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-              connected: bool | None = None,
-              error: Callable[[int, str], SystemicError] | None = None) -> None:
-        """Check integer endpoint and float weight arrays, which the graph
-        takes over and makes read-only.  connected, when given, is a
-        caller's exact verdict on the edges (us, vs), from _connected or
-        from the graphs they came from; error names a defective edge, and
-        where it is not given or returns None the error is the constructor's,
-        which prints the values read."""
-        def named(i, defect):
-            return ((error and error(i, defect))
-                    or _edge_error(defect, n, int(us[i]), int(vs[i]), float(ws[i])))
-        order = _check_edges(n, us, vs, ws, named)
+              connected: bool | None = None, lines: Sequence[int] | None = None) -> None:
+        """Check integer endpoint and float weight arrays (_check_edges, which
+        names a defective edge by the values read and, for a file, its line
+        in lines), then take them over and make them read-only.  connected,
+        when given, is a caller's exact verdict on the edges (us, vs), from
+        _connected or from the graphs they came from."""
+        order = _check_edges(n, us, vs, ws, lines)
         if order is not None:
             us, vs, ws = us[order], vs[order], ws[order]
         us, vs, ws = (np.ascontiguousarray(array, dtype=dtype) for array, dtype in
@@ -382,17 +380,6 @@ def spanning_tree_count(graph: WeightedGraph, *, log: bool = False) -> float:
                              ) from None
 
 
-def _line_error(defect: str, n: int, u: int, v: int, w: float, line: int) -> SystemicError:
-    """parse_graph's error for a defective edge (u, v, w), u <= v, on a line."""
-    if defect == "self-loop":
-        return GraphFormatError(f"self-loop at node {u}", line=line)
-    if defect == "range":
-        return GraphFormatError(f"edge ({u}, {v}) references a node >= n={n}", line=line)
-    if defect == "weight":
-        return DomainError(f"line {line}: weight must be positive, got {w}")
-    return GraphFormatError(f"duplicate edge ({u}, {v})", line=line)
-
-
 def _edge_columns(rows: list[list[str]]) -> tuple[np.ndarray, ...] | None:
     """The u, v and w columns of `u v w` token rows, or None when int() or
     float() rejects a token or an endpoint does not fit in intp."""
@@ -408,7 +395,8 @@ def parse_graph(text: str) -> WeightedGraph:
     """Parse the edge-list format: comments (#), an `n <count>` header, then `u v w` lines.
 
     The edge lines are read into arrays and checked once, by _check_edges;
-    an error names the first defective line.
+    an error names the first defective line, and an edge defect is worded
+    as on every other route (_edge_error).
     """
     lines = [raw.split() for raw in text.splitlines()]
     # the line numbers and tokens of every line that is not blank or a comment
@@ -428,10 +416,8 @@ def parse_graph(text: str) -> WeightedGraph:
         raise GraphFormatError(f"node count must be positive, got {n}", line=header_line)
 
     def check(us, vs, ws) -> WeightedGraph:
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        return WeightedGraph._from_arrays(
-            n, lo, hi, ws, error=lambda i, defect: _line_error(
-                defect, n, int(lo[i]), int(hi[i]), float(ws[i]), numbers[i]))
+        return WeightedGraph._from_arrays(n, np.minimum(us, vs), np.maximum(us, vs), ws,
+                                          lines=numbers)
 
     columns = _edge_columns(rows) if set(map(len, rows)) <= {3} else None
     if columns is not None:
@@ -450,7 +436,7 @@ def parse_graph(text: str) -> WeightedGraph:
         raise GraphFormatError(f"cannot parse edge line {line!r}", line=lineno)
     # an endpoint beyond intp: a self-loop, or out of range for any usable n
     u, v = min(u, v), max(u, v)
-    raise _line_error("self-loop" if u == v else "range", n, u, v, w, lineno)
+    raise _edge_error("self-loop" if u == v else "range", n, u, v, w, lineno)
 
 
 def serialize_graph(graph: WeightedGraph) -> str:

@@ -142,7 +142,7 @@ def loop_validate(n: int, edges, *, ordered: bool = False) -> tuple:
         if not (0 <= u < v < n):
             raise GraphFormatError(f"edge ({u}, {v}) needs 0 <= u < v < {n}")
         if not (w > 0.0 and math.isfinite(w)):
-            raise DomainError(f"edge ({u}, {v}) has non-positive weight {w}")
+            raise DomainError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
         if (u, v) in seen:
             raise GraphFormatError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
