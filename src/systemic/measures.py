@@ -136,35 +136,44 @@ def _hp_coefficient(p: float) -> float:
     return math.exp(log_b) / (2.0 * math.pi)
 
 
+def _min_ratios(lam: np.ndarray, s: float) -> tuple[float, np.ndarray]:
+    """lam_min and the ratios (lam_min/lam_i)^s, each in [0, 1] and one of
+    them 1, so that sum lam^-s = lam_min^-s * sum ratios with no overflow."""
+    low = float(lam.min())
+    return low, (low / lam) ** s
+
+
 def _power_root(lam: np.ndarray, scale: float, s: float, p: float,
                 coefficient: float = 1.0) -> float:
     """scale * (coefficient * sum lam^-s)^(1/p), in log-space when the sum is
     not a normal double, and inf where even that overflows; at p = inf,
-    scale / lambda_2 (coefficient unused)."""
+    scale / lambda_2 (coefficient unused).  The log-space sum is taken over
+    _min_ratios, and s/p is formed before it multiplies log lam_min, so
+    neither overflows even at p near the largest double."""
     if p == math.inf:
         return scale / float(lam.min())
     with np.errstate(over="ignore"):
         total = float((lam ** (-s)).sum())
     if 2.0 ** -1022 <= total < math.inf:
         return scale * (coefficient * total) ** (1.0 / p)
-    logs = -s * np.log(lam)
-    peak = float(logs.max())
-    log_total = peak + math.log(float(np.exp(logs - peak).sum()))
+    low, ratios = _min_ratios(lam, s)
+    log_root = ((math.log(coefficient) + math.log(float(ratios.sum()))) / p
+                - (s / p) * math.log(low))
     try:
-        return scale * math.exp((math.log(coefficient) + log_total) / p)
+        return scale * math.exp(log_root)
     except OverflowError:
         return math.inf
 
 
 def _power_root_grad(lam: np.ndarray, s: float, p: float, value: float) -> np.ndarray:
     """Gradient of value = _power_root(lam, scale, s, p, coefficient), as
-    -(s/p) * value * w_i / lam_i with w_i = (lam_min/lam_i)^s / sum_j
-    (lam_min/lam_j)^s: each ratio is at most 1, so nothing overflows where
-    the value is finite.  At p = inf, w is one-hot at lambda_2."""
+    -(s/p) * value * w_i / lam_i with w_i the _min_ratios over their sum:
+    each ratio is at most 1, so nothing overflows where the value is
+    finite.  At p = inf, w is one-hot at lambda_2."""
     if p == math.inf:
         one_hot = np.arange(lam.size) == np.argmin(lam)
         return np.where(one_hot, -value / lam, 0.0)
-    ratios = (float(lam.min()) / lam) ** s
+    _, ratios = _min_ratios(lam, s)
     return -(s / p) * value * (ratios / float(ratios.sum())) / lam
 
 

@@ -319,6 +319,14 @@ class TestProps:
         assert report is None
         assert "error:" in err
 
+    def test_hp_norm_at_the_largest_p(self, capsys):
+        # the power root's log-space sum was nan there: exit 3
+        code, report, _ = run_cli(capsys, [
+            "props", "--measure", "hp_norm", "--p", "1.7976931348623157e308",
+            "--property", "convexity", "--trials", "3", "--seed", "1"])
+        assert code == 0
+        assert report["results"]["violation_count"] == 0
+
     def test_negative_seed_exits_two(self, capsys):
         # NumPy's seed sequence refuses it with a ValueError, which exited 1
         code, report, err = run_cli(capsys, [

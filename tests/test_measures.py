@@ -133,6 +133,19 @@ class TestHpNorm:
         assert closed == pytest.approx(1.0 / float(graph_spectrum(p3).nonzero[0]),
                                        rel=1e-12, abs=0.0)
 
+    # -s * log(lam) was +inf where lam < 1 and -inf where lam > 1, so the
+    # log-space sum was nan at p near the largest double
+    @pytest.mark.parametrize("measure_id", ["hp_norm", "zeta_measure"])
+    def test_largest_p_with_eigenvalues_on_both_sides_of_one(self, p3, measure_id):
+        descriptor = MeasureDescriptor(measure_id, p=1.7976931348623157e308)
+        graphs = [scalar_mul(0.5, p3)] + [random_connected(seed, weight_range=(0.05, 0.6))
+                                          for seed in range(5)]
+        for graph in graphs:
+            lam = graph_spectrum(graph).nonzero
+            assert lam.min() < 1.0 < lam.max()
+            assert evaluate(graph, descriptor) == pytest.approx(
+                1.0 / float(lam.min()), rel=2.3e-16, abs=0.0)
+
     def test_coefficient_unchanged_where_lgamma_is_finite(self):
         for p in (1.5, 2.0, 3.0, 7.25, 1e3, 1e300, 5e305):
             expected = math.exp(math.lgamma((p - 1.0) / 2.0) + math.lgamma(0.5)
