@@ -54,7 +54,9 @@ def _integer(name: str, value) -> int:
 class SimConfig:
     """Integration settings; x0 is the initial state (defaults to zero).
 
-    Stability needs dt * lambda_max < 2; the burn-in should cover at least
+    The seed is an integer in [0, 2**64), and the horizon leaves at least
+    one step after the burn-in (ConfigError otherwise).  Stability needs
+    dt * lambda_max < 2; the burn-in should cover at least
     MIXING_TIME_CONSTANTS / lambda_2 of mixing time (warned about, not
     enforced).
     """
@@ -83,6 +85,11 @@ class SimConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        # a Philox key word holds the seed: any other integer would alias one in range
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.total_steps <= self.burn_steps:
+            raise ConfigError("horizon leaves no steps after burn-in")
         if self.x0 is not None:
             try:
                 x0 = tuple(float(v) for v in self.x0)
@@ -135,8 +142,8 @@ def _validate(graph: WeightedGraph, cfg: SimConfig) -> tuple[np.ndarray, np.ndar
 
 
 def _trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """The noise stream of one trial: Philox keyed by (seed mod 2**64, trial)."""
-    key = np.array([seed & ((1 << 64) - 1), trial], dtype=np.uint64)
+    """The noise stream of one trial: Philox keyed by (seed, trial)."""
+    key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -235,8 +242,6 @@ def estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:
     mean, so results are deterministic for a fixed seed.
     """
     matrix, initial = _validate(graph, cfg)
-    if cfg.total_steps <= cfg.burn_steps:
-        raise ConfigError("horizon leaves no steps after burn-in")
     per_trial = _integrate(matrix, initial, cfg) / (cfg.total_steps - cfg.burn_steps)
     estimate = float(np.mean(per_trial))
     if cfg.trials == 1:

@@ -198,9 +198,9 @@ def loop_generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
             weights = np.ones(len(pairs))
         else:
             lo, hi = weight_range
-            if not (0 < lo <= hi):
+            if not (0 < lo <= hi < math.inf):
                 raise DomainError(
-                    f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+                    f"weight range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
             weights = rng.uniform(lo, hi, size=len(pairs))
         return loop_from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
 
@@ -242,7 +242,7 @@ def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float
     initial = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     state = np.tile(initial - initial.mean(), (cfg.trials, 1))
     generators = [np.random.Generator(np.random.Philox(key=np.array(
-        [cfg.seed & ((1 << 64) - 1), trial], dtype=np.uint64)))
+        [cfg.seed, trial], dtype=np.uint64)))
         for trial in range(cfg.trials)]
     sums = np.zeros(cfg.trials)
     kept = 0

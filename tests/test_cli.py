@@ -464,6 +464,15 @@ class TestSimulate:
         assert report is None
         assert err.startswith("error:") and "not a finite step count" in err
 
+    def test_negative_seed_exits_two(self, capsys, graph_files):
+        # accepted, exit 0, where props --seed -1 exits 2
+        code, report, err = run_cli(capsys, [
+            "simulate-h2", "--graph", graph_files["p3"], "--dt", "0.01",
+            "--horizon", "20", "--trials", "2", "--seed", "-1"])
+        assert code == 2
+        assert report is None
+        assert err.startswith("error:") and "seed must be in [0, 2**64)" in err
+
     def test_infinite_horizon_exit_two(self, capsys, graph_files):
         # used to die with an OverflowError traceback and exit 1
         code, report, err = run_cli(capsys, [

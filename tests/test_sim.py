@@ -87,10 +87,27 @@ class TestConfig:
     def test_numpy_integers_stored_as_int(self, p3):
         # an np.int64 seed used to overflow when masked to 64 bits
         cfg = SimConfig(dt=0.01, horizon=3.0, burn_in=1.0, trials=np.int64(2),
-                        seed=np.int64(-3))
+                        seed=np.uint64(2**64 - 1))
         assert type(cfg.trials) is int and type(cfg.seed) is int
-        plain = SimConfig(dt=0.01, horizon=3.0, burn_in=1.0, trials=2, seed=-3)
+        plain = SimConfig(dt=0.01, horizon=3.0, burn_in=1.0, trials=2, seed=2**64 - 1)
         assert _quiet_estimate(p3, cfg) == _quiet_estimate(p3, plain)
+
+    # the Philox key took the seed mod 2**64: 2**64 drew the noise of seed 0,
+    # and -1 that of 2**64 - 1
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 2**64, -2**64, 2**70])
+    def test_seed_in_key_range(self, seed):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+            SimConfig(dt=0.01, horizon=3.0, burn_in=1.0, trials=2, seed=seed)
+
+    def test_no_steps_after_burn_in_refused_at_construction(self, monkeypatch):
+        # horizon 1.004 and burn-in 1.0 both round to 100 steps: the config was
+        # accepted, and estimate_h2 refused it after an eigensolve and a warning
+        def fail(*args, **kwargs):
+            raise AssertionError("spectrum computed")
+        monkeypatch.setattr(sim, "graph_spectrum", fail)
+        with pytest.raises(ConfigError, match="horizon leaves no steps after burn-in"):
+            SimConfig(dt=0.01, horizon=1.004, burn_in=1.0, trials=2, seed=1)
+        assert SimConfig(dt=0.01, horizon=1.006, burn_in=1.0, trials=2, seed=1).total_steps == 101
 
     def test_mixing_warning(self, p3):
         cfg = SimConfig(dt=0.01, horizon=20.0, burn_in=1.0, trials=2, seed=0)
