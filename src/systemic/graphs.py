@@ -455,8 +455,8 @@ def _edge_weights(rng: np.random.Generator, count: int,
         lo, hi = weight_range
     except (TypeError, ValueError):
         raise DomainError(f"weight range must be a pair (lo, hi), got {weight_range!r}") from None
-    if not (0 < lo <= hi):
-        raise DomainError(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    if not (0 < lo <= hi < math.inf):
+        raise DomainError(f"weight range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
     return rng.uniform(lo, hi, size=count)
 
 

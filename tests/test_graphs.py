@@ -490,6 +490,15 @@ class TestGenerate:
         with pytest.raises(DomainError, match="weight range must be a pair"):
             generate("path", 5, weight_range=weight_range)
 
+    # an infinite bound escaped from Generator.uniform as a bare OverflowError
+    @pytest.mark.parametrize("weight_range", [(1, math.inf), (math.inf, math.inf),
+                                              (1, math.nan), (0, 1), (2, 1)])
+    @pytest.mark.parametrize("family", ["path", "erdos_renyi"])
+    def test_weight_range_bounds(self, family, weight_range):
+        with pytest.raises(DomainError,
+                           match=r"weight range must satisfy 0 < lo <= hi < inf, got"):
+            generate(family, 4, weight_range=weight_range)
+
 
 class TestConnectivity:
     def test_k3(self, k3):
