@@ -465,7 +465,8 @@ def generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
              max_retries: int = 100) -> WeightedGraph:
     """Deterministic graph generators: complete, cycle, path, star, erdos_renyi.
 
-    Weights are 1 unless weight_range, a pair (lo, hi), is given.  Erdos-Renyi
+    Weights are 1 unless weight_range, a pair (lo, hi) with
+    0 < lo <= hi < inf (DomainError otherwise), is given.  Erdos-Renyi
     draws are retried until connected, up to max_retries.  seed and
     max_retries are integers >= 0 (DomainError otherwise).
     """
