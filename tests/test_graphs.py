@@ -865,8 +865,8 @@ class TestMalformedEdges:
             pairs = [edge[:2] for edge in edges]
             for route in PAIR_ROUTES:
                 assert raised(lambda: route(n, pairs)) == (kind, message), route.__name__
-        # a file names the same edge, after its line: the rows of integer
-        # endpoints, which its token reader shares with _read_edges
+        # a file names the same edge after its `line L: ` prefix; it reads its
+        # tokens by its own rule, so _read_edges' endpoint messages are not its
         if not message.startswith("edge endpoint"):
             error, text = raised(lambda: parse_rows(n, edges))
             line, _, rest = text.partition(": ")
