@@ -21,11 +21,12 @@ _EXPORTS = {
     "graphs": ("WeightedGraph", "generate", "graph_add", "is_connected", "laplacian",
                "parse_graph", "scalar_mul", "serialize_graph", "spanning_tree_count"),
     "measures": ("ENTROPY_FORM_WARNING", "MeasureDescriptor", "QuadratureSettings",
-                 "SpectralFunction", "applicable_properties", "entropy_via_trees",
-                 "evaluate", "evaluate_eigenvalues", "get_spectral_function",
-                 "hp_norm", "hp_norm_numeric", "is_homogeneous", "is_spectral",
-                 "zeta", "zeta_measure"),
-    "properties": ("PropertyReport", "Violation", "replay_trial", "run_check"),
+                 "SpectralFunction", "entropy_via_trees", "evaluate",
+                 "evaluate_eigenvalues", "get_spectral_function", "hp_norm",
+                 "hp_norm_numeric", "is_homogeneous", "is_spectral", "zeta",
+                 "zeta_measure"),
+    "properties": ("PropertyReport", "Violation", "applicable_properties", "replay_trial",
+                   "run_check"),
     "sim": ("SimConfig", "estimate_h2"),
     "spectral": ("Spectrum", "eig_sym", "graph_spectrum", "laplacian_spectrum"),
 }

@@ -1,18 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error may name the line of a graph file it was raised for: `line` is
+that line number, or None, and the message then starts with `line L: `.
+"""
 
 
 class SystemicError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class GraphFormatError(SystemicError):
-    """Malformed edge-list input (syntax, duplicate edge, self-loop, bad index)."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class GraphFormatError(SystemicError):
+    """Malformed edge-list input (syntax, duplicate edge, self-loop, bad index)."""
 
 
 class DimensionError(SystemicError):

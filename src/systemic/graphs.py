@@ -145,15 +145,14 @@ def _check_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
 
 
 def _edge_error(defect: str, n: int, u, v, w, line: int | None = None) -> SystemicError:
-    """The one error naming a defective edge (u, v, w), on every route; a
-    file's names its line."""
-    if defect == "weight":
-        where = "" if line is None else f"line {line}: "
-        return DomainError(f"{where}edge ({u}, {v}) needs a positive finite weight, got {w}")
+    """The one error naming a defective edge (u, v, w), on every route: a
+    DomainError for its weight, a GraphFormatError otherwise.  A file's
+    error carries its line (SystemicError)."""
     message = {"self-loop": f"self-loop at node {u}",
                "range": f"edge ({u}, {v}) needs 0 <= u < v < {n}",
+               "weight": f"edge ({u}, {v}) needs a positive finite weight, got {w}",
                "duplicate": f"duplicate edge ({u}, {v})"}[defect]
-    return GraphFormatError(message, line=line)
+    return (DomainError if defect == "weight" else GraphFormatError)(message, line=line)
 
 
 def _connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:

@@ -286,24 +286,6 @@ def is_spectral(measure: MeasureDescriptor) -> bool:
     return _MEASURES[measure.id].spectral
 
 
-def applicable_properties(measure: MeasureDescriptor) -> frozenset[str]:
-    """Which axioms the catalog claims for this measure.
-
-    Spectral-norm, higher-energy and entropy measures carry the orthogonal
-    invariance / Schur-convexity axioms; the scaling-degree -1 measures carry
-    homogeneity and subadditivity on top of monotonicity and convexity.
-    """
-    convex_axioms = {"monotonicity", "convexity"}
-    scaled_axioms = {"homogeneity", "subadditivity"}
-    spectral_axioms = {"orthogonal_invariance", "schur_convexity"}
-    props = set(convex_axioms)
-    if is_homogeneous(measure):
-        props |= scaled_axioms
-    if is_spectral(measure):
-        props |= spectral_axioms
-    return frozenset(props)
-
-
 # ---------------------------------------------------------------------------
 # core evaluations
 
@@ -325,10 +307,6 @@ def _finite(value: Callable[[np.ndarray, object], float], x: np.ndarray, arg,
     return result
 
 
-def _power_sum(lam: np.ndarray, p: float) -> float:
-    return float(np.sum(lam ** -p))
-
-
 def zeta(graph: WeightedGraph, p: float) -> float:
     """Spectral zeta function: sum of nonzero Laplacian eigenvalues to the -p.
 
@@ -338,7 +316,9 @@ def zeta(graph: WeightedGraph, p: float) -> float:
     """
     if not (0 < p < math.inf):
         raise DomainError(f"zeta exponent p must be finite and positive, got {p}")
-    return _finite(_power_sum, graph_spectrum(graph).nonzero, float(p), f"zeta({p:g})")
+    # the linear root 1.0 * (1.0 * total) ** 1.0 is the sum itself
+    return _finite(lambda lam, s: _power_root(lam, 1.0, s, 1.0),
+                   graph_spectrum(graph).nonzero, float(p), f"zeta({p:g})")
 
 
 def zeta_measure(graph: WeightedGraph, p: float, k: float) -> float:

@@ -2,10 +2,11 @@
 orthogonal invariance and Schur-convexity, run as seeded falsification searches.
 
 run_check(property_id, measure, ...) is the one entry point for a check.
-Each property is one entry (salt, trial) of _PROPERTIES, so a new property is
-a new entry.  A trial draws all of its randomness from a stream derived from
-(seed, trial index, salt), so any recorded violation can be replayed
-bit-for-bit with replay_trial.
+Each property is one entry (salt, trial, claim) of _PROPERTIES, so a new
+property is a new entry; claim(measure) says whether the catalog claims the
+axiom for a measure, and applicable_properties reads it.  A trial draws all
+of its randomness from a stream derived from (seed, trial index, salt), so
+any recorded violation can be replayed bit-for-bit with replay_trial.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import DomainError
 from .graphs import (WeightedGraph, _check_integer, generate, graph_add, laplacian,
                      scalar_mul)
-from .measures import MeasureDescriptor, evaluate, evaluate_eigenvalues, is_spectral
+from .measures import (MeasureDescriptor, evaluate, evaluate_eigenvalues, is_homogeneous,
+                       is_spectral)
 from .spectral import eig_sym
 
 DEFAULT_TOL = 1e-8
@@ -178,15 +180,23 @@ def _schur_trial(measure: MeasureDescriptor, rng: np.random.Generator,
     return [(lhs, rhs, _allowance(tol, lhs, rhs), description)]
 
 
-# the salts decorrelate the properties' streams and stay fixed so violations replay
+# property id -> (salt, trial, claim).  The salts decorrelate the properties'
+# streams and stay fixed so violations replay; claim(measure) is True for the
+# measures the catalog claims the axiom for.
 _PROPERTIES = {
-    "homogeneity": (1, _homogeneity_trial),
-    "monotonicity": (2, _monotonicity_trial),
-    "convexity": (3, _convexity_trial),
-    "subadditivity": (4, _subadditivity_trial),
-    "orthogonal_invariance": (5, _orthogonal_trial),
-    "schur_convexity": (6, _schur_trial),
+    "homogeneity": (1, _homogeneity_trial, is_homogeneous),
+    "monotonicity": (2, _monotonicity_trial, lambda measure: True),
+    "convexity": (3, _convexity_trial, lambda measure: True),
+    "subadditivity": (4, _subadditivity_trial, is_homogeneous),
+    "orthogonal_invariance": (5, _orthogonal_trial, is_spectral),
+    "schur_convexity": (6, _schur_trial, is_spectral),
 }
+
+
+def applicable_properties(measure: MeasureDescriptor) -> frozenset[str]:
+    """The ids of the axioms whose claim in _PROPERTIES holds for this measure."""
+    return frozenset(property_id for property_id, (_, _, claim) in _PROPERTIES.items()
+                     if claim(measure))
 
 
 def _trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
@@ -198,9 +208,7 @@ def _trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     _check_integer("seed", seed, 0)
     _check_integer("trial", trial, 0)
-    salt, trial_fn = _PROPERTIES[property_id]
-    if trial_fn in (_orthogonal_trial, _schur_trial) and not is_spectral(measure):
-        raise DomainError(f"{measure.id} is not eigenvalue-based")
+    salt, trial_fn, _ = _PROPERTIES[property_id]
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(salt, trial))
     rng = np.random.Generator(np.random.PCG64(sequence))
     return trial_fn(measure, rng, tol)
@@ -214,7 +222,8 @@ def run_check(property_id: str, measure: MeasureDescriptor, trials: int = 200,
     convexity, subadditivity, orthogonal_invariance, schur_convexity); each
     trial function states its axiom.  Graphs are drawn with node counts in
     DEFAULT_NODE_RANGE, and the convexity check mixes at every alpha of
-    DEFAULT_ALPHA_GRID.  The last two checks need an eigenvalue-based measure.
+    DEFAULT_ALPHA_GRID.  The last two checks need an eigenvalue-based measure:
+    evaluate_eigenvalues refuses any other on the first trial.
     """
     _check_integer("trials", trials, 1)
     violations = []

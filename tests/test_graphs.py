@@ -1079,15 +1079,15 @@ MALFORMED_FILES = [
     ("n 3\n99999999999999999999 99999999999999999999 1\n", GraphFormatError,
      "line 2: self-loop at node 99999999999999999999", 2),
     ("n 3\n0 1 0\n", DomainError,
-     "line 2: edge (0, 1) needs a positive finite weight, got 0.0", None),
+     "line 2: edge (0, 1) needs a positive finite weight, got 0.0", 2),
     ("n 3\n0 1 -1.5\n", DomainError,
-     "line 2: edge (0, 1) needs a positive finite weight, got -1.5", None),
+     "line 2: edge (0, 1) needs a positive finite weight, got -1.5", 2),
     ("n 3\n0 1 nan\n", DomainError,
-     "line 2: edge (0, 1) needs a positive finite weight, got nan", None),
+     "line 2: edge (0, 1) needs a positive finite weight, got nan", 2),
     ("n 3\n0 1 inf\n", DomainError,
-     "line 2: edge (0, 1) needs a positive finite weight, got inf", None),
+     "line 2: edge (0, 1) needs a positive finite weight, got inf", 2),
     ("n 3\n0 1 -inf\n", DomainError,
-     "line 2: edge (0, 1) needs a positive finite weight, got -inf", None),
+     "line 2: edge (0, 1) needs a positive finite weight, got -inf", 2),
     ("n 3\n0 1 1\n1 2 1\n0 1 2\n", GraphFormatError, "line 4: duplicate edge (0, 1)", 4),
     ("n 3\n0 1 1\n1 2 1\n1 0 2\n", GraphFormatError, "line 4: duplicate edge (0, 1)", 4),
     # comments, blank lines, tabs, CRLF and padded lines
@@ -1103,7 +1103,7 @@ MALFORMED_FILES = [
      "line 2: edge (0, 9) needs 0 <= u < v < 4", 2),
     ("n 4\n1 x 1\n0 9 1\n", GraphFormatError, "line 2: cannot parse edge line '1 x 1'", 2),
     ("n 4\n0 1 -1\n2 2 1\n", DomainError,
-     "line 2: edge (0, 1) needs a positive finite weight, got -1.0", None),
+     "line 2: edge (0, 1) needs a positive finite weight, got -1.0", 2),
     ("n 4\n2 2 -1\n0 1 -1\n", GraphFormatError, "line 2: self-loop at node 2", 2),
     ("n 4\n0 1 1\n0 1 1\n9 9 1\n", GraphFormatError, "line 3: duplicate edge (0, 1)", 3),
 ]

@@ -157,11 +157,13 @@ class TestSchurConvexity:
             evaluate_eigenvalues(x, ENTROPY), rel=1e-15)
 
     def test_local_error_not_spectral(self):
-        # refused before any trial, as orthogonal_invariance refuses it
+        # refused on its first trial, as orthogonal_invariance refuses it
         local_error = MeasureDescriptor("local_error")
-        with pytest.raises(DomainError, match="local_error is not eigenvalue-based"):
+        with pytest.raises(DomainError, match="local_error is degree-based; eigenvalues "
+                                              "alone cannot express it"):
             run_check("schur_convexity", local_error, trials=1)
-        with pytest.raises(DomainError, match="local_error is not eigenvalue-based"):
+        with pytest.raises(DomainError, match="local_error is degree-based; eigenvalues "
+                                              "alone cannot express it"):
             replay_trial("schur_convexity", local_error, seed=0, trial=0)
 
     @pytest.mark.parametrize("descriptor", [ENERGY, ENTROPY, ZETA_HALF,
