@@ -70,7 +70,7 @@ class Topology:
     def laplacian_of(self, weights: np.ndarray) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         us, vs = self._pairs.T
-        return _laplacian_matrix(us, vs, weights, self.degrees_of(weights))
+        return _laplacian_matrix(self.n, us, vs, weights, lambda: self.degrees_of(weights))
 
     def graph_of(self, weights: np.ndarray) -> WeightedGraph:
         weights = np.asarray(weights, dtype=float)

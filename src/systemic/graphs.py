@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import index, itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -191,16 +191,16 @@ def _degree_vector(n: int, endpoints: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return np.bincount(endpoints, weights=np.repeat(ws, 2), minlength=n)
 
 
-def _laplacian_matrix(us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-                      degrees: np.ndarray) -> np.ndarray:
-    """Dense Laplacian: the degrees on the diagonal, each edge's 0.0 - w off
-    it (so a zero weight leaves +0.0, as an untouched entry does).  ScaleError,
-    before any allocation, when it would exceed DENSE_MATRIX_BYTES."""
-    n = degrees.size
+def _laplacian_matrix(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                      degrees: Callable[[], np.ndarray]) -> np.ndarray:
+    """Dense Laplacian: degrees() on the diagonal, each edge's 0.0 - w off
+    it (so a zero weight leaves +0.0, as an untouched entry does).  ScaleError
+    from n alone, before degrees() is read or anything allocated, when it
+    would exceed DENSE_MATRIX_BYTES."""
     if 8 * n * n > DENSE_MATRIX_BYTES:
         raise ScaleError(f"a dense Laplacian on n={n} nodes needs {8 * n * n} bytes, "
                          f"over the budget of {DENSE_MATRIX_BYTES} bytes")
-    matrix = np.diag(degrees)
+    matrix = np.diag(degrees())
     off_diagonal = 0.0 - ws
     matrix[us, vs] = off_diagonal
     matrix[vs, us] = off_diagonal
@@ -303,7 +303,8 @@ class WeightedGraph:
 def laplacian(graph: WeightedGraph) -> np.ndarray:
     """The dense Laplacian (read-only), assembled from the graph's degree
     vector and edge weights."""
-    matrix = _laplacian_matrix(graph._us, graph._vs, graph._ws, graph.degrees)
+    matrix = _laplacian_matrix(graph.n, graph._us, graph._vs, graph._ws,
+                               lambda: graph.degrees)
     matrix.setflags(write=False)
     return matrix
 

@@ -553,6 +553,23 @@ class TestValidate:
         assert done.stderr == ("error: a dense Laplacian on n=50000 nodes needs "
                                "20000000000 bytes, over the budget of 536870912 bytes\n")
 
+    # validate summed the 8 GB degree vector of a billion nodes before the
+    # budget check and died with an _ArrayMemoryError and exit 1
+    def test_dense_budget_precedes_the_degrees(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "big.txt"
+        path.write_text("n 1000000000\n0 1 1\n")
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+        done = _fresh_python(["-m", "systemic.cli", "validate", "--graph", str(path)],
+                             preexec_fn=limit_address_space)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == ("error: a dense Laplacian on n=1000000000 nodes needs "
+                               "8000000000000000000 bytes, over the budget of "
+                               "536870912 bytes\n")
+
     def test_duplicate_edge_exit_two(self, capsys, graph_files):
         code, report, err = run_cli(capsys, ["validate", "--graph", graph_files["bad"]])
         assert code == 2

@@ -135,6 +135,14 @@ class TestLaplacian:
         with pytest.raises(ScaleError, match="n=8193"):
             Topology.from_graph(path).laplacian_of(np.full(path.m, 1.0 / path.m))
 
+    def test_dense_budget_refuses_before_the_degrees(self):
+        # the 8 MB degree vector of a million nodes is not summed for a
+        # Laplacian the budget refuses
+        graph = WeightedGraph.from_edges(10**6, [(0, 1, 1.0)])
+        with pytest.raises(ScaleError, match="n=1000000 nodes"):
+            laplacian(graph)
+        assert "degrees" not in vars(graph)
+
 
 class TestLaplacianMatchesLoop:
     """The array assembly is bit-identical to the edge-by-edge loop;
