@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import measures
-from .errors import ConnectivityError, DomainError, NumericalError, SystemicError
+from .errors import (ConnectivityError, DomainError, GraphFormatError, NumericalError,
+                     SystemicError)
 from .graphs import (WeightedGraph, _check_consensus, is_connected, laplacian, parse_graph,
                      serialize_graph, spanning_tree_count)
 from .measures import ENTROPY_FORM_WARNING, MeasureDescriptor
@@ -43,6 +44,9 @@ def _load_graph(path: str) -> WeightedGraph:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemicError(f"cannot read graph file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"graph file {path} is not UTF-8 text: {exc.reason} "
+                               f"at byte {exc.start}") from None
     return parse_graph(text)
 
 

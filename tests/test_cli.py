@@ -593,6 +593,15 @@ GRAPH_COMMANDS = {
     "validate": [],
 }
 
+# a byte that is not UTF-8 died in a UnicodeDecodeError traceback with exit 1,
+# the code of a property violation; each option that names a graph file
+NOT_UTF8_ARGS = {
+    "--graph": ["validate", "--graph", "{latin1}"],
+    "--topology": ["optimize-weights", "--topology", "{latin1}", "--measure", "energy1"],
+    "--candidates": ["augment", "--graph", "{p3}", "--k", "1", "--candidates", "{latin1}",
+                     "--f", "inverse"],
+}
+
 
 class TestGraphFile:
     def test_every_graph_command_is_listed(self):
@@ -619,6 +628,17 @@ class TestGraphFile:
         assert code == 2
         assert report is None
         assert err.startswith("error: line 3:")
+
+    @pytest.mark.parametrize("option", NOT_UTF8_ARGS)
+    def test_not_utf8_file_exits_two(self, capsys, graph_files, tmp_path, option):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"n 3\n0 1 1\xff\n")
+        argv = [arg.format(latin1=latin1, **graph_files) for arg in NOT_UTF8_ARGS[option]]
+        code, report, err = run_cli(capsys, argv)
+        assert code == 2
+        assert report is None
+        assert err == (f"error: graph file {latin1} is not UTF-8 text: "
+                       "invalid start byte at byte 9\n")
 
 
 class TestUsageErrors:
