@@ -1102,6 +1102,8 @@ MALFORMED_FILES = [
     ("# comment\nn 4\n\n0 1 1\n# another\n  2 3 1  \n3 2 5\n", GraphFormatError,
      "line 7: duplicate edge (2, 3)", 7),
     ("n 3\n# a b\n0 1 1\n1 1 1\n", GraphFormatError, "line 4: self-loop at node 1", 4),
+    ("n 3\n# c\n0 1 1\n1 2 0\n", DomainError,
+     "line 4: edge (1, 2) needs a positive finite weight, got 0.0", 4),
     ("n 3\r\n0 1 1\r\n1 1 1\r\n", GraphFormatError, "line 3: self-loop at node 1", 3),
     ("n 3\n0\t1\t1\n1 1 1\n", GraphFormatError, "line 3: self-loop at node 1", 3),
     # the first defective line wins, whatever its kind

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,32 @@ class TestZeta:
     def test_infinite_exponent_rejected(self, graph):
         with pytest.raises(DomainError, match="finite and positive"):
             zeta(graph, math.inf)
+
+    # zeta sums through the power root, whose linear root is the sum itself;
+    # past the double range it raises without NumPy's overflow warning first
+    # (recorded, not raised: _finite retries a raised warning quietly)
+    @pytest.mark.parametrize("family", ["complete", "cycle", "path", "star", "erdos_renyi"])
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_plain_power_sum_bits(self, family, n):
+        graph = generate(family, n, seed=n, p=min(1.0, 8.0 / n))
+        lam = graph_spectrum(graph).nonzero
+        overflowed = 0
+        for p in (1e-3, 0.1, 0.5, 1.0, 2.0, 7.5, 50.0, 300.0, 1000.0):
+            with np.errstate(over="ignore"):
+                expected = float(np.sum(lam ** -p))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if expected == math.inf:
+                    overflowed += 1
+                    with pytest.raises(NumericalError, match=rf"zeta\({p:g}\) is inf"):
+                        zeta(graph, p)
+                elif expected >= 2.0 ** -1022:
+                    assert zeta(graph, p).hex() == expected.hex(), p
+                else:  # below the normal range
+                    assert 0.0 <= zeta(graph, p) < 2.0 ** -1022, p
+            assert caught == [], p
+        # lambda_2 < 0.4 on the longer cycles and paths: lambda_2^-1000 overflows
+        assert (overflowed > 0) == (family in ("cycle", "path") and n >= 10)
 
 
 class TestZetaMeasure:

@@ -270,6 +270,17 @@ class TestInvalidInputs:
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             replay_trial(property_id, ENERGY, seed=seed, trial=0)
 
+    # evaluate_eigenvalues refuses a degree-based measure on the first trial,
+    # and on any replayed trial
+    @pytest.mark.parametrize("property_id", ["orthogonal_invariance", "schur_convexity"])
+    def test_degree_based_measure_refused(self, property_id):
+        local_error = MeasureDescriptor("local_error")
+        message = "local_error is degree-based; eigenvalues alone cannot express it"
+        with pytest.raises(DomainError, match=message):
+            run_check(property_id, local_error, trials=3)
+        with pytest.raises(DomainError, match=message):
+            replay_trial(property_id, local_error, seed=5, trial=2)
+
     @pytest.mark.parametrize("trial", [-1, 1.0, None, False])
     def test_trial_rejected(self, trial):
         with pytest.raises(DomainError, match="trial must be an integer >= 0"):
