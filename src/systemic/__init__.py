@@ -23,8 +23,7 @@ _EXPORTS = {
     "measures": ("ENTROPY_FORM_WARNING", "MeasureDescriptor", "QuadratureSettings",
                  "SpectralFunction", "entropy_via_trees", "evaluate",
                  "evaluate_eigenvalues", "get_spectral_function", "hp_norm",
-                 "hp_norm_numeric", "is_homogeneous", "is_spectral", "zeta",
-                 "zeta_measure"),
+                 "hp_norm_numeric", "is_homogeneous", "is_spectral", "zeta"),
     "properties": ("PropertyReport", "Violation", "applicable_properties", "replay_trial",
                    "run_check"),
     "sim": ("SimConfig", "estimate_h2"),

@@ -321,11 +321,6 @@ def zeta(graph: WeightedGraph, p: float) -> float:
                    graph_spectrum(graph).nonzero, float(p), f"zeta({p:g})")
 
 
-def zeta_measure(graph: WeightedGraph, p: float, k: float) -> float:
-    """k * zeta(p)^(1/p); the p = inf limit is k over the algebraic connectivity."""
-    return evaluate(graph, MeasureDescriptor("zeta_measure", p=p, k=k))
-
-
 def hp_norm(graph: WeightedGraph, p: float) -> float:
     """Closed-form H_p norm of the disturbance-to-disagreement transfer function.
 

@@ -5,8 +5,10 @@ run_check(property_id, measure, ...) is the one entry point for a check.
 Each property is one entry (salt, trial, claim) of _PROPERTIES, so a new
 property is a new entry; claim(measure) says whether the catalog claims the
 axiom for a measure, and applicable_properties reads it.  A trial draws all
-of its randomness from a stream derived from (seed, trial index, salt), so
-any recorded violation can be replayed bit-for-bit with replay_trial.
+of its randomness from a stream derived from (seed, trial index, salt), and
+run_check runs each trial through replay_trial, so any recorded violation
+replays bit for bit.  Its graphs come from generate's Erdos-Renyi family,
+which takes at most graphs.GENERATION_RETRIES draws for a connected one.
 """
 
 from __future__ import annotations
@@ -58,15 +60,14 @@ def _random_connected(rng: np.random.Generator) -> WeightedGraph:
     n = int(rng.integers(DEFAULT_NODE_RANGE[0], DEFAULT_NODE_RANGE[1] + 1))
     p = float(rng.uniform(0.35, 0.9))
     graph_seed = int(rng.integers(0, 2**63 - 1))
-    return generate("erdos_renyi", n, seed=graph_seed, p=p,
-                    weight_range=(0.2, 5.0), max_retries=200)
+    return generate("erdos_renyi", n, seed=graph_seed, p=p, weight_range=(0.2, 5.0))
 
 
 def _second_graph(rng: np.random.Generator, n: int) -> WeightedGraph:
     """A second Erdős–Rényi graph on n nodes; its seed is drawn before its p."""
     graph_seed = int(rng.integers(0, 2**63 - 1))
     return generate("erdos_renyi", n, seed=graph_seed, p=float(rng.uniform(0.35, 0.9)),
-                    weight_range=(0.2, 5.0), max_retries=200)
+                    weight_range=(0.2, 5.0))
 
 
 def _random_positive(rng: np.random.Generator, n: int) -> WeightedGraph:
@@ -199,9 +200,11 @@ def applicable_properties(measure: MeasureDescriptor) -> frozenset[str]:
                      if claim(measure))
 
 
-def _trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
-           tol: float) -> list[Assertion]:
-    """One trial of a property, drawn from the stream of (seed, trial, salt)."""
+def replay_trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
+                 tol: float = DEFAULT_TOL) -> list[Assertion]:
+    """One trial of a property, drawn from the stream of (seed, trial, salt):
+    run_check runs its trials through it, so identical inputs replay a
+    recorded trial bit for bit."""
     if property_id not in _PROPERTIES:
         raise DomainError(f"unknown property {property_id!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -228,16 +231,11 @@ def run_check(property_id: str, measure: MeasureDescriptor, trials: int = 200,
     _check_integer("trials", trials, 1)
     violations = []
     for trial in range(trials):
-        for lhs, rhs, allowance, description in _trial(property_id, measure, seed, trial, tol):
+        for lhs, rhs, allowance, description in replay_trial(property_id, measure, seed,
+                                                             trial, tol):
             margin = lhs - rhs - allowance
             if margin > 0.0:
                 violations.append(Violation(trial=trial, description=description,
                                             lhs=lhs, rhs=rhs, margin=margin))
     return PropertyReport(property_id=property_id, measure=measure.label(), trials=trials,
                           violations=tuple(violations), seed=seed, tol=tol)
-
-
-def replay_trial(property_id: str, measure: MeasureDescriptor, seed: int, trial: int,
-                 tol: float = DEFAULT_TOL) -> list[Assertion]:
-    """Re-run one trial of run_check; identical inputs give identical bits."""
-    return _trial(property_id, measure, seed, trial, tol)

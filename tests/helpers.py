@@ -73,7 +73,7 @@ def random_connected(seed: int, n_low: int = 3, n_high: int = 12,
     n = int(rng.integers(n_low, n_high + 1))
     p = float(rng.uniform(0.35, 0.9))
     return generate("erdos_renyi", n, seed=int(rng.integers(2**62)), p=p,
-                    weight_range=weight_range, max_retries=200)
+                    weight_range=weight_range)
 
 
 def simplex_grid(m: int, resolution: float) -> np.ndarray:
@@ -105,13 +105,14 @@ def loop_laplacian(graph: WeightedGraph) -> np.ndarray:
     return np.diag(degrees) - adjacency
 
 
-def loop_validate(n: int, edges, *, ordered: bool = False) -> tuple:
-    """Loop reference for the `WeightedGraph` checks: the node count, then
-    every edge read (three entries each, then the endpoints converted with
-    index() in input order, each held by an int64, then the weights with
-    unary plus, complex refused), each pair put as u <= v when ordered, then
-    edge by edge in input order a self-loop, the range, the weight and a
-    duplicate, named by the values read; returns the sorted edge tuple."""
+def loop_validate(n: int, edges) -> tuple:
+    """Loop reference for the `WeightedGraph` checks, which `from_edges`
+    shares: the node count, then every edge read (three entries each, then
+    the endpoints converted with index() in input order, each held by an
+    int64, then the weights with unary plus, complex refused), each pair put
+    as u <= v, then edge by edge in input order a self-loop, the range, the
+    weight and a duplicate, named by the values read; returns the sorted
+    edge tuple."""
     if n < 1:
         raise DomainError(f"node count must be positive, got {n}")
     for edge in edges:
@@ -124,7 +125,7 @@ def loop_validate(n: int, edges, *, ordered: bool = False) -> tuple:
             for end in pair:
                 if not -2**63 <= end < 2**63:
                     raise GraphFormatError(f"edge endpoint {end} is out of range")
-            ends.append((min(pair), max(pair)) if ordered else pair)
+            ends.append((min(pair), max(pair)))
     except TypeError as exc:
         raise GraphFormatError(f"edge endpoints must be integers: {exc}") from None
     weights = []
@@ -147,12 +148,6 @@ def loop_validate(n: int, edges, *, ordered: bool = False) -> tuple:
             raise GraphFormatError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
     return tuple(sorted((u, v, w) for (u, v), w in zip(ends, weights)))
-
-
-def loop_from_edges(n: int, edges) -> tuple:
-    """Loop reference for `WeightedGraph.from_edges`: `loop_validate` with
-    each pair put as u <= v once read."""
-    return loop_validate(n, edges, ordered=True)
 
 
 def loop_graph_add(g1: WeightedGraph, g2: WeightedGraph) -> tuple:
@@ -185,10 +180,10 @@ def loop_is_connected(n: int, edges) -> bool:
 
 
 def loop_generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
-                  weight_range: tuple[float, float] | None = None,
-                  max_retries: int = 100) -> tuple:
+                  weight_range: tuple[float, float] | None = None) -> tuple:
     """Loop reference for `generate`: the sorted edge tuple built pair by
-    pair, drawing from the generator in the same order."""
+    pair, drawing from the generator in the same order, at most 100
+    Erdos-Renyi draws (`graphs.GENERATION_RETRIES`)."""
     if n < 2:
         raise DomainError(f"generators need n >= 2, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -202,7 +197,7 @@ def loop_generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
                 raise DomainError(
                     f"weight range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
             weights = rng.uniform(lo, hi, size=len(pairs))
-        return loop_from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+        return loop_validate(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
 
     if family == "complete":
         return weighted([(u, v) for u in range(n) for v in range(u + 1, n)])
@@ -219,12 +214,12 @@ def loop_generate(family: str, n: int, *, seed: int = 0, p: float = 0.5,
     if not (0 < p <= 1):
         raise DomainError(f"edge probability must be in (0, 1], got {p}")
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(max_retries):
+    for _ in range(100):
         mask = rng.random(len(all_pairs)) < p
         edges = weighted([pair for pair, hit in zip(all_pairs, mask) if hit])
         if loop_is_connected(n, edges):
             return edges
-    raise GenerationError(f"no connected draw in {max_retries} tries (n={n}, p={p})")
+    raise GenerationError(f"no connected draw in 100 tries (n={n}, p={p})")
 
 
 def loop_estimate_h2(graph: WeightedGraph, cfg: SimConfig) -> tuple[float, float]:

@@ -877,7 +877,6 @@ PACKAGE_NAMES = [
     "replay_trial",
     "rewire_bruteforce", "run_check", "scalar_mul", "serialize_graph", "sim",
     "spanning_tree_count", "spectral", "zeta",
-    "zeta_measure",
 ]
 LAYER_MODULES = ["design", "errors", "graphs", "measures", "properties", "sim", "spectral"]
 

@@ -20,8 +20,8 @@ from systemic import (ConnectivityError, DimensionError, DomainError, Generation
 from systemic.design import canonical_edges, greedy_augment
 
 from helpers import (analytic_spectrum, brute_force_tree_weight, count_edge_reads,
-                     loop_from_edges, loop_generate, loop_graph_add, loop_is_connected,
-                     loop_laplacian, loop_validate, random_connected)
+                     loop_generate, loop_graph_add, loop_is_connected, loop_laplacian,
+                     loop_validate, random_connected)
 
 FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
 NON_FINITE = (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf"))
@@ -469,8 +469,10 @@ class TestGenerate:
         assert all(2.0 <= w <= 3.0 for _, _, w in graph.edges)
 
     def test_retry_budget(self):
-        with pytest.raises(GenerationError):
-            generate("erdos_renyi", 40, seed=0, p=0.01, max_retries=3)
+        # 100 draws, each with about one edge of 780 pairs, all disconnected
+        failure = raised(lambda: generate("erdos_renyi", 40, seed=0, p=0.001))
+        assert failure == (GenerationError, "no connected draw in 100 tries (n=40, p=0.001)")
+        assert failure == raised(lambda: loop_generate("erdos_renyi", 40, seed=0, p=0.001))
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
@@ -480,17 +482,12 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate("torus", 4)
 
-    # NumPy's seed sequence raised a bare ValueError for seed=-1, and seed=2.5
-    # and max_retries=2.5 a TypeError
-    @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 2.5), ("seed", True),
-                                             ("max_retries", 2.5), ("max_retries", -1)])
+    # NumPy's seed sequence raised a bare ValueError for seed=-1, and a
+    # TypeError for seed=2.5
+    @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 2.5), ("seed", True)])
     def test_counts_are_integers(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be an integer >= 0"):
             generate("path", 5, **{name: value})
-
-    def test_no_retries_is_a_generation_error(self):
-        with pytest.raises(GenerationError, match="in 0 tries"):
-            generate("erdos_renyi", 5, seed=0, p=0.5, max_retries=0)
 
     # the unpacking raised a bare ValueError or TypeError
     @pytest.mark.parametrize("weight_range", [(1,), (1, 2, 3), 2.0])
@@ -585,21 +582,13 @@ class TestGenerateMatchesLoop:
                         loop_generate("erdos_renyi", 50, **kwargs))
 
     def test_some_draws_are_retried(self):
+        # the first draw of a seed is its generator's first 1,225 uniforms
+        us, vs = np.triu_indices(50, 1)
         retried = 0
         for seed in range(6):
-            try:
-                loop_generate("erdos_renyi", 50, seed=seed, p=0.07,
-                              weight_range=(0.2, 5.0), max_retries=1)
-            except GenerationError:
-                retried += 1
+            hits = np.random.Generator(np.random.PCG64(seed)).random(us.size) < 0.07
+            retried += not loop_is_connected(50, zip(us[hits], vs[hits]))
         assert retried >= 2
-
-    @pytest.mark.parametrize("n, p, retries", [(40, 0.01, 3), (10, 0.05, 5), (200, 0.005, 2)])
-    def test_exhausted_retries(self, n, p, retries):
-        kwargs = dict(seed=3, p=p, max_retries=retries, weight_range=(1.0, 2.0))
-        failure = raised(lambda: generate("erdos_renyi", n, **kwargs))
-        assert failure[0] is GenerationError
-        assert failure == raised(lambda: loop_generate("erdos_renyi", n, **kwargs))
 
     @pytest.mark.parametrize("call", [
         lambda g: g("erdos_renyi", 10, p=0.0), lambda g: g("complete", 5, weight_range=(2.0, 1.0)),
@@ -715,8 +704,9 @@ MALFORMED = [
      GraphFormatError, "self-loop at node 2"),
     (4, ((0, 1, 1.0), (0, 5, 1.0), (2, 2, 1.0)),
      GraphFormatError, "edge (0, 5) needs 0 <= u < v < 4"),
+    # (2, 1) is the edge (1, 2)
     (4, ((0, 1, 1.0), (2, 1, 1.0), (3, 3, 0.0)),
-     GraphFormatError, "edge (2, 1) needs 0 <= u < v < 4"),
+     GraphFormatError, "self-loop at node 3"),
     (4, ((0, 1, 1.0), (-1, 2, 1.0), (1, 1, 1.0)),
      GraphFormatError, "edge (-1, 2) needs 0 <= u < v < 4"),
     (4, ((0, 1, 1.0), (1, 2, 0.0), (0, 1, 2.0), (3, 3, 1.0)),
@@ -735,7 +725,7 @@ MALFORMED = [
     (4, ((np.int64(0), np.int64(1), 1.0), (np.int64(1), np.int64(1), 1.0)),
      GraphFormatError, "self-loop at node 1"),
     (4, ((False, True, 1.0), (True, False, 1.0)),
-     GraphFormatError, "edge (1, 0) needs 0 <= u < v < 4"),
+     GraphFormatError, "duplicate edge (0, 1)"),
     # every endpoint is read before any edge is checked
     (4, ((0.5, 1.5, 1.0), (2, 2, 1.0)), GraphFormatError,
      "edge endpoints must be integers: 'float' object cannot be interpreted as an integer"),
@@ -815,7 +805,7 @@ class TestMalformedEdges:
          "edge (1, 2) needs a positive finite weight, got -0.5"),
     ])
     def test_from_edges_first_defect_named(self, n, edges, message):
-        expected = raised(lambda: loop_from_edges(n, edges))
+        expected = raised(lambda: loop_validate(n, edges))
         assert expected[1] == message
         assert raised(lambda: WeightedGraph.from_edges(n, edges)) == expected
 
@@ -891,7 +881,22 @@ class TestMalformedEdges:
             assert_graph_is(WeightedGraph(n=n, edges=edges), n, loop_validate(n, edges))
             flipped = [(v, u, w) for u, v, w in edges]
             assert_graph_is(WeightedGraph.from_edges(n, flipped), n,
-                            loop_from_edges(n, flipped))
+                            loop_validate(n, flipped))
+
+    def test_constructor_is_from_edges(self):
+        # an edge has no orientation: every route puts each pair as u < v
+        rng = np.random.Generator(np.random.PCG64(37))
+        for _ in range(300):
+            n = int(rng.integers(2, 15))
+            us, vs = np.triu_indices(n, 1)
+            chosen = rng.permutation(us.size)[:int(rng.integers(0, us.size + 1))]
+            swap = rng.random(chosen.size) < 0.5
+            edges = [(int(v), int(u), float(w)) if flip else (int(u), int(v), float(w))
+                     for u, v, w, flip in zip(us[chosen], vs[chosen],
+                                              rng.uniform(0.1, 9.0, chosen.size), swap)]
+            graph, same = WeightedGraph(n, edges), WeightedGraph.from_edges(n, edges)
+            assert graph == same and hash(graph) == hash(same)
+            assert array_bytes(graph) == array_bytes(same)
 
 
 class TestCanonicalEdges:

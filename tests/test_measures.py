@@ -10,7 +10,7 @@ from systemic import (ConnectivityError, DomainError, MeasureDescriptor,
                       evaluate, evaluate_eigenvalues, generate,
                       get_spectral_function, graph_spectrum, hp_norm,
                       hp_norm_numeric, is_homogeneous, laplacian, laplacian_spectrum,
-                      parse_graph, scalar_mul, zeta, zeta_measure)
+                      parse_graph, scalar_mul, zeta)
 
 from systemic import measures
 
@@ -85,32 +85,35 @@ class TestZetaMeasure:
             evaluate_eigenvalues(np.array([2e-310]), MeasureDescriptor("zeta_measure", p=2.0))
 
     def test_k3_infinite_exponent(self, k3):
-        assert zeta_measure(k3, math.inf, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        value = evaluate(k3, MeasureDescriptor("zeta_measure", p=math.inf, k=1.0))
+        assert value == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_p3_laplacian_energy(self, p3):
-        assert zeta_measure(p3, 1.0, 0.5) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        value = evaluate(p3, MeasureDescriptor("zeta_measure", p=1.0, k=0.5))
+        assert value == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("p,k", [(1.0, 1.0), (2.0, 0.5), (7.0, 2.0), (math.inf, 1.0)])
     def test_scaling_halves(self, p, k):
         graph = random_connected(17)
-        base = zeta_measure(graph, p, k)
-        assert zeta_measure(scalar_mul(2.0, graph), p, k) == pytest.approx(
-            base / 2.0, rel=1e-12)
+        measure = MeasureDescriptor("zeta_measure", p=p, k=k)
+        base = evaluate(graph, measure)
+        assert evaluate(scalar_mul(2.0, graph), measure) == pytest.approx(base / 2.0, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_large_exponent_does_not_underflow(self):
         # K10 has nine eigenvalues 10, and 10^-400 is below the double range
         expected = 9.0 ** (1.0 / 400.0) / 10.0
-        assert zeta_measure(generate("complete", 10), 400.0, 1.0) == pytest.approx(
-            expected, rel=1e-12)
+        measure = MeasureDescriptor("zeta_measure", p=400.0, k=1.0)
+        value = evaluate(generate("complete", 10), measure)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_small_p(self, k3):
         with pytest.raises(DomainError):
-            zeta_measure(k3, 0.5, 1.0)
+            evaluate(k3, MeasureDescriptor("zeta_measure", p=0.5, k=1.0))
 
     def test_rejects_bad_k(self, k3):
         with pytest.raises(DomainError):
-            zeta_measure(k3, 2.0, 0.0)
+            evaluate(k3, MeasureDescriptor("zeta_measure", p=2.0, k=0.0))
 
     # k = inf evaluated to inf
     @pytest.mark.parametrize("k", [math.inf, math.nan])
@@ -128,7 +131,8 @@ class TestZetaMeasure:
                 continue
             found += 1
             limit = 1.0 / lam[0]
-            assert abs(zeta_measure(graph, 64.0, 1.0) - limit) < 1e-3 * limit
+            value = evaluate(graph, MeasureDescriptor("zeta_measure", p=64.0, k=1.0))
+            assert abs(value - limit) < 1e-3 * limit
             if found >= 10:
                 break
         assert found >= 10
