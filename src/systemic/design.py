@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConnectivityError, DomainError, InputError, NumericalError, ScaleError
-from .graphs import (WeightedGraph, _check_integer, _connected, _degree_vector,
+from .graphs import (WeightedGraph, _check_integer, _check_tol, _connected, _degree_vector,
                      _laplacian_matrix, _read_edges, graph_add, is_connected)
 from .measures import _MEASURES, MeasureDescriptor, evaluate, evaluate_eigenvalues
 from .spectral import Spectrum, eig_sym, graph_spectrum, laplacian_spectrum
@@ -105,8 +105,7 @@ class SolverOptions:
     max_iters: int = 2000
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise DomainError(f"tol must be finite and >= 0, got {self.tol!r}")
+        _check_tol(self.tol)
         _check_integer("max_iters", self.max_iters, 1)
 
 
@@ -117,7 +116,7 @@ class WeightAllocationResult:
     iterations: int
     stationarity_residual: float
     active_set: tuple[int, ...]
-    gap: float  # an upper bound on objective - optimum (g.w - min g if smooth)
+    gap: float  # an upper bound >= 0 on objective - optimum (g.w - min g if smooth)
     termination: str  # "converged", "line_search_stall" or "max_iters"
     history: tuple[float, ...] = field(repr=False, default=())
 
@@ -190,8 +189,11 @@ def _allocation_result(weights: np.ndarray, value: float, gradient: np.ndarray,
                        iterations: int, history: list[float], tol: float,
                        stalled: bool = False, gap: float | None = None
                        ) -> WeightAllocationResult:
-    """The result at `weights`; the gap is its Frank-Wolfe gap unless given."""
+    """The result at `weights`; the gap is its Frank-Wolfe gap unless given,
+    reported as 0.0 where rounding makes it negative (objective - optimum is
+    not), which leaves the termination as it is."""
     gap = _frank_wolfe_gap(weights, gradient) if gap is None else gap
+    gap = max(gap, 0.0)
     support = weights > SUPPORT_TOL
     supported = gradient[support]
     residual = float(np.abs(supported - supported.mean()).max())

@@ -42,6 +42,18 @@ def _check_integer(name: str, value, low: int) -> None:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_tol(tol) -> None:
+    """DomainError unless a stopping tolerance tol is a real number, finite
+    and >= 0; one that math.isfinite cannot read (a str, None, a complex) is
+    refused with the same message."""
+    try:
+        ok = math.isfinite(tol) and tol >= 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def _check_node_count(n: int) -> int:
     """The node count as an int; index() refuses floats, and bool (an int
     subclass) is refused by name."""

@@ -221,7 +221,9 @@ _MEASURES: dict[str, _Measure] = {
     "schur_sum": _Measure(
         value=lambda lam, m: float(get_spectral_function(m.f_id).fn(lam).sum()),
         grad=lambda lam, m, value: get_spectral_function(m.f_id).derivative(lam),
-        params={"f_id": _Param(lambda f_id: get_spectral_function(f_id))}),
+        params={"f_id": _Param(
+            lambda f_id: isinstance(f_id, str) and get_spectral_function(f_id),
+            "schur_sum needs a string spectral function id f_id, got {!r}")}),
 }
 
 MEASURE_IDS = tuple(_MEASURES)

@@ -13,14 +13,13 @@ which takes at most graphs.GENERATION_RETRIES draws for a connected one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .graphs import (WeightedGraph, _check_integer, generate, graph_add, laplacian,
-                     scalar_mul)
+from .graphs import (WeightedGraph, _check_integer, _check_tol, generate, graph_add,
+                     laplacian, scalar_mul)
 from .measures import (MeasureDescriptor, evaluate, evaluate_eigenvalues, is_homogeneous,
                        is_spectral)
 from .spectral import eig_sym
@@ -207,8 +206,7 @@ def replay_trial(property_id: str, measure: MeasureDescriptor, seed: int, trial:
     recorded trial bit for bit."""
     if property_id not in _PROPERTIES:
         raise DomainError(f"unknown property {property_id!r}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_tol(tol)
     _check_integer("seed", seed, 0)
     _check_integer("trial", trial, 0)
     salt, trial_fn, _ = _PROPERTIES[property_id]

@@ -433,6 +433,16 @@ class TestDesignCommands:
         assert results["gap"] >= -1e-9
         assert results["added"] == [[0, 2, 1.0]]
 
+    def test_augment_candidates_on_another_node_count(self, capsys, tmp_path, graph_files):
+        path = tmp_path / "candidates4.txt"
+        path.write_text("n 4\n0 3 1\n")
+        code, report, err = run_cli(capsys, [
+            "augment", "--graph", graph_files["p3"], "--k", "1",
+            "--candidates", str(path), "--f", "inverse"])
+        assert code == 2
+        assert report is None
+        assert err == "error: candidate file is on 4 nodes, graph on 3\n"
+
 
 class TestSimulate:
     def test_h2_report(self, capsys, graph_files):
@@ -481,6 +491,15 @@ class TestSimulate:
         assert code == 2
         assert report is None
         assert err.startswith("error:") and "horizon must be finite" in err
+
+    def test_one_trial_has_no_standard_error(self, capsys, graph_files):
+        code, report, _ = run_cli(capsys, [
+            "simulate-h2", "--graph", graph_files["p3"], "--dt", "0.01",
+            "--horizon", "20", "--trials", "1", "--seed", "1"])
+        assert code == 0
+        results = report["results"]
+        assert results["stderr"] is None and results["z_score"] is None
+        assert math.isfinite(results["estimate"])
 
 
 class TestValidate:
@@ -554,7 +573,8 @@ class TestValidate:
                                "20000000000 bytes, over the budget of 536870912 bytes\n")
 
     # validate summed the 8 GB degree vector of a billion nodes before the
-    # budget check and died with an _ArrayMemoryError and exit 1
+    # budget check and died with an _ArrayMemoryError and exit 1; then it
+    # refused the graph (exit 2), where now it audits it without matrices
     def test_dense_budget_precedes_the_degrees(self, tmp_path):
         resource = pytest.importorskip("resource")
         path = tmp_path / "big.txt"
@@ -564,11 +584,28 @@ class TestValidate:
             resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
         done = _fresh_python(["-m", "systemic.cli", "validate", "--graph", str(path)],
                              preexec_fn=limit_address_space)
-        assert done.returncode == 2, done.stderr
-        assert done.stdout == ""
-        assert done.stderr == ("error: a dense Laplacian on n=1000000000 nodes needs "
-                               "8000000000000000000 bytes, over the budget of "
-                               "536870912 bytes\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        report = json.loads(done.stdout)
+        assert report["results"] == {"n": 10**9, "edge_count": 1, "connected": False,
+                                     "weights_positive": True, "round_trip_ok": True}
+        assert report["warnings"] == [
+            "no matrix audits: a dense Laplacian on n=1000000000 nodes needs "
+            "8000000000000000000 bytes, over the budget of 536870912 bytes"]
+
+    # a connected graph above the budget: the Laplacian row sums and the
+    # spectrum are left out, as for a graph without a consensus spectrum
+    def test_above_the_dense_budget_audited_without_matrices(self, capsys, tmp_path):
+        path = tmp_path / "path10000.txt"
+        path.write_text(serialize_graph(generate("path", 10_000)))
+        code, report, _ = run_cli(capsys, ["validate", "--graph", str(path)])
+        assert code == 0
+        assert list(report["results"].items()) == [
+            ("n", 10_000), ("edge_count", 9_999), ("connected", True),
+            ("weights_positive", True), ("round_trip_ok", True)]
+        assert report["warnings"] == [
+            "no matrix audits: a dense Laplacian on n=10000 nodes needs 800000000 bytes, "
+            "over the budget of 536870912 bytes"]
 
     def test_duplicate_edge_exit_two(self, capsys, graph_files):
         code, report, err = run_cli(capsys, ["validate", "--graph", graph_files["bad"]])

@@ -54,6 +54,15 @@ class TestSimplexProjection:
 
 
 class TestOptimizeWeights:
+    # each gap was converged at iteration 0 and reported below zero by
+    # rounding (-1.1e-16, -4.4e-16, -8.9e-16), where it bounds objective - optimum
+    @pytest.mark.parametrize("topology, measure", [
+        (Topology(2, ((0, 1),)), "hinf"), (Topology(3, ((0, 1), (1, 2))), "hinf"),
+        (Topology.from_graph(generate("cycle", 5)), "local_error")], ids=["p2", "p3", "c5"])
+    def test_gap_is_never_negative(self, topology, measure):
+        result = optimize_weights(topology, MeasureDescriptor(measure))
+        assert (result.gap, result.termination, result.iterations) == (0.0, "converged", 0)
+
     def test_p3_energy(self):
         result = optimize_weights(P3_TOPOLOGY, ENERGY)
         assert np.abs(result.weights - 0.5).max() < 1e-4
@@ -522,11 +531,13 @@ class TestSolverOptions:
         assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iters"]
 
     # a NaN tol or a max_iters below 1 returned the uniform start as the
-    # optimum, and a negative tol died in math.sqrt with a ValueError
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    # optimum, a negative tol died in math.sqrt with a ValueError, and a tol
+    # that is not a number raised a bare TypeError from math.isfinite
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "x", None, 1j])
     def test_tol_rejected(self, tol):
-        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+        with pytest.raises(DomainError) as excinfo:
             SolverOptions(tol=tol)
+        assert str(excinfo.value) == f"tol must be finite and >= 0, got {tol!r}"
 
     @pytest.mark.parametrize("max_iters", [-5, 0, 2.5, "3", None, True])
     def test_max_iters_rejected(self, max_iters):
@@ -784,12 +795,27 @@ class TestFundamentalLimit:
         with pytest.raises(DomainError, match="edge budget k must be an integer"):
             greedy_augment(p3, k, [(0, 2, 1.0)], "inverse")
 
+    # the descriptor raised AttributeError for 5 and TypeError (unhashable)
+    # for a list, and both routes build one
+    @pytest.mark.parametrize("f_id", [5, ["inverse"]])
+    def test_non_string_f_id(self, p3, f_id):
+        message = f"schur_sum needs a string spectral function id f_id, got {f_id!r}"
+        for route in (lambda: fundamental_limit(p3, 1, f_id),
+                      lambda: greedy_augment(p3, 1, [(0, 2, 1.0)], f_id)):
+            with pytest.raises(DomainError) as excinfo:
+                route()
+            assert str(excinfo.value) == message
+
     def test_numpy_budget_accepted(self, p3):
         assert fundamental_limit(p3, np.int64(1), "inverse") == fundamental_limit(
             p3, 1, "inverse")
 
 
 class TestGreedyAugment:
+    def test_unknown_mode(self, p3):
+        with pytest.raises(DomainError, match="unknown augmentation mode 'nope'"):
+            greedy_augment(p3, 1, [(0, 2, 1.0)], "inverse", mode="nope")
+
     def test_p3_weight_sweep(self, p3):
         for weight in np.logspace(-2, 3, 12):
             report = greedy_augment(p3, 1, [(0, 2, float(weight))], "inverse")

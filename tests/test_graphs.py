@@ -199,6 +199,10 @@ class TestGraphContract:
             assert hash(other) == hash(graph)
             assert laplacian(other).tobytes() == laplacian(graph).tobytes()
 
+    def test_repr_evaluates_to_the_graph(self):
+        for graph in (random_connected(7), WeightedGraph(n=1, edges=())):
+            assert eval(repr(graph), {"WeightedGraph": WeightedGraph}) == graph
+
     @pytest.mark.parametrize("round_trip", [
         lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy])
     def test_copies_keep_contract(self, round_trip):

@@ -622,6 +622,14 @@ class TestDescriptors:
         with pytest.raises(DomainError):
             MeasureDescriptor("schur_sum")
 
+    # f_id=5 raised AttributeError, and a list TypeError: unhashable type
+    @pytest.mark.parametrize("f_id", [5, ["inverse"], b"inverse"])
+    def test_non_string_f_id_rejected(self, f_id):
+        with pytest.raises(DomainError) as excinfo:
+            MeasureDescriptor("schur_sum", f_id=f_id)
+        assert str(excinfo.value) == (
+            f"schur_sum needs a string spectral function id f_id, got {f_id!r}")
+
     def test_classification_table(self):
         spectral = {"monotonicity", "convexity", "orthogonal_invariance",
                     "schur_convexity"}
